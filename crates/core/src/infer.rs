@@ -1,16 +1,20 @@
-//! Dtype-generic inference executor: the forward-only half of CGNP
-//! (Alg. 2) re-expressed over [`MatrixT<E>`] so a serving session can
-//! score in `f32` or `f64` storage and route through the fast-math kernel
-//! tier via [`MathMode`].
+//! The serving executor: the forward-only half of CGNP (Alg. 2) over
+//! plain [`MatrixT<E>`] matrices. Meta-test never takes a gradient, so
+//! serving never needs the autodiff tape: **every** serving session —
+//! any dtype, either kernel tier, sharded or not — builds its contexts
+//! and scores its queries here, in `f32` or `f64` storage, with
+//! [`MathMode`] choosing the kernels.
 //!
-//! The training stack stays on the autodiff [`cgnp_tensor::Tensor`] path
-//! untouched; this module snapshots a trained [`Cgnp`]'s weights once
-//! ([`InferModel::from_model`]) and a [`PreparedTask`]'s operators once
-//! ([`InferState::from_prepared`]), both cast to the session's element
-//! type. Every op here mirrors its tensor counterpart expression-for-
-//! expression (same accumulation order, same stability tricks), so the
-//! `f32`/`Exact` instantiation reproduces [`Cgnp::predict_multi`]
-//! bitwise — pinned by `f32_exact_executor_is_bitwise_identical`.
+//! Training, and the evaluation oracle [`Cgnp::predict`] /
+//! [`Cgnp::predict_multi`] / [`Cgnp::predict_task`], stay on the
+//! [`cgnp_tensor::Tensor`] tape. This module snapshots a trained
+//! [`Cgnp`]'s weights once ([`InferModel::from_model`]) and a
+//! [`PreparedTask`]'s operators once ([`InferState::from_prepared`]),
+//! both cast to the session's element type. Every op here mirrors its
+//! tensor counterpart expression-for-expression (same accumulation
+//! order, same stability tricks), so the `f32`/`Exact` instantiation
+//! reproduces [`Cgnp::predict_multi`] bitwise — pinned for every encoder
+//! kind, decoder and ⊕ by `f32_exact_executor_is_bitwise_identical`.
 
 use cgnp_data::{QueryExample, NO_QUERY};
 use cgnp_nn::{Activation, AnyGnnLayer, GnnEncoder, Linear, Mlp};
@@ -316,8 +320,10 @@ impl<E: Elem> InferModel<E> {
         self.encoder.forward(state, x, mode)
     }
 
-    /// The decoded task context, mirroring [`Cgnp::context_eval`]: views →
-    /// ⊕ → decoder transform, all in `E` under the selected kernel tier.
+    /// The decoded task context, mirroring eval-mode [`Cgnp::context`]:
+    /// views → ⊕ → decoder transform, all in `E` under the selected
+    /// kernel tier. `support` is explicit so callers can condition on any
+    /// subset of a task's labelled examples (a per-request shot count).
     pub fn context(
         &self,
         state: &InferState<E>,
@@ -380,8 +386,11 @@ impl<E: Elem> InferState<E> {
     }
 }
 
-/// Mean of pre-gathered context rows, the generic counterpart of
-/// [`Cgnp::centroid_of_rows`] for typed scatter/gather coordinators.
+/// Mean of pre-gathered context rows: the centroid half of
+/// [`score_probs`], split out for coordinators that gather query rows
+/// from several shard-local contexts. Stacking the same row bits in the
+/// same order feeds the identical `mean_rows` kernel, so the result is
+/// bitwise-equal to the unsharded centroid.
 pub fn centroid_of_rows<E: Elem>(rows: &[&[E]]) -> Vec<E> {
     assert!(!rows.is_empty(), "centroid needs at least one row");
     let d = rows[0].len();
@@ -394,7 +403,7 @@ pub fn centroid_of_rows<E: Elem>(rows: &[&[E]]) -> Vec<E> {
 }
 
 /// Membership probabilities of every context row against a centroid
-/// (the generic counterpart of [`Cgnp::score_probs_with_centroid`]).
+/// (the broadcast half of scatter/gather scoring).
 /// Probabilities come back as `f32` — the wire format of every serving
 /// response — after the logits and sigmoid are computed in `E`.
 pub fn score_with_centroid<E: Elem>(
@@ -412,8 +421,8 @@ pub fn score_with_centroid<E: Elem>(
 }
 
 /// Membership probabilities for one query set against a context (the
-/// generic counterpart of [`Cgnp::score_probs`]): centroid of the query
-/// rows, inner products, sigmoid.
+/// cheap half of Alg. 2): centroid of the query rows, inner products,
+/// sigmoid.
 pub fn score_probs<E: Elem>(context: &MatrixT<E>, queries: &[usize], mode: MathMode) -> Vec<f32> {
     assert!(!queries.is_empty(), "need at least one query node");
     let centroid = context.select_rows(queries).mean_rows();
@@ -427,9 +436,8 @@ pub fn centroid_of_queries<E: Elem>(context: &MatrixT<E>, queries: &[usize]) -> 
 }
 
 /// Scores a micro-batch of query sets against one shared context, fanned
-/// across the persistent worker pool — the generic counterpart of
-/// [`Cgnp::score_batch_with_threads`] a typed serving session calls per
-/// tick.
+/// across the persistent worker pool — what a serving session calls per
+/// tick, the context itself being cached across ticks.
 pub fn score_batch_with_threads<E: Elem>(
     context: &MatrixT<E>,
     batch: &[Vec<usize>],
@@ -505,6 +513,7 @@ mod tests {
     use super::*;
     use crate::config::{CgnpConfig, CommutativeOp, DecoderKind};
     use cgnp_data::{sample_task, SbmConfig, TaskConfig};
+    use cgnp_nn::GnnKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -529,9 +538,9 @@ mod tests {
         Cgnp::new(cfg, 1)
     }
 
+    /// The taped oracle.
     fn tensor_probs(model: &Cgnp, p: &PreparedTask, queries: &[usize]) -> Vec<f32> {
-        let ctx = model.context_eval(p, &p.task.support, 0);
-        Cgnp::score_probs(&ctx, queries)
+        model.predict_multi(p, queries, &mut StdRng::seed_from_u64(0))
     }
 
     #[test]
@@ -540,29 +549,36 @@ mod tests {
         // expression-for-expression, so the f32/Exact instantiation must
         // reproduce the autodiff path bit-for-bit — the property the
         // serving layer's `--exact` contract leans on.
-        for decoder in [
-            DecoderKind::InnerProduct,
-            DecoderKind::Mlp,
-            DecoderKind::Gnn,
-        ] {
-            for op in [
-                CommutativeOp::Sum,
-                CommutativeOp::Mean,
-                CommutativeOp::SelfAttention,
+        let p = prepared_task(21);
+        let state = InferState::<f32>::from_prepared(&p);
+        let queries = vec![p.task.targets[0].query, p.task.targets[1].query];
+        for kind in [GnnKind::Gcn, GnnKind::Gat, GnnKind::Sage] {
+            for decoder in [
+                DecoderKind::InnerProduct,
+                DecoderKind::Mlp,
+                DecoderKind::Gnn,
             ] {
-                let p = prepared_task(21);
-                let model = model_for(&p, decoder, op);
-                let im = InferModel::<f32>::from_model(&model);
-                let state = InferState::<f32>::from_prepared(&p);
-                let queries = vec![p.task.targets[0].query, p.task.targets[1].query];
+                for op in [
+                    CommutativeOp::Sum,
+                    CommutativeOp::Mean,
+                    CommutativeOp::SelfAttention,
+                ] {
+                    let in_dim = cgnp_data::model_input_dim(&p.task.graph);
+                    let cfg = CgnpConfig::paper_default(in_dim, 8)
+                        .with_encoder_kind(kind)
+                        .with_decoder(decoder)
+                        .with_commutative(op);
+                    let model = Cgnp::new(cfg, 1);
+                    let im = InferModel::<f32>::from_model(&model);
 
-                let legacy = tensor_probs(&model, &p, &queries);
-                let ctx = im.context(&state, &p.task.support, MathMode::Exact);
-                let typed = score_probs(&ctx, &queries, MathMode::Exact);
-                assert_eq!(
-                    legacy, typed,
-                    "{decoder:?}/{op:?} diverged from tensor path"
-                );
+                    let legacy = tensor_probs(&model, &p, &queries);
+                    let ctx = im.context(&state, &p.task.support, MathMode::Exact);
+                    let typed = score_probs(&ctx, &queries, MathMode::Exact);
+                    assert_eq!(
+                        legacy, typed,
+                        "{kind}/{decoder:?}/{op:?} diverged from tensor path"
+                    );
+                }
             }
         }
     }

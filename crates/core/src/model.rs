@@ -1,4 +1,11 @@
 //! The CGNP model (Fig. 2): GNN encoder ϕθ → commutative ⊕ → decoder ρθ.
+//!
+//! This is the taped forward: meta-training differentiates through it,
+//! and [`Cgnp::predict`] / [`Cgnp::predict_multi`] /
+//! [`Cgnp::predict_task`] run it under `no_grad` as the evaluation
+//! harness's meta-test and as the oracle every serving response is
+//! pinned bitwise against. Serving itself never comes through here — it
+//! runs the forward-only executor in [`crate::infer`].
 
 use std::collections::BTreeSet;
 
@@ -321,137 +328,6 @@ impl Cgnp {
         })
     }
 
-    /// The decoded task context under [`cgnp_tensor::no_grad`] in eval
-    /// mode (Alg. 2 l.2–4): the expensive, query-independent half of
-    /// meta-testing, and therefore the quantity an online serving layer
-    /// computes once per micro-batch. `support` is passed explicitly so
-    /// callers can condition on any subset of a task's labelled examples
-    /// (e.g. a per-request shot count). Eval-mode inference never consumes
-    /// the RNG (pinned by `inference_is_deterministic`), so the result is
-    /// independent of `seed`; the parameter keeps the per-request seed
-    /// plumbing uniform with the stochastic training paths.
-    pub fn context_eval(
-        &self,
-        prepared: &PreparedTask,
-        support: &[QueryExample],
-        seed: u64,
-    ) -> Tensor {
-        cgnp_tensor::no_grad(|| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut fctx = ForwardCtx::eval(&mut rng);
-            self.context(prepared, support, &mut fctx)
-        })
-    }
-
-    /// Membership probabilities for one query set against a precomputed
-    /// context (the cheap half of Alg. 2: a gather + inner products).
-    pub fn score_probs(context: &Tensor, queries: &[usize]) -> Vec<f32> {
-        cgnp_tensor::no_grad(|| {
-            Decoder::score_multi(context, queries)
-                .sigmoid()
-                .value_ref()
-                .as_slice()
-                .to_vec()
-        })
-    }
-
-    /// Mean of a set of pre-gathered context rows: the centroid half of
-    /// [`Decoder::score_multi`], split out for coordinators that gather
-    /// query rows from several shard-local contexts. Stacking the same
-    /// row bits in the same order feeds the identical `Matrix::mean_rows`
-    /// kernel that `gather_rows(queries).mean_rows()` runs, so the result
-    /// is bitwise-equal to the unsharded centroid.
-    pub fn centroid_of_rows(rows: &[&[f32]]) -> Vec<f32> {
-        assert!(!rows.is_empty(), "centroid needs at least one row");
-        let d = rows[0].len();
-        let mut stacked = Matrix::zeros(rows.len(), d);
-        for (r, row) in rows.iter().enumerate() {
-            assert_eq!(row.len(), d, "centroid rows must share a width");
-            stacked.row_mut(r).copy_from_slice(row);
-        }
-        stacked.mean_rows().as_slice().to_vec()
-    }
-
-    /// Membership probabilities of every context row against an
-    /// externally supplied centroid (the broadcast half of scatter/gather
-    /// scoring). With `centroid = gather_rows(queries).mean_rows()` bits
-    /// this matches [`Cgnp::score_probs`] exactly: both run the same
-    /// `matmul_tb` + `sigmoid` kernels on the same operands.
-    pub fn score_probs_with_centroid(context: &Tensor, centroid: &[f32]) -> Vec<f32> {
-        cgnp_tensor::no_grad(|| {
-            let c = Tensor::constant(Matrix::from_vec(1, centroid.len(), centroid.to_vec()));
-            context
-                .matmul_tb(&c)
-                .sigmoid()
-                .value_ref()
-                .as_slice()
-                .to_vec()
-        })
-    }
-
-    /// Batched multi-query inference for online serving: computes the task
-    /// context **once** from `support` and scores every query set of
-    /// `batch` against it, fanning the scoring across the persistent
-    /// worker pool. Takes `&self` — no request mutates the model, so any
-    /// number of sessions can share one restored checkpoint — plus one
-    /// seed per request (see [`Cgnp::context_eval`] for why eval-mode
-    /// results do not depend on them).
-    ///
-    /// Each element of the result is bitwise identical to
-    /// [`Cgnp::predict_multi`] on the same prepared task and seed.
-    pub fn predict_multi_batch(
-        &self,
-        prepared: &PreparedTask,
-        support: &[QueryExample],
-        batch: &[Vec<usize>],
-        seeds: &[u64],
-    ) -> Vec<Vec<f32>> {
-        self.predict_multi_batch_with_threads(
-            prepared,
-            support,
-            batch,
-            seeds,
-            rayon::current_num_threads(),
-        )
-    }
-
-    /// [`Cgnp::predict_multi_batch`] with an explicit fan-out width
-    /// (exposed so tests and the serving layer can pin worker counts).
-    pub fn predict_multi_batch_with_threads(
-        &self,
-        prepared: &PreparedTask,
-        support: &[QueryExample],
-        batch: &[Vec<usize>],
-        seeds: &[u64],
-        threads: usize,
-    ) -> Vec<Vec<f32>> {
-        assert_eq!(batch.len(), seeds.len(), "batch/seeds length mismatch");
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        let ctx = self.context_eval(prepared, support, seeds[0]);
-        Self::score_batch_with_threads(&ctx, batch, threads)
-    }
-
-    /// Scores every query set of `batch` against one precomputed context,
-    /// fanning the work across the persistent pool. This is the cheap
-    /// half of [`Cgnp::predict_multi_batch_with_threads`], split out so a
-    /// serving layer that caches contexts across micro-batch ticks can
-    /// skip the context forward entirely.
-    pub fn score_batch_with_threads(
-        context: &Tensor,
-        batch: &[Vec<usize>],
-        threads: usize,
-    ) -> Vec<Vec<f32>> {
-        // The context tensor is a constant (built under `no_grad`) behind
-        // `Arc`, so workers borrow it directly. Each worker body
-        // re-enters `no_grad` (inside `score_probs`): the flag is
-        // thread-local and pool workers outlive the caller's scope, so
-        // relying on the caller's flag would record tape nodes against
-        // the model weights on every worker.
-        crate::par::par_map(batch, threads, |qs| Self::score_probs(context, qs))
-    }
-
     /// Predictions for every target query of a task, sharing one context
     /// computation (the decisive efficiency property in Fig. 3: adaptation
     /// is forward-only and the context is reused across queries).
@@ -488,7 +364,9 @@ impl Module for Cgnp {
 mod tests {
     use super::*;
     use crate::config::{CommutativeOp, DecoderKind};
+    use crate::infer::{self, InferModel, InferState};
     use cgnp_data::{sample_task, SbmConfig, TaskConfig};
+    use cgnp_tensor::MathMode;
 
     fn prepared_task(seed: u64) -> PreparedTask {
         let ag =
@@ -616,6 +494,15 @@ mod tests {
         assert!(probs.iter().all(|&x| (0.0..=1.0).contains(&x)));
     }
 
+    /// The serving executor's decoded context for `support`.
+    fn infer_context(model: &Cgnp, p: &PreparedTask, support: &[QueryExample]) -> Matrix {
+        InferModel::<f32>::from_model(model).context(
+            &InferState::from_prepared(p),
+            support,
+            MathMode::Exact,
+        )
+    }
+
     #[test]
     fn batched_inference_matches_predict_multi() {
         let p = prepared_task(11);
@@ -627,10 +514,9 @@ mod tests {
             .map(|ex| vec![ex.query])
             .chain([p.task.targets.iter().map(|ex| ex.query).take(2).collect()])
             .collect();
-        let seeds: Vec<u64> = (0..batch.len() as u64).collect();
-        let serial = model.predict_multi_batch_with_threads(&p, &p.task.support, &batch, &seeds, 1);
-        let parallel =
-            model.predict_multi_batch_with_threads(&p, &p.task.support, &batch, &seeds, 3);
+        let ctx = infer_context(&model, &p, &p.task.support);
+        let serial = infer::score_batch_with_threads(&ctx, &batch, 1, MathMode::Exact);
+        let parallel = infer::score_batch_with_threads(&ctx, &batch, 3, MathMode::Exact);
         assert_eq!(serial, parallel, "fan-out must not change results");
         for (qs, probs) in batch.iter().zip(&serial) {
             let mut rng = StdRng::seed_from_u64(99);
@@ -645,17 +531,26 @@ mod tests {
         let p = prepared_task(12);
         let model = model_for(&p, DecoderKind::InnerProduct, CommutativeOp::Mean);
         let q = vec![p.task.targets[0].query];
-        let batch = std::slice::from_ref(&q);
-        let full = model.predict_multi_batch(&p, &p.task.support, batch, &[0]);
-        let one = model.predict_multi_batch(&p, &p.task.support[..1], batch, &[0]);
-        assert_ne!(full, one, "support subsetting must affect predictions");
+        let score = |support: &[QueryExample]| {
+            infer::score_probs(&infer_context(&model, &p, support), &q, MathMode::Exact)
+        };
+        assert_ne!(
+            score(&p.task.support),
+            score(&p.task.support[..1]),
+            "support subsetting must affect predictions"
+        );
     }
 
     #[test]
-    fn context_eval_builds_no_tape() {
+    fn eval_context_builds_no_tape() {
+        // What `predict`, `predict_multi` and `predict_task` all do: an
+        // eval-mode context under `no_grad` is a constant.
         let p = prepared_task(13);
         let model = model_for(&p, DecoderKind::Gnn, CommutativeOp::SelfAttention);
-        let ctx = model.context_eval(&p, &p.task.support, 0);
+        let ctx = cgnp_tensor::no_grad(|| {
+            let mut rng = StdRng::seed_from_u64(0);
+            model.context(&p, &p.task.support, &mut ForwardCtx::eval(&mut rng))
+        });
         assert!(!ctx.needs_grad());
         assert_eq!(
             ctx.tape_len(),

@@ -1,11 +1,11 @@
-//! Stress test for the lock-free tensor core under concurrent serving:
-//! many threads drive batched inference against ONE shared `Cgnp` (and
-//! one shared `PreparedTask`) at the same time, while every result must
-//! stay bitwise identical to the single-threaded path. This is the
-//! traffic shape of `ServeSession` under load and of `CsLearner`'s
-//! pool-parallel meta-test, and it guards the value/tape split: forward
-//! values are immutable and read without locks, so no interleaving may
-//! perturb them.
+//! Stress test for the lock-free tensor core under concurrent
+//! inference: many threads drive the taped forward (`predict_multi`,
+//! `predict_task`) against ONE shared `Cgnp` (and one shared
+//! `PreparedTask`) at the same time, while every result must stay
+//! bitwise identical to the single-threaded path. This is the traffic
+//! shape of `CsLearner`'s pool-parallel meta-test, and it guards the
+//! value/tape split: forward values are immutable and read without
+//! locks, so no interleaving may perturb them.
 
 use cgnp_core::{Cgnp, CgnpConfig, CommutativeOp, DecoderKind, PreparedTask};
 use cgnp_data::{generate_sbm, model_input_dim, sample_task, SbmConfig, TaskConfig};
@@ -32,48 +32,48 @@ fn model_for(p: &PreparedTask, decoder: DecoderKind, op: CommutativeOp) -> Cgnp 
     Cgnp::new(cfg, 5)
 }
 
-fn query_batch(p: &PreparedTask) -> (Vec<Vec<usize>>, Vec<u64>) {
-    let batch: Vec<Vec<usize>> = p
-        .task
+fn query_batch(p: &PreparedTask) -> Vec<Vec<usize>> {
+    p.task
         .targets
         .iter()
         .map(|ex| vec![ex.query])
         .chain([p.task.targets.iter().map(|ex| ex.query).take(3).collect()])
+        .collect()
+}
+
+/// One pass of taped inference over the batch: every query set through
+/// `predict_multi`, then the task's own targets through `predict_task`.
+/// Each caller seeds its own RNG — eval-mode forwards never consume it.
+fn infer_all(model: &Cgnp, p: &PreparedTask, batch: &[Vec<usize>], seed: u64) -> Vec<Vec<f32>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out: Vec<Vec<f32>> = batch
+        .iter()
+        .map(|qs| model.predict_multi(p, qs, &mut rng))
         .collect();
-    let seeds: Vec<u64> = (0..batch.len() as u64).collect();
-    (batch, seeds)
+    out.extend(model.predict_task(p, &mut rng));
+    out
 }
 
 #[test]
 fn concurrent_predict_multi_batch_matches_serial_bitwise() {
     let p = prepared_task(31);
     let model = model_for(&p, DecoderKind::Mlp, CommutativeOp::SelfAttention);
-    let (batch, seeds) = query_batch(&p);
-    let serial = model.predict_multi_batch_with_threads(&p, &p.task.support, &batch, &seeds, 1);
+    let batch = query_batch(&p);
+    let serial = infer_all(&model, &p, &batch, 0);
 
     // 8 threads hammer the same model/prepared-task handles at once, each
-    // repeatedly and with internal pool fan-out, so lock-free value reads
-    // interleave with each other and with worker scheduling.
+    // repeatedly, so lock-free value reads interleave with each other and
+    // with the kernels' own pool fan-out.
     const CALLERS: usize = 8;
     const ROUNDS: usize = 4;
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..CALLERS)
             .map(|caller| {
-                let (model, p, batch, seeds, serial) = (&model, &p, &batch, &seeds, &serial);
+                let (model, p, batch, serial) = (&model, &p, &batch, &serial);
                 s.spawn(move || {
                     for round in 0..ROUNDS {
-                        let threads = 1 + (caller + round) % 3;
-                        let out = model.predict_multi_batch_with_threads(
-                            p,
-                            &p.task.support,
-                            batch,
-                            seeds,
-                            threads,
-                        );
-                        assert_eq!(
-                            &out, serial,
-                            "caller {caller} round {round} ({threads} threads) diverged"
-                        );
+                        let out = infer_all(model, p, batch, (caller * ROUNDS + round) as u64);
+                        assert_eq!(&out, serial, "caller {caller} round {round} diverged");
                     }
                 })
             })
@@ -97,20 +97,13 @@ fn concurrent_inference_under_every_decoder_is_stable() {
     ] {
         for op in [CommutativeOp::Mean, CommutativeOp::SelfAttention] {
             let model = model_for(&p, decoder, op);
-            let (batch, seeds) = query_batch(&p);
-            let serial =
-                model.predict_multi_batch_with_threads(&p, &p.task.support, &batch, &seeds, 1);
+            let batch = query_batch(&p);
+            let serial = infer_all(&model, &p, &batch, 0);
             std::thread::scope(|s| {
-                for _ in 0..4 {
-                    let (model, p, batch, seeds, serial) = (&model, &p, &batch, &seeds, &serial);
+                for caller in 0..4 {
+                    let (model, p, batch, serial) = (&model, &p, &batch, &serial);
                     s.spawn(move || {
-                        let out = model.predict_multi_batch_with_threads(
-                            p,
-                            &p.task.support,
-                            batch,
-                            seeds,
-                            2,
-                        );
+                        let out = infer_all(model, p, batch, caller);
                         assert_eq!(&out, serial, "{decoder:?}/{op:?} diverged under threads");
                     });
                 }
@@ -121,17 +114,17 @@ fn concurrent_inference_under_every_decoder_is_stable() {
 
 #[test]
 fn concurrent_inference_leaves_no_autograd_state() {
-    // Shared-model serving must not grow tape state on any thread: after
+    // Shared-model inference must not grow tape state on any thread: after
     // the stampede, the model's parameters hold no gradients and tape
     // recording is still enabled on the main thread.
     let p = prepared_task(33);
     let model = model_for(&p, DecoderKind::InnerProduct, CommutativeOp::Mean);
-    let (batch, seeds) = query_batch(&p);
+    let batch = query_batch(&p);
     std::thread::scope(|s| {
-        for _ in 0..6 {
-            let (model, p, batch, seeds) = (&model, &p, &batch, &seeds);
+        for caller in 0..6 {
+            let (model, p, batch) = (&model, &p, &batch);
             s.spawn(move || {
-                let _ = model.predict_multi_batch_with_threads(p, &p.task.support, batch, seeds, 2);
+                let _ = infer_all(model, p, batch, caller);
             });
         }
     });

@@ -15,7 +15,8 @@
 //!   **across ticks** (invalidated by
 //!   [`ServeSession::replace_support`]); each tick only fans the
 //!   per-query scoring across the persistent worker pool
-//!   (`Cgnp::score_batch_with_threads`, all under `no_grad`),
+//!   (`cgnp_core::infer::score_batch_with_threads` — forward-only, no
+//!   autodiff tape anywhere on the serving path),
 //! * an LRU cache ([`cache::LruCache`]) memoizes full prediction vectors
 //!   keyed on `(query nodes, shots)`,
 //! * per-request latency, batch-occupancy, and context build/hit
@@ -57,7 +58,8 @@ pub use protocol::{
     Frame, ParseError, QueryRequest, QueryResponse, UpdateOp, UpdateRequest,
 };
 pub use session::{
-    rank_members, serve_task, ServeConfig, ServeSession, ServeSummary, SessionContext,
+    finish_burst, query_tick, rank_members, serve_task, update_burst, Applied, ServeConfig,
+    ServeSession, ServeStats, ServeSummary, TickView, Watermark,
 };
 pub use snapshot::{SnapshotPayload, SnapshotState};
 pub use wal::{WalError, WalRecord, WalWriter};

@@ -165,7 +165,7 @@ pub const MAX_REASONABLE_SHOTS: usize = 1 << 20;
 ///
 /// Both front-ends (the stdin NDJSON loop and the TCP gateway) call
 /// this before a request can consume a queue slot or a scoring tick, so
-/// `predict_multi_batch`'s deep assertions are never the first line of
+/// the scoring kernels' deep assertions are never the first line of
 /// defense against wire input.
 pub fn validate_request(
     req: &QueryRequest,

@@ -20,6 +20,19 @@
 //! (cached contexts condition on prefixes of the pool, which an append
 //! leaves untouched). Every response reports the graph epoch it was
 //! answered under.
+//!
+//! There is one executor: every context build and every score runs
+//! through the forward-only [`cgnp_core::InferModel`], in the element
+//! type [`ServeConfig::precision`] picks and on the kernel tier
+//! [`ServeConfig::math`] picks (`--exact` selects kernels, not an
+//! engine). The autodiff tape is training's and the evaluation oracle's;
+//! no serving path touches it.
+//!
+//! And one tick: the micro-batch sequence ([`query_tick`]) and the
+//! update burst ([`update_burst`] + [`finish_burst`]) are plain functions
+//! of the state they run against, so a scatter/gather coordinator runs
+//! the very same code over its global graph, differing only in how a
+//! shot group is scored and where an applied mutation is routed.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -29,7 +42,7 @@ use std::time::Instant;
 use cgnp_core::{infer, Cgnp, CgnpConfig, InferModel, InferState, PreparedTask, RefreshStrategy};
 use cgnp_data::{model_input_dim, task_on_whole_graph, QueryExample, Task, TaskConfig, NO_QUERY};
 use cgnp_graph::AttributedGraph;
-use cgnp_tensor::{dispatch, fast_math_compiled, Block, Dtype, MathMode, Tensor};
+use cgnp_tensor::{dispatch, fast_math_compiled, Block, Dtype, MathMode};
 use rand::SeedableRng;
 use serde::Serialize;
 
@@ -104,9 +117,12 @@ impl ServeConfig {
 /// serving dashboard wants anyway.
 const LATENCY_WINDOW: usize = 4096;
 
-/// Rolling serving counters (all micro-batches since session build).
+/// Rolling serving counters (all micro-batches since session build),
+/// shared by [`ServeSession`] and a scatter/gather coordinator: both feed
+/// it through [`query_tick`] / [`finish_burst`] and read it back through
+/// [`ServeStats::summary`].
 #[derive(Clone, Debug, Default)]
-struct ServeStats {
+pub struct ServeStats {
     requests: u64,
     errors: u64,
     batches: u64,
@@ -135,6 +151,56 @@ impl ServeStats {
         } else {
             self.latencies_us[self.latency_cursor] = us;
             self.latency_cursor = (self.latency_cursor + 1) % LATENCY_WINDOW;
+        }
+    }
+
+    /// The counters as a [`ServeSummary`] (latency percentiles over the
+    /// most recent window), for a session at `epoch` serving under `cfg`.
+    /// Durability and shard fields are left at their ephemeral, unsharded
+    /// values for the wrappers that own them to fill in.
+    pub fn summary(
+        &self,
+        cache: CacheStats,
+        epoch: u64,
+        log_evictions: u64,
+        cfg: &ServeConfig,
+    ) -> ServeSummary {
+        let mut lat = self.latencies_us.clone();
+        lat.sort_unstable();
+        let pct = |p: f64| -> u64 {
+            if lat.is_empty() {
+                0
+            } else {
+                lat[((lat.len() - 1) as f64 * p).round() as usize]
+            }
+        };
+        ServeSummary {
+            requests: self.requests,
+            errors: self.errors,
+            batches: self.batches,
+            mean_batch_occupancy: if self.batches == 0 {
+                0.0
+            } else {
+                self.occupancy_sum as f64 / self.batches as f64
+            },
+            latency_p50_us: pct(0.5),
+            latency_p95_us: pct(0.95),
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_evictions: cache.evictions,
+            context_builds: self.context_builds,
+            context_hits: self.context_hits,
+            updates: self.updates,
+            coalesced_updates: self.coalesced_updates,
+            log_evictions,
+            wal_appends: 0,
+            wal_bytes: 0,
+            snapshots: 0,
+            recovered_updates: 0,
+            epoch,
+            shard_epochs: None,
+            precision: cfg.precision.as_str().to_string(),
+            math: cfg.effective_math().as_str().to_string(),
         }
     }
 }
@@ -186,87 +252,64 @@ pub struct ServeSummary {
     pub math: String,
 }
 
-/// The scoring executor a session routes every context build and
-/// micro-batch through, fixed at construction from
-/// (`precision`, effective math mode).
+/// The forward-only executor every context build runs through: the
+/// model's weights and the prepared task's operators and base features,
+/// both snapshotted into the session's element type. The arms are the
+/// runtime dtype choice ([`ServeConfig::precision`]) and nothing else —
+/// the kernel tier is an argument of every call, not a different engine.
 enum Engine {
-    /// The legacy autodiff tensor path — bitwise-identical to every
-    /// pre-precision release and to the training-side
-    /// [`Cgnp::predict_multi`]. Selected by (`f32`, exact), the default.
-    ExactF32,
-    /// Forward-only executor in `f32` storage (the fast-math tier; the
-    /// `f32`/exact combination stays on [`Engine::ExactF32`]).
-    F32(InferModel<f32>),
-    /// Forward-only executor in `f64` storage.
-    F64(InferModel<f64>),
+    F32(InferModel<f32>, InferState<f32>),
+    F64(InferModel<f64>, InferState<f64>),
 }
 
 impl Engine {
-    fn select(precision: Dtype, math: MathMode, model: &Cgnp) -> Self {
-        match (precision, math) {
-            (Dtype::F32, MathMode::Exact) => Engine::ExactF32,
-            (Dtype::F32, MathMode::Fast) => Engine::F32(InferModel::from_model(model)),
-            (Dtype::F64, _) => Engine::F64(InferModel::from_model(model)),
+    fn new(precision: Dtype, model: &Cgnp, prepared: &PreparedTask) -> Self {
+        match precision {
+            Dtype::F32 => Engine::F32(
+                InferModel::from_model(model),
+                InferState::from_prepared(prepared),
+            ),
+            Dtype::F64 => Engine::F64(
+                InferModel::from_model(model),
+                InferState::from_prepared(prepared),
+            ),
         }
     }
 
-    /// Snapshots the prepared operators and base features into this
-    /// engine's element type (a no-op for the legacy engine, which reads
-    /// the [`PreparedTask`] directly).
-    fn state_for(&self, prepared: &PreparedTask) -> TypedState {
+    /// Re-casts the operators and base features after a refresh changed
+    /// what the snapshot mirrors (the weights never change).
+    fn resnapshot(&mut self, prepared: &PreparedTask) {
         match self {
-            Engine::ExactF32 => TypedState::None,
-            Engine::F32(_) => TypedState::F32(InferState::from_prepared(prepared)),
-            Engine::F64(_) => TypedState::F64(InferState::from_prepared(prepared)),
+            Engine::F32(_, state) => *state = InferState::from_prepared(prepared),
+            Engine::F64(_, state) => *state = InferState::from_prepared(prepared),
+        }
+    }
+
+    /// The decoded task context for `support` (Alg. 2 l.2–4).
+    fn context(&self, support: &[QueryExample], math: MathMode) -> Block {
+        match self {
+            Engine::F32(model, state) => Block::F32(model.context(state, support, math)),
+            Engine::F64(model, state) => Block::F64(model.context(state, support, math)),
         }
     }
 }
 
-/// Operators + base features snapshotted into the engine's element type.
-/// Lives inside [`LiveState`] so the same write lock that refreshes the
-/// prepared operators re-snapshots the typed mirror.
-enum TypedState {
-    /// The legacy engine scores straight off the [`PreparedTask`].
-    None,
-    F32(InferState<f32>),
-    F64(InferState<f64>),
+/// Monotone session version plus the cache-staleness watermark: every
+/// cache entry is tagged with the version it was computed under, and
+/// entries tagged `< valid_from` are stale.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Watermark {
+    pub version: u64,
+    pub valid_from: u64,
 }
 
-/// A decoded task context in whichever representation the session's
-/// engine scores: the legacy autodiff tensor, or dtype-dispatched
-/// storage. The typed arm is `Arc`ed because [`Block`] clones are deep
-/// copies and cache hits must not duplicate an n×d matrix (the tensor
-/// arm is already internally shared).
-#[derive(Clone)]
-pub enum SessionContext {
-    Exact(Tensor),
-    Typed(Arc<Block>),
-}
-
-impl SessionContext {
-    /// The storage dtype of the context rows.
-    pub fn dtype(&self) -> Dtype {
-        match self {
-            SessionContext::Exact(_) => Dtype::F32,
-            SessionContext::Typed(b) => b.dtype(),
-        }
-    }
-
-    /// The legacy tensor, when this context came from the exact-`f32`
-    /// engine (the sharded exact coordinator gathers rows through it).
-    pub fn as_tensor(&self) -> Option<&Tensor> {
-        match self {
-            SessionContext::Exact(t) => Some(t),
-            SessionContext::Typed(_) => None,
-        }
-    }
-
-    /// The typed storage block, when this context came from a typed
-    /// engine.
-    pub fn as_block(&self) -> Option<&Block> {
-        match self {
-            SessionContext::Exact(_) => None,
-            SessionContext::Typed(b) => Some(b),
+impl Watermark {
+    /// Records one applied change. An invalidating one retires every
+    /// cache entry computed before it; a pure support append does not.
+    pub fn advance(&mut self, invalidate: bool) {
+        self.version += 1;
+        if invalidate {
+            self.valid_from = self.version;
         }
     }
 }
@@ -276,37 +319,24 @@ impl SessionContext {
 /// consistent (graph, operators, support pool) triple.
 struct LiveState {
     prepared: PreparedTask,
-    /// The engine-dtype snapshot of `prepared`'s operators and base
-    /// features; re-cast whenever a refresh changes what it mirrors.
-    typed: TypedState,
-    /// Monotone session version: every applied update bumps it. Cache
-    /// entries are tagged with the version they were computed under.
-    version: u64,
-    /// Watermark: entries tagged `< valid_from` are stale. Invalidating
-    /// updates set it to the new version; pure support appends leave it.
-    valid_from: u64,
+    /// The serving-dtype executor; lives here so the same write lock
+    /// that refreshes the prepared operators re-snapshots its mirror.
+    engine: Engine,
+    mark: Watermark,
 }
 
 /// An online query-answering session over one graph and one restored
 /// model. `&self` everywhere — including updates: sessions are `Sync`
 /// and shared across request-handling threads.
 pub struct ServeSession {
-    /// Shared, not owned: scoring never mutates the model, so sharded
-    /// serving points every per-partition session (and replica) at one
-    /// restored checkpoint instead of duplicating the weights.
-    model: Arc<Cgnp>,
     cfg: ServeConfig,
-    /// The scoring executor (`precision` × effective math mode), fixed
-    /// at construction; weights are snapshotted into the serving dtype
-    /// once, here.
-    engine: Engine,
     live: RwLock<LiveState>,
     cache: Mutex<LruCache>,
     /// Decoded context per effective shot count, shared across
     /// micro-batch ticks and tagged with the session version it was
     /// built under (bounded by the support-pool size; see
     /// [`ServeConfig::context_cache`]).
-    contexts: Mutex<HashMap<usize, (SessionContext, u64)>>,
+    contexts: Mutex<HashMap<usize, (Arc<Block>, u64)>>,
     stats: Mutex<ServeStats>,
 }
 
@@ -320,10 +350,10 @@ impl ServeSession {
         Self::with_shared_model(Arc::new(model), task, cfg)
     }
 
-    /// [`ServeSession::new`] over an already-shared model. Scoring takes
-    /// `&self` on the model, so any number of sessions — per-shard
-    /// replicas of a sharded deployment most of all — can score against
-    /// one set of weights concurrently.
+    /// [`ServeSession::new`] over an already-shared model: the weights
+    /// are only read, once, to snapshot them into the serving dtype, so
+    /// any number of sessions — per-shard replicas of a sharded
+    /// deployment most of all — build from one restored checkpoint.
     pub fn with_shared_model(
         model: Arc<Cgnp>,
         task: Task,
@@ -340,16 +370,12 @@ impl ServeSession {
             ));
         }
         let prepared = PreparedTask::new(task);
-        let engine = Engine::select(cfg.precision, cfg.effective_math(), &model);
-        let typed = engine.state_for(&prepared);
+        let engine = Engine::new(cfg.precision, &model, &prepared);
         Ok(Self {
-            model,
-            engine,
             live: RwLock::new(LiveState {
                 prepared,
-                typed,
-                version: 0,
-                valid_from: 0,
+                engine,
+                mark: Watermark::default(),
             }),
             cache: Mutex::new(LruCache::new(cfg.cache)),
             contexts: Mutex::new(HashMap::new()),
@@ -429,24 +455,19 @@ impl ServeSession {
         &self.cfg
     }
 
-    /// The element type scoring runs in.
-    pub fn precision(&self) -> Dtype {
-        self.cfg.precision
-    }
-
     /// The kernel tier scoring actually runs on (the requested mode,
     /// demoted to exact when the build carries no fast-math tier).
     pub fn math(&self) -> MathMode {
         self.cfg.effective_math()
     }
 
-    /// The decoded task context for a given shot count — the prepared
-    /// matrix a micro-batch shares, in the engine's representation.
-    /// Built under `no_grad` on the legacy engine (the returned tensor is
-    /// a constant and records zero tape nodes). With the context cache
-    /// enabled (the default), repeated shot counts across ticks share
-    /// one context instead of recomputing the encoder forward.
-    pub fn context_for_shots(&self, shots: usize) -> SessionContext {
+    /// The decoded task context for a given shot count — the matrix a
+    /// micro-batch shares, in the serving dtype. `Arc`ed because
+    /// [`Block`] clones are deep copies and cache hits must not duplicate
+    /// an n×d matrix. With the context cache enabled (the default),
+    /// repeated shot counts across ticks share one context instead of
+    /// recomputing the encoder forward.
+    pub fn context_for_shots(&self, shots: usize) -> Arc<Block> {
         let live = self.read_live();
         self.context_for_shots_in(&live, shots)
     }
@@ -454,13 +475,13 @@ impl ServeSession {
     /// Cache-aware context build against an already-held live state (so
     /// batch answering never re-acquires the session lock: a second read
     /// acquisition could deadlock behind a queued writer).
-    fn context_for_shots_in(&self, live: &LiveState, shots: usize) -> SessionContext {
+    fn context_for_shots_in(&self, live: &LiveState, shots: usize) -> Arc<Block> {
         let shots = shots.clamp(1, live.prepared.task.support.len());
         if self.cfg.context_cache {
             let mut contexts = self.contexts.lock().expect("context cache lock");
             match contexts.get(&shots) {
-                Some((ctx, version)) if *version >= live.valid_from => {
-                    let ctx = ctx.clone();
+                Some((ctx, version)) if *version >= live.mark.valid_from => {
+                    let ctx = Arc::clone(ctx);
                     drop(contexts);
                     self.stats.lock().expect("stats lock").context_hits += 1;
                     return ctx;
@@ -477,47 +498,23 @@ impl ServeSession {
         // serialise unrelated shot counts. Two threads racing on the same
         // fresh shot count compute identical constants; last insert wins.
         let support = &live.prepared.task.support[..shots];
-        let ctx = match (&self.engine, &live.typed) {
-            (Engine::ExactF32, _) => SessionContext::Exact(self.model.context_eval(
-                &live.prepared,
-                support,
-                self.cfg.seed,
-            )),
-            (Engine::F32(im), TypedState::F32(state)) => SessionContext::Typed(Arc::new(
-                Block::from_typed(im.context(state, support, self.cfg.effective_math())),
-            )),
-            (Engine::F64(im), TypedState::F64(state)) => SessionContext::Typed(Arc::new(
-                Block::from_typed(im.context(state, support, self.cfg.effective_math())),
-            )),
-            _ => unreachable!("typed state always mirrors the engine dtype"),
-        };
+        let ctx = Arc::new(live.engine.context(support, self.cfg.effective_math()));
         self.stats.lock().expect("stats lock").context_builds += 1;
         if self.cfg.context_cache {
             self.contexts
                 .lock()
                 .expect("context cache lock")
-                .insert(shots, (ctx.clone(), live.version));
+                .insert(shots, (Arc::clone(&ctx), live.mark.version));
         }
         ctx
     }
 
-    /// Scores a micro-batch of query sets against one shared context
-    /// through the session's engine.
-    fn score_batch(
-        &self,
-        ctx: &SessionContext,
-        batch: &[Vec<usize>],
-        threads: usize,
-    ) -> Vec<Vec<f32>> {
-        match ctx {
-            SessionContext::Exact(t) => Cgnp::score_batch_with_threads(t, batch, threads),
-            SessionContext::Typed(b) => dispatch!(&**b, |m| infer::score_batch_with_threads(
-                m,
-                batch,
-                threads,
-                self.cfg.effective_math()
-            )),
-        }
+    /// Scores a micro-batch of query sets against one shared context.
+    fn score_batch(&self, ctx: &Block, batch: &[Vec<usize>], threads: usize) -> Vec<Vec<f32>> {
+        let math = self.cfg.effective_math();
+        dispatch!(ctx, |m| infer::score_batch_with_threads(
+            m, batch, threads, math
+        ))
     }
 
     /// Replaces the labelled support pool the session conditions on
@@ -551,8 +548,7 @@ impl ServeSession {
             }
         }
         live.prepared.task.support = support;
-        live.version += 1;
-        live.valid_from = live.version;
+        live.mark.advance(true);
         self.stats.lock().expect("stats lock").updates += 1;
         Ok(())
     }
@@ -584,106 +580,22 @@ impl ServeSession {
     /// toward [`ServeSummary::coalesced_updates`].
     pub fn apply_updates(&self, reqs: &[UpdateRequest]) -> Vec<QueryResponse> {
         let t0 = Instant::now();
-        if reqs.is_empty() {
-            return Vec::new();
-        }
-        let mut live = self.live.write().expect("live state lock");
+        let mut guard = self.live.write().expect("live state lock");
+        let live = &mut *guard;
         let epoch_before = live.prepared.task.graph.epoch();
-        let mut acks = Vec::with_capacity(reqs.len());
-        let mut applied: u64 = 0;
-        for req in reqs {
-            if let Err(e) = validate_update(
-                req,
-                live.prepared.task.n(),
-                live.prepared.task.graph.n_attrs(),
-            ) {
-                acks.push(QueryResponse::error(req.id, ErrorCode::BadRequest, e));
-                continue;
-            }
-            let mut members = Vec::new();
-            let mut invalidate = true;
-            let mutated = match &req.op {
-                UpdateOp::AddEdge { u, v } => match live.prepared.task.graph.insert_edge(*u, *v) {
-                    // Inserting an existing edge is an acknowledged no-op.
-                    Ok(inserted) => inserted,
-                    Err(e) => {
-                        acks.push(QueryResponse::error(req.id, ErrorCode::BadRequest, e));
-                        continue;
-                    }
-                },
-                UpdateOp::AddNode { attrs } => {
-                    match live.prepared.task.graph.add_node(attrs.clone()) {
-                        Ok(v) => {
-                            members.push(v);
-                            true
-                        }
-                        Err(e) => {
-                            acks.push(QueryResponse::error(req.id, ErrorCode::BadRequest, e));
-                            continue;
-                        }
-                    }
-                }
-                UpdateOp::UpdateSupport { add, expire } => {
-                    let pool = &mut live.prepared.task.support;
-                    let kept = pool.len().saturating_sub(*expire);
-                    if *expire > pool.len() {
-                        acks.push(QueryResponse::error(
-                            req.id,
-                            ErrorCode::BadRequest,
-                            format!("cannot expire {expire} of {} support examples", pool.len()),
-                        ));
-                        continue;
-                    }
-                    if kept + add.iter().len() == 0 {
-                        acks.push(QueryResponse::error(
-                            req.id,
-                            ErrorCode::BadRequest,
-                            "support pool must stay non-empty",
-                        ));
-                        continue;
-                    }
-                    pool.drain(..*expire);
-                    if let Some(ex) = add {
-                        pool.push(ex.clone());
-                    }
-                    // A pure append leaves every pool prefix — and
-                    // therefore every cached context and prediction —
-                    // untouched.
-                    invalidate = *expire > 0;
-                    true
-                }
-            };
-            if mutated {
-                live.version += 1;
-                if invalidate {
-                    live.valid_from = live.version;
-                }
-                applied += 1;
-            }
-            // The prepared state is refreshed once after the burst, so
-            // its epoch is stale here; the *graph* epoch is exactly what
-            // a per-frame refresh would have landed the operators at.
-            let mut ack = QueryResponse::ack(req.id, live.prepared.task.graph.epoch());
-            ack.members = members;
-            acks.push(ack);
-        }
-        if applied > 0 {
+        let task = &mut live.prepared.task;
+        let (acks, applied) =
+            update_burst(&mut task.graph, &mut task.support, &mut live.mark, reqs);
+        if !applied.is_empty() {
             live.prepared.refresh(self.cfg.refresh);
             // Support-only bursts leave the graph epoch — and therefore
-            // the operators and base features the typed snapshot mirrors
-            // — untouched; re-casting them would be pure waste.
+            // the operators and base features the engine mirrors —
+            // untouched; re-casting them would be pure waste.
             if live.prepared.task.graph.epoch() != epoch_before {
-                live.typed = self.engine.state_for(&live.prepared);
+                live.engine.resnapshot(&live.prepared);
             }
-            let mut stats = self.stats.lock().expect("stats lock");
-            stats.updates += applied;
-            stats.coalesced_updates += applied.saturating_sub(1);
         }
-        let latency_us = t0.elapsed().as_micros() as u64;
-        for ack in acks.iter_mut().filter(|a| a.ok) {
-            ack.latency_us = latency_us;
-        }
-        acks
+        finish_burst(&self.stats, t0, applied.len(), acks)
     }
 
     /// Overwrites the core-number feature column with externally supplied
@@ -695,11 +607,11 @@ impl ServeSession {
     pub fn override_core_column(&self, column: &[f32]) -> Result<(), String> {
         let mut live = self.live.write().expect("live state lock");
         live.prepared.override_core_column(column)?;
-        // Base features changed with no epoch bump: the typed snapshot
-        // must re-cast them here or keep scoring off the stale column.
-        live.typed = self.engine.state_for(&live.prepared);
-        live.version += 1;
-        live.valid_from = live.version;
+        // Base features changed with no epoch bump: the engine must
+        // re-cast them here or keep scoring off the stale column.
+        let live = &mut *live;
+        live.engine.resnapshot(&live.prepared);
+        live.mark.advance(true);
         Ok(())
     }
 
@@ -724,107 +636,31 @@ impl ServeSession {
             .expect("one response per request")
     }
 
-    /// Answers a micro-batch. Cache misses are grouped by shot count;
-    /// each group computes its context once and fans the scoring across
-    /// the persistent pool (`cgnp_core::Cgnp::predict_multi_batch`). The
-    /// whole-tick wall time is attributed to every request in the batch —
-    /// the honest latency of a coalescing server. The read half of the
-    /// session lock is held for the whole tick, so every request in it
-    /// is answered under one consistent epoch.
+    /// Answers a micro-batch: one [`query_tick`] whose shot groups each
+    /// fetch their context through the cross-tick cache (it depends only
+    /// on the shot count) and fan the per-query scoring across the
+    /// persistent pool. The read half of the session lock is held for the
+    /// whole tick, so every request in it is answered under one
+    /// consistent epoch.
     pub fn answer_batch(&self, reqs: &[QueryRequest]) -> Vec<QueryResponse> {
         let t0 = Instant::now();
         let live = self.read_live();
-        let (n_nodes, max_shots) = (live.prepared.task.n(), live.prepared.task.support.len());
-        // Resolve each request to a full probability vector: from cache,
-        // or collected for batched computation.
-        type Resolved = Result<(usize, Arc<Vec<f32>>, bool), String>;
-        let mut resolved: Vec<Resolved> = Vec::new();
-        // Misses deduplicated by key: identical (nodes, shots) requests in
-        // one tick are computed once and share the Arc (duplicate hot
-        // queries are exactly the traffic a coalescing server sees).
-        let mut pending: Vec<(crate::cache::CacheKey, Vec<usize>)> = Vec::new();
-        {
-            let mut cache = self.cache.lock().expect("cache lock");
-            for (i, req) in reqs.iter().enumerate() {
-                match validate_request(req, n_nodes, max_shots) {
-                    Err(e) => resolved.push(Err(e)),
-                    Ok(shots) => {
-                        let key = (req.nodes.clone(), shots);
-                        match cache.get(&key, live.valid_from) {
-                            Some(probs) => resolved.push(Ok((shots, probs, true))),
-                            None => {
-                                match pending.iter_mut().find(|(k, _)| *k == key) {
-                                    Some((_, idxs)) => idxs.push(i),
-                                    None => pending.push((key, vec![i])),
-                                }
-                                // Placeholder; filled after computation.
-                                resolved.push(Ok((shots, Arc::new(Vec::new()), false)));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Group unique keys by shot count so each group shares one context.
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (p, (key, _)) in pending.iter().enumerate() {
-            match groups.iter_mut().find(|(s, _)| *s == key.1) {
-                Some((_, ps)) => ps.push(p),
-                None => groups.push((key.1, vec![p])),
-            }
-        }
-        for (shots, ps) in groups {
-            let batch: Vec<Vec<usize>> = ps.iter().map(|&p| pending[p].0 .0.clone()).collect();
-            // The context depends only on the shot count (eval-mode
-            // forwards never consume the per-request seeds), so it is
-            // fetched through the cross-tick cache and only the scoring
-            // fan-out runs per tick.
-            let ctx = self.context_for_shots_in(&live, shots);
-            let probs = self.score_batch(&ctx, &batch, self.cfg.threads);
-            let mut cache = self.cache.lock().expect("cache lock");
-            for (&p, prob) in ps.iter().zip(probs) {
-                let prob = Arc::new(prob);
-                cache.insert(pending[p].0.clone(), Arc::clone(&prob), live.version);
-                for &i in &pending[p].1 {
-                    resolved[i] = Ok((shots, Arc::clone(&prob), false));
-                }
-            }
-        }
-        let epoch = live.prepared.epoch();
-        let latency_us = t0.elapsed().as_micros() as u64;
-        let responses: Vec<QueryResponse> = reqs
-            .iter()
-            .zip(resolved)
-            .map(|(req, r)| match r {
-                Err(e) => QueryResponse::error(req.id, ErrorCode::BadRequest, e),
-                Ok((shots, probs, cached)) => {
-                    let (members, member_probs) =
-                        rank_members(&live.prepared.task.graph, &probs, req);
-                    QueryResponse {
-                        id: req.id,
-                        ok: true,
-                        error: None,
-                        code: None,
-                        members,
-                        probs: member_probs,
-                        shots,
-                        cached,
-                        latency_us,
-                        epoch,
-                    }
-                }
-            })
-            .collect();
-        drop(live);
-        let mut stats = self.stats.lock().expect("stats lock");
-        stats.requests += reqs.len() as u64;
-        stats.errors += responses.iter().filter(|r| !r.ok).count() as u64;
-        stats.batches += 1;
-        stats.occupancy_sum += reqs.len() as u64;
-        for _ in &responses {
-            stats.record_latency(latency_us);
-        }
-        responses
+        let task = &live.prepared.task;
+        query_tick(
+            t0,
+            TickView {
+                graph: &task.graph,
+                max_shots: task.support.len(),
+                mark: live.mark,
+            },
+            &self.cache,
+            &self.stats,
+            reqs,
+            |shots, batch| {
+                let ctx = self.context_for_shots_in(&live, shots);
+                self.score_batch(&ctx, batch, self.cfg.threads)
+            },
+        )
     }
 
     /// Full membership probability vector for a query set (the library
@@ -846,7 +682,7 @@ impl ServeSession {
             .cache
             .lock()
             .expect("cache lock")
-            .get(&key, live.valid_from)
+            .get(&key, live.mark.valid_from)
         {
             return Ok(hit);
         }
@@ -856,7 +692,7 @@ impl ServeSession {
         self.cache
             .lock()
             .expect("cache lock")
-            .insert(key, Arc::clone(&probs), live.version);
+            .insert(key, Arc::clone(&probs), live.mark.version);
         Ok(probs)
     }
 
@@ -865,53 +701,252 @@ impl ServeSession {
         self.cache.lock().expect("cache lock").stats()
     }
 
+    /// Context forwards `(computed, answered from the per-shot cache)`
+    /// so far — what a coordinator sums over its replicas.
+    pub fn context_counters(&self) -> (u64, u64) {
+        let stats = self.stats.lock().expect("stats lock");
+        (stats.context_builds, stats.context_hits)
+    }
+
     /// Serving summary: request/batch counts, mean occupancy, latency
     /// percentiles, cache counters, update count, current epoch.
     pub fn summary(&self) -> ServeSummary {
-        let epoch = self.epoch();
-        // Read before taking the stats lock: update paths lock live
-        // before stats, and summary must not invert that order.
-        let log_evictions = self.read_live().prepared.task.graph.log_evictions();
-        let stats = self.stats.lock().expect("stats lock");
-        let cache = self.cache_stats();
-        let mut lat = stats.latencies_us.clone();
-        lat.sort_unstable();
-        let pct = |p: f64| -> u64 {
-            if lat.is_empty() {
-                0
-            } else {
-                lat[((lat.len() - 1) as f64 * p).round() as usize]
-            }
+        let (epoch, log_evictions) = {
+            let live = self.read_live();
+            (
+                live.prepared.epoch(),
+                live.prepared.task.graph.log_evictions(),
+            )
         };
-        ServeSummary {
-            requests: stats.requests,
-            errors: stats.errors,
-            batches: stats.batches,
-            mean_batch_occupancy: if stats.batches == 0 {
-                0.0
-            } else {
-                stats.occupancy_sum as f64 / stats.batches as f64
-            },
-            latency_p50_us: pct(0.5),
-            latency_p95_us: pct(0.95),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_evictions: cache.evictions,
-            context_builds: stats.context_builds,
-            context_hits: stats.context_hits,
-            updates: stats.updates,
-            coalesced_updates: stats.coalesced_updates,
-            log_evictions,
-            wal_appends: 0,
-            wal_bytes: 0,
-            snapshots: 0,
-            recovered_updates: 0,
-            epoch,
-            shard_epochs: None,
-            precision: self.cfg.precision.as_str().to_string(),
-            math: self.cfg.effective_math().as_str().to_string(),
+        let cache = self.cache_stats();
+        let stats = self.stats.lock().expect("stats lock");
+        stats.summary(cache, epoch, log_evictions, &self.cfg)
+    }
+}
+
+/// What a [`query_tick`] reads of the serving state it runs against.
+pub struct TickView<'a> {
+    pub graph: &'a AttributedGraph,
+    /// Size of the labelled support pool.
+    pub max_shots: usize,
+    pub mark: Watermark,
+}
+
+/// One micro-batch tick, the same for a single session and a
+/// scatter/gather coordinator: validate each request, resolve it from the
+/// prediction LRU or collect it as a miss, deduplicate misses by
+/// `(nodes, shots)`, group them by shot count, score each group through
+/// `score_group(shots, query sets)` (one full probability vector per
+/// query set, in order), fill the cache, rank, assemble responses, and
+/// record the tick in `stats`. The caller holds the read lock `view`
+/// borrows from across the call, so every request is answered under one
+/// consistent epoch. The wall time since `t0` is attributed to every
+/// request in the batch: the honest latency of a coalescing server.
+pub fn query_tick(
+    t0: Instant,
+    TickView {
+        graph,
+        max_shots,
+        mark,
+    }: TickView<'_>,
+    cache: &Mutex<LruCache>,
+    stats: &Mutex<ServeStats>,
+    reqs: &[QueryRequest],
+    mut score_group: impl FnMut(usize, &[Vec<usize>]) -> Vec<Vec<f32>>,
+) -> Vec<QueryResponse> {
+    // Resolve each request to a full probability vector: from cache, or
+    // collected for batched computation.
+    type Resolved = Result<(usize, Arc<Vec<f32>>, bool), String>;
+    let mut resolved: Vec<Resolved> = Vec::new();
+    // Misses deduplicated by key: identical (nodes, shots) requests in
+    // one tick are computed once and share the Arc (duplicate hot
+    // queries are exactly the traffic a coalescing server sees).
+    let mut pending: Vec<(crate::cache::CacheKey, Vec<usize>)> = Vec::new();
+    {
+        let mut cache = cache.lock().expect("cache lock");
+        for (i, req) in reqs.iter().enumerate() {
+            match validate_request(req, graph.n(), max_shots) {
+                Err(e) => resolved.push(Err(e)),
+                Ok(shots) => {
+                    let key = (req.nodes.clone(), shots);
+                    match cache.get(&key, mark.valid_from) {
+                        Some(probs) => resolved.push(Ok((shots, probs, true))),
+                        None => {
+                            match pending.iter_mut().find(|(k, _)| *k == key) {
+                                Some((_, idxs)) => idxs.push(i),
+                                None => pending.push((key, vec![i])),
+                            }
+                            // Placeholder; filled after computation.
+                            resolved.push(Ok((shots, Arc::new(Vec::new()), false)));
+                        }
+                    }
+                }
+            }
         }
     }
+    // Group unique keys by shot count so each group shares one context.
+    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+    for (p, (key, _)) in pending.iter().enumerate() {
+        match groups.iter_mut().find(|(s, _)| *s == key.1) {
+            Some((_, ps)) => ps.push(p),
+            None => groups.push((key.1, vec![p])),
+        }
+    }
+    for (shots, ps) in groups {
+        let batch: Vec<Vec<usize>> = ps.iter().map(|&p| pending[p].0 .0.clone()).collect();
+        let probs = score_group(shots, &batch);
+        let mut cache = cache.lock().expect("cache lock");
+        for (&p, prob) in ps.iter().zip(probs) {
+            let prob = Arc::new(prob);
+            cache.insert(pending[p].0.clone(), Arc::clone(&prob), mark.version);
+            for &i in &pending[p].1 {
+                resolved[i] = Ok((shots, Arc::clone(&prob), false));
+            }
+        }
+    }
+    let epoch = graph.epoch();
+    let latency_us = t0.elapsed().as_micros() as u64;
+    let responses: Vec<QueryResponse> = reqs
+        .iter()
+        .zip(resolved)
+        .map(|(req, r)| match r {
+            Err(e) => QueryResponse::error(req.id, ErrorCode::BadRequest, e),
+            Ok((shots, probs, cached)) => {
+                let (members, member_probs) = rank_members(graph, &probs, req);
+                QueryResponse {
+                    id: req.id,
+                    ok: true,
+                    error: None,
+                    code: None,
+                    members,
+                    probs: member_probs,
+                    shots,
+                    cached,
+                    latency_us,
+                    epoch,
+                }
+            }
+        })
+        .collect();
+    let mut stats = stats.lock().expect("stats lock");
+    stats.requests += reqs.len() as u64;
+    stats.errors += responses.iter().filter(|r| !r.ok).count() as u64;
+    stats.batches += 1;
+    stats.occupancy_sum += reqs.len() as u64;
+    for _ in &responses {
+        stats.record_latency(latency_us);
+    }
+    responses
+}
+
+/// A mutation one update burst applied, in burst order — what the caller
+/// refreshes its derived state from (a coordinator routes each to the
+/// shards it touches).
+pub enum Applied {
+    Edge(usize, usize),
+    Node(usize),
+    Support {
+        add: Option<QueryExample>,
+        expire: usize,
+    },
+}
+
+/// The state half of an update burst, the same for a single session and
+/// a coordinator: validates each frame against the state *as the frames
+/// before it left it*, mutates the graph or rotates the support pool,
+/// advances the watermark, and acks every frame in order with the graph
+/// epoch after its own mutation (a frame that fails is acked with its
+/// error and the rest of the burst still applies). The applied mutations
+/// are handed back so the caller — still holding its write lock —
+/// refreshes what it derives from the graph once, then closes the burst
+/// with [`finish_burst`].
+pub fn update_burst(
+    graph: &mut AttributedGraph,
+    support: &mut Vec<QueryExample>,
+    mark: &mut Watermark,
+    reqs: &[UpdateRequest],
+) -> (Vec<QueryResponse>, Vec<Applied>) {
+    let mut acks = Vec::with_capacity(reqs.len());
+    let mut applied = Vec::new();
+    for req in reqs {
+        let reject = |e: String| QueryResponse::error(req.id, ErrorCode::BadRequest, e);
+        if let Err(e) = validate_update(req, graph.n(), graph.n_attrs()) {
+            acks.push(reject(e));
+            continue;
+        }
+        let mut members = Vec::new();
+        // Err: refused; Ok(None): an acknowledged no-op; Ok(Some): applied.
+        let outcome = match &req.op {
+            UpdateOp::AddEdge { u, v } => graph
+                .insert_edge(*u, *v)
+                // Inserting an existing edge is an acknowledged no-op.
+                .map(|inserted| inserted.then_some(Applied::Edge(*u, *v))),
+            UpdateOp::AddNode { attrs } => graph.add_node(attrs.clone()).map(|v| {
+                members.push(v);
+                Some(Applied::Node(v))
+            }),
+            UpdateOp::UpdateSupport { add, expire } => {
+                if *expire > support.len() {
+                    Err(format!(
+                        "cannot expire {expire} of {} support examples",
+                        support.len()
+                    ))
+                } else if support.len() - expire + add.iter().len() == 0 {
+                    Err("support pool must stay non-empty".to_string())
+                } else {
+                    support.drain(..*expire);
+                    support.extend(add.iter().cloned());
+                    Ok(Some(Applied::Support {
+                        add: add.clone(),
+                        expire: *expire,
+                    }))
+                }
+            }
+        };
+        match outcome {
+            Err(e) => {
+                acks.push(reject(e));
+                continue;
+            }
+            Ok(None) => {}
+            Ok(Some(mutation)) => {
+                // A pure support append leaves every pool prefix — and
+                // therefore every cached context and prediction —
+                // untouched; everything else invalidates.
+                mark.advance(!matches!(mutation, Applied::Support { expire: 0, .. }));
+                applied.push(mutation);
+            }
+        }
+        // Derived state is refreshed once after the burst; the *graph*
+        // epoch is exactly what a per-frame refresh would have landed it
+        // at.
+        let mut ack = QueryResponse::ack(req.id, graph.epoch());
+        ack.members = members;
+        acks.push(ack);
+    }
+    (acks, applied)
+}
+
+/// Closes an update burst once the caller has refreshed its derived
+/// state: counts the `applied` frames (every one past the first shared
+/// the refresh — [`ServeSummary::coalesced_updates`]) and stamps the
+/// whole-burst wall time on every successful ack.
+pub fn finish_burst(
+    stats: &Mutex<ServeStats>,
+    t0: Instant,
+    applied: usize,
+    mut acks: Vec<QueryResponse>,
+) -> Vec<QueryResponse> {
+    if applied > 0 {
+        let mut stats = stats.lock().expect("stats lock");
+        stats.updates += applied as u64;
+        stats.coalesced_updates += applied as u64 - 1;
+    }
+    let latency_us = t0.elapsed().as_micros() as u64;
+    for ack in acks.iter_mut().filter(|a| a.ok) {
+        ack.latency_us = latency_us;
+    }
+    acks
 }
 
 /// Ranks community members for a response: optional attribute filter,

@@ -4,8 +4,12 @@
 //! autograd state.
 
 use cgnp_core::{meta_train, prepare_tasks, Cgnp, CgnpConfig, PreparedTask};
-use cgnp_data::{generate_sbm, model_input_dim, sample_task, SbmConfig, Task, TaskConfig};
-use cgnp_serve::{QueryRequest, ServeConfig, ServeSession};
+use cgnp_data::{
+    generate_sbm, load_dataset, model_input_dim, sample_task, DatasetId, SbmConfig, Scale, Task,
+    TaskConfig,
+};
+use cgnp_nn::{GnnKind, Module};
+use cgnp_serve::{rank_members, serve_task, QueryRequest, ServeConfig, ServeSession};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -191,13 +195,18 @@ fn duplicate_requests_in_one_tick_share_one_computation() {
 
 #[test]
 fn serving_forward_records_zero_tape_nodes() {
-    // Persistent workers must never accumulate autograd state: the
-    // session's context tensor is constant, and a full answer tick leaves
-    // tape recording untouched on the calling thread.
+    // Serving is forward-only: context builds and full answer ticks —
+    // on the caller and on the persistent workers — leave no gradient on
+    // any model parameter and tape recording untouched on the calling
+    // thread.
     let (model, task) = trained_model_and_task(24);
     let q = task.targets[0].query;
-    let session = ServeSession::new(
-        model,
+    let model = std::sync::Arc::new(model);
+    for param in model.params() {
+        param.zero_grad();
+    }
+    let session = ServeSession::with_shared_model(
+        std::sync::Arc::clone(&model),
         task,
         ServeConfig {
             threads: 3,
@@ -207,15 +216,14 @@ fn serving_forward_records_zero_tape_nodes() {
     .unwrap();
     for shots in [1, session.max_shots()] {
         let ctx = session.context_for_shots(shots);
-        let ctx = ctx
-            .as_tensor()
-            .expect("the default engine serves the exact tensor path");
-        assert!(!ctx.needs_grad(), "serving context must be constant");
-        assert_eq!(ctx.tape_len(), 0, "serving forward recorded tape nodes");
+        assert_eq!(ctx.rows(), session.n());
     }
     let batch: Vec<QueryRequest> = (0..6).map(|i| QueryRequest::new(i, vec![q])).collect();
     let responses = session.answer_batch(&batch);
     assert!(responses.iter().all(|r| r.ok));
+    for param in model.params() {
+        assert!(param.grad().is_none(), "serving accumulated a gradient");
+    }
     assert!(
         cgnp_tensor::grad_enabled(),
         "answer_batch must not leak a disabled tape flag"
@@ -390,4 +398,65 @@ fn replace_support_invalidates_context_and_prediction_caches() {
     let err = session.replace_support(bad).unwrap_err();
     assert!(err.contains("out of range"), "{err}");
     assert!(session.answer(&QueryRequest::new(4, vec![q])).ok);
+}
+
+#[test]
+fn full_scale_session_matches_the_taped_oracle_for_every_encoder() {
+    // 3 327 nodes × hidden 64 puts every kernel past its parallel
+    // threshold — the regime the small-graph pins above never reach —
+    // and serving must still equal the taped forward bit for bit, for
+    // each message-passing layer the executor re-implements.
+    let ds = load_dataset(DatasetId::Citeseer, Scale::Full, 42);
+    let task = serve_task(ds.single(), 2, 42).unwrap();
+    assert!(task.n() >= 3000);
+    let prepared = PreparedTask::new(task.clone());
+    let bits = |v: &[f32]| v.iter().map(|p| p.to_bits()).collect::<Vec<u32>>();
+    for kind in [GnnKind::Gcn, GnnKind::Gat, GnnKind::Sage] {
+        let cfg =
+            CgnpConfig::paper_default(model_input_dim(&task.graph), 64).with_encoder_kind(kind);
+        let model = std::sync::Arc::new(Cgnp::new(cfg, 7));
+        let reqs: Vec<QueryRequest> = [vec![5], vec![17, 900], vec![3000]]
+            .into_iter()
+            .enumerate()
+            .map(|(i, nodes)| QueryRequest::new(i as u64, nodes).with_top_k(40))
+            .collect();
+        let oracle: Vec<Vec<f32>> = reqs
+            .iter()
+            .map(|r| model.predict_multi(&prepared, &r.nodes, &mut StdRng::seed_from_u64(0)))
+            .collect();
+        for threads in [1, 4] {
+            let session = ServeSession::with_shared_model(
+                std::sync::Arc::clone(&model),
+                task.clone(),
+                ServeConfig {
+                    threads,
+                    ..serve_cfg()
+                },
+            )
+            .unwrap();
+            // The micro-batch path (scoring fanned over `threads`)…
+            for (r, (req, want)) in session
+                .answer_batch(&reqs)
+                .iter()
+                .zip(reqs.iter().zip(&oracle))
+            {
+                let (members, probs) = rank_members(&task.graph, want, req);
+                assert_eq!(r.members, members, "{kind}/{threads}t: members diverged");
+                assert_eq!(
+                    bits(&r.probs),
+                    bits(&probs),
+                    "{kind}/{threads}t: bits diverged"
+                );
+            }
+            // …and the library path, full vectors.
+            for (req, want) in reqs.iter().zip(&oracle) {
+                let served = session.predict(&req.nodes, None).unwrap();
+                assert_eq!(
+                    bits(&served),
+                    bits(want),
+                    "{kind}/{threads}t: predict diverged"
+                );
+            }
+        }
+    }
 }

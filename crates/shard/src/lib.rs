@@ -39,4 +39,4 @@ pub mod partition;
 pub mod session;
 
 pub use partition::{halo_ball, partition_graph, Partitioning};
-pub use session::{halo_depth_for, ShardedBuildError, ShardedConfig, ShardedSession};
+pub use session::{halo_depth_for, ShardedConfig, ShardedSession};

@@ -2,6 +2,14 @@
 //! scatter/gather coordinator, answering the same wire protocol as a
 //! single session — bitwise.
 //!
+//! The coordinator runs the session's own tick ([`query_tick`]), update
+//! burst ([`update_burst`]) and counters ([`ServeStats`]) over the
+//! global graph; what lives here is only what sharding adds —
+//! partitioning, halo reconciliation, the scatter/gather that scores a
+//! shot group (one `scatter_gather<E>` over the forward-only executor's
+//! contexts, whatever the dtype or kernel tier), the owned-row merge,
+//! and shard epochs.
+//!
 //! ## Why the merge is bitwise-deterministic
 //!
 //! Each shard serves the subgraph induced by its partition plus a
@@ -40,13 +48,13 @@ use std::time::Instant;
 use cgnp_core::{infer, Cgnp, CgnpConfig, CommutativeOp, DecoderKind};
 use cgnp_data::{model_input_dim, QueryExample, Task};
 use cgnp_graph::{algo, AttributedGraph, Graph};
-use cgnp_serve::cache::{CacheKey, LruCache};
+use cgnp_serve::cache::LruCache;
 use cgnp_serve::{
-    rank_members, validate_request, validate_update, ErrorCode, QueryEngine, QueryRequest,
-    QueryResponse, ServeConfig, ServeSession, ServeSummary, SessionContext, UpdateOp,
-    UpdateRequest,
+    finish_burst, query_tick, update_burst, Applied, QueryEngine, QueryRequest, QueryResponse,
+    ServeConfig, ServeSession, ServeStats, ServeSummary, TickView, UpdateOp, UpdateRequest,
+    Watermark,
 };
-use cgnp_tensor::{Dtype, Elem, MathMode, MatrixT, Tensor};
+use cgnp_tensor::{Block, Dtype, Elem, MathMode, MatrixT};
 
 use crate::partition::{halo_ball, partition_graph};
 
@@ -71,63 +79,6 @@ impl Default for ShardedConfig {
             replicas: 1,
             serve: ServeConfig::default(),
         }
-    }
-}
-
-/// A typed construction failure of a sharded session.
-///
-/// Only misconfigurations the coordinator's merge contract depends on
-/// get their own variant; everything else rides along as its message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ShardedBuildError {
-    /// A shard would score in a different element type than the
-    /// coordinator. The coordinator gathers query-centroid rows as raw
-    /// element bits and broadcasts them to every shard, so a deployment
-    /// mixing dtypes would blend two rounding families inside a single
-    /// centroid — the bitwise-merge contract (and any hope of
-    /// reproducing an unsharded session) dies silently. Rejected at
-    /// construction instead of diagnosed as drift in production: the
-    /// precision analogue of the [`halo_depth_for`] guard.
-    MixedPrecision {
-        /// Index of the offending shard.
-        shard: usize,
-        /// The coordinator's serving dtype ([`ServeConfig::precision`]).
-        expected: Dtype,
-        /// The dtype the shard was asked to score in.
-        found: Dtype,
-    },
-    /// Any other construction failure, carried as its message.
-    Build(String),
-}
-
-impl std::fmt::Display for ShardedBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardedBuildError::MixedPrecision {
-                shard,
-                expected,
-                found,
-            } => write!(
-                f,
-                "shard {shard} would serve {found} under a {expected} coordinator; \
-                 all shards of a deployment must score in one dtype"
-            ),
-            ShardedBuildError::Build(msg) => f.write_str(msg),
-        }
-    }
-}
-
-impl std::error::Error for ShardedBuildError {}
-
-impl From<String> for ShardedBuildError {
-    fn from(msg: String) -> Self {
-        ShardedBuildError::Build(msg)
-    }
-}
-
-impl From<ShardedBuildError> for String {
-    fn from(e: ShardedBuildError) -> Self {
-        e.to_string()
     }
 }
 
@@ -225,46 +176,9 @@ struct Global {
     shards: Vec<Shard>,
     /// The globally computed core column as last injected into shards.
     core_col: Vec<f32>,
-    /// Monotone session version / staleness watermark for the
-    /// coordinator's prediction cache (same protocol as a session's).
-    version: u64,
-    valid_from: u64,
-}
-
-/// A mutation applied to the global graph during one update burst,
-/// recorded so the post-burst reconciliation can route it to shards.
-enum Applied {
-    Edge(usize, usize),
-    Node(usize),
-    Support {
-        add: Option<QueryExample>,
-        expire: usize,
-    },
-}
-
-const LATENCY_WINDOW: usize = 4096;
-
-#[derive(Default)]
-struct Stats {
-    requests: u64,
-    errors: u64,
-    batches: u64,
-    occupancy_sum: u64,
-    updates: u64,
-    coalesced_updates: u64,
-    latencies_us: Vec<u64>,
-    latency_cursor: usize,
-}
-
-impl Stats {
-    fn record_latency(&mut self, us: u64) {
-        if self.latencies_us.len() < LATENCY_WINDOW {
-            self.latencies_us.push(us);
-        } else {
-            self.latencies_us[self.latency_cursor] = us;
-            self.latency_cursor = (self.latency_cursor + 1) % LATENCY_WINDOW;
-        }
-    }
+    /// Version / staleness watermark for the coordinator's prediction
+    /// cache (same protocol as a session's).
+    mark: Watermark,
 }
 
 /// A scatter/gather serving coordinator over N partitions × R replicas,
@@ -276,7 +190,7 @@ pub struct ShardedSession {
     halo: usize,
     global: RwLock<Global>,
     cache: Mutex<LruCache>,
-    stats: Mutex<Stats>,
+    stats: Mutex<ServeStats>,
 }
 
 impl ShardedSession {
@@ -331,21 +245,6 @@ impl ShardedSession {
                 )
             })
             .collect::<Result<Vec<Shard>, String>>()?;
-        // Defense in depth for the merge contract: every replica must
-        // score in the coordinator's dtype (see
-        // [`ShardedBuildError::MixedPrecision`]).
-        for (s, shard) in shards.iter().enumerate() {
-            for replica in &shard.replicas {
-                if replica.precision() != cfg.serve.precision {
-                    return Err(ShardedBuildError::MixedPrecision {
-                        shard: s,
-                        expected: cfg.serve.precision,
-                        found: replica.precision(),
-                    }
-                    .into());
-                }
-            }
-        }
         let cache = LruCache::new(cfg.serve.cache);
         Ok(Self {
             model,
@@ -357,47 +256,12 @@ impl ShardedSession {
                 owned: parts.owned,
                 shards,
                 core_col,
-                version: 0,
-                valid_from: 0,
+                mark: Watermark::default(),
             }),
             cache: Mutex::new(cache),
-            stats: Mutex::new(Stats::default()),
+            stats: Mutex::new(ServeStats::default()),
             cfg,
         })
-    }
-
-    /// [`ShardedSession::with_shared_model`] with an explicit per-shard
-    /// dtype list, for deployments assembled from per-shard config
-    /// sources. The coordinator's scatter/gather merge requires every
-    /// shard to score in one dtype ([`ServeConfig::precision`]); a list
-    /// that disagrees — wrong length, or any entry diverging from the
-    /// coordinator's — is rejected with a typed
-    /// [`ShardedBuildError::MixedPrecision`] before any shard is built.
-    pub fn with_shard_precisions(
-        model: Arc<Cgnp>,
-        task: Task,
-        cfg: ShardedConfig,
-        precisions: &[Dtype],
-    ) -> Result<Self, ShardedBuildError> {
-        let n_shards = cfg.shards.max(1);
-        if precisions.len() != n_shards {
-            return Err(ShardedBuildError::Build(format!(
-                "got {} per-shard precisions for {n_shards} shards",
-                precisions.len()
-            )));
-        }
-        if let Some((shard, &found)) = precisions
-            .iter()
-            .enumerate()
-            .find(|(_, &p)| p != cfg.serve.precision)
-        {
-            return Err(ShardedBuildError::MixedPrecision {
-                shard,
-                expected: cfg.serve.precision,
-                found,
-            });
-        }
-        Self::with_shared_model(model, task, cfg).map_err(ShardedBuildError::Build)
     }
 
     /// Restores a checkpoint and wraps it in a sharded session (same
@@ -468,117 +332,33 @@ impl ShardedSession {
             .expect("one response per request")
     }
 
-    /// Answers a micro-batch by scatter/gather: per shot count, each
-    /// shard contributes one decoded context (round-robin replica);
-    /// per request, the query centroid is gathered from the owning
-    /// shards' exact rows, broadcast, scored against every shard's
-    /// context in parallel, and the owned rows are merged in fixed
-    /// shard order. Caching, deduplication, grouping, ranking, and
-    /// latency attribution all mirror [`ServeSession::answer_batch`].
+    /// Answers a micro-batch by scatter/gather — the same
+    /// [`query_tick`] a single session runs, with its own way of scoring
+    /// a shot group: each shard contributes one decoded context
+    /// (round-robin replica, cached across ticks inside the replica);
+    /// per query set, the centroid is gathered from the owning shards'
+    /// exact rows, broadcast, scored against every shard's context in
+    /// parallel, and the owned rows are merged in fixed shard order.
     pub fn answer_batch(&self, reqs: &[QueryRequest]) -> Vec<QueryResponse> {
         let t0 = Instant::now();
         let global = self.read_global();
-        let (n_nodes, max_shots) = (global.graph.n(), global.support.len());
-        type Resolved = Result<(usize, Arc<Vec<f32>>, bool), String>;
-        let mut resolved: Vec<Resolved> = Vec::new();
-        let mut pending: Vec<(CacheKey, Vec<usize>)> = Vec::new();
-        {
-            let mut cache = self.cache.lock().expect("cache lock");
-            for (i, req) in reqs.iter().enumerate() {
-                match validate_request(req, n_nodes, max_shots) {
-                    Err(e) => resolved.push(Err(e)),
-                    Ok(shots) => {
-                        let key = (req.nodes.clone(), shots);
-                        match cache.get(&key, global.valid_from) {
-                            Some(probs) => resolved.push(Ok((shots, probs, true))),
-                            None => {
-                                match pending.iter_mut().find(|(k, _)| *k == key) {
-                                    Some((_, idxs)) => idxs.push(i),
-                                    None => pending.push((key, vec![i])),
-                                }
-                                resolved.push(Ok((shots, Arc::new(Vec::new()), false)));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (p, (key, _)) in pending.iter().enumerate() {
-            match groups.iter_mut().find(|(s, _)| *s == key.1) {
-                Some((_, ps)) => ps.push(p),
-                None => groups.push((key.1, vec![p])),
-            }
-        }
-        for (shots, ps) in groups {
-            // One context per shard for this shot count; contexts are
-            // cached across ticks inside the replica sessions. All
-            // shards share one engine config, so the contexts are
-            // either all legacy tensors or all typed blocks of the
-            // coordinator's dtype (enforced at construction).
-            let ctxs: Vec<SessionContext> = global
+        let view = TickView {
+            graph: &global.graph,
+            max_shots: global.support.len(),
+            mark: global.mark,
+        };
+        let math = self.cfg.serve.effective_math();
+        query_tick(t0, view, &self.cache, &self.stats, reqs, |shots, batch| {
+            let ctxs: Vec<Arc<Block>> = global
                 .shards
                 .iter()
                 .map(|sh| sh.replica().context_for_shots(shots))
                 .collect();
-            let exact: Option<Vec<&Tensor>> = ctxs.iter().map(SessionContext::as_tensor).collect();
-            let math = self.cfg.serve.effective_math();
-            for p in ps {
-                let nodes = &pending[p].0 .0;
-                let probs = match &exact {
-                    Some(tensors) => scatter_gather_exact(tensors, &global, nodes, n_nodes),
-                    None => match self.cfg.serve.precision {
-                        Dtype::F32 => {
-                            scatter_gather_typed::<f32>(&ctxs, &global, nodes, math, n_nodes)
-                        }
-                        Dtype::F64 => {
-                            scatter_gather_typed::<f64>(&ctxs, &global, nodes, math, n_nodes)
-                        }
-                    },
-                };
-                let probs = Arc::new(probs);
-                let mut cache = self.cache.lock().expect("cache lock");
-                cache.insert(pending[p].0.clone(), Arc::clone(&probs), global.version);
-                drop(cache);
-                for &i in &pending[p].1 {
-                    resolved[i] = Ok((shots, Arc::clone(&probs), false));
-                }
+            match self.cfg.serve.precision {
+                Dtype::F32 => scatter_gather::<f32>(&ctxs, &global, batch, math),
+                Dtype::F64 => scatter_gather::<f64>(&ctxs, &global, batch, math),
             }
-        }
-        let epoch = global.graph.epoch();
-        let latency_us = t0.elapsed().as_micros() as u64;
-        let responses: Vec<QueryResponse> = reqs
-            .iter()
-            .zip(resolved)
-            .map(|(req, r)| match r {
-                Err(e) => QueryResponse::error(req.id, ErrorCode::BadRequest, e),
-                Ok((shots, probs, cached)) => {
-                    let (members, member_probs) = rank_members(&global.graph, &probs, req);
-                    QueryResponse {
-                        id: req.id,
-                        ok: true,
-                        error: None,
-                        code: None,
-                        members,
-                        probs: member_probs,
-                        shots,
-                        cached,
-                        latency_us,
-                        epoch,
-                    }
-                }
-            })
-            .collect();
-        drop(global);
-        let mut stats = self.stats.lock().expect("stats lock");
-        stats.requests += reqs.len() as u64;
-        stats.errors += responses.iter().filter(|r| !r.ok).count() as u64;
-        stats.batches += 1;
-        stats.occupancy_sum += reqs.len() as u64;
-        for _ in &responses {
-            stats.record_latency(latency_us);
-        }
-        responses
+        })
     }
 
     /// Applies one live update (see [`ShardedSession::apply_updates`]).
@@ -599,96 +379,19 @@ impl ShardedSession {
     /// unsharded session applying the same burst.
     pub fn apply_updates(&self, reqs: &[UpdateRequest]) -> Vec<QueryResponse> {
         let t0 = Instant::now();
-        if reqs.is_empty() {
-            return Vec::new();
-        }
-        let mut global = self.global.write().expect("sharded state lock");
+        let mut guard = self.global.write().expect("sharded state lock");
+        let global = &mut *guard;
         let old_n = global.graph.n();
-        let mut acks = Vec::with_capacity(reqs.len());
-        let mut applied: Vec<Applied> = Vec::new();
-        for req in reqs {
-            if let Err(e) = validate_update(req, global.graph.n(), global.graph.n_attrs()) {
-                acks.push(QueryResponse::error(req.id, ErrorCode::BadRequest, e));
-                continue;
-            }
-            let mut members = Vec::new();
-            let mut invalidate = true;
-            let mutated = match &req.op {
-                UpdateOp::AddEdge { u, v } => match global.graph.insert_edge(*u, *v) {
-                    Ok(true) => {
-                        applied.push(Applied::Edge(*u, *v));
-                        true
-                    }
-                    // Inserting an existing edge is an acknowledged no-op.
-                    Ok(false) => false,
-                    Err(e) => {
-                        acks.push(QueryResponse::error(req.id, ErrorCode::BadRequest, e));
-                        continue;
-                    }
-                },
-                UpdateOp::AddNode { attrs } => match global.graph.add_node(attrs.clone()) {
-                    Ok(v) => {
-                        members.push(v);
-                        applied.push(Applied::Node(v));
-                        true
-                    }
-                    Err(e) => {
-                        acks.push(QueryResponse::error(req.id, ErrorCode::BadRequest, e));
-                        continue;
-                    }
-                },
-                UpdateOp::UpdateSupport { add, expire } => {
-                    let pool = &mut global.support;
-                    let kept = pool.len().saturating_sub(*expire);
-                    if *expire > pool.len() {
-                        acks.push(QueryResponse::error(
-                            req.id,
-                            ErrorCode::BadRequest,
-                            format!("cannot expire {expire} of {} support examples", pool.len()),
-                        ));
-                        continue;
-                    }
-                    if kept + add.iter().len() == 0 {
-                        acks.push(QueryResponse::error(
-                            req.id,
-                            ErrorCode::BadRequest,
-                            "support pool must stay non-empty",
-                        ));
-                        continue;
-                    }
-                    pool.drain(..*expire);
-                    if let Some(ex) = add {
-                        pool.push(ex.clone());
-                    }
-                    invalidate = *expire > 0;
-                    applied.push(Applied::Support {
-                        add: add.clone(),
-                        expire: *expire,
-                    });
-                    true
-                }
-            };
-            if mutated {
-                global.version += 1;
-                if invalidate {
-                    global.valid_from = global.version;
-                }
-            }
-            let mut ack = QueryResponse::ack(req.id, global.graph.epoch());
-            ack.members = members;
-            acks.push(ack);
-        }
+        let (acks, applied) = update_burst(
+            &mut global.graph,
+            &mut global.support,
+            &mut global.mark,
+            reqs,
+        );
         if !applied.is_empty() {
-            self.reconcile(&mut global, &applied, old_n);
-            let mut stats = self.stats.lock().expect("stats lock");
-            stats.updates += applied.len() as u64;
-            stats.coalesced_updates += (applied.len() as u64).saturating_sub(1);
+            self.reconcile(global, &applied, old_n);
         }
-        let latency_us = t0.elapsed().as_micros() as u64;
-        for ack in acks.iter_mut().filter(|a| a.ok) {
-            ack.latency_us = latency_us;
-        }
-        acks
+        finish_burst(&self.stats, t0, applied.len(), acks)
     }
 
     /// Post-burst shard reconciliation; see [`ShardedSession::apply_updates`].
@@ -833,55 +536,22 @@ impl ShardedSession {
     pub fn summary(&self) -> ServeSummary {
         let global = self.read_global();
         let (mut context_builds, mut context_hits) = (0u64, 0u64);
-        for shard in &global.shards {
-            for replica in &shard.replicas {
-                let s = replica.summary();
-                context_builds += s.context_builds;
-                context_hits += s.context_hits;
-            }
+        for replica in global.shards.iter().flat_map(|s| &s.replicas) {
+            let (builds, hits) = replica.context_counters();
+            context_builds += builds;
+            context_hits += hits;
         }
         let shard_epochs: Vec<u64> = global.shards.iter().map(|s| s.epoch).collect();
         let epoch = global.graph.epoch();
         let log_evictions = global.graph.log_evictions();
         drop(global);
-        let stats = self.stats.lock().expect("stats lock");
         let cache = self.cache_stats();
-        let mut lat = stats.latencies_us.clone();
-        lat.sort_unstable();
-        let pct = |p: f64| -> u64 {
-            if lat.is_empty() {
-                0
-            } else {
-                lat[((lat.len() - 1) as f64 * p).round() as usize]
-            }
-        };
+        let stats = self.stats.lock().expect("stats lock");
         ServeSummary {
-            requests: stats.requests,
-            errors: stats.errors,
-            batches: stats.batches,
-            mean_batch_occupancy: if stats.batches == 0 {
-                0.0
-            } else {
-                stats.occupancy_sum as f64 / stats.batches as f64
-            },
-            latency_p50_us: pct(0.5),
-            latency_p95_us: pct(0.95),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_evictions: cache.evictions,
             context_builds,
             context_hits,
-            updates: stats.updates,
-            coalesced_updates: stats.coalesced_updates,
-            log_evictions,
-            wal_appends: 0,
-            wal_bytes: 0,
-            snapshots: 0,
-            recovered_updates: 0,
-            epoch,
             shard_epochs: Some(shard_epochs),
-            precision: self.cfg.serve.precision.as_str().to_string(),
-            math: self.cfg.serve.effective_math().as_str().to_string(),
+            ..stats.summary(cache, epoch, log_evictions, &self.cfg.serve)
         }
     }
 }
@@ -921,83 +591,57 @@ fn translate_frames(
     frames
 }
 
-/// Scatter/gather on the legacy exact engine: gather the exact (owned)
-/// query rows, build the centroid centrally — the same kernel, same
-/// bits as the unsharded `gather_rows(queries).mean_rows()` — broadcast
-/// it, then merge.
-fn scatter_gather_exact(
-    ctxs: &[&Tensor],
+/// Scatter/gather scoring of one shot group. Per query set: gather the
+/// exact (owned) query rows from the shards owning them, build the
+/// centroid centrally — the same kernel, same bits as the unsharded
+/// `select_rows(queries).mean_rows()` — broadcast it, score every
+/// shard's local rows against it in parallel on the pool, then merge.
+/// Rows are gathered and the centroid broadcast as raw `E` bits, which is
+/// why every shard serves the coordinator's dtype (each replica's config
+/// is the coordinator's [`ServeConfig`]).
+fn scatter_gather<E: Elem>(
+    ctxs: &[Arc<Block>],
     global: &Global,
-    nodes: &[usize],
-    n_nodes: usize,
-) -> Vec<f32> {
-    let ctx_vals: Vec<_> = ctxs.iter().map(|t| t.value_ref()).collect();
-    let rows: Vec<&[f32]> = nodes
-        .iter()
-        .map(|&q| {
-            let s = global.owner[q];
-            ctx_vals[s].row(global.shards[s].local_of[&q])
-        })
-        .collect();
-    let centroid = Cgnp::centroid_of_rows(&rows);
-    // Broadcast: every shard scores its local rows against the
-    // identical centroid, in parallel on the pool.
-    let mut per_shard: Vec<Vec<f32>> = vec![Vec::new(); ctxs.len()];
-    rayon::scope(|scope| {
-        let centroid = &centroid;
-        for (slot, ctx) in per_shard.iter_mut().zip(ctxs) {
-            scope.spawn(move |_| {
-                *slot = Cgnp::score_probs_with_centroid(ctx, centroid);
-            });
-        }
-    });
-    merge_owned(global, &per_shard, n_nodes)
-}
-
-/// Scatter/gather on a typed engine: identical structure to
-/// [`scatter_gather_exact`], with rows gathered and the centroid
-/// broadcast as raw `E` bits — which is exactly why mixed-dtype shards
-/// are rejected at construction.
-fn scatter_gather_typed<E: Elem>(
-    ctxs: &[SessionContext],
-    global: &Global,
-    nodes: &[usize],
+    batch: &[Vec<usize>],
     math: MathMode,
-    n_nodes: usize,
-) -> Vec<f32> {
+) -> Vec<Vec<f32>> {
     let mats: Vec<&MatrixT<E>> = ctxs
         .iter()
-        .map(|c| {
-            c.as_block()
-                .and_then(|b| b.as_typed::<E>())
+        .map(|b| {
+            b.as_typed::<E>()
                 .expect("all shards serve the coordinator's dtype")
         })
         .collect();
-    let rows: Vec<&[E]> = nodes
+    batch
         .iter()
-        .map(|&q| {
-            let s = global.owner[q];
-            mats[s].row(global.shards[s].local_of[&q])
-        })
-        .collect();
-    let centroid = infer::centroid_of_rows(&rows);
-    let mut per_shard: Vec<Vec<f32>> = vec![Vec::new(); ctxs.len()];
-    rayon::scope(|scope| {
-        let centroid = &centroid;
-        for (slot, mat) in per_shard.iter_mut().zip(&mats) {
-            scope.spawn(move |_| {
-                *slot = infer::score_with_centroid(mat, centroid, math);
+        .map(|nodes| {
+            let rows: Vec<&[E]> = nodes
+                .iter()
+                .map(|&q| {
+                    let s = global.owner[q];
+                    mats[s].row(global.shards[s].local_of[&q])
+                })
+                .collect();
+            let centroid = infer::centroid_of_rows(&rows);
+            let mut per_shard: Vec<Vec<f32>> = vec![Vec::new(); mats.len()];
+            rayon::scope(|scope| {
+                let centroid = &centroid;
+                for (slot, mat) in per_shard.iter_mut().zip(&mats) {
+                    scope.spawn(move |_| {
+                        *slot = infer::score_with_centroid(mat, centroid, math);
+                    });
+                }
             });
-        }
-    });
-    merge_owned(global, &per_shard, n_nodes)
+            merge_owned(global, &per_shard)
+        })
+        .collect()
 }
 
 /// Gather: owned rows only, in fixed shard order. Each node is owned
 /// exactly once, so this is a permutation of shard outputs, not a
 /// floating-point reduction.
-fn merge_owned(global: &Global, per_shard: &[Vec<f32>], n_nodes: usize) -> Vec<f32> {
-    let mut probs = vec![0.0f32; n_nodes];
+fn merge_owned(global: &Global, per_shard: &[Vec<f32>]) -> Vec<f32> {
+    let mut probs = vec![0.0f32; global.graph.n()];
     for (s, sh) in global.shards.iter().enumerate() {
         for (li, &gv) in sh.local.iter().enumerate() {
             if global.owner[gv] == s {

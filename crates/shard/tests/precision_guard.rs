@@ -1,8 +1,8 @@
 //! The sharded precision contract: every shard of a deployment scores
-//! in the coordinator's dtype — mixing is rejected at construction with
-//! a typed error (the precision analogue of the halo-depth guard) — and
-//! a uniformly-typed sharded session answers queries identically to an
-//! unsharded session of the same precision.
+//! in the coordinator's dtype (each replica is built from the
+//! coordinator's own `ServeConfig`, so there is nothing to mix), and a
+//! sharded session answers queries identically to an unsharded session
+//! of the same precision.
 
 use std::sync::Arc;
 
@@ -10,7 +10,7 @@ use cgnp_core::{Cgnp, CgnpConfig, CommutativeOp};
 use cgnp_data::{model_input_dim, QueryExample, Task};
 use cgnp_graph::{AttributedGraph, Graph};
 use cgnp_serve::{QueryRequest, ServeConfig, ServeSession};
-use cgnp_shard::{ShardedBuildError, ShardedConfig, ShardedSession};
+use cgnp_shard::{ShardedConfig, ShardedSession};
 use cgnp_tensor::{Dtype, MathMode};
 
 const N: usize = 160;
@@ -71,64 +71,8 @@ fn cfg_with(precision: Dtype, math: MathMode) -> ShardedConfig {
 }
 
 #[test]
-fn mixed_precision_is_rejected_with_a_typed_error() {
-    let err = ShardedSession::with_shard_precisions(
-        model(),
-        serving_task(),
-        cfg_with(Dtype::F32, MathMode::Exact),
-        &[Dtype::F32, Dtype::F64, Dtype::F32],
-    )
-    .err()
-    .expect("mixing dtypes across shards must be refused");
-    assert_eq!(
-        err,
-        ShardedBuildError::MixedPrecision {
-            shard: 1,
-            expected: Dtype::F32,
-            found: Dtype::F64,
-        }
-    );
-    // The message names the shard and both dtypes — an operator can fix
-    // the config without reading source.
-    let msg = err.to_string();
-    assert!(
-        msg.contains("shard 1") && msg.contains("f64") && msg.contains("f32"),
-        "{msg}"
-    );
-}
-
-#[test]
-fn precision_list_must_cover_every_shard() {
-    let err = ShardedSession::with_shard_precisions(
-        model(),
-        serving_task(),
-        cfg_with(Dtype::F32, MathMode::Exact),
-        &[Dtype::F32],
-    )
-    .err()
-    .expect("a short precision list must be refused");
-    assert!(matches!(err, ShardedBuildError::Build(_)), "{err}");
-}
-
-#[test]
-fn uniform_precision_list_builds_and_serves() {
-    let session = ShardedSession::with_shard_precisions(
-        model(),
-        serving_task(),
-        cfg_with(Dtype::F64, MathMode::Exact),
-        &[Dtype::F64; 3],
-    )
-    .expect("uniform dtype list is exactly the supported deployment");
-    let r = session.answer(&QueryRequest::new(1, vec![5]).with_top_k(10));
-    assert!(r.ok);
-    assert_eq!(r.members.len(), 10);
-    let summary = session.summary();
-    assert_eq!(summary.precision, "f64");
-}
-
-#[test]
 fn typed_sharded_session_matches_unsharded_session() {
-    // The typed scatter/gather (rows gathered as raw f64 bits, centroid
+    // The scatter/gather (rows gathered as raw f64 bits, centroid
     // broadcast, owned-row merge) must reproduce an unsharded f64
     // session: same kernels, same accumulation order per row.
     let m = model();
@@ -146,5 +90,7 @@ fn typed_sharded_session_matches_unsharded_session() {
         let a_bits: Vec<u32> = a.probs.iter().map(|p| p.to_bits()).collect();
         let b_bits: Vec<u32> = b.probs.iter().map(|p| p.to_bits()).collect();
         assert_eq!(a_bits, b_bits, "request {id}: probability bits diverged");
+        assert_eq!(b.members.len(), 12);
     }
+    assert_eq!(sharded.summary().precision, "f64");
 }
