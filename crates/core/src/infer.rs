@@ -15,10 +15,27 @@
 //! order, same stability tricks), so the `f32`/`Exact` instantiation
 //! reproduces [`Cgnp::predict_multi`] bitwise — pinned for every encoder
 //! kind, decoder and ⊕ by `f32_exact_executor_is_bitwise_identical`.
+//!
+//! Two places compute the same values as the tape with fewer passes:
+//!
+//! - **GAT layers** run [`SegmentAttention`]: scores, logits, softmax and
+//!   aggregation in one arc-order pass per destination row, over the arc
+//!   list indexed as a CSR ([`InferState`] keeps `dst_ptr`, not the
+//!   per-arc destinations).
+//! - **The encoder's first layer, when it is GAT, runs once per support
+//!   pool** rather than once per shot. The shots of a pool share the graph
+//!   and the base features and differ only in the indicator column of
+//!   their few marked nodes, so their first layers differ only on those
+//!   nodes and their neighbours; [`SharedFirstLayer`] evaluates the
+//!   indicator-free layer once and patches those rows per shot, and says
+//!   why that is exact. Sharing stops there: two hops out the patched
+//!   region is already a third of a graph, three hops all of it. The
+//!   choice follows what is observed (first-layer kind, shot count);
+//!   GCN/SAGE encoders and single shots take the per-shot path.
 
 use cgnp_data::{QueryExample, NO_QUERY};
 use cgnp_nn::{Activation, AnyGnnLayer, GnnEncoder, Linear, Mlp};
-use cgnp_tensor::{CsrMatrixT, Elem, MathMode, MatrixT};
+use cgnp_tensor::{CsrMatrixT, Elem, MathMode, MatrixT, SegmentAttention};
 
 use crate::commutative::Commutative;
 use crate::decoder::Decoder;
@@ -29,13 +46,7 @@ enum InferLayer<E: Elem> {
     /// `H' = Â (H W) + b`.
     Gcn { w: MatrixT<E>, b: MatrixT<E> },
     /// Single-head additive attention (see [`cgnp_nn::GatLayer`]).
-    Gat {
-        w: MatrixT<E>,
-        a_src: MatrixT<E>,
-        a_dst: MatrixT<E>,
-        bias: MatrixT<E>,
-        slope: E,
-    },
+    Gat(InferGat<E>),
     /// `H' = H W_self + b + (D^{-1} A H) W_neigh`.
     Sage {
         w_self: MatrixT<E>,
@@ -55,13 +66,13 @@ impl<E: Elem> InferLayer<E> {
                     .value()
                     .cast(),
             },
-            AnyGnnLayer::Gat(l) => Self::Gat {
+            AnyGnnLayer::Gat(l) => Self::Gat(InferGat {
                 w: l.lin().weight().value().cast(),
                 a_src: l.a_src().value().cast(),
                 a_dst: l.a_dst().value().cast(),
                 bias: l.bias().value().cast(),
                 slope: E::from_f32(l.negative_slope()),
-            },
+            }),
             AnyGnnLayer::Sage(l) => Self::Sage {
                 w_self: l.w_self().weight().value().cast(),
                 b_self: l
@@ -80,41 +91,7 @@ impl<E: Elem> InferLayer<E> {
             Self::Gcn { w, b } => state
                 .gcn_adj
                 .spmm_bias_mode(&x.matmul_mode(w, mode), b, mode),
-            Self::Gat {
-                w,
-                a_src,
-                a_dst,
-                bias,
-                slope,
-            } => {
-                let z = x.matmul_mode(w, mode);
-                let s_src = z.matmul_mode(a_src, mode); // n×1
-                let s_dst = z.matmul_mode(a_dst, mode); // n×1
-                let (src, dst) = (&state.arc_src[..], &state.arc_dst[..]);
-                let mut e = vec![E::ZERO; src.len()];
-                for (i, ev) in e.iter_mut().enumerate() {
-                    let v = s_src.get(src[i], 0) + s_dst.get(dst[i], 0);
-                    *ev = if v > E::ZERO { v } else { *slope * v };
-                }
-                let alpha = segment_softmax(&e, dst, state.n);
-                // Fused weighted scatter-add + broadcast bias, as in
-                // `Tensor::weighted_scatter_rows_bias`.
-                let mut out = MatrixT::zeros(state.n, z.cols());
-                for r in 0..state.n {
-                    out.row_mut(r).copy_from_slice(bias.row(0));
-                }
-                for (i, (&s, &d)) in src.iter().zip(dst).enumerate() {
-                    let av = alpha[i];
-                    if av == E::ZERO {
-                        continue;
-                    }
-                    let zrow = z.row(s);
-                    for (o, &zv) in out.row_mut(d).iter_mut().zip(zrow) {
-                        *o += av * zv;
-                    }
-                }
-                out
-            }
+            Self::Gat(gat) => gat.attend(state, &x.matmul_mode(&gat.w, mode), None),
             Self::Sage {
                 w_self,
                 b_self,
@@ -125,6 +102,32 @@ impl<E: Elem> InferLayer<E> {
                 self_term.add(&neigh)
             }
         }
+    }
+}
+
+/// A GAT layer's weights: `z = x W`, then segment attention over the
+/// arcs (`a_src`/`a_dst` are `out×1` columns, `bias` a `1×out` row).
+struct InferGat<E: Elem> {
+    w: MatrixT<E>,
+    a_src: MatrixT<E>,
+    a_dst: MatrixT<E>,
+    bias: MatrixT<E>,
+    slope: E,
+}
+
+impl<E: Elem> InferGat<E> {
+    /// Attention output for the projection `z`: every node's row, or
+    /// only `rows` (see [`SegmentAttention::forward`]).
+    fn attend(&self, state: &InferState<E>, z: &MatrixT<E>, rows: Option<&[usize]>) -> MatrixT<E> {
+        SegmentAttention {
+            dst_ptr: &state.dst_ptr,
+            src: &state.arc_src,
+            a_src: self.a_src.as_slice(),
+            a_dst: self.a_dst.as_slice(),
+            bias: self.bias.as_slice(),
+            slope: self.slope,
+        }
+        .forward(z, rows, None)
     }
 }
 
@@ -142,18 +145,124 @@ impl<E: Elem> InferGnn<E> {
         }
     }
 
-    /// Eval-mode forward: activation between layers, none after the last,
-    /// dropout elided (identity in eval mode).
-    fn forward(&self, state: &InferState<E>, x: MatrixT<E>, mode: MathMode) -> MatrixT<E> {
-        let last = self.layers.len() - 1;
+    /// The activation that follows layer `i`: none after the last.
+    fn activate_after(&self, i: usize, h: &mut MatrixT<E>) {
+        if i + 1 < self.layers.len() {
+            apply_activation(self.activation, h);
+        }
+    }
+
+    /// Layer `i` and the activation that follows it.
+    fn layer(&self, i: usize, state: &InferState<E>, x: &MatrixT<E>, mode: MathMode) -> MatrixT<E> {
+        let mut h = self.layers[i].forward(state, x, mode);
+        self.activate_after(i, &mut h);
+        h
+    }
+
+    /// Eval-mode forward through `layers[from..]` (all of them for
+    /// `from = 0`, none past the end): activation between layers, none
+    /// after the last, dropout elided (identity in eval mode).
+    fn forward(
+        &self,
+        state: &InferState<E>,
+        x: MatrixT<E>,
+        from: usize,
+        mode: MathMode,
+    ) -> MatrixT<E> {
         let mut h = x;
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(state, &h, mode);
-            if i < last {
-                apply_activation(self.activation, &mut h);
-            }
+        for i in from..self.layers.len() {
+            h = self.layer(i, state, &h, mode);
         }
         h
+    }
+}
+
+/// The encoder's first layer, when it is GAT, evaluated once for a whole
+/// support pool instead of once per shot.
+///
+/// Shot `q`'s input is `X_q = [1_{M_q} | base]` with `M_q` its marked
+/// nodes, so the inputs of a pool differ only in column 0 of the rows
+/// `M_q`. Both matmul tiers accumulate every output element in strictly
+/// increasing `k`, and a zero left operand contributes nothing (skipped
+/// on the exact tier, `+0` on the fast one), so row `r ∉ M_q` of `X_q·W`
+/// is bitwise row `r` of `[0 | base]·W`. An attention output row reads
+/// only the projection rows of its arc sources, and the arcs are
+/// symmetric with self-loops, so view `q`'s layer-1 output differs from
+/// the indicator-free one only on `M_q` and its neighbours. Hence:
+/// project, attend and activate the indicator-free input once; per shot
+/// re-project the `|M_q|` rows (same tier), recompute the reached output
+/// rows through the same row kernel, and run the remaining layers as
+/// before. Patched rows are swapped in and back out, so nothing
+/// `n`-sized is copied per shot.
+struct SharedFirstLayer<'a, E: Elem> {
+    gnn: &'a InferGnn<E>,
+    gat: &'a InferGat<E>,
+    state: &'a InferState<E>,
+    mode: MathMode,
+    /// `[0 | base]·W`.
+    z: MatrixT<E>,
+    /// Layer-1 output for `z`, activated when a layer follows.
+    h: MatrixT<E>,
+}
+
+impl<'a, E: Elem> SharedFirstLayer<'a, E> {
+    fn new(
+        gnn: &'a InferGnn<E>,
+        gat: &'a InferGat<E>,
+        state: &'a InferState<E>,
+        mode: MathMode,
+    ) -> Self {
+        let z = state.with_indicator(&[]).matmul_mode(&gat.w, mode);
+        let mut h = gat.attend(state, &z, None);
+        gnn.activate_after(0, &mut h);
+        Self {
+            gnn,
+            gat,
+            state,
+            mode,
+            z,
+            h,
+        }
+    }
+
+    /// The encoder view whose indicator marks `marked`, bitwise what
+    /// [`InferModel::encode_view`] computes from scratch.
+    fn view(&mut self, mut marked: Vec<usize>) -> MatrixT<E> {
+        marked.sort_unstable();
+        marked.dedup();
+        let mut reached: Vec<usize> = marked
+            .iter()
+            .flat_map(|&v| self.state.arc_sources(v))
+            .chain(&marked)
+            .copied()
+            .collect();
+        reached.sort_unstable();
+        reached.dedup();
+
+        let mut z_rows = self
+            .state
+            .marked_rows(&marked)
+            .matmul_mode(&self.gat.w, self.mode);
+        swap_rows(&mut self.z, &marked, &mut z_rows);
+        let mut h_rows = self.gat.attend(self.state, &self.z, Some(&reached));
+        swap_rows(&mut self.z, &marked, &mut z_rows);
+        self.gnn.activate_after(0, &mut h_rows);
+
+        swap_rows(&mut self.h, &reached, &mut h_rows);
+        let h1 = match self.gnn.layers.len() {
+            1 => self.h.clone(),
+            _ => self.gnn.layer(1, self.state, &self.h, self.mode),
+        };
+        swap_rows(&mut self.h, &reached, &mut h_rows);
+        self.gnn.forward(self.state, h1, 2, self.mode)
+    }
+}
+
+/// Exchanges row `rows[i]` of `m` with row `i` of `patch`; calling it
+/// twice restores both.
+fn swap_rows<E: Elem>(m: &mut MatrixT<E>, rows: &[usize], patch: &mut MatrixT<E>) {
+    for (i, &r) in rows.iter().enumerate() {
+        m.row_mut(r).swap_with_slice(patch.row_mut(i));
     }
 }
 
@@ -181,20 +290,28 @@ impl<E: Elem> InferCommutative<E> {
         }
     }
 
-    fn combine(&self, views: Vec<MatrixT<E>>, mode: MathMode) -> MatrixT<E> {
-        assert!(!views.is_empty(), "⊕ needs at least one view");
-        if views.len() == 1 {
-            return views.into_iter().next().expect("checked non-empty");
-        }
+    /// ⊕ over the views in order. `Sum`/`Mean` fold each view into the
+    /// accumulator as it is produced, so one view is alive at a time;
+    /// `SelfAttention` weighs views against each other and keeps them all.
+    fn combine(&self, mut views: impl Iterator<Item = MatrixT<E>>, mode: MathMode) -> MatrixT<E> {
         match self {
-            Self::Sum => fold_sum(views),
-            Self::Mean => {
-                let inv = E::ONE / E::from_usize(views.len());
-                let mut acc = fold_sum(views);
-                acc.scale_assign(inv);
+            Self::Sum | Self::Mean => {
+                let mut acc = views.next().expect("⊕ needs at least one view");
+                let mut count = 1;
+                for v in views {
+                    acc.add_assign(&v);
+                    count += 1;
+                }
+                if matches!(self, Self::Mean) {
+                    acc.scale_assign(E::ONE / E::from_usize(count));
+                }
                 acc
             }
             Self::SelfAttention { w1, w2, dim } => {
+                let mut views: Vec<MatrixT<E>> = views.collect();
+                if views.len() == 1 {
+                    return views.pop().expect("checked non-empty");
+                }
                 // Eq. 15–16, mirroring `Commutative::combine`: stack the
                 // per-view mean summaries, project, score, softmax, then
                 // column-average into one weight per view.
@@ -218,15 +335,6 @@ impl<E: Elem> InferCommutative<E> {
             }
         }
     }
-}
-
-fn fold_sum<E: Elem>(views: Vec<MatrixT<E>>) -> MatrixT<E> {
-    let mut it = views.into_iter();
-    let mut acc = it.next().expect("checked non-empty");
-    for v in it {
-        acc = acc.add(&v);
-    }
-    acc
 }
 
 /// The decoder ρθ snapshotted into `E`.
@@ -265,7 +373,7 @@ impl<E: Elem> InferDecoder<E> {
                 }
                 h
             }
-            Self::Gnn(gnn) => gnn.forward(state, ctx, mode),
+            Self::Gnn(gnn) => gnn.forward(state, ctx, 0, mode),
         }
     }
 }
@@ -311,19 +419,17 @@ impl<E: Elem> InferModel<E> {
         example: &QueryExample,
         mode: MathMode,
     ) -> MatrixT<E> {
-        let mut marked = Vec::with_capacity(1 + example.pos.len());
-        if example.query != NO_QUERY {
-            marked.push(example.query);
-        }
-        marked.extend_from_slice(&example.pos);
-        let x = state.with_indicator(&marked);
-        self.encoder.forward(state, x, mode)
+        let x = state.with_indicator(&marked_nodes(example));
+        self.encoder.forward(state, x, 0, mode)
     }
 
     /// The decoded task context, mirroring eval-mode [`Cgnp::context`]:
     /// views → ⊕ → decoder transform, all in `E` under the selected
     /// kernel tier. `support` is explicit so callers can condition on any
     /// subset of a task's labelled examples (a per-request shot count).
+    ///
+    /// With a GAT first layer and more than one shot the views come from
+    /// [`SharedFirstLayer`]; the result is the same bit for bit.
     pub fn context(
         &self,
         state: &InferState<E>,
@@ -331,13 +437,30 @@ impl<E: Elem> InferModel<E> {
         mode: MathMode,
     ) -> MatrixT<E> {
         assert!(!support.is_empty(), "CGNP requires a non-empty support set");
-        let views: Vec<MatrixT<E>> = support
-            .iter()
-            .map(|ex| self.encode_view(state, ex, mode))
-            .collect();
-        let combined = self.commutative.combine(views, mode);
+        let combined = match self.encoder.layers.first() {
+            Some(InferLayer::Gat(gat)) if support.len() > 1 => {
+                let mut shared = SharedFirstLayer::new(&self.encoder, gat, state, mode);
+                let views = support.iter().map(|ex| shared.view(marked_nodes(ex)));
+                self.commutative.combine(views, mode)
+            }
+            _ => {
+                let views = support.iter().map(|ex| self.encode_view(state, ex, mode));
+                self.commutative.combine(views, mode)
+            }
+        };
         self.decoder.transform(state, combined, mode)
     }
+}
+
+/// The nodes a support pair's indicator marks: `{q} ∪ l⁺_q` (no query for
+/// the sharded [`NO_QUERY`] sentinel).
+fn marked_nodes(example: &QueryExample) -> Vec<usize> {
+    let mut marked = Vec::with_capacity(1 + example.pos.len());
+    if example.query != NO_QUERY {
+        marked.push(example.query);
+    }
+    marked.extend_from_slice(&example.pos);
+    marked
 }
 
 /// A [`PreparedTask`]'s operators and base features snapshotted into `E`.
@@ -346,20 +469,37 @@ pub struct InferState<E: Elem> {
     n: usize,
     gcn_adj: CsrMatrixT<E>,
     mean_adj: CsrMatrixT<E>,
+    /// Arc sources grouped by destination; `dst_ptr[v]..dst_ptr[v + 1]`
+    /// are the arcs ending at `v` (a CSR over [`GraphContext::arcs`]).
+    ///
+    /// [`GraphContext::arcs`]: cgnp_nn::GraphContext::arcs
     arc_src: Vec<usize>,
-    arc_dst: Vec<usize>,
+    dst_ptr: Vec<usize>,
     base: MatrixT<E>,
 }
 
 impl<E: Elem> InferState<E> {
     pub fn from_prepared(prepared: &PreparedTask) -> Self {
         let (src, dst) = prepared.gctx.arcs();
+        let n = prepared.gctx.n();
+        let mut dst_ptr = vec![0; n + 1];
+        for (i, &d) in dst.iter().enumerate() {
+            assert!(
+                d < n && (i == 0 || dst[i - 1] <= d),
+                "arc {i} ends at node {d}: arcs must be grouped by ascending \
+                 destination, the order Graph::directed_arcs emits"
+            );
+            dst_ptr[d + 1] += 1;
+        }
+        for v in 0..n {
+            dst_ptr[v + 1] += dst_ptr[v];
+        }
         Self {
-            n: prepared.gctx.n(),
+            n,
             gcn_adj: prepared.gctx.gcn_adj().forward().cast(),
             mean_adj: prepared.gctx.mean_adj().forward().cast(),
             arc_src: src.to_vec(),
-            arc_dst: dst.to_vec(),
+            dst_ptr,
             base: prepared.base.cast(),
         }
     }
@@ -383,6 +523,17 @@ impl<E: Elem> InferState<E> {
             out.row_mut(r)[1..].copy_from_slice(self.base.row(r));
         }
         out
+    }
+
+    /// Rows `nodes` of [`Self::with_indicator`]`(nodes)`: each marked.
+    fn marked_rows(&self, nodes: &[usize]) -> MatrixT<E> {
+        let ones = MatrixT::full(nodes.len(), 1, E::ONE);
+        MatrixT::hstack(&[&ones, &self.base.select_rows(nodes)])
+    }
+
+    /// Sources of the arcs ending at `v`: its neighbours and itself.
+    fn arc_sources(&self, v: usize) -> &[usize] {
+        &self.arc_src[self.dst_ptr[v]..self.dst_ptr[v + 1]]
     }
 }
 
@@ -460,29 +611,6 @@ fn apply_activation<E: Elem>(a: Activation, m: &mut MatrixT<E>) {
     }
 }
 
-/// Softmax over segments of a column: entry `i` normalises against the
-/// entries sharing `seg[i]` (the GAT edge softmax), max-subtracted per
-/// segment exactly as `Tensor::segment_softmax` does.
-fn segment_softmax<E: Elem>(x: &[E], seg: &[usize], n_seg: usize) -> Vec<E> {
-    assert_eq!(x.len(), seg.len(), "segment index length mismatch");
-    let mut maxes = vec![E::neg_infinity(); n_seg];
-    for (i, &s) in seg.iter().enumerate() {
-        assert!(s < n_seg, "segment id out of range");
-        maxes[s] = maxes[s].max(x[i]);
-    }
-    let mut out = vec![E::ZERO; x.len()];
-    let mut sums = vec![E::ZERO; n_seg];
-    for (i, &s) in seg.iter().enumerate() {
-        let e = (x[i] - maxes[s]).exp();
-        out[i] = e;
-        sums[s] += e;
-    }
-    for (i, &s) in seg.iter().enumerate() {
-        out[i] = out[i] / sums[s].max(E::min_positive());
-    }
-    out
-}
-
 /// In-place softmax with max-subtraction, mirroring
 /// [`cgnp_tensor::ops::softmax_in_place`].
 fn softmax_in_place<E: Elem>(row: &mut [E]) {
@@ -517,17 +645,20 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn prepared_task(seed: u64) -> PreparedTask {
+    fn sampled_task(seed: u64, shots: usize) -> cgnp_data::Task {
         let ag =
             cgnp_data::generate_sbm(&SbmConfig::small_test(), &mut StdRng::seed_from_u64(seed));
         let cfg = TaskConfig {
             subgraph_size: 50,
-            shots: 3,
+            shots,
             n_targets: 4,
             ..Default::default()
         };
-        let task = sample_task(&ag, &cfg, None, &mut StdRng::seed_from_u64(seed)).expect("task");
-        PreparedTask::new(task)
+        sample_task(&ag, &cfg, None, &mut StdRng::seed_from_u64(seed)).expect("task")
+    }
+
+    fn prepared_task(seed: u64) -> PreparedTask {
+        PreparedTask::new(sampled_task(seed, 3))
     }
 
     fn model_for(p: &PreparedTask, decoder: DecoderKind, op: CommutativeOp) -> Cgnp {
@@ -578,6 +709,112 @@ mod tests {
                         legacy, typed,
                         "{kind}/{decoder:?}/{op:?} diverged from tensor path"
                     );
+                }
+            }
+        }
+    }
+
+    /// The per-shot path — what `context` runs for GCN/SAGE first layers
+    /// and single shots — spelled out, so the shared first layer can be
+    /// held against it in either dtype and kernel tier.
+    fn per_shot_context<E: Elem>(
+        im: &InferModel<E>,
+        state: &InferState<E>,
+        support: &[QueryExample],
+        mode: MathMode,
+    ) -> MatrixT<E> {
+        let views = support.iter().map(|ex| im.encode_view(state, ex, mode));
+        let combined = im.commutative.combine(views, mode);
+        im.decoder.transform(state, combined, mode)
+    }
+
+    fn bits<E: Elem>(m: &MatrixT<E>) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_f64().to_bits()).collect()
+    }
+
+    #[test]
+    fn shared_first_layer_is_bitwise_the_per_shot_path_and_the_oracle() {
+        // A sampled 5-shot pool plus the shapes of marked set the serving
+        // stack produces: a query that is also one of its positives, the
+        // sharded `NO_QUERY` sentinel with nothing marked, and a marked
+        // node whose only arc is its self-loop.
+        let mut task = sampled_task(25, 5);
+        let isolated = task.graph.add_node(vec![]).expect("add node");
+        let sampled = task.support.clone();
+        let example = |query: usize, pos: Vec<usize>| QueryExample {
+            query,
+            pos,
+            neg: vec![],
+            truth: vec![],
+        };
+        let q = sampled[0].query;
+        let odd = [
+            example(q, vec![q, sampled[0].pos[0]]),
+            example(NO_QUERY, vec![]),
+            example(isolated, vec![]),
+            example(NO_QUERY, vec![sampled[1].query, isolated]),
+        ];
+        let pools = [&sampled[..1], &sampled[..2], &sampled[..], &odd[..]];
+        let queries = vec![task.targets[0].query, isolated];
+        let mut p = PreparedTask::new(task);
+        let (s32, s64) = (
+            InferState::<f32>::from_prepared(&p),
+            InferState::<f64>::from_prepared(&p),
+        );
+        let in_dim = cgnp_data::model_input_dim(&p.task.graph);
+
+        for n_layers in [1, 3] {
+            for decoder in [DecoderKind::InnerProduct, DecoderKind::Gnn] {
+                for op in [
+                    CommutativeOp::Sum,
+                    CommutativeOp::Mean,
+                    CommutativeOp::SelfAttention,
+                ] {
+                    let mut cfg = CgnpConfig::paper_default(in_dim, 8)
+                        .with_decoder(decoder)
+                        .with_commutative(op);
+                    cfg.encoder.n_layers = n_layers;
+                    let model = Cgnp::new(cfg, 2);
+                    let (m32, m64) = (
+                        InferModel::<f32>::from_model(&model),
+                        InferModel::<f64>::from_model(&model),
+                    );
+                    for pool in pools {
+                        let what =
+                            format!("{n_layers} layers/{decoder:?}/{op:?}/{} shots", pool.len());
+                        p.task.support = pool.to_vec();
+                        let oracle = tensor_probs(&model, &p, &queries);
+
+                        let ctx = m32.context(&s32, pool, MathMode::Exact);
+                        assert_eq!(
+                            score_probs(&ctx, &queries, MathMode::Exact),
+                            oracle,
+                            "{what}"
+                        );
+                        // Fast is the fast tier only under `--features
+                        // fast-math`; either way the shared layer must
+                        // not move a bit of the per-shot result.
+                        for mode in [MathMode::Exact, MathMode::Fast] {
+                            assert_eq!(
+                                bits(&m32.context(&s32, pool, mode)),
+                                bits(&per_shot_context(&m32, &s32, pool, mode)),
+                                "{what}/f32/{mode}"
+                            );
+                            assert_eq!(
+                                bits(&m64.context(&s64, pool, mode)),
+                                bits(&per_shot_context(&m64, &s64, pool, mode)),
+                                "{what}/f64/{mode}"
+                            );
+                        }
+                        let wide = m64.context(&s64, pool, MathMode::Exact);
+                        for (a, b) in
+                            oracle
+                                .iter()
+                                .zip(score_probs(&wide, &queries, MathMode::Exact))
+                        {
+                            assert!((a - b).abs() < 1e-4, "{what}: f64 drifted: {a} vs {b}");
+                        }
+                    }
                 }
             }
         }

@@ -107,6 +107,14 @@ impl GraphContext {
     }
 
     /// `(src, dst)` arcs with self-loops, for attention layers.
+    ///
+    /// The order is [`Graph::directed_arcs`]`(true)`'s and is part of the
+    /// contract: arcs are grouped by ascending destination — for each `v`
+    /// in `0..n`, one arc from every neighbour in `neighbors(v)` order,
+    /// then the self-loop `v → v` — so the list is a CSR over
+    /// destinations, which the serving executor indexes it as; and `u → v`
+    /// is listed exactly when `v → u` is. [`Self::refreshed`] rebuilds
+    /// the list, so it holds after every mutation batch.
     #[inline]
     pub fn arcs(&self) -> (&[usize], &[usize]) {
         (&self.arc_src, &self.arc_dst)
@@ -213,6 +221,48 @@ mod tests {
         for v in 0..g.n() {
             assert!(src.iter().zip(dst.iter()).any(|(&s, &d)| s == v && d == v));
         }
+    }
+
+    /// The documented arc order: per destination `0..n`, its neighbours
+    /// in adjacency order, then its self-loop; closed under reversal.
+    fn assert_arc_order(ctx: &GraphContext, g: &Graph) {
+        let (src, dst) = ctx.arcs();
+        let mut expect = Vec::new();
+        for v in 0..g.n() {
+            expect.extend(g.neighbors(v).iter().map(|&u| (u as usize, v)));
+            expect.push((v, v));
+        }
+        let arcs: Vec<(usize, usize)> = src.iter().copied().zip(dst.iter().copied()).collect();
+        assert_eq!(arcs, expect);
+        assert!(dst.windows(2).all(|w| w[0] <= w[1]), "dst-major");
+        let set: std::collections::HashSet<_> = arcs.iter().copied().collect();
+        assert!(
+            arcs.iter().all(|&(u, v)| set.contains(&(v, u))),
+            "symmetric"
+        );
+    }
+
+    #[test]
+    fn arcs_are_grouped_by_destination_after_every_kind_of_mutation() {
+        let mut g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 0), (3, 1)]);
+        let mut ctx = GraphContext::at_epoch(&g, 0);
+        assert_arc_order(&ctx, &g);
+
+        // An edge between existing nodes (into the isolated node 4), a new
+        // node wired in, and a new node left with only its self-loop.
+        g.insert_edge(4, 0);
+        ctx = ctx.refreshed(&g, &[4, 0], 1);
+        assert_arc_order(&ctx, &g);
+        let w = g.add_node();
+        g.insert_edge(w, 2);
+        ctx = ctx.refreshed(&g, &[w, 2], 2);
+        assert_arc_order(&ctx, &g);
+        let lone = g.add_node();
+        ctx = ctx.refreshed(&g, &[lone], 3);
+        assert_arc_order(&ctx, &g);
+        let (src, dst) = ctx.arcs();
+        assert_eq!((src.last(), dst.last()), (Some(&lone), Some(&lone)));
+        assert_arc_order(&GraphContext::at_epoch(&g, 3), &g);
     }
 
     #[test]

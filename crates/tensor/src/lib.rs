@@ -29,6 +29,7 @@
 //! assert!((w.item() - 3.0).abs() < 0.05);
 //! ```
 
+pub mod attention;
 pub mod block;
 pub mod elem;
 pub mod grad_sink;
@@ -43,6 +44,7 @@ pub mod reference;
 pub mod sparse;
 pub mod tensor;
 
+pub use attention::SegmentAttention;
 pub use block::{Block, SparseBlock};
 pub use elem::{Dtype, Elem};
 pub use grad_sink::GradSink;

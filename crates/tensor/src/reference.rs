@@ -8,7 +8,9 @@
 //! `tests/kernel_equivalence.rs` pin that contract. The micro-benchmarks
 //! also measure speedups against these.
 
-use crate::matrix::Matrix;
+use crate::attention::SegmentAttention;
+use crate::elem::Elem;
+use crate::matrix::{Matrix, MatrixT};
 use crate::sparse::CsrMatrix;
 
 /// Naive `a @ b` (row-major ikj loop, skipping explicit zeros of `a`).
@@ -124,6 +126,75 @@ pub fn spmv(s: &CsrMatrix, x: &[f32]) -> Vec<f32> {
             acc += v * x[c];
         }
         *o = acc;
+    }
+    out
+}
+
+/// Multi-pass GAT attention over an arc list — the formulation
+/// [`SegmentAttention::forward`] fuses, kept as its oracle: the two
+/// `n×1` score products (the naive [`matmul`] loop), one pass for the
+/// edge logits, the three passes of a max-subtracted segment softmax
+/// (as `Tensor::segment_softmax`), then a scatter-add of the weighted
+/// source rows onto bias-seeded output rows that skips zero weights (as
+/// `Tensor::weighted_scatter_rows_bias`).
+pub fn segment_attention<E: Elem>(att: &SegmentAttention<'_, E>, z: &MatrixT<E>) -> MatrixT<E> {
+    let n = att.dst_ptr.len().saturating_sub(1);
+    let src = att.src;
+    let dst: Vec<usize> = (0..n)
+        .flat_map(|v| std::iter::repeat_n(v, att.dst_ptr[v + 1] - att.dst_ptr[v]))
+        .collect();
+
+    let score = |a: &[E]| -> Vec<E> {
+        (0..n)
+            .map(|r| {
+                let mut acc = E::ZERO;
+                for (&zv, &av) in z.row(r).iter().zip(a) {
+                    if zv == E::ZERO {
+                        continue;
+                    }
+                    acc += zv * av;
+                }
+                acc
+            })
+            .collect()
+    };
+    let (s_src, s_dst) = (score(att.a_src), score(att.a_dst));
+
+    let mut alpha: Vec<E> = src
+        .iter()
+        .zip(&dst)
+        .map(|(&s, &d)| {
+            let v = s_src[s] + s_dst[d];
+            if v > E::ZERO {
+                v
+            } else {
+                att.slope * v
+            }
+        })
+        .collect();
+
+    let mut maxes = vec![E::neg_infinity(); n];
+    for (&e, &d) in alpha.iter().zip(&dst) {
+        maxes[d] = maxes[d].max(e);
+    }
+    let mut sums = vec![E::ZERO; n];
+    for (e, &d) in alpha.iter_mut().zip(&dst) {
+        *e = (*e - maxes[d]).exp();
+        sums[d] += *e;
+    }
+    for (e, &d) in alpha.iter_mut().zip(&dst) {
+        *e = *e / sums[d].max(E::min_positive());
+    }
+
+    let mut out = MatrixT::zeros(n, z.cols());
+    crate::parallel::seed_rows(out.as_mut_slice(), att.bias);
+    for ((&s, &d), &a) in src.iter().zip(&dst).zip(&alpha) {
+        if a == E::ZERO {
+            continue;
+        }
+        for (o, &zv) in out.row_mut(d).iter_mut().zip(z.row(s)) {
+            *o += a * zv;
+        }
     }
     out
 }

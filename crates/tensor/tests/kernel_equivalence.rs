@@ -6,9 +6,11 @@
 //! per-element floating-point accumulation order, so every output bit
 //! must match `cgnp_tensor::reference`. Shapes range over degenerate
 //! cases (empty, 1×1) through sizes that exercise multiple k-tiles and
-//! several parallel row chunks.
+//! several parallel row chunks. The fused segment-attention kernel is held
+//! to the same contract against its multi-pass reference, in `f32` and
+//! `f64`.
 
-use cgnp_tensor::{reference, CsrMatrix, Matrix};
+use cgnp_tensor::{reference, CsrMatrix, Elem, Matrix, MatrixT, SegmentAttention};
 use proptest::prelude::*;
 
 /// Matrices with dimensions in `[0, dim_hi)`, entries including exact
@@ -337,4 +339,234 @@ fn large_spmm_parallel_chunks_are_bitwise_stable() {
             .collect();
         assert_eq!(got, expect, "threads={threads}");
     }
+}
+
+/// One attention layer's inputs in `f32`, cast per element type under
+/// test (`f32 → f64` is exact, so both runs see the same values).
+#[derive(Debug, Clone)]
+struct AttentionCase {
+    dst_ptr: Vec<usize>,
+    src: Vec<usize>,
+    width: usize,
+    z: Vec<f32>,
+    a_src: Vec<f32>,
+    a_dst: Vec<f32>,
+    bias: Vec<f32>,
+}
+
+impl AttentionCase {
+    fn n(&self) -> usize {
+        self.dst_ptr.len() - 1
+    }
+
+    /// Fused ≡ reference for every worker count, for the whole matrix and
+    /// for a row subset (reversed, with a repeat).
+    fn check<E: Elem>(&self) {
+        let cast = |v: &[f32]| -> Vec<E> { v.iter().map(|&x| E::from_f32(x)).collect() };
+        let z = MatrixT::from_vec(self.n(), self.width, cast(&self.z));
+        let (a_src, a_dst, bias) = (cast(&self.a_src), cast(&self.a_dst), cast(&self.bias));
+        let att = SegmentAttention {
+            dst_ptr: &self.dst_ptr,
+            src: &self.src,
+            a_src: &a_src,
+            a_dst: &a_dst,
+            bias: &bias,
+            slope: E::from_f32(0.2),
+        };
+        let bits = |v: &[E]| -> Vec<u64> { v.iter().map(|x| x.to_f64().to_bits()).collect() };
+        let expect = reference::segment_attention(&att, &z);
+        assert_eq!(expect.shape(), (self.n(), self.width));
+
+        let mut subset: Vec<usize> = (0..self.n()).rev().step_by(2).collect();
+        subset.extend(subset.first().copied());
+        let expect_subset = expect.select_rows(&subset);
+
+        for threads in [None, Some(1), Some(2), Some(4), Some(7)] {
+            let full = att.forward(&z, None, threads);
+            assert_eq!(
+                bits(full.as_slice()),
+                bits(expect.as_slice()),
+                "{} threads={threads:?}",
+                E::DTYPE
+            );
+            let part = att.forward(&z, Some(&subset), threads);
+            assert_eq!(part.shape(), expect_subset.shape());
+            assert_eq!(
+                bits(part.as_slice()),
+                bits(expect_subset.as_slice()),
+                "{} subset threads={threads:?}",
+                E::DTYPE
+            );
+        }
+    }
+}
+
+/// Random layers over `n` nodes: in-degrees drawn from a skewed mix
+/// (none / a handful / several times `n`, with repeated sources), exact
+/// zeros planted in `z`, and a scale that at its largest spreads one
+/// row's logits by thousands — past where `exp` underflows to exactly 0
+/// in either dtype, so the zero-weight skip is taken.
+fn arb_attention_case() -> impl Strategy<Value = AttentionCase> {
+    (0usize..24, 0usize..7, 0usize..3).prop_flat_map(|(n, width, scale)| {
+        let scale = [1.0f32, 30.0, 600.0][scale];
+        // Per node: a degree class and a source pool cut down to it.
+        let in_arcs = (
+            0usize..3,
+            proptest::collection::vec(0..n.max(1), 0..3 * n.max(1)),
+        )
+            .prop_map(|(class, mut pool)| {
+                pool.truncate([0, 3, usize::MAX][class]);
+                pool
+            });
+        (
+            proptest::collection::vec(in_arcs, n),
+            proptest::collection::vec(-4.0f32..4.0, n * width),
+            proptest::collection::vec(-4.0f32..4.0, 3 * width),
+        )
+            .prop_map(move |(in_arcs, mut z, weights)| {
+                for v in z.iter_mut() {
+                    *v *= scale;
+                }
+                for v in z.iter_mut().step_by(5) {
+                    *v = 0.0;
+                }
+                let mut dst_ptr = vec![0];
+                let mut src = Vec::new();
+                for arcs in &in_arcs {
+                    src.extend_from_slice(arcs);
+                    dst_ptr.push(src.len());
+                }
+                AttentionCase {
+                    dst_ptr,
+                    src,
+                    width,
+                    z,
+                    a_src: weights[..width].to_vec(),
+                    a_dst: weights[width..2 * width].to_vec(),
+                    bias: weights[2 * width..].to_vec(),
+                }
+            })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn segment_attention_matches_reference_bitwise(case in arb_attention_case()) {
+        case.check::<f32>();
+        case.check::<f64>();
+    }
+}
+
+#[test]
+fn segment_attention_degenerate_sizes() {
+    // No nodes; one node no arc ends at (its row is the bias); one node
+    // with only its self-loop (weight exactly 1).
+    let empty = AttentionCase {
+        dst_ptr: vec![0],
+        src: vec![],
+        width: 3,
+        z: vec![],
+        a_src: vec![0.5; 3],
+        a_dst: vec![-0.5; 3],
+        bias: vec![1.0; 3],
+    };
+    let isolated = AttentionCase {
+        dst_ptr: vec![0, 0],
+        z: vec![2.0, -1.0, 0.0],
+        ..empty.clone()
+    };
+    let self_loop = AttentionCase {
+        dst_ptr: vec![0, 1],
+        src: vec![0],
+        ..isolated.clone()
+    };
+    for case in [&empty, &isolated, &self_loop] {
+        case.check::<f32>();
+        case.check::<f64>();
+    }
+    let out = |case: &AttentionCase| {
+        SegmentAttention {
+            dst_ptr: &case.dst_ptr,
+            src: &case.src,
+            a_src: &case.a_src,
+            a_dst: &case.a_dst,
+            bias: &case.bias,
+            slope: 0.2f32,
+        }
+        .forward(&Matrix::from_vec(case.n(), 3, case.z.clone()), None, None)
+    };
+    assert_eq!(out(&isolated).as_slice(), &[1.0, 1.0, 1.0]);
+    assert_eq!(out(&self_loop).as_slice(), &[3.0, 0.0, 1.0]);
+}
+
+#[test]
+fn segment_attention_skips_weights_that_underflow_to_zero() {
+    // Node 0 hears from itself (logit 0) and from node 1 (logit −4000
+    // after the LeakyReLU): the second weight underflows to exactly 0 in
+    // both dtypes, so row 0 is bias + 1·z₀ with z₁ never touched.
+    let case = AttentionCase {
+        dst_ptr: vec![0, 2, 3],
+        src: vec![0, 1, 1],
+        width: 2,
+        z: vec![0.0, 3.0, -20000.0, 7.0],
+        a_src: vec![1.0, 0.0],
+        a_dst: vec![0.0, 0.0],
+        bias: vec![0.25, -0.5],
+    };
+    case.check::<f32>();
+    case.check::<f64>();
+    let att = SegmentAttention {
+        dst_ptr: &case.dst_ptr,
+        src: &case.src,
+        a_src: &[1.0f64, 0.0],
+        a_dst: &[0.0, 0.0],
+        bias: &[0.25, -0.5],
+        slope: 0.2,
+    };
+    let z = MatrixT::from_vec(2, 2, vec![0.0f64, 3.0, -20000.0, 7.0]);
+    assert_eq!(att.forward(&z, None, None).row(0), &[0.25, 2.5]);
+}
+
+#[test]
+fn large_segment_attention_parallel_chunks_are_bitwise_stable() {
+    // 3 000 nodes at the GNN layers' width, past the parallel gate, with
+    // the degree skew of a real graph: node 0 hears from everyone, every
+    // 97th node from nobody, the rest from 1–12 ragged sources.
+    let (n, width) = (3000usize, 64usize);
+    let mut dst_ptr = vec![0];
+    let mut src = Vec::new();
+    for v in 0..n {
+        if v == 0 {
+            src.extend(0..n);
+        } else if v % 97 != 0 {
+            src.extend((0..1 + v % 12).map(|j| (v * 31 + j * 17) % n));
+        }
+        dst_ptr.push(src.len());
+    }
+    let weights = |salt: usize| -> Vec<f32> {
+        (0..width)
+            .map(|i| ((i * 7 + salt) % 23) as f32 * 0.05 - 0.5)
+            .collect()
+    };
+    let case = AttentionCase {
+        dst_ptr,
+        src,
+        width,
+        z: (0..n * width)
+            .map(|i| {
+                if i % 13 == 0 {
+                    0.0
+                } else {
+                    ((i % 101) as f32) * 0.02 - 1.0
+                }
+            })
+            .collect(),
+        a_src: weights(1),
+        a_dst: weights(2),
+        bias: weights(3),
+    };
+    case.check::<f32>();
+    case.check::<f64>();
 }
