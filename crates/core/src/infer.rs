@@ -16,7 +16,7 @@
 //! reproduces [`Cgnp::predict_multi`] bitwise — pinned for every encoder
 //! kind, decoder and ⊕ by `f32_exact_executor_is_bitwise_identical`.
 //!
-//! Two places compute the same values as the tape with fewer passes:
+//! Three places compute the same values as the tape with fewer passes:
 //!
 //! - **GAT layers** run [`SegmentAttention`]: scores, logits, softmax and
 //!   aggregation in one arc-order pass per destination row, over the arc
@@ -32,10 +32,26 @@
 //!   region is already a third of a graph, three hops all of it. The
 //!   choice follows what is observed (first-layer kind, shot count);
 //!   GCN/SAGE encoders and single shots take the per-shot path.
+//! - **A tick's queries are scored in one pass over the context.** The
+//!   queries of a micro-batch that condition on the same shots share the
+//!   context `H` and differ only in their centroid, so
+//!   [`score_batch_with_threads`] takes each query's centroid exactly as
+//!   a lone query would (`select_rows(q).mean_rows()`) and hands them all
+//!   to [`CentroidScores`], which reads every context row once and scores
+//!   it against every centroid. A logit stays what the oracle computes —
+//!   one inner product accumulated in index order from zero, then the
+//!   sigmoid — and each (node, query) pair is a chain of its own that no
+//!   neighbouring pair feeds, so a query's probability vector has the
+//!   same bits alone, at any position of any batch, and on any number of
+//!   workers. The prediction cache (a vector scored in one tick answers
+//!   another) and sharded serving (a coordinator scores each query alone,
+//!   shard by shard, where the unsharded session batches the tick) both
+//!   lean on that, and
+//!   `a_querys_scores_do_not_depend_on_its_batch` pins it.
 
 use cgnp_data::{QueryExample, NO_QUERY};
 use cgnp_nn::{Activation, AnyGnnLayer, GnnEncoder, Linear, Mlp};
-use cgnp_tensor::{CsrMatrixT, Elem, MathMode, MatrixT, SegmentAttention};
+use cgnp_tensor::{CentroidScores, CsrMatrixT, Elem, MathMode, MatrixT, SegmentAttention};
 
 use crate::commutative::Commutative;
 use crate::decoder::Decoder;
@@ -537,11 +553,11 @@ impl<E: Elem> InferState<E> {
     }
 }
 
-/// Mean of pre-gathered context rows: the centroid half of
-/// [`score_probs`], split out for coordinators that gather query rows
-/// from several shard-local contexts. Stacking the same row bits in the
-/// same order feeds the identical `mean_rows` kernel, so the result is
-/// bitwise-equal to the unsharded centroid.
+/// Mean of pre-gathered context rows: the centroid of one query set, for
+/// coordinators that gather query rows from several shard-local
+/// contexts. Stacking the same row bits in the same order feeds the
+/// identical `mean_rows` kernel, so the result is bitwise-equal to the
+/// centroid [`score_batch_with_threads`] takes from one whole context.
 pub fn centroid_of_rows<E: Elem>(rows: &[&[E]]) -> Vec<E> {
     assert!(!rows.is_empty(), "centroid needs at least one row");
     let d = rows[0].len();
@@ -553,51 +569,51 @@ pub fn centroid_of_rows<E: Elem>(rows: &[&[E]]) -> Vec<E> {
     stacked.mean_rows().as_slice().to_vec()
 }
 
-/// Membership probabilities of every context row against a centroid
-/// (the broadcast half of scatter/gather scoring).
-/// Probabilities come back as `f32` — the wire format of every serving
-/// response — after the logits and sigmoid are computed in `E`.
-pub fn score_with_centroid<E: Elem>(
+/// One tick's scoring: the centroid of each query set's context rows,
+/// stacked, then one [`CentroidScores`] pass over the context for all of
+/// them.
+fn score_sets<E: Elem>(
     context: &MatrixT<E>,
-    centroid: &[E],
-    mode: MathMode,
-) -> Vec<f32> {
-    let c = MatrixT::from_vec(1, centroid.len(), centroid.to_vec());
-    let logits = context.matmul_tb_mode(&c, mode);
-    logits
-        .as_slice()
-        .iter()
-        .map(|&x| stable_sigmoid(x).to_f32())
-        .collect()
+    sets: &[&[usize]],
+    threads: Option<usize>,
+) -> Vec<Vec<f32>> {
+    let mut centroids = Vec::with_capacity(sets.len() * context.cols());
+    for queries in sets {
+        assert!(!queries.is_empty(), "need at least one query node");
+        centroids.extend_from_slice(context.select_rows(queries).mean_rows().as_slice());
+    }
+    CentroidScores {
+        context,
+        centroids: &MatrixT::from_vec(sets.len(), context.cols(), centroids),
+    }
+    .forward(None, threads)
 }
 
 /// Membership probabilities for one query set against a context (the
 /// cheap half of Alg. 2): centroid of the query rows, inner products,
-/// sigmoid.
-pub fn score_probs<E: Elem>(context: &MatrixT<E>, queries: &[usize], mode: MathMode) -> Vec<f32> {
-    assert!(!queries.is_empty(), "need at least one query node");
-    let centroid = context.select_rows(queries).mean_rows();
-    score_with_centroid(context, centroid.as_slice(), mode)
+/// sigmoid — a batch of one through the same code as a tick.
+/// Probabilities come back as `f32`, the wire format of every serving
+/// response, after the logits and sigmoid are computed in `E`. Both
+/// kernel tiers accumulate a logit in index order, so `mode` selects
+/// nothing here.
+pub fn score_probs<E: Elem>(context: &MatrixT<E>, queries: &[usize], _mode: MathMode) -> Vec<f32> {
+    score_sets(context, &[queries], None)
+        .pop()
+        .expect("one vector per query set")
 }
 
-/// Centroid of a query set as raw `E` bits, for coordinators that score
-/// shard-locally against a globally gathered centroid.
-pub fn centroid_of_queries<E: Elem>(context: &MatrixT<E>, queries: &[usize]) -> Vec<E> {
-    context.select_rows(queries).mean_rows().as_slice().to_vec()
-}
-
-/// Scores a micro-batch of query sets against one shared context, fanned
-/// across the persistent worker pool — what a serving session calls per
-/// tick, the context itself being cached across ticks.
+/// Scores a micro-batch of query sets against one shared context in one
+/// pass over it, the context rows split across at most `threads` pool
+/// workers — what a serving session calls per tick, the context itself
+/// being cached across ticks.
 pub fn score_batch_with_threads<E: Elem>(
     context: &MatrixT<E>,
     batch: &[Vec<usize>],
     threads: usize,
-    mode: MathMode,
+    _mode: MathMode,
 ) -> Vec<Vec<f32>> {
-    crate::par::par_map(batch, threads, |queries| {
-        score_probs(context, queries, mode)
-    })
+    let sets: Vec<&[usize]> = batch.iter().map(Vec::as_slice).collect();
+    score_sets(context, &sets, Some(threads))
 }
 
 fn apply_activation<E: Elem>(a: Activation, m: &mut MatrixT<E>) {
@@ -623,16 +639,6 @@ fn softmax_in_place<E: Elem>(row: &mut [E]) {
     let inv = E::ONE / sum.max(E::min_positive());
     for v in row {
         *v *= inv;
-    }
-}
-
-/// Branch-stable sigmoid, mirroring [`cgnp_tensor::ops::stable_sigmoid`].
-fn stable_sigmoid<E: Elem>(x: E) -> E {
-    if x >= E::ZERO {
-        E::ONE / (E::ONE + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (E::ONE + e)
     }
 }
 
@@ -871,15 +877,101 @@ mod tests {
         let state = InferState::<f64>::from_prepared(&p);
         let ctx = im.context(&state, &p.task.support, MathMode::Exact);
         let queries = vec![p.task.targets[0].query, p.task.targets[2].query];
-
         let direct = score_probs(&ctx, &queries, MathMode::Exact);
-        let centroid = centroid_of_queries(&ctx, &queries);
-        let via_centroid = score_with_centroid(&ctx, &centroid, MathMode::Exact);
-        assert_eq!(direct, via_centroid);
 
-        // Coordinator-style: centroid from individually gathered rows.
-        let rows: Vec<Vec<f64>> = queries.iter().map(|&q| ctx.row(q).to_vec()).collect();
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        assert_eq!(centroid_of_rows(&refs), centroid);
+        // Coordinator-style: centroid from individually gathered rows,
+        // scored on a row subset — the entries of the full vector.
+        let rows: Vec<&[f64]> = queries.iter().map(|&q| ctx.row(q)).collect();
+        let centroid = centroid_of_rows(&rows);
+        let scores = CentroidScores {
+            context: &ctx,
+            centroids: &MatrixT::from_vec(1, centroid.len(), centroid),
+        };
+        assert_eq!(scores.forward(None, Some(1)), std::slice::from_ref(&direct));
+        let owned: Vec<usize> = (0..ctx.rows()).rev().step_by(3).collect();
+        let expect: Vec<f32> = owned.iter().map(|&v| direct[v]).collect();
+        assert_eq!(scores.forward(Some(&owned), Some(2)), [expect]);
+    }
+
+    /// A query's probability vector as raw bits, scored in `batch` at
+    /// position `at`.
+    fn scored_bits<E: Elem>(
+        ctx: &MatrixT<E>,
+        batch: &[Vec<usize>],
+        at: usize,
+        threads: usize,
+        mode: MathMode,
+    ) -> Vec<u32> {
+        let probs = score_batch_with_threads(ctx, batch, threads, mode);
+        assert_eq!(probs.len(), batch.len());
+        probs[at].iter().map(|p| p.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_querys_scores_do_not_depend_on_its_batch() {
+        // The prediction LRU hands one tick's vector to later ticks of
+        // any shape, and a sharded coordinator scores a query alone where
+        // the unsharded session batches its tick: a vector must be the
+        // same bits alone, first, last, duplicated and in a batch wider
+        // than one panel, on either tier and any worker count. (`Fast` is
+        // the fast tier only under `--features fast-math`.)
+        fn check<E: Elem>(
+            model: &Cgnp,
+            p: &PreparedTask,
+            sets: &[Vec<usize>],
+            oracle: Option<&[Vec<f32>]>,
+        ) {
+            let im = InferModel::<E>::from_model(model);
+            let state = InferState::<E>::from_prepared(p);
+            let filler: Vec<Vec<usize>> = (0..8).map(|i| vec![(i * 7) % p.task.n()]).collect();
+            for mode in [MathMode::Exact, MathMode::Fast] {
+                let ctx = im.context(&state, &p.task.support, mode);
+                for (s, set) in sets.iter().enumerate() {
+                    let what = format!("{}/{mode}/set {s}", E::DTYPE);
+                    let alone = scored_bits(&ctx, std::slice::from_ref(set), 0, 1, mode);
+                    let single: Vec<u32> = score_probs(&ctx, set, mode)
+                        .iter()
+                        .map(|p| p.to_bits())
+                        .collect();
+                    assert_eq!(single, alone, "{what}: score_probs");
+                    if let (Some(oracle), MathMode::Exact) = (oracle, mode) {
+                        let want: Vec<u32> = oracle[s].iter().map(|p| p.to_bits()).collect();
+                        assert_eq!(alone, want, "{what}: taped oracle");
+                    }
+
+                    let mut first = vec![set.clone()];
+                    first.extend_from_slice(&filler[..2]);
+                    let mut last = filler[..3].to_vec();
+                    last.push(set.clone());
+                    let duplicated = vec![set.clone(), filler[0].clone(), set.clone()];
+                    let mut nine = filler.clone();
+                    nine.insert(5, set.clone());
+                    for threads in [1, 2, 3] {
+                        let what = format!("{what}/{threads} threads");
+                        assert_eq!(scored_bits(&ctx, &first, 0, threads, mode), alone, "{what}");
+                        assert_eq!(scored_bits(&ctx, &last, 3, threads, mode), alone, "{what}");
+                        for at in [0, 2] {
+                            assert_eq!(
+                                scored_bits(&ctx, &duplicated, at, threads, mode),
+                                alone,
+                                "{what}"
+                            );
+                        }
+                        assert_eq!(scored_bits(&ctx, &nine, 5, threads, mode), alone, "{what}");
+                    }
+                }
+            }
+        }
+
+        let p = prepared_task(26);
+        let model = model_for(&p, DecoderKind::Mlp, CommutativeOp::Mean);
+        let t: Vec<usize> = p.task.targets.iter().map(|ex| ex.query).collect();
+        let sets = [vec![t[0]], vec![t[1], t[2]], vec![t[3], t[0], t[3]]];
+        let oracle: Vec<Vec<f32>> = sets
+            .iter()
+            .map(|set| tensor_probs(&model, &p, set))
+            .collect();
+        check::<f32>(&model, &p, &sets, Some(&oracle));
+        check::<f64>(&model, &p, &sets, None);
     }
 }

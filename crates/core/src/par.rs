@@ -8,9 +8,9 @@
 /// bodies), not just a serial/parallel switch. `threads <= 1` (or a
 /// single item) runs serially on the caller with no dispatch.
 ///
-/// Used by batched gradient computation, task preparation, the
-/// validation sweep, and micro-batch scoring — every result slot is
-/// written by index, so the output never depends on scheduling.
+/// Used by batched gradient computation, task preparation and the
+/// validation sweep — every result slot is written by index, so the
+/// output never depends on scheduling.
 pub(crate) fn par_map<T: Sync, R: Send>(
     items: &[T],
     threads: usize,

@@ -13,8 +13,9 @@
 //!   in-flight requests per tick,
 //! * the decoded task context is computed once per shot count and cached
 //!   **across ticks** (invalidated by
-//!   [`ServeSession::replace_support`]); each tick only fans the
-//!   per-query scoring across the persistent worker pool
+//!   [`ServeSession::replace_support`]); each tick only scores its
+//!   queries against it, all of them in one pass over the context rows,
+//!   which split across the persistent worker pool
 //!   (`cgnp_core::infer::score_batch_with_threads` — forward-only, no
 //!   autodiff tape anywhere on the serving path),
 //! * an LRU cache ([`cache::LruCache`]) memoizes full prediction vectors

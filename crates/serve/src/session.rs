@@ -638,8 +638,8 @@ impl ServeSession {
 
     /// Answers a micro-batch: one [`query_tick`] whose shot groups each
     /// fetch their context through the cross-tick cache (it depends only
-    /// on the shot count) and fan the per-query scoring across the
-    /// persistent pool. The read half of the session lock is held for the
+    /// on the shot count) and score all their queries in one pass over
+    /// it, the context rows split across the persistent pool. The read half of the session lock is held for the
     /// whole tick, so every request in it is answered under one
     /// consistent epoch.
     pub fn answer_batch(&self, reqs: &[QueryRequest]) -> Vec<QueryResponse> {
@@ -740,8 +740,9 @@ pub struct TickView<'a> {
 /// query set, in order), fill the cache, rank, assemble responses, and
 /// record the tick in `stats`. The caller holds the read lock `view`
 /// borrows from across the call, so every request is answered under one
-/// consistent epoch. The wall time since `t0` is attributed to every
-/// request in the batch: the honest latency of a coalescing server.
+/// consistent epoch. The wall time since `t0`, read once the last
+/// response is ranked and assembled, is attributed to every request in
+/// the batch: the honest latency of a coalescing server.
 pub fn query_tick(
     t0: Instant,
     TickView {
@@ -754,65 +755,70 @@ pub fn query_tick(
     reqs: &[QueryRequest],
     mut score_group: impl FnMut(usize, &[Vec<usize>]) -> Vec<Vec<f32>>,
 ) -> Vec<QueryResponse> {
-    // Resolve each request to a full probability vector: from cache, or
-    // collected for batched computation.
-    type Resolved = Result<(usize, Arc<Vec<f32>>, bool), String>;
-    let mut resolved: Vec<Resolved> = Vec::new();
+    /// Where a valid request's probability vector comes from.
+    enum Source {
+        Cached(Arc<Vec<f32>>),
+        /// Index into the tick's unique misses.
+        Miss(usize),
+    }
+    let mut resolved: Vec<Result<(usize, Source), String>> = Vec::with_capacity(reqs.len());
     // Misses deduplicated by key: identical (nodes, shots) requests in
     // one tick are computed once and share the Arc (duplicate hot
     // queries are exactly the traffic a coalescing server sees).
-    let mut pending: Vec<(crate::cache::CacheKey, Vec<usize>)> = Vec::new();
+    let mut misses: Vec<crate::cache::CacheKey> = Vec::new();
     {
         let mut cache = cache.lock().expect("cache lock");
-        for (i, req) in reqs.iter().enumerate() {
-            match validate_request(req, graph.n(), max_shots) {
-                Err(e) => resolved.push(Err(e)),
-                Ok(shots) => {
-                    let key = (req.nodes.clone(), shots);
-                    match cache.get(&key, mark.valid_from) {
-                        Some(probs) => resolved.push(Ok((shots, probs, true))),
-                        None => {
-                            match pending.iter_mut().find(|(k, _)| *k == key) {
-                                Some((_, idxs)) => idxs.push(i),
-                                None => pending.push((key, vec![i])),
-                            }
-                            // Placeholder; filled after computation.
-                            resolved.push(Ok((shots, Arc::new(Vec::new()), false)));
+        for req in reqs {
+            resolved.push(validate_request(req, graph.n(), max_shots).map(|shots| {
+                let key = (req.nodes.clone(), shots);
+                let source = match cache.get(&key, mark.valid_from) {
+                    Some(probs) => Source::Cached(probs),
+                    None => {
+                        let m = misses
+                            .iter()
+                            .position(|k| *k == key)
+                            .unwrap_or(misses.len());
+                        if m == misses.len() {
+                            misses.push(key);
                         }
+                        Source::Miss(m)
                     }
-                }
-            }
+                };
+                (shots, source)
+            }));
         }
     }
     // Group unique keys by shot count so each group shares one context.
     let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (p, (key, _)) in pending.iter().enumerate() {
+    for (m, key) in misses.iter().enumerate() {
         match groups.iter_mut().find(|(s, _)| *s == key.1) {
-            Some((_, ps)) => ps.push(p),
-            None => groups.push((key.1, vec![p])),
+            Some((_, ms)) => ms.push(m),
+            None => groups.push((key.1, vec![m])),
         }
     }
-    for (shots, ps) in groups {
-        let batch: Vec<Vec<usize>> = ps.iter().map(|&p| pending[p].0 .0.clone()).collect();
+    let mut scored: Vec<Option<Arc<Vec<f32>>>> = vec![None; misses.len()];
+    for (shots, ms) in groups {
+        let batch: Vec<Vec<usize>> = ms.iter().map(|&m| misses[m].0.clone()).collect();
         let probs = score_group(shots, &batch);
         let mut cache = cache.lock().expect("cache lock");
-        for (&p, prob) in ps.iter().zip(probs) {
+        for (&m, prob) in ms.iter().zip(probs) {
             let prob = Arc::new(prob);
-            cache.insert(pending[p].0.clone(), Arc::clone(&prob), mark.version);
-            for &i in &pending[p].1 {
-                resolved[i] = Ok((shots, Arc::clone(&prob), false));
-            }
+            cache.insert(misses[m].clone(), Arc::clone(&prob), mark.version);
+            scored[m] = Some(prob);
         }
     }
     let epoch = graph.epoch();
-    let latency_us = t0.elapsed().as_micros() as u64;
-    let responses: Vec<QueryResponse> = reqs
+    let mut responses: Vec<QueryResponse> = reqs
         .iter()
         .zip(resolved)
         .map(|(req, r)| match r {
             Err(e) => QueryResponse::error(req.id, ErrorCode::BadRequest, e),
-            Ok((shots, probs, cached)) => {
-                let (members, member_probs) = rank_members(graph, &probs, req);
+            Ok((shots, source)) => {
+                let (probs, cached) = match &source {
+                    Source::Cached(probs) => (probs, true),
+                    Source::Miss(m) => (scored[*m].as_ref().expect("every miss is scored"), false),
+                };
+                let (members, member_probs) = rank_members(graph, probs, req);
                 QueryResponse {
                     id: req.id,
                     ok: true,
@@ -822,12 +828,16 @@ pub fn query_tick(
                     probs: member_probs,
                     shots,
                     cached,
-                    latency_us,
+                    latency_us: 0,
                     epoch,
                 }
             }
         })
         .collect();
+    let latency_us = t0.elapsed().as_micros() as u64;
+    for response in responses.iter_mut().filter(|r| r.ok) {
+        response.latency_us = latency_us;
+    }
     let mut stats = stats.lock().expect("stats lock");
     stats.requests += reqs.len() as u64;
     stats.errors += responses.iter().filter(|r| !r.ok).count() as u64;
@@ -951,22 +961,28 @@ pub fn finish_burst(
 
 /// Ranks community members for a response: optional attribute filter,
 /// then probability-descending order (node id breaks ties), capped at
-/// `top_k` or thresholded at 0.5. Public so a scatter/gather coordinator
-/// ranks its merged global probability vector with byte-for-byte the
-/// same rules a single session applies.
+/// `top_k` or thresholded at 0.5. The order is total over distinct ids,
+/// so selecting the members first — the `top_k` best by selection, or
+/// those at or above the threshold — and sorting only them returns what
+/// sorting every candidate would, without sorting what is dropped.
+/// Public so a scatter/gather coordinator ranks its merged global
+/// probability vector with byte-for-byte the same rules a single session
+/// applies.
 pub fn rank_members(
     graph: &AttributedGraph,
     probs: &[f32],
     req: &QueryRequest,
 ) -> (Vec<usize>, Vec<f32>) {
+    let by_rank = |a: &usize, b: &usize| probs[*b].total_cmp(&probs[*a]).then(a.cmp(b));
     let mut idx: Vec<usize> = (0..probs.len())
         .filter(|&v| req.attrs.is_empty() || req.attrs.iter().any(|&a| graph.has_attr(v, a)))
+        .filter(|&v| req.top_k.is_some() || probs[v] >= 0.5)
         .collect();
-    idx.sort_by(|&a, &b| probs[b].total_cmp(&probs[a]).then(a.cmp(&b)));
-    match req.top_k {
-        Some(k) => idx.truncate(k),
-        None => idx.retain(|&v| probs[v] >= 0.5),
+    if let Some(k) = req.top_k.filter(|&k| k < idx.len()) {
+        idx.select_nth_unstable_by(k, by_rank);
+        idx.truncate(k);
     }
+    idx.sort_unstable_by(by_rank);
     let member_probs = idx.iter().map(|&v| probs[v]).collect();
     (idx, member_probs)
 }

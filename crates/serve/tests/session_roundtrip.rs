@@ -460,3 +460,72 @@ fn full_scale_session_matches_the_taped_oracle_for_every_encoder() {
         }
     }
 }
+
+#[test]
+fn rank_members_matches_a_full_sort() {
+    use rand::Rng;
+    // The ranking sorts only what it returns; the rules are those of
+    // sorting every candidate and cutting afterwards, spelled out here.
+    let full_sort = |graph: &cgnp_graph::AttributedGraph, probs: &[f32], req: &QueryRequest| {
+        let mut idx: Vec<usize> = (0..probs.len())
+            .filter(|&v| req.attrs.is_empty() || req.attrs.iter().any(|&a| graph.has_attr(v, a)))
+            .collect();
+        idx.sort_by(|&a, &b| probs[b].total_cmp(&probs[a]).then(a.cmp(&b)));
+        match req.top_k {
+            Some(k) => idx.truncate(k),
+            None => idx.retain(|&v| probs[v] >= 0.5),
+        }
+        let member_probs: Vec<f32> = idx.iter().map(|&v| probs[v]).collect();
+        (idx, member_probs)
+    };
+    // Attribute 0 on every node, 1 on every third, 2 on node 7 alone, 3
+    // on none: filters leaving all, some, one and no candidates.
+    let n = 64;
+    let attrs = (0..n)
+        .map(|v| {
+            let mut a = vec![0u32];
+            a.extend((v % 3 == 0).then_some(1));
+            a.extend((v == 7).then_some(2));
+            a
+        })
+        .collect();
+    let ring: Vec<(usize, usize)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
+    let graph =
+        cgnp_graph::AttributedGraph::new(cgnp_graph::Graph::from_edges(n, &ring), 4, attrs, vec![]);
+
+    let mut rng = StdRng::seed_from_u64(14);
+    for case in 0..200 {
+        // Saturated sigmoids tie at exactly 1.0 and 0.0 by the hundred on
+        // a real graph; 0.5 sits on the threshold.
+        let saturated = [1.0f32, 0.0, 0.5, 1.0, 0.0][case % 5];
+        let probs: Vec<f32> = (0..n)
+            .map(|_| match rng.gen_range(0..4usize) {
+                0 | 1 => saturated,
+                2 => 1.0 - saturated,
+                _ => rng.gen::<f32>(),
+            })
+            .collect();
+        for attrs in [vec![], vec![0], vec![1], vec![2], vec![3], vec![2, 3]] {
+            let candidates = (0..n)
+                .filter(|&v| attrs.is_empty() || attrs.iter().any(|&a| graph.has_attr(v, a)))
+                .count();
+            let ks = [0, 1, 10, n - 1, n, n + 5]
+                .into_iter()
+                .chain([candidates.saturating_sub(1), candidates, candidates + 5])
+                .map(Some)
+                .chain([None]);
+            for top_k in ks {
+                let req = QueryRequest {
+                    attrs: attrs.clone(),
+                    top_k,
+                    ..QueryRequest::new(case as u64, vec![0])
+                };
+                let (members, member_probs) = rank_members(&graph, &probs, &req);
+                let (want, want_probs) = full_sort(&graph, &probs, &req);
+                assert_eq!(members, want, "case {case} attrs {attrs:?} top_k {top_k:?}");
+                let bits = |v: &[f32]| v.iter().map(|p| p.to_bits()).collect::<Vec<u32>>();
+                assert_eq!(bits(&member_probs), bits(&want_probs));
+            }
+        }
+    }
+}

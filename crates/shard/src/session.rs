@@ -54,7 +54,7 @@ use cgnp_serve::{
     ServeConfig, ServeSession, ServeStats, ServeSummary, TickView, UpdateOp, UpdateRequest,
     Watermark,
 };
-use cgnp_tensor::{Block, Dtype, Elem, MathMode, MatrixT};
+use cgnp_tensor::{Block, CentroidScores, Dtype, Elem, MatrixT};
 
 use crate::partition::{halo_ball, partition_graph};
 
@@ -347,7 +347,6 @@ impl ShardedSession {
             max_shots: global.support.len(),
             mark: global.mark,
         };
-        let math = self.cfg.serve.effective_math();
         query_tick(t0, view, &self.cache, &self.stats, reqs, |shots, batch| {
             let ctxs: Vec<Arc<Block>> = global
                 .shards
@@ -355,8 +354,8 @@ impl ShardedSession {
                 .map(|sh| sh.replica().context_for_shots(shots))
                 .collect();
             match self.cfg.serve.precision {
-                Dtype::F32 => scatter_gather::<f32>(&ctxs, &global, batch, math),
-                Dtype::F64 => scatter_gather::<f64>(&ctxs, &global, batch, math),
+                Dtype::F32 => scatter_gather::<f32>(&ctxs, &global, batch),
+                Dtype::F64 => scatter_gather::<f64>(&ctxs, &global, batch),
             }
         })
     }
@@ -603,7 +602,6 @@ fn scatter_gather<E: Elem>(
     ctxs: &[Arc<Block>],
     global: &Global,
     batch: &[Vec<usize>],
-    math: MathMode,
 ) -> Vec<Vec<f32>> {
     let mats: Vec<&MatrixT<E>> = ctxs
         .iter()
@@ -612,6 +610,7 @@ fn scatter_gather<E: Elem>(
                 .expect("all shards serve the coordinator's dtype")
         })
         .collect();
+    let d = mats[0].cols();
     batch
         .iter()
         .map(|nodes| {
@@ -622,13 +621,16 @@ fn scatter_gather<E: Elem>(
                     mats[s].row(global.shards[s].local_of[&q])
                 })
                 .collect();
-            let centroid = infer::centroid_of_rows(&rows);
+            let centroid = MatrixT::from_vec(1, d, infer::centroid_of_rows(&rows));
             let mut per_shard: Vec<Vec<f32>> = vec![Vec::new(); mats.len()];
             rayon::scope(|scope| {
-                let centroid = &centroid;
-                for (slot, mat) in per_shard.iter_mut().zip(&mats) {
+                let centroids = &centroid;
+                for (slot, &context) in per_shard.iter_mut().zip(&mats) {
                     scope.spawn(move |_| {
-                        *slot = infer::score_with_centroid(mat, centroid, math);
+                        *slot = CentroidScores { context, centroids }
+                            .forward(None, Some(1))
+                            .pop()
+                            .expect("one centroid, one vector");
                     });
                 }
             });

@@ -331,3 +331,99 @@ fn self_attention_is_rejected() {
         Err(err) => assert!(err.contains("self-attention"), "unexpected error: {err}"),
     }
 }
+
+#[test]
+fn one_tick_of_mixed_shots_duplicates_and_spanning_queries_across_a_node_birth() {
+    // The unsharded session scores a shot group in one batched pass; the
+    // coordinator gathers each query's centroid rows from the shards that
+    // own them and merges owned rows back. One tick mixes everything that
+    // shapes a group — three shot counts, keys repeated within the tick
+    // (scored once, ranked per request), and query sets whose nodes sit a
+    // quarter-ring apart, so their centroid rows come from both shards —
+    // and runs again after a node is born, which lengthens one shard's
+    // owned list.
+    let model = Arc::new(Cgnp::new(
+        model_config(GnnKind::Gat, CommutativeOp::Mean, DecoderKind::InnerProduct),
+        7,
+    ));
+    let oracle = ServeSession::with_shared_model(Arc::clone(&model), serving_task(), serve_cfg())
+        .expect("oracle session");
+    let sharded = ShardedSession::with_shared_model(
+        model,
+        serving_task(),
+        ShardedConfig {
+            shards: 2,
+            replicas: 1,
+            serve: serve_cfg(),
+        },
+    )
+    .expect("sharded session");
+
+    let with_shots = |req: QueryRequest, shots: usize| QueryRequest {
+        shots: Some(shots),
+        ..req
+    };
+    let tick = |id0: u64, newborn: Option<usize>| -> Vec<QueryRequest> {
+        let spanning = vec![0, 40, 80, 120];
+        let mut reqs = vec![
+            QueryRequest::new(id0, spanning.clone()).with_top_k(10),
+            with_shots(
+                QueryRequest::new(id0 + 1, spanning.clone()).with_top_k(7),
+                1,
+            ),
+            QueryRequest::new(id0 + 2, spanning.clone()).with_top_k(3), // key of id0
+            QueryRequest::new(id0 + 3, vec![20, 100, 21]),              // threshold mode
+            with_shots(QueryRequest::new(id0 + 4, vec![83]).with_top_k(N + 5), 2),
+            with_shots(QueryRequest::new(id0 + 5, vec![83]).with_top_k(1), 2), // key of id0 + 4
+            with_shots(QueryRequest::new(id0 + 6, vec![12, 150]).with_top_k(9), 1),
+            QueryRequest {
+                attrs: vec![2],
+                ..QueryRequest::new(id0 + 7, vec![61, 141]).with_top_k(6)
+            },
+            QueryRequest::new(id0 + 8, vec![59]).with_top_k(5),
+        ];
+        if let Some(w) = newborn {
+            reqs.push(QueryRequest::new(id0 + 9, vec![w]).with_top_k(N + 1));
+            reqs.push(with_shots(
+                QueryRequest::new(id0 + 10, vec![w, 90]).with_top_k(8),
+                2,
+            ));
+        }
+        reqs
+    };
+
+    let before = tick(0, None);
+    assert_same(
+        &oracle.answer_batch(&before),
+        &sharded.answer_batch(&before),
+        "tick before the birth",
+    );
+    // The same tick again: every key now comes from the prediction LRU.
+    assert_same(
+        &oracle.answer_batch(&before),
+        &sharded.answer_batch(&before),
+        "cached tick",
+    );
+
+    let birth = vec![
+        UpdateRequest {
+            id: 400,
+            op: UpdateOp::AddNode { attrs: vec![2] },
+        },
+        UpdateRequest {
+            id: 401,
+            op: UpdateOp::AddEdge { u: N, v: 17 },
+        },
+    ];
+    assert_same(
+        &oracle.apply_updates(&birth),
+        &sharded.apply_updates(&birth),
+        "birth acks",
+    );
+    let after = tick(100, Some(N));
+    assert_same(
+        &oracle.answer_batch(&after),
+        &sharded.answer_batch(&after),
+        "tick after the birth",
+    );
+}

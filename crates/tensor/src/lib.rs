@@ -41,6 +41,7 @@ pub mod ops;
 pub mod optim;
 pub(crate) mod parallel;
 pub mod reference;
+pub mod scores;
 pub mod sparse;
 pub mod tensor;
 
@@ -52,6 +53,7 @@ pub use matrix::{Matrix, MatrixT};
 pub use mode::{fast_math_compiled, MathMode};
 pub use ops::{softmax_in_place, stable_sigmoid, Reduction};
 pub use optim::{clip_grad_norm, Adam, Optimizer, Sgd};
+pub use scores::CentroidScores;
 pub use sparse::{CsrMatrix, CsrMatrixT, SparseOperator};
 pub use tensor::{grad_enabled, no_grad, Tensor, ValueRef};
 

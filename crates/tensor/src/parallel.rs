@@ -75,6 +75,45 @@ pub(crate) fn for_each_row_chunk<E, F>(
     });
 }
 
+/// [`for_each_row_chunk`] for an output held as separate columns: every
+/// vector of `cols` is `n_rows` long, and `f(row_begin, row_end, band)`
+/// gets that row range of each of them, in column order.
+pub(crate) fn for_each_row_chunk_of_columns<E, F>(
+    cols: &mut [Vec<E>],
+    n_rows: usize,
+    threads: usize,
+    f: F,
+) where
+    E: Send,
+    F: Fn(usize, usize, &mut [&mut [E]]) + Sync,
+{
+    debug_assert!(cols.iter().all(|c| c.len() == n_rows));
+    let mut rest: Vec<&mut [E]> = cols.iter_mut().map(Vec::as_mut_slice).collect();
+    let n_chunks = threads.min(n_rows.div_ceil(MIN_ROWS_PER_CHUNK)).max(1);
+    if n_chunks <= 1 {
+        f(0, n_rows, &mut rest);
+        return;
+    }
+    let rows_per_chunk = n_rows.div_ceil(n_chunks);
+    rayon::scope(|s| {
+        let mut r0 = 0;
+        while r0 < n_rows {
+            let r1 = (r0 + rows_per_chunk).min(n_rows);
+            let mut band: Vec<&mut [E]> = rest
+                .iter_mut()
+                .map(|col| {
+                    let (head, tail) = std::mem::take(col).split_at_mut(r1 - r0);
+                    *col = tail;
+                    head
+                })
+                .collect();
+            let f = &f;
+            s.spawn(move |_| f(r0, r1, &mut band));
+            r0 = r1;
+        }
+    });
+}
+
 /// Seeds every `row.len()`-wide row of `out` with a copy of `row` (the
 /// broadcast-bias initialisation shared by the fused `*_bias` kernels).
 pub(crate) fn seed_rows<E: Copy>(out: &mut [E], row: &[E]) {

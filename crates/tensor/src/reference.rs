@@ -11,6 +11,7 @@
 use crate::attention::SegmentAttention;
 use crate::elem::Elem;
 use crate::matrix::{Matrix, MatrixT};
+use crate::scores::CentroidScores;
 use crate::sparse::CsrMatrix;
 
 /// Naive `a @ b` (row-major ikj loop, skipping explicit zeros of `a`).
@@ -197,4 +198,34 @@ pub fn segment_attention<E: Elem>(att: &SegmentAttention<'_, E>, z: &MatrixT<E>)
         }
     }
     out
+}
+
+/// One (query, node) at a time — the formulation
+/// [`CentroidScores::forward`] batches, kept as its oracle: per centroid,
+/// every context row's inner product accumulated in index order from `+0`
+/// (the naive [`matmul_tb`] loop against a one-row right operand), then
+/// the branch-stable sigmoid in `E` (the expression of
+/// [`crate::ops::stable_sigmoid`]), cast to `f32`.
+pub fn centroid_scores<E: Elem>(scores: &CentroidScores<'_, E>) -> Vec<Vec<f32>> {
+    let context = scores.context;
+    (0..scores.centroids.rows())
+        .map(|q| {
+            let centroid = scores.centroids.row(q);
+            (0..context.rows())
+                .map(|v| {
+                    let mut acc = E::ZERO;
+                    for (&hv, &cv) in context.row(v).iter().zip(centroid) {
+                        acc += hv * cv;
+                    }
+                    let p = if acc >= E::ZERO {
+                        E::ONE / (E::ONE + (-acc).exp())
+                    } else {
+                        let e = acc.exp();
+                        e / (E::ONE + e)
+                    };
+                    p.to_f32()
+                })
+                .collect()
+        })
+        .collect()
 }

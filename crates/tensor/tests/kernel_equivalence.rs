@@ -10,7 +10,7 @@
 //! to the same contract against its multi-pass reference, in `f32` and
 //! `f64`.
 
-use cgnp_tensor::{reference, CsrMatrix, Elem, Matrix, MatrixT, SegmentAttention};
+use cgnp_tensor::{reference, CentroidScores, CsrMatrix, Elem, Matrix, MatrixT, SegmentAttention};
 use proptest::prelude::*;
 
 /// Matrices with dimensions in `[0, dim_hi)`, entries including exact
@@ -569,4 +569,174 @@ fn large_segment_attention_parallel_chunks_are_bitwise_stable() {
     };
     case.check::<f32>();
     case.check::<f64>();
+}
+
+/// One tick's scoring inputs in `f32`, cast per element type under test.
+#[derive(Debug, Clone)]
+struct ScoresCase {
+    n: usize,
+    d: usize,
+    context: Vec<f32>,
+    centroids: Vec<f32>,
+}
+
+impl ScoresCase {
+    fn n_queries(&self) -> usize {
+        self.centroids.len().checked_div(self.d).unwrap_or(0)
+    }
+
+    /// Batched ≡ one (query, node) at a time, for every worker count, for
+    /// every row and for a row subset (reversed, with a repeat); returns
+    /// the full result.
+    fn check<E: Elem>(&self, n_queries: usize) -> Vec<Vec<f32>> {
+        let cast = |v: &[f32]| -> Vec<E> { v.iter().map(|&x| E::from_f32(x)).collect() };
+        let context = MatrixT::from_vec(self.n, self.d, cast(&self.context));
+        let centroids = MatrixT::from_vec(n_queries, self.d, cast(&self.centroids));
+        let scores = CentroidScores {
+            context: &context,
+            centroids: &centroids,
+        };
+        let bits = |v: &[Vec<f32>]| -> Vec<Vec<u32>> {
+            v.iter()
+                .map(|p| p.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        let expect = reference::centroid_scores(&scores);
+        assert_eq!(expect.len(), n_queries);
+        assert!(expect.iter().all(|p| p.len() == self.n));
+
+        let mut subset: Vec<usize> = (0..self.n).rev().step_by(2).collect();
+        subset.extend(subset.first().copied());
+        let expect_subset: Vec<Vec<f32>> = expect
+            .iter()
+            .map(|p| subset.iter().map(|&v| p[v]).collect())
+            .collect();
+
+        for threads in [None, Some(1), Some(2), Some(4), Some(7)] {
+            let what = format!(
+                "{} n={} d={} B={n_queries} threads={threads:?}",
+                E::DTYPE,
+                self.n,
+                self.d
+            );
+            assert_eq!(
+                bits(&scores.forward(None, threads)),
+                bits(&expect),
+                "{what}"
+            );
+            assert_eq!(
+                bits(&scores.forward(Some(&subset), threads)),
+                bits(&expect_subset),
+                "{what} subset"
+            );
+        }
+        expect
+    }
+
+    fn check_both(&self) {
+        let b = self.n_queries();
+        self.check::<f32>(b);
+        self.check::<f64>(b);
+    }
+}
+
+/// Random contexts of 0–40 rows (past the 8-row block and its remainders)
+/// and 0–70 columns against 0–9 centroids — every remainder of the
+/// 8-query panel — with exact zeros planted and a scale that at its
+/// largest drives the logits into the hundreds, where the sigmoid
+/// saturates.
+fn arb_scores_case() -> impl Strategy<Value = ScoresCase> {
+    (0usize..41, 0usize..71, 0usize..10, 0usize..3).prop_flat_map(|(n, d, b, scale)| {
+        let scale = [1.0f32, 8.0, 60.0][scale];
+        (
+            proptest::collection::vec(-1.0f32..1.0, n * d),
+            proptest::collection::vec(-1.0f32..1.0, b * d),
+        )
+            .prop_map(move |(mut context, mut centroids)| {
+                for v in context.iter_mut().chain(centroids.iter_mut()) {
+                    *v *= scale;
+                }
+                for v in context.iter_mut().step_by(7) {
+                    *v = 0.0;
+                }
+                ScoresCase {
+                    n,
+                    d,
+                    context,
+                    centroids,
+                }
+            })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn centroid_scores_match_reference_bitwise(case in arb_scores_case()) {
+        if case.d == 0 {
+            // No width to infer a batch size from: try every panel shape.
+            for b in 0..10 {
+                for probs in case.check::<f32>(b) {
+                    prop_assert!(probs.iter().all(|&p| p == 0.5));
+                }
+                case.check::<f64>(b);
+            }
+        } else {
+            case.check_both();
+        }
+    }
+}
+
+#[test]
+fn centroid_scores_saturate_to_exactly_zero_and_one() {
+    // Logits of ±d·s² for growing s: from s = 10 (±500) both halves of
+    // the sigmoid saturate, to exactly 1.0 and exactly 0.0, and the f32
+    // logit that overflows to ±∞ stays there rather than turning NaN.
+    let d = 5;
+    for s in [1.0f32, 4.0, 10.0, 1e3, 1e19, 3e19] {
+        let case = ScoresCase {
+            n: 3,
+            d,
+            context: [vec![s; d], vec![-s; d], vec![0.0; d]].concat(),
+            centroids: [vec![s; d], vec![-s; d]].concat(),
+        };
+        case.check_both();
+        let probs = case.check::<f32>(2);
+        assert_eq!(probs[0][2], 0.5);
+        if s >= 10.0 {
+            assert_eq!(probs[0], [1.0, 0.0, 0.5], "s={s}");
+            assert_eq!(probs[1], [0.0, 1.0, 0.5], "s={s}");
+        } else {
+            assert!(probs[0][0] > 0.99 && probs[0][1] > 0.0 && probs[0][1] < 0.01);
+        }
+    }
+}
+
+#[test]
+fn large_centroid_scores_parallel_chunks_are_bitwise_stable() {
+    // A serving-sized context (3 200 × 64) against batches of 1, 2, 8 and
+    // 9: past the parallel gate at every size, so `threads: None` splits
+    // the rows, and 3 200 is no multiple of the chunk a 7-way split cuts.
+    let (n, d) = (3200usize, 64usize);
+    let context: Vec<f32> = (0..n * d)
+        .map(|i| {
+            if i % 11 == 0 {
+                0.0
+            } else {
+                ((i * 37 % 211) as f32) * 0.01 - 1.0
+            }
+        })
+        .collect();
+    for b in [1usize, 2, 8, 9] {
+        ScoresCase {
+            n,
+            d,
+            context: context.clone(),
+            centroids: (0..b * d)
+                .map(|i| ((i * 13 % 89) as f32) * 0.004 - 0.17)
+                .collect(),
+        }
+        .check_both();
+    }
 }
