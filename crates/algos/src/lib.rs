@@ -29,6 +29,8 @@
 //! assert_eq!(r.k, 4);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod acq;
 pub mod atc;
 pub mod ctc;

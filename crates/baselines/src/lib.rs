@@ -16,6 +16,8 @@
 //! All implement the [`CsLearner`] trait consumed by the evaluation
 //! harness.
 
+#![forbid(unsafe_code)]
+
 pub mod aqd_gnn;
 pub mod base;
 pub mod feat_trans;

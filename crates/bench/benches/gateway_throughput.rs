@@ -16,13 +16,12 @@
 //! by the CI soak instead.
 //!
 //! Acceptance shape: pipelining must beat single-in-flight on
-//! requests/sec — the event loop amortises its poll ticks over every
+//! requests/sec — the event loop amortises its wake-ups over every
 //! line a gulp frames.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -39,7 +38,6 @@ fn start_gateway() -> GatewayHandle {
     let cfg = GatewayConfig {
         max_inflight_per_conn: PIPELINE_DEPTH,
         request_timeout: None,
-        idle_poll: Duration::from_micros(50),
         ..GatewayConfig::default()
     };
     Gateway::start(engine, "127.0.0.1:0", cfg).expect("bind loopback")

@@ -7,6 +7,8 @@
 //! with a "shape check" comparing the qualitative findings against the
 //! paper's claims.
 
+#![forbid(unsafe_code)]
+
 use cgnp_eval::{ExperimentReport, MethodOutcome, ScaleSettings};
 
 /// Prints the standard experiment banner.

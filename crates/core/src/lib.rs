@@ -41,6 +41,8 @@
 //! assert_eq!(probs.len(), prepared[0].task.n());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod commutative;
 pub mod config;
 pub mod decoder;

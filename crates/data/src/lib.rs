@@ -26,6 +26,8 @@
 //! assert!(t.support[0].pos.len() <= 5);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod features;
 pub mod profiles;
 pub mod synthetic;

@@ -19,6 +19,8 @@
 //! assert!(t.render().contains("CGNP-IP"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod experiments;
 pub mod harness;

@@ -20,7 +20,7 @@
 //! spending its read/flush budget on JSON emission.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use cgnp_serve::{ErrorCode, Frame, QueryRequest, QueryResponse, UpdateRequest};
 
@@ -42,11 +42,6 @@ impl Pending {
     }
 }
 
-/// How long the batcher sleeps on an empty queue before re-checking the
-/// drain flag (the condvar is notified on every admission, so this only
-/// bounds drain-detection latency, not request latency).
-const IDLE_WAIT: Duration = Duration::from_millis(2);
-
 /// Runs ticks until drain is signalled and the queue is empty. Every
 /// popped frame is answered with exactly one serialised response pushed
 /// to the outbox — scored, acknowledged, `timeout`, or `internal` —
@@ -63,11 +58,9 @@ pub fn run(engine: &dyn QueryEngine, shared: &Shared) {
                 if shared.state() == State::Draining {
                     return;
                 }
-                let (guard, _) = shared
-                    .queue_cv
-                    .wait_timeout(queue, IDLE_WAIT)
-                    .expect("gateway queue lock");
-                queue = guard;
+                // Woken by every admission, and by `signal_drain` under
+                // this lock: no timeout is needed to notice either.
+                queue = shared.queue_cv.wait(queue).expect("gateway queue lock");
             }
             // Admission order is the serialization order: the tick is
             // the contiguous same-kind run at the front (queries score
@@ -92,8 +85,12 @@ pub fn run(engine: &dyn QueryEngine, shared: &Shared) {
             .map(|p| p.conn)
             .zip(responses.iter().map(QueryResponse::to_json))
             .collect();
-        let mut outbox = shared.outbox.lock().expect("gateway outbox lock");
-        outbox.extend(lines);
+        shared
+            .outbox
+            .lock()
+            .expect("gateway outbox lock")
+            .extend(lines);
+        shared.wake();
     }
 }
 

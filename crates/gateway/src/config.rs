@@ -30,9 +30,6 @@ pub struct GatewayConfig {
     /// Reading from a connection pauses while its unflushed response
     /// bytes exceed this (the slowloris-reader memory cap).
     pub write_buffer_limit: usize,
-    /// Event-loop sleep when a full iteration made no progress. Small
-    /// enough for single-request latency, large enough not to spin.
-    pub idle_poll: Duration,
 }
 
 impl Default for GatewayConfig {
@@ -45,7 +42,6 @@ impl Default for GatewayConfig {
             drain_grace: Duration::from_secs(5),
             max_line_bytes: 64 * 1024,
             write_buffer_limit: 256 * 1024,
-            idle_poll: Duration::from_micros(500),
         }
     }
 }

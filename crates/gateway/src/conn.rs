@@ -245,7 +245,9 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::readiness::{self, PollFd, READABLE};
     use std::net::{TcpListener, TcpStream};
+    use std::time::Duration;
 
     fn pair() -> (Conn, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -258,14 +260,25 @@ mod tests {
         std::iter::from_fn(|| conn.next_frame()).collect()
     }
 
+    /// Blocks until what the client just did (bytes, or a half-close)
+    /// has reached the server's socket, then reads it.
+    fn read_delivered(conn: &mut Conn, max_line_bytes: usize) -> usize {
+        let mut readable = [PollFd::new(&conn.stream, READABLE)];
+        assert_eq!(
+            readiness::wait(&mut readable, Some(Duration::from_secs(10))),
+            1,
+            "loopback never delivered"
+        );
+        conn.read_available(max_line_bytes)
+    }
+
     #[test]
     fn frames_complete_lines_and_keeps_partials() {
         let (mut conn, mut client) = pair();
         client
             .write_all(b"{\"id\":1}\n{\"id\":2}\npartial")
             .unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert_eq!(conn.read_available(1024), 2);
+        assert_eq!(read_delivered(&mut conn, 1024), 2);
         assert_eq!(
             drain_frames(&mut conn),
             vec![
@@ -274,8 +287,7 @@ mod tests {
             ]
         );
         client.write_all(b" done\n").unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert_eq!(conn.read_available(1024), 1);
+        assert_eq!(read_delivered(&mut conn, 1024), 1);
         assert_eq!(
             drain_frames(&mut conn),
             vec![Framed::Line("partial done".into())]
@@ -287,17 +299,14 @@ mod tests {
         let (mut conn, mut client) = pair();
         let big = vec![b'x'; 3000];
         client.write_all(&big).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert_eq!(conn.read_available(1024), 1);
+        assert_eq!(read_delivered(&mut conn, 1024), 1);
         assert_eq!(drain_frames(&mut conn), vec![Framed::Oversized]);
         // More of the same line: no second report.
         client.write_all(&big).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert_eq!(conn.read_available(1024), 0);
+        assert_eq!(read_delivered(&mut conn, 1024), 0);
         // The newline ends the discard; the next line frames normally.
         client.write_all(b"\n{\"id\":9}\n").unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert_eq!(conn.read_available(1024), 1);
+        assert_eq!(read_delivered(&mut conn, 1024), 1);
         assert_eq!(
             drain_frames(&mut conn),
             vec![Framed::Line("{\"id\":9}".into())]
@@ -311,8 +320,7 @@ mod tests {
         payload.push(b'\n');
         payload.extend_from_slice(b"{\"id\":3}\n");
         client.write_all(&payload).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert_eq!(conn.read_available(1024), 2);
+        assert_eq!(read_delivered(&mut conn, 1024), 2);
         assert_eq!(
             drain_frames(&mut conn),
             vec![Framed::Oversized, Framed::Line("{\"id\":3}".into())]
@@ -323,8 +331,7 @@ mod tests {
     fn pending_frames_pause_reading() {
         let (mut conn, mut client) = pair();
         client.write_all(b"{\"id\":1}\n{\"id\":2}\n").unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert_eq!(conn.read_available(1024), 2);
+        assert_eq!(read_delivered(&mut conn, 1024), 2);
         assert!(
             !conn.wants_read(16, 1024),
             "unadmitted frames must pause reads"
@@ -339,9 +346,10 @@ mod tests {
         let (mut conn, mut client) = pair();
         client.write_all(b"{\"id\": 1, \"nodes\": [0").unwrap();
         client.shutdown(std::net::Shutdown::Write).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert_eq!(conn.read_available(1024), 0);
-        assert!(conn.read_closed);
+        // The bytes and the half-close may be delivered separately.
+        while !conn.read_closed {
+            assert_eq!(read_delivered(&mut conn, 1024), 0);
+        }
         assert_eq!(
             conn.take_trailing_fragment().as_deref(),
             Some("{\"id\": 1, \"nodes\": [0")

@@ -1,5 +1,10 @@
 //! The gateway itself: listener, readiness loop, admission control, and
 //! the drain state machine.
+//!
+//! The event loop runs passes — accept, read and admit, route the
+//! outbox, flush, reap — for as long as a pass makes progress, and
+//! otherwise blocks in [`readiness::wait`] until a socket it has a use
+//! for is ready or another thread wakes it (see `EventLoop::park`).
 
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
@@ -14,6 +19,7 @@ use cgnp_serve::{parse_frame, ErrorCode, Frame, QueryResponse};
 use crate::batcher::{self, Pending};
 use crate::config::GatewayConfig;
 use crate::conn::{Conn, Framed};
+use crate::readiness::{self, PollFd, Waker, READABLE, WRITABLE};
 use crate::stats::{GatewayReport, GatewayStats, GatewaySummary};
 use crate::QueryEngine;
 
@@ -33,6 +39,8 @@ pub struct Shared {
     /// Finished responses, already serialised to their NDJSON lines by
     /// the batcher, waiting to be routed to their connection.
     pub outbox: Mutex<Vec<(u64, String)>>,
+    /// Ends the event loop's wait: see [`Shared::wake`].
+    waker: Waker,
     state: AtomicU8,
     /// Requests admitted but not yet routed to a write buffer.
     pub inflight: AtomicU64,
@@ -40,15 +48,16 @@ pub struct Shared {
 }
 
 impl Shared {
-    fn new() -> Self {
-        Self {
+    fn new() -> std::io::Result<Self> {
+        Ok(Self {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             outbox: Mutex::new(Vec::new()),
+            waker: Waker::new()?,
             state: AtomicU8::new(State::Running as u8),
             inflight: AtomicU64::new(0),
             stats: GatewayStats::default(),
-        }
+        })
     }
 
     pub fn state(&self) -> State {
@@ -68,7 +77,24 @@ impl Shared {
                 .drained_in_flight
                 .store(self.inflight.load(Ordering::Acquire), Ordering::Relaxed);
         }
-        self.queue_cv.notify_all();
+        // Both threads may be parked with nothing to time them out. The
+        // batcher reads the state under the queue lock before it waits,
+        // so notifying under that lock cannot fall between its check and
+        // its wait; the event loop is woken through its waker.
+        {
+            let _queue = self.queue.lock().expect("gateway queue lock");
+            self.queue_cv.notify_all();
+        }
+        self.wake();
+    }
+
+    /// Wakes the event loop. Call it *after* publishing what the loop
+    /// should see — an extended outbox, the drain state: the loop drains
+    /// its waker before it reads either (the argument is on [`Waker`]).
+    pub fn wake(&self) {
+        if self.waker.wake() {
+            self.stats.bump(&self.stats.wakes);
+        }
     }
 }
 
@@ -88,7 +114,7 @@ impl Gateway {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let shared = Arc::new(Shared::new());
+        let shared = Arc::new(Shared::new()?);
 
         let batcher = {
             let engine = Arc::clone(&engine);
@@ -182,6 +208,11 @@ struct EventLoop {
     conns: HashMap<u64, Conn>,
     next_conn_id: u64,
     drain_started: Option<Instant>,
+    /// The last `accept` failed with something other than "no peer
+    /// waiting" (out of descriptors, say): see [`EventLoop::park`].
+    accept_failed: bool,
+    /// The wait set, rebuilt for every wait (kept for its allocation).
+    pollfds: Vec<PollFd>,
 }
 
 impl EventLoop {
@@ -199,6 +230,8 @@ impl EventLoop {
             conns: HashMap::new(),
             next_conn_id: 1,
             drain_started: None,
+            accept_failed: false,
+            pollfds: Vec::new(),
         }
     }
 
@@ -220,8 +253,62 @@ impl EventLoop {
                 return;
             }
             if !progressed {
-                std::thread::sleep(self.cfg.idle_poll);
+                self.park();
             }
+        }
+    }
+
+    /// Blocks until there is something for a pass to do. The wait set,
+    /// level-triggered and rebuilt each time from what the next pass
+    /// would act on:
+    ///
+    /// * the waker — the batcher extended the outbox, or drain was
+    ///   signalled;
+    /// * the listener, for a pending peer, while running;
+    /// * each connection, for input iff the loop would read it
+    ///   ([`Conn::wants_read`]) and for room iff it holds unflushed
+    ///   bytes.
+    ///
+    /// A connection with neither interest is left out: `poll` reports a
+    /// hang-up on every descriptor it is given, so a reset peer whose
+    /// reads are paused by flow control would otherwise end every wait
+    /// at once, with nothing the pass could do about it. Such a peer is
+    /// noticed when the connection is next read or written. A paused
+    /// socket's bytes stay in the kernel buffer unpolled, which is what
+    /// carries the backpressure to the peer. The listener sits out one
+    /// wait after a failed `accept` for the same reason: the pending
+    /// peer keeps it readable, and retrying is the next pass's job.
+    ///
+    /// No timeout while running: the loop has no time-driven duty —
+    /// request deadlines are enforced by the batcher at tick assembly.
+    /// While draining, what is left of `drain_grace`.
+    fn park(&mut self) {
+        let draining = self.drain_started.is_some();
+        self.pollfds.clear();
+        self.pollfds.push(self.shared.waker.pollfd());
+        if !draining && !self.accept_failed {
+            self.pollfds.push(PollFd::new(&self.listener, READABLE));
+        }
+        let (quota, limit) = (self.cfg.max_inflight_per_conn, self.cfg.write_buffer_limit);
+        for conn in self.conns.values() {
+            let mut interest = 0;
+            if !draining && conn.wants_read(quota, limit) {
+                interest |= READABLE;
+            }
+            if conn.buffered_bytes() > 0 {
+                interest |= WRITABLE;
+            }
+            if interest != 0 {
+                self.pollfds.push(PollFd::new(&conn.stream, interest));
+            }
+        }
+        let timeout = self
+            .drain_started
+            .map(|t| self.cfg.drain_grace.saturating_sub(t.elapsed()));
+        readiness::wait(&mut self.pollfds, timeout);
+        self.shared.stats.bump(&self.shared.stats.polls);
+        if self.pollfds[0].ready() {
+            self.shared.waker.drain();
         }
     }
 
@@ -281,8 +368,15 @@ impl EventLoop {
                         Err(_) => self.shared.stats.bump(&self.shared.stats.disconnects),
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    self.accept_failed = false;
+                    break;
+                }
+                // An aborted handshake is consumed by the call that
+                // reports it; running out of descriptors leaves the peer
+                // pending. Try the next one either way: the flag records
+                // how the last attempt ended.
+                Err(_) => self.accept_failed = true,
             }
         }
         progressed

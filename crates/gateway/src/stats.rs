@@ -40,6 +40,12 @@ pub struct GatewayStats {
     /// High-water mark of total buffered response bytes across all
     /// connections (the number backpressure keeps bounded).
     pub peak_buffered_bytes: AtomicU64,
+    /// Times the event loop's blocking wait returned (a ready socket, a
+    /// wake, or the drain-grace timeout). An idle gateway adds none.
+    pub polls: AtomicU64,
+    /// Bytes written to the event loop's waker: wakes that were not
+    /// coalesced into one still pending.
+    pub wakes: AtomicU64,
 }
 
 impl GatewayStats {
@@ -67,6 +73,8 @@ impl GatewayStats {
             disconnects: get(&self.disconnects),
             drained_in_flight: get(&self.drained_in_flight),
             peak_buffered_bytes: get(&self.peak_buffered_bytes),
+            polls: get(&self.polls),
+            wakes: get(&self.wakes),
         }
     }
 }
@@ -86,6 +94,8 @@ pub struct GatewaySummary {
     pub disconnects: u64,
     pub drained_in_flight: u64,
     pub peak_buffered_bytes: u64,
+    pub polls: u64,
+    pub wakes: u64,
 }
 
 /// The end-of-run stats report: gateway counters next to the engine's
@@ -131,6 +141,8 @@ mod tests {
             "timed_out",
             "panics_caught",
             "drained_in_flight",
+            "polls",
+            "wakes",
         ] {
             assert!(
                 counters.iter().any(|(k, _)| k == key),

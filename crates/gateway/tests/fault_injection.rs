@@ -632,3 +632,187 @@ fn live_updates_serialize_with_queries_and_advance_the_epoch() {
     );
     assert_eq!(session.epoch, epoch0 + 1);
 }
+
+// ---- The event loop blocks on readiness: who wakes it, and what must not.
+
+/// Drains and joins, failing — instead of hanging the suite — when a
+/// parked thread is never woken. Returns the report and how long the
+/// drain took.
+fn join_within(handle: GatewayHandle, limit: Duration) -> (cgnp_gateway::GatewayReport, Duration) {
+    let t0 = std::time::Instant::now();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        // The receiver is gone only if the limit already failed the test.
+        let _ = tx.send(handle.join());
+    });
+    let report = rx
+        .recv_timeout(limit)
+        .unwrap_or_else(|_| panic!("drain still not finished after {limit:?}"));
+    (report, t0.elapsed())
+}
+
+#[test]
+fn idle_gateway_parks_instead_of_polling() {
+    let handle = start(Arc::new(EchoEngine::new(20)), GatewayConfig::default());
+    let idle = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    std::thread::sleep(Duration::from_millis(100));
+    let before = handle.stats();
+    assert_eq!(before.accepted, 1, "the connection is open and polled");
+    std::thread::sleep(Duration::from_millis(300));
+    let after = handle.stats();
+    // No timer and no spin: with nothing ready, the wait does not return.
+    assert!(
+        after.polls - before.polls <= 2,
+        "an idle gateway woke {} times in 300 ms",
+        after.polls - before.polls
+    );
+    assert_eq!(after.wakes, 0, "nobody had anything to tell the loop");
+    drop(idle);
+    handle.join();
+}
+
+#[test]
+fn hang_up_behind_paused_reads_does_not_spin_the_loop() {
+    let engine = Arc::new(EchoEngine {
+        delay: Duration::from_millis(200),
+        batch: 1,
+        ..EchoEngine::new(20)
+    });
+    let cfg = GatewayConfig {
+        max_inflight_per_conn: 1,
+        ..GatewayConfig::default()
+    };
+    let handle = start(engine, cfg);
+    // Three requests in one gulp against a quota of one: the second is
+    // admitted when the first is answered (at ~200 ms), the third waits
+    // behind it, and the connection's reads stay paused throughout. The
+    // client leaves at ~300 ms with the first answer unread, which turns
+    // its close into a reset: from then until the second answer is due
+    // (~400 ms) the server holds a hung-up socket it can neither read
+    // nor write.
+    run_script(
+        handle.addr(),
+        &[
+            Action::SendRaw(
+                (1..=3)
+                    .map(|id| format!("{}\n", request_line(id, 0)))
+                    .collect::<String>()
+                    .into_bytes(),
+            ),
+            Action::Sleep(Duration::from_millis(300)),
+            Action::Disconnect,
+        ],
+    )
+    .expect("script runs");
+    let before = handle.stats().polls;
+    std::thread::sleep(Duration::from_millis(60));
+    let during = handle.stats().polls - before;
+    assert!(
+        during <= 3,
+        "the loop woke {during} times in 60 ms for a hang-up it cannot act on"
+    );
+    // The server is as healthy as ever for the next client.
+    let lines = run_script(
+        handle.addr(),
+        &[Action::SendLine(request_line(9, 1)), Action::ReadLines(1)],
+    )
+    .expect("script runs");
+    assert!(lines[0].contains("\"ok\":true"), "{}", lines[0]);
+    let report = handle.join();
+    assert_eq!(
+        report.gateway.responses + report.gateway.orphaned_responses,
+        report.gateway.requests,
+        "every admitted request produced exactly one answer: {:?}",
+        report.gateway
+    );
+    assert!(
+        report.gateway.polls < 100,
+        "whole run: {:?}",
+        report.gateway
+    );
+}
+
+#[test]
+fn response_finished_while_parked_reaches_a_silent_client() {
+    let engine = Arc::new(EchoEngine {
+        delay: Duration::from_millis(20),
+        ..EchoEngine::new(20)
+    });
+    let handle = start(engine, GatewayConfig::default());
+    // One request and then silence: for the 20 ms the engine takes, no
+    // socket has anything for the loop, so only the batcher's wake can
+    // get the answer out (a missing one shows as the read timing out).
+    let lines = run_script(
+        handle.addr(),
+        &[Action::SendLine(request_line(1, 0)), Action::ReadLines(1)],
+    )
+    .expect("the answer arrives without further client traffic");
+    assert_eq!(id_of(&lines[0]), 1);
+    assert!(lines[0].contains("\"ok\":true"), "{}", lines[0]);
+    let report = handle.join();
+    assert!(report.gateway.wakes >= 1, "{:?}", report.gateway);
+    assert!(report.gateway.polls < 50, "{:?}", report.gateway);
+}
+
+#[test]
+fn drain_while_parked_does_not_wait_for_the_grace_period() {
+    let cfg = GatewayConfig {
+        drain_grace: Duration::from_secs(60),
+        ..GatewayConfig::default()
+    };
+    let handle = start(Arc::new(EchoEngine::new(20)), cfg);
+    let idle = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    // Long enough for both threads to have parked: the event loop in its
+    // wait, the batcher on the empty queue — neither with a timeout.
+    std::thread::sleep(Duration::from_millis(100));
+    // Well inside the 60 s grace, which nothing here should wait out.
+    let (report, _) = join_within(handle, Duration::from_secs(20));
+    assert!(report.gateway.wakes >= 1, "drain wakes the loop");
+    drop(idle);
+}
+
+#[test]
+fn stalled_reader_forces_the_exit_at_drain_grace() {
+    const GRACE: Duration = Duration::from_millis(300);
+    let cfg = GatewayConfig {
+        max_inflight_per_conn: 8,
+        write_buffer_limit: 16 * 1024,
+        request_timeout: None,
+        drain_grace: GRACE,
+        ..GatewayConfig::default()
+    };
+    let handle = start(Arc::new(EchoEngine::new(1000)), cfg);
+    let addr = handle.addr();
+    // ~9 KB per response and more of them than any socket buffer holds,
+    // to a client that never reads: the server ends up with bytes it
+    // cannot flush, whatever the kernel's buffer sizes.
+    let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+    let stalled = std::thread::spawn(move || {
+        use std::io::Write;
+        let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+        let flood: String = (0..4000)
+            .map(|i| format!("{}\n", request_line(i, 0)))
+            .collect();
+        // Blocks once the server stops reading, and fails once it exits.
+        let _ = stream.write_all(flood.as_bytes());
+        let _ = done_rx.recv();
+    });
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while handle.stats().peak_buffered_bytes == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the reader never stalled the server: {:?}",
+            handle.stats()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let (report, took) = join_within(handle, GRACE + Duration::from_secs(10));
+    assert!(
+        took >= GRACE,
+        "drain gave up on unflushed bytes after {took:?}, before the {GRACE:?} grace"
+    );
+    // Parked on a socket that never turns writable, not spinning on it.
+    assert!(report.gateway.polls < 5_000, "{:?}", report.gateway);
+    done_tx.send(()).expect("stalled client is waiting");
+    stalled.join().expect("stalled client thread");
+}

@@ -22,6 +22,8 @@
 //! assert_eq!(algo::k_core_community(&g, 0, 3), vec![0, 1, 2, 3]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod algo;
 pub mod attributed;
 pub mod graph;

@@ -24,6 +24,8 @@
 //! assert!(enc.param_count() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod encoder;
 pub mod gat;
 pub mod gcn;

@@ -41,6 +41,8 @@
 //! assert!(response.members.len() <= 5);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod durable;
 pub mod engine;

@@ -35,6 +35,8 @@
 //! assert!(response.ok);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod partition;
 pub mod session;
 

@@ -29,6 +29,8 @@
 //! assert!((w.item() - 3.0).abs() < 0.05);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod attention;
 pub mod block;
 pub mod elem;

@@ -17,7 +17,8 @@ What it proves, end to end over real TCP:
   everything admitted, flushes, and the process exits 0;
 * the end-of-run report on stderr carries the robustness counters
   (`accepted`, `shed`, `timed_out`, `panics_caught`,
-  `drained_in_flight`) next to the serving latency summary.
+  `drained_in_flight`) and the event loop's `polls` / `wakes` next to
+  the serving latency summary.
 
 A machine-readable summary is written to --summary for CI artifact
 upload.
@@ -277,7 +278,7 @@ def main():
     else:
         g = report["gateway"]
         for counter in ("accepted", "shed", "timed_out", "panics_caught",
-                        "drained_in_flight"):
+                        "drained_in_flight", "polls", "wakes"):
             if counter not in g:
                 failures.append(f"gateway report missing counter {counter!r}")
         want_ok = args.clients * args.requests + args.updates
@@ -303,6 +304,11 @@ def main():
         "error_responses": result["bad"],
         "elapsed_seconds": round(elapsed, 3),
         "server_exit_code": proc.returncode,
+        # How often the event loop's blocking wait returned, and how many
+        # of those returns another thread's wake paid a byte for: the
+        # trend to watch for a loop that has started to spin.
+        "polls": (report or {}).get("gateway", {}).get("polls"),
+        "wakes": (report or {}).get("gateway", {}).get("wakes"),
         "gateway_report": report,
         "failures": failures,
     }

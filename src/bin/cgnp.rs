@@ -66,6 +66,8 @@
 //!     counters when --listen is set) is printed to stderr at exit.
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 
 use cgnp_core::{

@@ -18,6 +18,8 @@
 //! | [`baselines`] | the seven learned baselines (❹–❿) |
 //! | [`eval`] | harness, metrics, reports, checkpoints, CLI |
 
+#![forbid(unsafe_code)]
+
 pub use cgnp_algos as algos;
 pub use cgnp_baselines as baselines;
 pub use cgnp_core as core;
