@@ -1,17 +1,17 @@
-//! Criterion micro-benchmarks of the hot kernels behind every experiment:
-//! SpMM message passing, GAT attention, truss decomposition, and one CGNP
-//! adaptation step (the quantity Fig. 3 calls "test time").
+//! Criterion micro-benchmarks of what the end-to-end benchmark
+//! (`cgnp-e2e`) has no metric for: each product kernel against its naive
+//! reference (blocked, parallel and fast-math variants through the `*_in`
+//! entry points), and what dispatching a parallel section costs — the
+//! numbers `cgnp_tensor`'s `parallel.rs` cites for its work gate. Writes
+//! `BENCH_kernels.json` at the workspace root.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
-use cgnp_core::{meta_train_with_threads, Cgnp, CgnpConfig, PreparedTask};
-use cgnp_data::{generate_sbm, model_input_dim, sample_task, SbmConfig, TaskConfig};
-use cgnp_graph::{algo, Graph};
-use cgnp_nn::{GatLayer, GraphContext, Module};
-use cgnp_tensor::{CsrMatrix, Matrix, SparseOperator, Tensor};
+use cgnp_data::{generate_sbm, SbmConfig};
+use cgnp_graph::Graph;
+use cgnp_tensor::{CsrMatrix, KernelCtx, MathMode, Matrix};
 
 fn bench_graph(n: usize, seed: u64) -> Graph {
     let mut cfg = SbmConfig::small_test();
@@ -22,101 +22,17 @@ fn bench_graph(n: usize, seed: u64) -> Graph {
         .clone()
 }
 
-fn spmm_bench(c: &mut Criterion) {
-    let g = bench_graph(1000, 1);
-    let op = Arc::new(SparseOperator::new(cgnp_nn::gcn_normalised(&g)));
-    let mut rng = StdRng::seed_from_u64(0);
-    let data: Vec<f32> = (0..g.n() * 64).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    let x = Matrix::from_vec(g.n(), 64, data);
-    c.bench_function("spmm_1000x64", |b| {
-        b.iter(|| black_box(op.forward().spmm(black_box(&x))))
-    });
-}
-
-fn dense_matmul_bench(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(1);
-    let a = Matrix::from_vec(
-        200,
-        128,
-        (0..200 * 128).map(|_| rng.gen_range(-1.0..1.0)).collect(),
-    );
-    let b_mat = Matrix::from_vec(
-        128,
-        128,
-        (0..128 * 128).map(|_| rng.gen_range(-1.0..1.0)).collect(),
-    );
-    c.bench_function("matmul_200x128x128", |b| {
-        b.iter(|| black_box(a.matmul(black_box(&b_mat))))
-    });
-}
-
-fn gat_forward_bench(c: &mut Criterion) {
-    let g = bench_graph(500, 2);
-    let gctx = GraphContext::new(&g);
-    let mut rng = StdRng::seed_from_u64(3);
-    let layer = GatLayer::new(32, 32, &mut rng);
-    let data: Vec<f32> = (0..g.n() * 32).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    let x = Tensor::constant(Matrix::from_vec(g.n(), 32, data));
-    c.bench_function("gat_forward_500n_32d", |b| {
-        b.iter(|| cgnp_tensor::no_grad(|| black_box(layer.forward(&gctx, black_box(&x)))))
-    });
-    let _ = layer.param_count();
-}
-
-fn truss_decomposition_bench(c: &mut Criterion) {
-    let g = bench_graph(800, 4);
-    c.bench_function("truss_decomposition_800n", |b| {
-        b.iter(|| black_box(algo::truss_numbers(black_box(&g))))
-    });
-}
-
-fn core_decomposition_bench(c: &mut Criterion) {
-    let g = bench_graph(5000, 5);
-    c.bench_function("core_decomposition_5000n", |b| {
-        b.iter(|| black_box(algo::core_numbers(black_box(&g))))
-    });
-}
-
-fn cgnp_adaptation_bench(c: &mut Criterion) {
-    // One full Algorithm-2 pass: encode the support set, combine, decode,
-    // score one query — the gradient-free test-time path of Fig. 3.
-    let ag = generate_sbm(&SbmConfig::small_test(), &mut StdRng::seed_from_u64(6));
-    let tcfg = TaskConfig {
-        subgraph_size: 100,
-        shots: 5,
-        n_targets: 4,
-        ..Default::default()
-    };
-    let task = sample_task(&ag, &tcfg, None, &mut StdRng::seed_from_u64(6)).expect("task");
-    let prepared = PreparedTask::new(task);
-    let cfg = CgnpConfig::paper_default(model_input_dim(&prepared.task.graph), 32);
-    let model = Cgnp::new(cfg, 7);
-    let q = prepared.task.targets[0].query;
-    c.bench_function("cgnp_meta_test_5shot_100n", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(0);
-            black_box(model.predict(&prepared, q, &mut rng))
-        })
-    });
-}
-
-fn csr_build_bench(c: &mut Criterion) {
-    let g = bench_graph(2000, 8);
-    let triplets: Vec<(usize, usize, f32)> = g
-        .edges()
-        .flat_map(|(u, v)| [(u, v, 1.0f32), (v, u, 1.0f32)])
-        .collect();
-    c.bench_function("csr_from_triplets_2000n", |b| {
-        b.iter(|| black_box(CsrMatrix::from_triplets(g.n(), g.n(), black_box(&triplets))))
-    });
-}
-
 /// Acceptance-target shapes for the optimised backend: naive reference vs
 /// blocked single-thread vs blocked+parallel, on a 512×512×512 `matmul`
 /// and a 10k-node CSR `spmm` at 64 feature columns.
 fn kernel_backend_comparison(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(17);
-    let threads = rayon::current_num_threads();
+    let pool = KernelCtx::threads(rayon::current_num_threads());
+    let one = KernelCtx::threads(1);
+    let fast = |ctx: KernelCtx| KernelCtx {
+        mode: MathMode::Fast,
+        ..ctx
+    };
 
     // Dense matmul, 512^3.
     let a = Matrix::from_vec(
@@ -139,10 +55,10 @@ fn kernel_backend_comparison(c: &mut Criterion) {
             bch.iter(|| black_box(cgnp_tensor::reference::matmul(black_box(&a), &b)))
         });
         g.bench_function("blocked_1t", |bch| {
-            bch.iter(|| black_box(a.matmul_with_threads(black_box(&b), 1)))
+            bch.iter(|| black_box(a.matmul_in(black_box(&b), None, one)))
         });
         g.bench_function("parallel", |bch| {
-            bch.iter(|| black_box(a.matmul_with_threads(black_box(&b), threads)))
+            bch.iter(|| black_box(a.matmul_in(black_box(&b), None, pool)))
         });
         // Fast-math tier, recorded only when the feature is compiled so
         // the rows never silently report the exact fallback as "fast".
@@ -150,14 +66,11 @@ fn kernel_backend_comparison(c: &mut Criterion) {
         // register-tiling win and `fast_f32` is the full serving-tier
         // configuration (fast kernels + f32 + the whole pool).
         if cgnp_tensor::fast_math_compiled() {
-            use cgnp_tensor::MathMode;
             g.bench_function("fast_1t", |bch| {
-                bch.iter(|| black_box(a.matmul_with_threads_mode(black_box(&b), 1, MathMode::Fast)))
+                bch.iter(|| black_box(a.matmul_in(black_box(&b), None, fast(one))))
             });
             g.bench_function("fast_f32", |bch| {
-                bch.iter(|| {
-                    black_box(a.matmul_with_threads_mode(black_box(&b), threads, MathMode::Fast))
-                })
+                bch.iter(|| black_box(a.matmul_in(black_box(&b), None, fast(pool))))
             });
         }
         g.finish();
@@ -179,20 +92,17 @@ fn kernel_backend_comparison(c: &mut Criterion) {
             bch.iter(|| black_box(cgnp_tensor::reference::spmm(black_box(&op), &x)))
         });
         g.bench_function("rows_1t", |bch| {
-            bch.iter(|| black_box(op.spmm_with_threads(black_box(&x), 1)))
+            bch.iter(|| black_box(op.spmm_in(black_box(&x), None, one)))
         });
         g.bench_function("parallel", |bch| {
-            bch.iter(|| black_box(op.spmm_with_threads(black_box(&x), threads)))
+            bch.iter(|| black_box(op.spmm_in(black_box(&x), None, pool)))
         });
         if cgnp_tensor::fast_math_compiled() {
-            use cgnp_tensor::MathMode;
             g.bench_function("fast_1t", |bch| {
-                bch.iter(|| black_box(op.spmm_with_threads_mode(black_box(&x), 1, MathMode::Fast)))
+                bch.iter(|| black_box(op.spmm_in(black_box(&x), None, fast(one))))
             });
             g.bench_function("fast_f32", |bch| {
-                bch.iter(|| {
-                    black_box(op.spmm_with_threads_mode(black_box(&x), threads, MathMode::Fast))
-                })
+                bch.iter(|| black_box(op.spmm_in(black_box(&x), None, fast(pool))))
             });
         }
         g.finish();
@@ -219,7 +129,7 @@ fn kernel_backend_comparison(c: &mut Criterion) {
             bch.iter(|| black_box(cgnp_tensor::reference::matmul_ta(black_box(&big), &grad)))
         });
         g.bench_function("parallel", |bch| {
-            bch.iter(|| black_box(big.matmul_ta_with_threads(black_box(&grad), threads)))
+            bch.iter(|| black_box(big.matmul_ta_in(black_box(&grad), pool)))
         });
         g.finish();
     }
@@ -229,7 +139,7 @@ fn kernel_backend_comparison(c: &mut Criterion) {
             bch.iter(|| black_box(cgnp_tensor::reference::matmul_tb(black_box(&big), &grad)))
         });
         g.bench_function("parallel", |bch| {
-            bch.iter(|| black_box(big.matmul_tb_with_threads(black_box(&grad), threads)))
+            bch.iter(|| black_box(big.matmul_tb_in(black_box(&grad), pool)))
         });
         g.finish();
     }
@@ -298,7 +208,7 @@ fn small_workload_comparison(c: &mut Criterion) {
             bch.iter(|| black_box(a.matmul(black_box(&b))))
         });
         g.bench_function("forced_4t", |bch| {
-            bch.iter(|| black_box(a.matmul_with_threads(black_box(&b), 4)))
+            bch.iter(|| black_box(a.matmul_in(black_box(&b), None, KernelCtx::threads(4))))
         });
         g.finish();
     }
@@ -328,172 +238,10 @@ fn small_workload_comparison(c: &mut Criterion) {
         });
         g.bench_function("auto", |bch| bch.iter(|| black_box(op.spmm(black_box(&x)))));
         g.bench_function("forced_4t", |bch| {
-            bch.iter(|| black_box(op.spmm_with_threads(black_box(&x), 4)))
+            bch.iter(|| black_box(op.spmm_in(black_box(&x), None, KernelCtx::threads(4))))
         });
         g.finish();
     }
-}
-
-/// Per-op read overhead of the tensor core on small operands, where the
-/// arithmetic is too cheap to hide bookkeeping. The `naive` variant is a
-/// faithful replica of the pre-PR-4 node layout — every value behind
-/// `Arc<RwLock<_>>`, every read a guard acquisition, every op output a
-/// fresh lock — while `lockfree` is the live `Tensor` under `no_grad`,
-/// whose forward values are immutable `Arc<Matrix>` reads with no lock on
-/// the value path. Same arithmetic, same allocation pattern; the gap is
-/// the lock traffic the value/tape split removed from serving and
-/// meta-test inference.
-fn tensor_op_overhead(c: &mut Criterion) {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::RwLock;
-
-    /// Faithful replica of the pre-PR-4 node: every field of the old
-    /// `Inner` (id, value, grad slot, flags, parent edges) behind one
-    /// `Arc<RwLock<_>>`, a global id counter bumped per node, and every
-    /// value read taking a guard — the bookkeeping each small op paid
-    /// even under `no_grad`.
-    #[allow(dead_code)]
-    struct LockedInner {
-        id: u64,
-        value: Matrix,
-        grad: Option<Matrix>,
-        requires_grad: bool,
-        needs_grad: bool,
-        parents: Vec<LockedTensor>,
-    }
-    #[derive(Clone)]
-    struct LockedTensor(Arc<RwLock<LockedInner>>);
-    static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-    impl LockedTensor {
-        fn constant(value: Matrix) -> Self {
-            Self(Arc::new(RwLock::new(LockedInner {
-                id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-                value,
-                grad: None,
-                requires_grad: false,
-                needs_grad: false,
-                parents: Vec::new(),
-            })))
-        }
-        /// The old `from_op` under `no_grad`: the parents vec is built by
-        /// the caller and dropped when the node folds into a constant.
-        fn from_op(value: Matrix, parents: Vec<LockedTensor>) -> Self {
-            drop(parents);
-            Self::constant(value)
-        }
-        fn add(&self, o: &LockedTensor) -> Self {
-            let v = self.0.read().unwrap().value.add(&o.0.read().unwrap().value);
-            Self::from_op(v, vec![self.clone(), o.clone()])
-        }
-        fn mul(&self, o: &LockedTensor) -> Self {
-            let v = self
-                .0
-                .read()
-                .unwrap()
-                .value
-                .hadamard(&o.0.read().unwrap().value);
-            Self::from_op(v, vec![self.clone(), o.clone()])
-        }
-        fn scale(&self, k: f32) -> Self {
-            let v = self.0.read().unwrap().value.scale(k);
-            Self::from_op(v, vec![self.clone()])
-        }
-        fn sum(&self) -> f32 {
-            self.0.read().unwrap().value.as_slice().iter().sum()
-        }
-    }
-
-    let mut rng = StdRng::seed_from_u64(41);
-    for n in [8usize, 32] {
-        let data = |rng: &mut StdRng| -> Vec<f32> {
-            (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect()
-        };
-        let (ma, mb) = (
-            Matrix::from_vec(n, n, data(&mut rng)),
-            Matrix::from_vec(n, n, data(&mut rng)),
-        );
-        let (la, lb) = (
-            LockedTensor::constant(ma.clone()),
-            LockedTensor::constant(mb.clone()),
-        );
-        let (ta, tb) = (Tensor::constant(ma), Tensor::constant(mb));
-        let group_name = format!("tensor_op_overhead_{n}x{n}_chain");
-        let mut g = c.benchmark_group(&group_name);
-        g.bench_function("naive", |bch| {
-            bch.iter(|| {
-                let mut acc = la.add(&lb);
-                for _ in 0..4 {
-                    acc = acc.mul(&lb).add(&la).scale(0.5);
-                }
-                black_box(acc.sum())
-            })
-        });
-        g.bench_function("lockfree", |bch| {
-            bch.iter(|| {
-                cgnp_tensor::no_grad(|| {
-                    let mut acc = ta.add(&tb);
-                    for _ in 0..4 {
-                        acc = acc.mul(&tb).add(&ta).scale(0.5);
-                    }
-                    black_box(acc.value_ref().as_slice().iter().sum::<f32>())
-                })
-            })
-        });
-        g.finish();
-    }
-}
-
-/// Task count of one [`meta_train_throughput`] epoch; also the basis of
-/// the `tasks_per_sec` column in `BENCH_kernels.json`.
-const META_TRAIN_TASKS: usize = 16;
-
-/// Meta-training throughput at meta-batch 1 / 4 / 16: one Algorithm-1
-/// epoch over [`META_TRAIN_TASKS`] prepared tasks per iteration. The
-/// `naive` variant is the paper's sequential loop (meta-batch 1, one Adam
-/// step per task); the batched variants accumulate task gradients across
-/// the pool and take one averaged step per batch, so their win on a
-/// single-core recording machine is the amortised optimiser/clip cost
-/// (on multi-core it additionally captures the parallel fan-out).
-fn meta_train_throughput(c: &mut Criterion) {
-    let ag = generate_sbm(&SbmConfig::small_test(), &mut StdRng::seed_from_u64(31));
-    // Minimal tasks at paper-scale width: per-task forward/backward cost
-    // shrinks with the subgraph while optimiser cost stays O(params), so
-    // this is the regime where per-task Adam/clip overhead — the thing a
-    // batched step amortises — is actually visible on one core.
-    let tcfg = TaskConfig {
-        subgraph_size: 20,
-        shots: 1,
-        n_targets: 1,
-        ..Default::default()
-    };
-    let mut rng = StdRng::seed_from_u64(31);
-    let tasks: Vec<PreparedTask> = (0..META_TRAIN_TASKS)
-        .map(|_| PreparedTask::new(sample_task(&ag, &tcfg, None, &mut rng).expect("task")))
-        .collect();
-    let in_dim = model_input_dim(&tasks[0].task.graph);
-    let threads = rayon::current_num_threads();
-    let mut g = c.benchmark_group("meta_train_throughput");
-    for (variant, meta_batch) in [("naive", 1), ("batch_4", 4), ("batch_16", 16)] {
-        // Paper-scale width (hidden 128): the per-task optimiser state a
-        // batched step amortises is proportional to the parameter count,
-        // so a realistic width is what makes the comparison honest.
-        let cfg = CgnpConfig::paper_default(in_dim, 128)
-            .with_epochs(1)
-            .with_meta_batch(meta_batch);
-        let model = Cgnp::new(cfg, 7);
-        // Every iteration restarts from the same initial weights:
-        // otherwise the trajectory continues across iterations and the
-        // arithmetic cost drifts with the evolving weight magnitudes,
-        // which would make the variants incomparable.
-        let w0 = model.export_weights();
-        g.bench_function(variant, |bch| {
-            bch.iter(|| {
-                model.import_weights(&w0);
-                black_box(meta_train_with_threads(&model, &tasks, 3, threads))
-            })
-        });
-    }
-    g.finish();
 }
 
 /// Worker count a `(group, variant)` row actually ran with. Recorded
@@ -506,14 +254,10 @@ fn variant_threads(group: &str, variant: &str) -> usize {
     if group.starts_with("parallel_dispatch") {
         return 4;
     }
-    // Per-op overhead chains never leave the calling thread.
-    if group.starts_with("tensor_op_overhead") {
-        return 1;
-    }
     match variant {
         "naive" | "blocked_1t" | "rows_1t" | "fast_1t" => 1,
         "forced_4t" => 4,
-        // parallel / fast_f32 / auto / batch_* all run on the pool
+        // parallel / fast_f32 / auto all run on the pool
         // (auto's `threads_for` is capped by the pool size).
         _ => pool,
     }
@@ -543,20 +287,10 @@ fn emit_kernel_baseline(c: &mut Criterion) {
             .get(group)
             .map(|&n| format!("{:.3}", n / r.median_ns))
             .unwrap_or_else(|| "null".to_string());
-        // Meta-training rows additionally carry absolute throughput:
-        // every variant trains the same task count per iteration.
-        let extra = if group == "meta_train_throughput" {
-            format!(
-                ", \"tasks_per_sec\": {:.1}",
-                META_TRAIN_TASKS as f64 * 1e9 / r.median_ns
-            )
-        } else {
-            String::new()
-        };
         entries.push(format!(
             "    {{\"kernel\": \"{group}\", \"variant\": \"{variant}\", \
              \"threads\": {}, \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \
-             \"speedup_vs_naive\": {speedup}{extra}}}",
+             \"speedup_vs_naive\": {speedup}}}",
             variant_threads(group, variant),
             r.median_ns,
             r.mean_ns
@@ -577,26 +311,7 @@ fn emit_kernel_baseline(c: &mut Criterion) {
         Ok(()) => println!("kernel baseline written to {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
-    // Acceptance shape: batched meta-training must beat the sequential
-    // loop in tasks/sec (one averaged Adam step per batch amortises the
-    // per-task optimiser cost even on one core).
-    let tps = |variant: &str| {
-        results
-            .iter()
-            .find(|r| r.name == format!("meta_train_throughput/{variant}"))
-            .map(|r| META_TRAIN_TASKS as f64 * 1e9 / r.median_ns)
-    };
-    if let (Some(t1), Some(t4), Some(t16)) = (tps("naive"), tps("batch_4"), tps("batch_16")) {
-        let holds = t4 > t1;
-        let mark = if holds { "HOLDS " } else { "DIFFERS" };
-        println!(
-            "  [{mark}] meta-batch ≥ 4 beats batch 1 — batch 1: {t1:.1} tasks/s, \
-             batch 4: {t4:.1} ({:.2}×), batch 16: {t16:.1} ({:.2}×)",
-            t4 / t1,
-            t16 / t1
-        );
-    }
-    // More acceptance shapes: the fast-math tier must give the dense hot
+    // Acceptance shapes: the fast-math tier must give the dense hot
     // path real serial headroom, and the single-thread spmm row-chunk fix
     // must keep `rows_1t` at or above naive.
     let speedup = |group: &str, variant: &str| {
@@ -625,15 +340,6 @@ criterion_group!(
     kernel_backend_comparison,
     dispatch_overhead,
     small_workload_comparison,
-    tensor_op_overhead,
-    meta_train_throughput,
-    spmm_bench,
-    dense_matmul_bench,
-    gat_forward_bench,
-    truss_decomposition_bench,
-    core_decomposition_bench,
-    cgnp_adaptation_bench,
-    csr_build_bench,
     emit_kernel_baseline
 );
 criterion_main!(benches);

@@ -47,6 +47,6 @@ fn main() {
     println!("{}", table.render());
     println!(
         "surrogates preserve the community count, attribute regime and density\n\
-         ordering of Table I at reduced node counts (see DESIGN.md §1)."
+         ordering of Table I at reduced node counts (see README, Paper experiments)."
     );
 }

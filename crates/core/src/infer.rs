@@ -51,7 +51,9 @@
 
 use cgnp_data::{QueryExample, NO_QUERY};
 use cgnp_nn::{Activation, AnyGnnLayer, GnnEncoder, Linear, Mlp};
-use cgnp_tensor::{CentroidScores, CsrMatrixT, Elem, MathMode, MatrixT, SegmentAttention};
+use cgnp_tensor::{
+    CentroidScores, CsrMatrixT, Elem, KernelCtx, MathMode, MatrixT, SegmentAttention,
+};
 
 use crate::commutative::Commutative;
 use crate::decoder::Decoder;
@@ -103,18 +105,22 @@ impl<E: Elem> InferLayer<E> {
     }
 
     fn forward(&self, state: &InferState<E>, x: &MatrixT<E>, mode: MathMode) -> MatrixT<E> {
+        let ctx = KernelCtx::from(mode);
         match self {
             Self::Gcn { w, b } => state
                 .gcn_adj
-                .spmm_bias_mode(&x.matmul_mode(w, mode), b, mode),
-            Self::Gat(gat) => gat.attend(state, &x.matmul_mode(&gat.w, mode), None),
+                .spmm_in(&x.matmul_in(w, None, ctx), Some(b), ctx),
+            Self::Gat(gat) => gat.attend(state, &x.matmul_in(&gat.w, None, ctx), None),
             Self::Sage {
                 w_self,
                 b_self,
                 w_neigh,
             } => {
-                let self_term = x.matmul_bias_mode(w_self, b_self, mode);
-                let neigh = state.mean_adj.spmm_mode(x, mode).matmul_mode(w_neigh, mode);
+                let self_term = x.matmul_in(w_self, Some(b_self), ctx);
+                let neigh = state
+                    .mean_adj
+                    .spmm_in(x, None, ctx)
+                    .matmul_in(w_neigh, None, ctx);
                 self_term.add(&neigh)
             }
         }
@@ -228,7 +234,9 @@ impl<'a, E: Elem> SharedFirstLayer<'a, E> {
         state: &'a InferState<E>,
         mode: MathMode,
     ) -> Self {
-        let z = state.with_indicator(&[]).matmul_mode(&gat.w, mode);
+        let z = state
+            .with_indicator(&[])
+            .matmul_in(&gat.w, None, mode.into());
         let mut h = gat.attend(state, &z, None);
         gnn.activate_after(0, &mut h);
         Self {
@@ -255,10 +263,10 @@ impl<'a, E: Elem> SharedFirstLayer<'a, E> {
         reached.sort_unstable();
         reached.dedup();
 
-        let mut z_rows = self
-            .state
-            .marked_rows(&marked)
-            .matmul_mode(&self.gat.w, self.mode);
+        let mut z_rows =
+            self.state
+                .marked_rows(&marked)
+                .matmul_in(&self.gat.w, None, self.mode.into());
         swap_rows(&mut self.z, &marked, &mut z_rows);
         let mut h_rows = self.gat.attend(self.state, &self.z, Some(&reached));
         swap_rows(&mut self.z, &marked, &mut z_rows);
@@ -334,9 +342,9 @@ impl<E: Elem> InferCommutative<E> {
                 let summaries: Vec<MatrixT<E>> = views.iter().map(|v| v.mean_rows()).collect();
                 let refs: Vec<&MatrixT<E>> = summaries.iter().collect();
                 let m = MatrixT::vstack(&refs); // k×d
-                let h1 = m.matmul_mode(w1, mode);
-                let h2 = m.matmul_mode(w2, mode);
-                let mut scores = h1.matmul_tb_mode(&h2, mode);
+                let h1 = m.matmul_in(w1, None, mode.into());
+                let h2 = m.matmul_in(w2, None, mode.into());
+                let mut scores = h1.matmul_tb_in(&h2, mode.into());
                 scores.scale_assign(E::ONE / E::from_usize(*dim).sqrt());
                 for r in 0..scores.rows() {
                     softmax_in_place(scores.row_mut(r));
@@ -382,7 +390,7 @@ impl<E: Elem> InferDecoder<E> {
                 let last = layers.len() - 1;
                 let mut h = ctx;
                 for (i, (w, b)) in layers.iter().enumerate() {
-                    h = h.matmul_bias_mode(w, b, mode);
+                    h = h.matmul_in(w, Some(b), mode.into());
                     if i < last {
                         apply_activation(*activation, &mut h);
                     }

@@ -3,7 +3,8 @@
 //! Dataset surrogates and task construction for the CGNP reproduction:
 //!
 //! * [`synthetic`] — a seeded attributed stochastic-block-model generator
-//!   (the substitute for the paper's six real datasets; see DESIGN.md §1).
+//!   (the substitute for the paper's six real datasets; see the README,
+//!   *Paper experiments*).
 //! * [`profiles`] — per-dataset surrogate configurations matched to the
 //!   paper's Table I statistics, which are retained as metadata.
 //! * [`features`] — node feature assembly (`attributes ‖ core ‖ lcc` plus

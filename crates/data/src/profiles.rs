@@ -14,7 +14,7 @@
 //!
 //! Node counts are scaled by [`Scale`]; tasks only ever see ≤ a few hundred
 //! node BFS subgraphs, so the surrogate sizes only need to comfortably
-//! exceed the task size (see DESIGN.md §1).
+//! exceed the task size (see the README, *Paper experiments*).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

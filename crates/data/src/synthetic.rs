@@ -4,10 +4,10 @@
 //! (Table I). Those graphs are not shipped here, so each dataset is
 //! substituted by a planted-partition surrogate matched on the axes the
 //! learning problem is sensitive to: community count and size, intra/inter
-//! mixing, degree skew, overlap, and attribute informativeness (see
-//! `DESIGN.md` §1). Every community is guaranteed connected (a random
-//! spanning chain is planted) and the graph is bridged into one component
-//! so 200-node BFS task sampling behaves like on the real graphs.
+//! mixing, degree skew, overlap, and attribute informativeness (see the
+//! README, *Paper experiments*). Every community is guaranteed connected
+//! (a random spanning chain is planted) and the graph is bridged into one
+//! component so 200-node BFS task sampling behaves like on the real graphs.
 
 use rand::rngs::StdRng;
 use rand::Rng;

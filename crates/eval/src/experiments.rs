@@ -14,7 +14,7 @@ use crate::methods::{standard_methods, MethodSelection};
 /// Scale-dependent experiment sizes. The paper's settings are the
 /// `Scale::Paper` row; smaller scales shrink task counts, epochs, widths,
 /// and subgraph sizes proportionally so the full pipeline stays
-/// laptop-runnable (see DESIGN.md §1).
+/// laptop-runnable (see the README, *Paper experiments*).
 #[derive(Clone, Copy, Debug)]
 pub struct ScaleSettings {
     pub scale: Scale,

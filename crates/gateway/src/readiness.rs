@@ -144,48 +144,8 @@ mod sys {
     }
 }
 
-/// Platforms without `poll(2)`: the same signatures and no readiness —
-/// every wait is a bounded park and reports everything ready, so the
-/// event loop degrades to the fixed-rate polling it did before this
-/// module existed. Unmeasured: CI and the benchmark are Linux.
 #[cfg(not(unix))]
-mod sys {
-    use super::{Duration, Interest, FALLBACK_PARK};
-
-    #[derive(Debug)]
-    pub struct PollFd;
-
-    impl PollFd {
-        pub fn new<T>(_source: &T, _interest: Interest) -> Self {
-            PollFd
-        }
-
-        pub fn ready(&self) -> bool {
-            true
-        }
-    }
-
-    pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> usize {
-        std::thread::park_timeout(timeout.map_or(FALLBACK_PARK, |t| t.min(FALLBACK_PARK)));
-        fds.len()
-    }
-
-    pub struct Pipe;
-
-    impl Pipe {
-        pub fn new() -> std::io::Result<Self> {
-            Ok(Pipe)
-        }
-
-        pub fn pollfd(&self) -> PollFd {
-            PollFd
-        }
-
-        pub fn signal(&self) {}
-
-        pub fn clear(&self) {}
-    }
-}
+compile_error!("cgnp-gateway's event loop blocks in poll(2) and needs a unix target");
 
 /// Ends a [`wait`] from another thread.
 ///
@@ -252,7 +212,7 @@ impl Waker {
     }
 }
 
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;

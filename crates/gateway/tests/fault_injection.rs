@@ -63,7 +63,6 @@ fn session(seed: u64) -> ServeSession {
             cache: 0, // no cache: every answer exercises real scoring
             threads: 1,
             seed,
-            context_cache: true,
             ..Default::default()
         },
     )

@@ -171,7 +171,6 @@ mod tests {
                 cache: 8,
                 threads: 1,
                 seed: 5,
-                context_cache: true,
                 ..Default::default()
             },
         )

@@ -63,11 +63,6 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Seed for model restoration / support-pool sampling.
     pub seed: u64,
-    /// Cache the decoded per-shot-count context across micro-batch ticks
-    /// (at most `max_shots` pinned tensors). Ragged-shot traffic — many
-    /// distinct shot counts interleaving — otherwise recomputes identical
-    /// contexts every tick. Disable to measure raw compute.
-    pub context_cache: bool,
     /// How graph updates rebuild the prepared operators and features:
     /// from scratch, or by patching only the touched rows.
     pub refresh: RefreshStrategy,
@@ -89,7 +84,6 @@ impl Default for ServeConfig {
             cache: 256,
             threads: rayon::current_num_threads(),
             seed: 42,
-            context_cache: true,
             refresh: RefreshStrategy::EpochSwap,
             precision: Dtype::F32,
             math: MathMode::Exact,
@@ -334,8 +328,10 @@ pub struct ServeSession {
     cache: Mutex<LruCache>,
     /// Decoded context per effective shot count, shared across
     /// micro-batch ticks and tagged with the session version it was
-    /// built under (bounded by the support-pool size; see
-    /// [`ServeConfig::context_cache`]).
+    /// built under (at most one pinned matrix per shot count, so bounded
+    /// by the support-pool size). Ragged-shot traffic — many distinct
+    /// shot counts interleaving — would otherwise recompute identical
+    /// contexts every tick.
     contexts: Mutex<HashMap<usize, (Arc<Block>, u64)>>,
     stats: Mutex<ServeStats>,
 }
@@ -464,9 +460,8 @@ impl ServeSession {
     /// The decoded task context for a given shot count — the matrix a
     /// micro-batch shares, in the serving dtype. `Arc`ed because
     /// [`Block`] clones are deep copies and cache hits must not duplicate
-    /// an n×d matrix. With the context cache enabled (the default),
-    /// repeated shot counts across ticks share one context instead of
-    /// recomputing the encoder forward.
+    /// an n×d matrix. Repeated shot counts across ticks share one context
+    /// instead of recomputing the encoder forward.
     pub fn context_for_shots(&self, shots: usize) -> Arc<Block> {
         let live = self.read_live();
         self.context_for_shots_in(&live, shots)
@@ -477,7 +472,7 @@ impl ServeSession {
     /// acquisition could deadlock behind a queued writer).
     fn context_for_shots_in(&self, live: &LiveState, shots: usize) -> Arc<Block> {
         let shots = shots.clamp(1, live.prepared.task.support.len());
-        if self.cfg.context_cache {
+        {
             let mut contexts = self.contexts.lock().expect("context cache lock");
             match contexts.get(&shots) {
                 Some((ctx, version)) if *version >= live.mark.valid_from => {
@@ -500,12 +495,10 @@ impl ServeSession {
         let support = &live.prepared.task.support[..shots];
         let ctx = Arc::new(live.engine.context(support, self.cfg.effective_math()));
         self.stats.lock().expect("stats lock").context_builds += 1;
-        if self.cfg.context_cache {
-            self.contexts
-                .lock()
-                .expect("context cache lock")
-                .insert(shots, (Arc::clone(&ctx), live.mark.version));
-        }
+        self.contexts
+            .lock()
+            .expect("context cache lock")
+            .insert(shots, (Arc::clone(&ctx), live.mark.version));
         ctx
     }
 

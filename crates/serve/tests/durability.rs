@@ -43,7 +43,6 @@ fn serve_cfg(threads: usize) -> ServeConfig {
         cache: 32,
         threads,
         seed: 9,
-        context_cache: true,
         refresh: RefreshStrategy::EpochSwap,
         ..Default::default()
     }

@@ -34,7 +34,6 @@ fn serve_cfg(refresh: RefreshStrategy) -> ServeConfig {
         cache: 32,
         threads: 1,
         seed: 9,
-        context_cache: true,
         refresh,
         ..Default::default()
     }

@@ -688,7 +688,6 @@ fn build_shard(
     let session_cfg = ServeConfig {
         cache: 0,
         threads: 1,
-        context_cache: true,
         ..*serve
     };
     let replicas = (0..n_replicas)

@@ -67,7 +67,6 @@ fn serve_cfg() -> ServeConfig {
         cache: 32,
         threads: 2,
         seed: 9,
-        context_cache: true,
         ..ServeConfig::default()
     }
 }

@@ -9,7 +9,8 @@
 //! initialisers.
 //!
 //! The paper trains its models with PyTorch + PyTorch Geometric; this crate
-//! replaces that stack (see `DESIGN.md` §1 for the substitution rationale).
+//! replaces that stack (see the README, *Paper experiments*, for the
+//! substitution rationale).
 //!
 //! ## Example
 //!
@@ -52,7 +53,7 @@ pub use block::{Block, SparseBlock};
 pub use elem::{Dtype, Elem};
 pub use grad_sink::GradSink;
 pub use matrix::{Matrix, MatrixT};
-pub use mode::{fast_math_compiled, MathMode};
+pub use mode::{fast_math_compiled, KernelCtx, MathMode};
 pub use ops::{softmax_in_place, stable_sigmoid, Reduction};
 pub use optim::{clip_grad_norm, Adam, Optimizer, Sgd};
 pub use scores::CentroidScores;

@@ -8,14 +8,16 @@
 //! The storage is generic over its element type ([`MatrixT<E>`]); the
 //! [`Matrix`] alias pins the autodiff engine (and everything trained or
 //! checkpointed) to `f32`, while inference sessions pick their dtype at
-//! load via [`crate::Block`]. Every product kernel additionally has a
-//! `*_mode` entry point selecting the exact or fast-math tier at runtime
-//! (see [`crate::MathMode`]).
+//! load via [`crate::Block`]. Every product has one implementation, its
+//! `*_in` method, whose [`KernelCtx`] picks the worker count and the exact
+//! or fast-math tier at runtime; the plain names call it with the default
+//! context.
 
 use std::fmt;
 
 use crate::elem::Elem;
-use crate::mode::MathMode;
+use crate::mode::{KernelCtx, MathMode};
+use crate::parallel::{for_each_row_chunk, seed_rows};
 
 /// A dense row-major matrix of `E` values.
 #[derive(Clone, PartialEq)]
@@ -271,11 +273,6 @@ impl<E: Elem> MatrixT<E> {
         }
     }
 
-    /// In-place ReLU.
-    pub fn relu_assign(&mut self) {
-        self.map_assign(|x| x.max(E::ZERO));
-    }
-
     /// Adds a `1×c` bias row to every row, in place.
     pub fn add_bias_assign(&mut self, bias: &Self) {
         assert_eq!(bias.rows, 1, "bias must be a single row");
@@ -286,11 +283,6 @@ impl<E: Elem> MatrixT<E> {
                 *o += bv;
             }
         }
-    }
-
-    /// Sets every element to zero, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|x| *x = E::ZERO);
     }
 
     /// Matrix product `self @ other`.
@@ -304,16 +296,25 @@ impl<E: Elem> MatrixT<E> {
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, other: &Self) -> Self {
-        let work = self
-            .rows
-            .saturating_mul(self.cols)
-            .saturating_mul(other.cols);
-        self.matmul_with_threads(other, crate::parallel::threads_for(work))
+        self.matmul_in(other, None, KernelCtx::default())
     }
 
-    /// [`Matrix::matmul`] with an explicit worker count (mainly for tests
-    /// and benchmarks; `threads == 1` forces the serial blocked kernel).
-    pub fn matmul_with_threads(&self, other: &Self, threads: usize) -> Self {
+    /// Fused `self @ w + bias` where `bias` is a `1×n` row broadcast over
+    /// every output row: the affine-layer forward pass in one kernel,
+    /// without materialising the un-biased product.
+    pub fn matmul_bias(&self, w: &Self, bias: &Self) -> Self {
+        self.matmul_in(w, Some(bias), KernelCtx::default())
+    }
+
+    /// `self @ other (+ bias)` on the worker count and kernel tier `ctx`
+    /// names: `Exact` is the bitwise-pinned kernel, `Fast` the
+    /// register-tiled fast-math one (the exact kernel when the `fast-math`
+    /// feature is not compiled). A bias row seeds every output row before
+    /// either tier accumulates on top of it.
+    ///
+    /// # Panics
+    /// Panics on inner-dimension mismatch, or when `bias` is not `1×n`.
+    pub fn matmul_in(&self, other: &Self, bias: Option<&Self>, ctx: KernelCtx) -> Self {
         assert_eq!(
             self.cols,
             other.rows,
@@ -321,72 +322,31 @@ impl<E: Elem> MatrixT<E> {
             self.shape(),
             other.shape()
         );
+        if let Some(bias) = bias {
+            assert_eq!(bias.rows, 1, "bias must be a single row");
+            assert_eq!(bias.cols, other.cols, "bias width mismatch");
+        }
+        let work = self
+            .rows
+            .saturating_mul(self.cols)
+            .saturating_mul(other.cols);
         let mut out = Self::zeros(self.rows, other.cols);
-        crate::parallel::for_each_row_chunk(
+        for_each_row_chunk(
             &mut out.data,
             self.rows,
             other.cols,
-            threads,
-            |r0, r1, chunk| matmul_block(self, other, r0, r1, chunk),
-        );
-        out
-    }
-
-    /// [`Matrix::matmul`] on the selected kernel tier: `Exact` is the
-    /// bitwise-pinned kernel, `Fast` the register-tiled fast-math one
-    /// (exact fallback when the `fast-math` feature is not compiled).
-    pub fn matmul_mode(&self, other: &Self, mode: MathMode) -> Self {
-        match mode {
-            MathMode::Exact => self.matmul(other),
-            MathMode::Fast => self.matmul_fast(other),
-        }
-    }
-
-    /// [`Matrix::matmul_mode`] with an explicit worker count, so benches
-    /// can isolate the serial fast-math win from parallel speedup.
-    pub fn matmul_with_threads_mode(&self, other: &Self, threads: usize, mode: MathMode) -> Self {
-        match mode {
-            MathMode::Exact => self.matmul_with_threads(other, threads),
-            MathMode::Fast => self.matmul_fast_with_threads(other, threads),
-        }
-    }
-
-    /// Fused `self @ w + bias` where `bias` is a `1×n` row broadcast over
-    /// every output row: the affine-layer forward pass in one kernel,
-    /// without materialising the un-biased product.
-    pub fn matmul_bias(&self, w: &Self, bias: &Self) -> Self {
-        assert_eq!(
-            self.cols,
-            w.rows,
-            "matmul_bias dims mismatch: {:?} @ {:?}",
-            self.shape(),
-            w.shape()
-        );
-        assert_eq!(bias.rows, 1, "bias must be a single row");
-        assert_eq!(bias.cols, w.cols, "bias width mismatch");
-        let work = self.rows.saturating_mul(self.cols).saturating_mul(w.cols);
-        let mut out = Self::zeros(self.rows, w.cols);
-        crate::parallel::for_each_row_chunk(
-            &mut out.data,
-            self.rows,
-            w.cols,
-            crate::parallel::threads_for(work),
+            ctx.workers(work),
             |r0, r1, chunk| {
-                crate::parallel::seed_rows(chunk, &bias.data);
-                matmul_block(self, w, r0, r1, chunk);
+                if let Some(bias) = bias {
+                    seed_rows(chunk, &bias.data);
+                }
+                match ctx.mode {
+                    MathMode::Exact => matmul_block(self, other, r0, r1, chunk),
+                    MathMode::Fast => fast::matmul_fast_block(self, other, r0, r1, chunk),
+                }
             },
         );
         out
-    }
-
-    /// [`Matrix::matmul_bias`] on the selected kernel tier. The fast tier
-    /// seeds the bias row exactly like the exact kernel and accumulates
-    /// the register tile on top of it.
-    pub fn matmul_bias_mode(&self, w: &Self, bias: &Self, mode: MathMode) -> Self {
-        match mode {
-            MathMode::Exact => self.matmul_bias(w, bias),
-            MathMode::Fast => self.matmul_bias_fast(w, bias),
-        }
     }
 
     /// `self @ other.T` without materialising the transpose.
@@ -395,15 +355,15 @@ impl<E: Elem> MatrixT<E> {
     /// blocking); rayon-parallel over output rows. Bitwise identical to
     /// [`crate::reference::matmul_tb`].
     pub fn matmul_tb(&self, other: &Self) -> Self {
-        let work = self
-            .rows
-            .saturating_mul(self.cols)
-            .saturating_mul(other.rows);
-        self.matmul_tb_with_threads(other, crate::parallel::threads_for(work))
+        self.matmul_tb_in(other, KernelCtx::default())
     }
 
-    /// [`Matrix::matmul_tb`] with an explicit worker count.
-    pub fn matmul_tb_with_threads(&self, other: &Self, threads: usize) -> Self {
+    /// [`Matrix::matmul_tb`] on the worker count and kernel tier `ctx`
+    /// names.
+    ///
+    /// # Panics
+    /// Panics on inner-dimension mismatch.
+    pub fn matmul_tb_in(&self, other: &Self, ctx: KernelCtx) -> Self {
         assert_eq!(
             self.cols,
             other.cols,
@@ -411,23 +371,22 @@ impl<E: Elem> MatrixT<E> {
             self.shape(),
             other.shape()
         );
+        let work = self
+            .rows
+            .saturating_mul(self.cols)
+            .saturating_mul(other.rows);
         let mut out = Self::zeros(self.rows, other.rows);
-        crate::parallel::for_each_row_chunk(
+        for_each_row_chunk(
             &mut out.data,
             self.rows,
             other.rows,
-            threads,
-            |r0, r1, chunk| matmul_tb_block(self, other, r0, r1, chunk),
+            ctx.workers(work),
+            |r0, r1, chunk| match ctx.mode {
+                MathMode::Exact => matmul_tb_block(self, other, r0, r1, chunk),
+                MathMode::Fast => fast::matmul_tb_fast_block(self, other, r0, r1, chunk),
+            },
         );
         out
-    }
-
-    /// [`Matrix::matmul_tb`] on the selected kernel tier.
-    pub fn matmul_tb_mode(&self, other: &Self, mode: MathMode) -> Self {
-        match mode {
-            MathMode::Exact => self.matmul_tb(other),
-            MathMode::Fast => self.matmul_tb_fast(other),
-        }
     }
 
     /// `self.T @ other` without materialising the transpose.
@@ -436,15 +395,15 @@ impl<E: Elem> MatrixT<E> {
     /// the full inputs but writes only its own row range. Bitwise
     /// identical to [`crate::reference::matmul_ta`].
     pub fn matmul_ta(&self, other: &Self) -> Self {
-        let work = self
-            .rows
-            .saturating_mul(self.cols)
-            .saturating_mul(other.cols);
-        self.matmul_ta_with_threads(other, crate::parallel::threads_for(work))
+        self.matmul_ta_in(other, KernelCtx::default())
     }
 
-    /// [`Matrix::matmul_ta`] with an explicit worker count.
-    pub fn matmul_ta_with_threads(&self, other: &Self, threads: usize) -> Self {
+    /// [`Matrix::matmul_ta`] on the worker count and kernel tier `ctx`
+    /// names.
+    ///
+    /// # Panics
+    /// Panics on outer-dimension mismatch.
+    pub fn matmul_ta_in(&self, other: &Self, ctx: KernelCtx) -> Self {
         assert_eq!(
             self.rows,
             other.rows,
@@ -452,23 +411,22 @@ impl<E: Elem> MatrixT<E> {
             self.shape(),
             other.shape()
         );
+        let work = self
+            .rows
+            .saturating_mul(self.cols)
+            .saturating_mul(other.cols);
         let mut out = Self::zeros(self.cols, other.cols);
-        crate::parallel::for_each_row_chunk(
+        for_each_row_chunk(
             &mut out.data,
             self.cols,
             other.cols,
-            threads,
-            |c0, c1, chunk| matmul_ta_block(self, other, c0, c1, chunk),
+            ctx.workers(work),
+            |c0, c1, chunk| match ctx.mode {
+                MathMode::Exact => matmul_ta_block(self, other, c0, c1, chunk),
+                MathMode::Fast => fast::matmul_ta_fast_block(self, other, c0, c1, chunk),
+            },
         );
         out
-    }
-
-    /// [`Matrix::matmul_ta`] on the selected kernel tier.
-    pub fn matmul_ta_mode(&self, other: &Self, mode: MathMode) -> Self {
-        match mode {
-            MathMode::Exact => self.matmul_ta(other),
-            MathMode::Fast => self.matmul_ta_fast(other),
-        }
     }
 
     /// Transposed copy.
@@ -515,11 +473,6 @@ impl<E: Elem> MatrixT<E> {
             out.scale_assign(E::ONE / E::from_usize(self.rows));
         }
         out
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> E {
-        self.data.iter().map(|&x| x * x).sum::<E>().sqrt()
     }
 
     /// Maximum absolute element (0 for an empty matrix).
@@ -584,132 +537,6 @@ impl<E: Elem> MatrixT<E> {
                 .iter()
                 .zip(&other.data)
                 .all(|(&a, &b)| (a - b).abs() <= tol)
-    }
-
-    fn matmul_fast(&self, other: &Self) -> Self {
-        let work = self
-            .rows
-            .saturating_mul(self.cols)
-            .saturating_mul(other.cols);
-        self.matmul_fast_with_threads(other, crate::parallel::threads_for(work))
-    }
-
-    fn matmul_fast_with_threads(&self, other: &Self, threads: usize) -> Self {
-        #[cfg(not(feature = "fast-math"))]
-        {
-            self.matmul_with_threads(other, threads)
-        }
-        #[cfg(feature = "fast-math")]
-        {
-            assert_eq!(
-                self.cols,
-                other.rows,
-                "matmul dims mismatch: {:?} @ {:?}",
-                self.shape(),
-                other.shape()
-            );
-            let mut out = Self::zeros(self.rows, other.cols);
-            crate::parallel::for_each_row_chunk(
-                &mut out.data,
-                self.rows,
-                other.cols,
-                threads,
-                |r0, r1, chunk| fast::matmul_fast_block(self, other, r0, r1, chunk),
-            );
-            out
-        }
-    }
-
-    fn matmul_bias_fast(&self, w: &Self, bias: &Self) -> Self {
-        #[cfg(not(feature = "fast-math"))]
-        {
-            self.matmul_bias(w, bias)
-        }
-        #[cfg(feature = "fast-math")]
-        {
-            assert_eq!(
-                self.cols,
-                w.rows,
-                "matmul_bias dims mismatch: {:?} @ {:?}",
-                self.shape(),
-                w.shape()
-            );
-            assert_eq!(bias.rows, 1, "bias must be a single row");
-            assert_eq!(bias.cols, w.cols, "bias width mismatch");
-            let work = self.rows.saturating_mul(self.cols).saturating_mul(w.cols);
-            let mut out = Self::zeros(self.rows, w.cols);
-            crate::parallel::for_each_row_chunk(
-                &mut out.data,
-                self.rows,
-                w.cols,
-                crate::parallel::threads_for(work),
-                |r0, r1, chunk| {
-                    crate::parallel::seed_rows(chunk, &bias.data);
-                    fast::matmul_fast_block(self, w, r0, r1, chunk);
-                },
-            );
-            out
-        }
-    }
-
-    fn matmul_tb_fast(&self, other: &Self) -> Self {
-        #[cfg(not(feature = "fast-math"))]
-        {
-            self.matmul_tb(other)
-        }
-        #[cfg(feature = "fast-math")]
-        {
-            assert_eq!(
-                self.cols,
-                other.cols,
-                "matmul_tb dims mismatch: {:?} @ {:?}.T",
-                self.shape(),
-                other.shape()
-            );
-            let work = self
-                .rows
-                .saturating_mul(self.cols)
-                .saturating_mul(other.rows);
-            let mut out = Self::zeros(self.rows, other.rows);
-            crate::parallel::for_each_row_chunk(
-                &mut out.data,
-                self.rows,
-                other.rows,
-                crate::parallel::threads_for(work),
-                |r0, r1, chunk| fast::matmul_tb_fast_block(self, other, r0, r1, chunk),
-            );
-            out
-        }
-    }
-
-    fn matmul_ta_fast(&self, other: &Self) -> Self {
-        #[cfg(not(feature = "fast-math"))]
-        {
-            self.matmul_ta(other)
-        }
-        #[cfg(feature = "fast-math")]
-        {
-            assert_eq!(
-                self.rows,
-                other.rows,
-                "matmul_ta dims mismatch: {:?}.T @ {:?}",
-                self.shape(),
-                other.shape()
-            );
-            let work = self
-                .rows
-                .saturating_mul(self.cols)
-                .saturating_mul(other.cols);
-            let mut out = Self::zeros(self.cols, other.cols);
-            crate::parallel::for_each_row_chunk(
-                &mut out.data,
-                self.cols,
-                other.cols,
-                crate::parallel::threads_for(work),
-                |c0, c1, chunk| fast::matmul_ta_fast_block(self, other, c0, c1, chunk),
-            );
-            out
-        }
     }
 }
 
@@ -1026,6 +853,16 @@ mod fast {
     }
 }
 
+/// Without the `fast-math` feature the fast tier *is* the exact kernels,
+/// so [`MathMode::Fast`] stays bitwise [`MathMode::Exact`].
+#[cfg(not(feature = "fast-math"))]
+mod fast {
+    pub(super) use super::{
+        matmul_block as matmul_fast_block, matmul_ta_block as matmul_ta_fast_block,
+        matmul_tb_block as matmul_tb_fast_block,
+    };
+}
+
 impl<E: Elem> fmt::Debug for MatrixT<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Matrix {}x{} [", self.rows, self.cols)?;
@@ -1198,15 +1035,14 @@ mod tests {
         let bt = Matrix::from_vec(4, 5, (0..20).map(|i| i as f32 * 0.13 - 1.2).collect());
         let ta_b = Matrix::from_vec(3, 4, (0..12).map(|i| i as f32 * 0.21 - 1.1).collect());
         for mode in [MathMode::Exact, MathMode::Fast] {
-            assert!(a.matmul_mode(&b, mode).approx_eq(&a.matmul(&b), 1e-4));
+            let ctx = mode.into();
+            assert!(a.matmul_in(&b, None, ctx).approx_eq(&a.matmul(&b), 1e-4));
             assert!(a
-                .matmul_bias_mode(&b, &bias, mode)
+                .matmul_in(&b, Some(&bias), ctx)
                 .approx_eq(&a.matmul_bias(&b, &bias), 1e-4));
+            assert!(a.matmul_tb_in(&bt, ctx).approx_eq(&a.matmul_tb(&bt), 1e-4));
             assert!(a
-                .matmul_tb_mode(&bt, mode)
-                .approx_eq(&a.matmul_tb(&bt), 1e-4));
-            assert!(a
-                .matmul_ta_mode(&ta_b, mode)
+                .matmul_ta_in(&ta_b, ctx)
                 .approx_eq(&a.matmul_ta(&ta_b), 1e-4));
         }
     }

@@ -10,18 +10,22 @@
 /// Minimum multiply-accumulate count before a kernel goes parallel;
 /// below this the dispatch cost dominates.
 ///
-/// Tuned for the persistent work-stealing pool in the vendored `rayon`:
-/// dispatching a 4-job section measures ≈1 µs (deque push + wakeup per
-/// job; `parallel_dispatch_4jobs` in `BENCH_kernels.json`) vs ≈55 µs
-/// for the per-section OS-thread spawns the old `1<<18` gate (≈27 µs of
-/// work) existed to amortise. The recording machine is single-core, so
-/// that 1 µs is the owner-self-drain path; a real cross-core dispatch
-/// (condvar wakeup + steal + cache-line transfer) is conservatively
-/// budgeted at 2–4 µs. `1<<16` MACs ≈ 6.8 µs at ~10 GMAC/s keeps a ≈2×
-/// margin over that budget while still admitting GNN-layer-sized
-/// kernels the old gate pinned serial; the help-first latch bounds the
-/// downside (slow-waking workers just mean the owner drains the chunks
-/// itself at ≈ serial cost + ≈1 µs).
+/// Tuned for the persistent work-stealing pool in the vendored `rayon`
+/// on a single-core machine: dispatching a 4-job section measured ≈1 µs
+/// there (deque push + wakeup per job; the owner-self-drain path) vs
+/// ≈55 µs for the per-section OS-thread spawns the old `1<<18` gate
+/// (≈27 µs of work) existed to amortise, and a real cross-core dispatch
+/// (condvar wakeup + steal + cache-line transfer) was budgeted at 2–4 µs.
+/// `1<<16` MACs ≈ 6.8 µs at ~10 GMAC/s keeps a ≈2× margin over that
+/// budget while still admitting GNN-layer-sized kernels the old gate
+/// pinned serial; the help-first latch bounds the downside (slow-waking
+/// workers just mean the owner drains the chunks itself at ≈ serial
+/// cost + ≈1 µs). `BENCH_kernels.json` is now recorded on two vCPUs:
+/// `parallel_dispatch_4jobs` reads 2.6 µs there (137 µs for the spawns),
+/// and the two just-over-the-gate `small_*` kernels run at 0.44–0.55× of
+/// serial through `auto` — the budget is too low where a wake crosses
+/// cores. Re-tuning moves every kernel, so it is its own measured change
+/// (ROADMAP, *Parked*).
 pub(crate) const PAR_MIN_WORK: usize = 1 << 16;
 
 /// Minimum multiply-accumulates per worker chunk once a kernel *is*

@@ -117,20 +117,6 @@ pub fn spmm(s: &CsrMatrix, x: &Matrix) -> Matrix {
     out
 }
 
-/// Naive CSR × dense vector product.
-pub fn spmv(s: &CsrMatrix, x: &[f32]) -> Vec<f32> {
-    assert_eq!(s.n_cols(), x.len(), "spmv dims mismatch");
-    let mut out = vec![0.0; s.n_rows()];
-    for (r, o) in out.iter_mut().enumerate() {
-        let mut acc = 0.0;
-        for (c, v) in s.row_iter(r) {
-            acc += v * x[c];
-        }
-        *o = acc;
-    }
-    out
-}
-
 /// Multi-pass GAT attention over an arc list — the formulation
 /// [`SegmentAttention::forward`] fuses, kept as its oracle: the two
 /// `n×1` score products (the naive [`matmul`] loop), one pass for the

@@ -8,12 +8,13 @@
 //!
 //! Like the dense side, storage is generic over the element type
 //! ([`CsrMatrixT<E>`]) with the [`CsrMatrix`] alias pinning the training
-//! stack to `f32`, and every product kernel has a `*_mode` entry point
-//! selecting the exact or fast-math tier at runtime.
+//! stack to `f32`, and the product has one implementation,
+//! [`CsrMatrixT::spmm_in`], whose [`KernelCtx`] picks the worker count and
+//! the exact or fast-math tier at runtime.
 
 use crate::elem::Elem;
 use crate::matrix::MatrixT;
-use crate::mode::MathMode;
+use crate::mode::{KernelCtx, MathMode};
 
 /// An immutable CSR sparse matrix over elements of type `E`.
 #[derive(Clone, Debug, PartialEq)]
@@ -154,12 +155,22 @@ impl<E: Elem> CsrMatrixT<E> {
     /// # Panics
     /// Panics on dimension mismatch.
     pub fn spmm(&self, x: &MatrixT<E>) -> MatrixT<E> {
-        let work = self.nnz().saturating_mul(x.cols());
-        self.spmm_with_threads(x, crate::parallel::threads_for(work))
+        self.spmm_in(x, None, KernelCtx::default())
     }
 
-    /// [`CsrMatrix::spmm`] with an explicit worker count (tests/benches).
-    pub fn spmm_with_threads(&self, x: &MatrixT<E>, threads: usize) -> MatrixT<E> {
+    /// Fused `self @ x + bias` with a `1×cols` bias row broadcast over
+    /// every output row (the GCN layer's `Â (H W) + b` in one kernel).
+    pub fn spmm_bias(&self, x: &MatrixT<E>, bias: &MatrixT<E>) -> MatrixT<E> {
+        self.spmm_in(x, Some(bias), KernelCtx::default())
+    }
+
+    /// `self @ x (+ bias)` on the worker count and kernel tier `ctx` names
+    /// (see [`MatrixT::matmul_in`]). A bias row seeds every output row
+    /// before either tier accumulates on top of it.
+    ///
+    /// # Panics
+    /// Panics on dimension mismatch, or when `bias` is not `1×cols`.
+    pub fn spmm_in(&self, x: &MatrixT<E>, bias: Option<&MatrixT<E>>, ctx: KernelCtx) -> MatrixT<E> {
         assert_eq!(
             self.n_cols,
             x.rows(),
@@ -169,81 +180,28 @@ impl<E: Elem> CsrMatrixT<E> {
             x.shape()
         );
         let cols = x.cols();
-        let mut out = MatrixT::zeros(self.n_rows, cols);
-        if threads <= 1 {
-            // Serial fast-path: skip the chunked dispatch machinery
-            // entirely so the single-thread spmm costs exactly one call.
-            self.spmm_rows(x, 0, self.n_rows, out.as_mut_slice());
-            return out;
+        if let Some(bias) = bias {
+            assert_eq!(bias.rows(), 1, "bias must be a single row");
+            assert_eq!(bias.cols(), cols, "bias width mismatch");
         }
-        crate::parallel::for_each_row_chunk(
-            out.as_mut_slice(),
-            self.n_rows,
-            cols,
-            threads,
-            |r0, r1, chunk| self.spmm_rows(x, r0, r1, chunk),
-        );
-        out
-    }
-
-    /// [`CsrMatrix::spmm`] on the selected kernel tier (see
-    /// [`MatrixT::matmul_mode`]).
-    pub fn spmm_mode(&self, x: &MatrixT<E>, mode: MathMode) -> MatrixT<E> {
-        match mode {
-            MathMode::Exact => self.spmm(x),
-            MathMode::Fast => self.spmm_fast(x),
-        }
-    }
-
-    /// [`CsrMatrix::spmm_mode`] with an explicit worker count, so benches
-    /// can isolate the serial fast-math win from parallel speedup.
-    pub fn spmm_with_threads_mode(
-        &self,
-        x: &MatrixT<E>,
-        threads: usize,
-        mode: MathMode,
-    ) -> MatrixT<E> {
-        match mode {
-            MathMode::Exact => self.spmm_with_threads(x, threads),
-            MathMode::Fast => self.spmm_fast_with_threads(x, threads),
-        }
-    }
-
-    /// Fused `self @ x + bias` with a `1×cols` bias row broadcast over
-    /// every output row (the GCN layer's `Â (H W) + b` in one kernel).
-    pub fn spmm_bias(&self, x: &MatrixT<E>, bias: &MatrixT<E>) -> MatrixT<E> {
-        assert_eq!(
-            self.n_cols,
-            x.rows(),
-            "spmm_bias dims mismatch: {}x{} @ {:?}",
-            self.n_rows,
-            self.n_cols,
-            x.shape()
-        );
-        assert_eq!(bias.rows(), 1, "bias must be a single row");
-        assert_eq!(bias.cols(), x.cols(), "bias width mismatch");
-        let cols = x.cols();
         let work = self.nnz().saturating_mul(cols);
         let mut out = MatrixT::zeros(self.n_rows, cols);
         crate::parallel::for_each_row_chunk(
             out.as_mut_slice(),
             self.n_rows,
             cols,
-            crate::parallel::threads_for(work),
+            ctx.workers(work),
             |r0, r1, chunk| {
-                crate::parallel::seed_rows(chunk, bias.as_slice());
-                self.spmm_rows(x, r0, r1, chunk);
+                if let Some(bias) = bias {
+                    crate::parallel::seed_rows(chunk, bias.as_slice());
+                }
+                match ctx.mode {
+                    MathMode::Exact => self.spmm_rows(x, r0, r1, chunk),
+                    MathMode::Fast => self.spmm_rows_fast(x, r0, r1, chunk),
+                }
             },
         );
         out
-    }
-
-    /// [`CsrMatrix::spmm_bias`] on the selected kernel tier.
-    pub fn spmm_bias_mode(&self, x: &MatrixT<E>, bias: &MatrixT<E>, mode: MathMode) -> MatrixT<E> {
-        match mode {
-            MathMode::Exact => self.spmm_bias(x, bias),
-            MathMode::Fast => self.spmm_bias_fast(x, bias),
-        }
     }
 
     /// Accumulates rows `[r0, r1)` of `self @ x` into `chunk`.
@@ -263,109 +221,6 @@ impl<E: Elem> CsrMatrixT<E> {
                     *o += v * xv;
                 }
             }
-        }
-    }
-
-    /// Sparse × dense vector product for `x` stored as a slice.
-    ///
-    /// Rayon-parallel over row chunks; per-row dot products stay serial,
-    /// so results are bitwise identical to [`crate::reference::spmv`].
-    pub fn spmv(&self, x: &[E]) -> Vec<E> {
-        self.spmv_with_threads(x, crate::parallel::threads_for(self.nnz()))
-    }
-
-    /// [`CsrMatrix::spmv`] with an explicit worker count (tests/benches).
-    pub fn spmv_with_threads(&self, x: &[E], threads: usize) -> Vec<E> {
-        assert_eq!(self.n_cols, x.len(), "spmv dims mismatch");
-        let mut out = vec![E::ZERO; self.n_rows];
-        crate::parallel::for_each_row_chunk(&mut out, self.n_rows, 1, threads, |r0, r1, chunk| {
-            for r in r0..r1 {
-                let mut acc = E::ZERO;
-                for i in self.indptr[r]..self.indptr[r + 1] {
-                    acc += self.values[i] * x[self.indices[i]];
-                }
-                chunk[r - r0] = acc;
-            }
-        });
-        out
-    }
-
-    /// [`CsrMatrix::spmv`] on the selected kernel tier.
-    pub fn spmv_mode(&self, x: &[E], mode: MathMode) -> Vec<E> {
-        match mode {
-            MathMode::Exact => self.spmv(x),
-            MathMode::Fast => self.spmv_fast(x),
-        }
-    }
-
-    fn spmm_fast(&self, x: &MatrixT<E>) -> MatrixT<E> {
-        let work = self.nnz().saturating_mul(x.cols());
-        self.spmm_fast_with_threads(x, crate::parallel::threads_for(work))
-    }
-
-    fn spmm_fast_with_threads(&self, x: &MatrixT<E>, threads: usize) -> MatrixT<E> {
-        #[cfg(not(feature = "fast-math"))]
-        {
-            self.spmm_with_threads(x, threads)
-        }
-        #[cfg(feature = "fast-math")]
-        {
-            assert_eq!(
-                self.n_cols,
-                x.rows(),
-                "spmm dims mismatch: {}x{} @ {:?}",
-                self.n_rows,
-                self.n_cols,
-                x.shape()
-            );
-            let cols = x.cols();
-            let mut out = MatrixT::zeros(self.n_rows, cols);
-            if threads <= 1 {
-                self.spmm_rows_fast(x, 0, self.n_rows, out.as_mut_slice());
-                return out;
-            }
-            crate::parallel::for_each_row_chunk(
-                out.as_mut_slice(),
-                self.n_rows,
-                cols,
-                threads,
-                |r0, r1, chunk| self.spmm_rows_fast(x, r0, r1, chunk),
-            );
-            out
-        }
-    }
-
-    fn spmm_bias_fast(&self, x: &MatrixT<E>, bias: &MatrixT<E>) -> MatrixT<E> {
-        #[cfg(not(feature = "fast-math"))]
-        {
-            self.spmm_bias(x, bias)
-        }
-        #[cfg(feature = "fast-math")]
-        {
-            assert_eq!(
-                self.n_cols,
-                x.rows(),
-                "spmm_bias dims mismatch: {}x{} @ {:?}",
-                self.n_rows,
-                self.n_cols,
-                x.shape()
-            );
-            assert_eq!(bias.rows(), 1, "bias must be a single row");
-            assert_eq!(bias.cols(), x.cols(), "bias width mismatch");
-            let cols = x.cols();
-            let work = self.nnz().saturating_mul(cols);
-            let mut out = MatrixT::zeros(self.n_rows, cols);
-            crate::parallel::for_each_row_chunk(
-                out.as_mut_slice(),
-                self.n_rows,
-                cols,
-                crate::parallel::threads_for(work),
-                |r0, r1, chunk| {
-                    crate::parallel::seed_rows(chunk, bias.as_slice());
-                    self.spmm_rows_fast(x, r0, r1, chunk);
-                },
-            );
-            out
         }
     }
 
@@ -407,38 +262,11 @@ impl<E: Elem> CsrMatrixT<E> {
         }
     }
 
-    #[cfg(feature = "fast-math")]
-    fn spmv_fast(&self, x: &[E]) -> Vec<E> {
-        assert_eq!(self.n_cols, x.len(), "spmv dims mismatch");
-        let mut out = vec![E::ZERO; self.n_rows];
-        let threads = crate::parallel::threads_for(self.nnz());
-        crate::parallel::for_each_row_chunk(&mut out, self.n_rows, 1, threads, |r0, r1, chunk| {
-            for r in r0..r1 {
-                let span = self.indptr[r]..self.indptr[r + 1];
-                let idx = &self.indices[span.clone()];
-                let val = &self.values[span];
-                // Four independent accumulators over the nonzeros.
-                let mut acc = [E::ZERO; 4];
-                let mut i = 0;
-                while i + 4 <= idx.len() {
-                    for (l, a) in acc.iter_mut().enumerate() {
-                        *a += val[i + l] * x[idx[i + l]];
-                    }
-                    i += 4;
-                }
-                let mut tail = E::ZERO;
-                for ii in i..idx.len() {
-                    tail += val[ii] * x[idx[ii]];
-                }
-                chunk[r - r0] = (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail;
-            }
-        });
-        out
-    }
-
+    /// Without the `fast-math` feature the fast tier *is* the exact rows,
+    /// so [`MathMode::Fast`] stays bitwise [`MathMode::Exact`].
     #[cfg(not(feature = "fast-math"))]
-    fn spmv_fast(&self, x: &[E]) -> Vec<E> {
-        self.spmv(x)
+    fn spmm_rows_fast(&self, x: &MatrixT<E>, r0: usize, r1: usize, chunk: &mut [E]) {
+        self.spmm_rows(x, r0, r1, chunk);
     }
 
     /// Transposed copy (CSC of `self` re-expressed as CSR).
@@ -652,15 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn spmv_matches_spmm() {
-        let s = sample();
-        let x = vec![1.0, -1.0, 2.0];
-        let v = s.spmv(&x);
-        let m = s.spmm(&Matrix::from_vec(3, 1, x));
-        assert_eq!(v, m.as_slice());
-    }
-
-    #[test]
     fn transpose_matches_dense_transpose() {
         let s = sample();
         let t = s.transpose();
@@ -783,15 +602,11 @@ mod tests {
         let bias = Matrix::from_vec(1, 3, vec![0.75, -0.5, 0.125]);
         let exact = s.spmm(&x);
         let exact_bias = s.spmm_bias(&x, &bias);
-        let xv: Vec<f32> = (0..7).map(|i| i as f32 * 0.4 - 1.0).collect();
-        let exact_v = s.spmv(&xv);
         for mode in [MathMode::Exact, MathMode::Fast] {
-            assert!(s.spmm_mode(&x, mode).approx_eq(&exact, 1e-4));
+            assert!(s.spmm_in(&x, None, mode.into()).approx_eq(&exact, 1e-4));
             assert!(s
-                .spmm_bias_mode(&x, &bias, mode)
+                .spmm_in(&x, Some(&bias), mode.into())
                 .approx_eq(&exact_bias, 1e-4));
-            let v = s.spmv_mode(&xv, mode);
-            assert!(v.iter().zip(&exact_v).all(|(&a, &b)| (a - b).abs() <= 1e-4));
         }
     }
 }

@@ -20,7 +20,7 @@
 //! the exact kernels bitwise — also asserted here, so the same test file
 //! is meaningful in both CI legs.
 
-use cgnp_tensor::{CsrMatrixT, Elem, MathMode, MatrixT};
+use cgnp_tensor::{CsrMatrixT, Elem, KernelCtx, MathMode, MatrixT};
 use proptest::prelude::*;
 
 /// Max fast-vs-exact deviation for `f32` kernels, relative to the
@@ -97,16 +97,36 @@ fn mats_from<E: Elem>(
     (a, b, bias)
 }
 
+/// The fast tier at the work-sized worker count, after asserting that a
+/// forced serial run and a forced three-way row split give the same bits:
+/// like the exact tier, a fast row kernel computes each output element
+/// from its own row range only.
+fn fast_at_any_split<E: Elem>(what: &str, run: impl Fn(KernelCtx) -> MatrixT<E>) -> MatrixT<E> {
+    let fast = run(KernelCtx::tier(MathMode::Fast));
+    for threads in [1, 3] {
+        let split = run(KernelCtx {
+            threads: Some(threads),
+            mode: MathMode::Fast,
+        });
+        assert_eq!(bits(&split), bits(&fast), "{what}: threads={threads}");
+    }
+    fast
+}
+
+fn bits<E: Elem>(m: &MatrixT<E>) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_f64().to_bits()).collect()
+}
+
 fn check_dense_kernels<E: Elem>(m: usize, k: usize, n: usize, data: &[f32]) {
     let (a, b, bias) = mats_from::<E>(m, k, n, data);
     let mass = abs_product_mass(&a, &b);
 
     let exact = a.matmul(&b);
-    let fast = a.matmul_mode(&b, MathMode::Fast);
+    let fast = fast_at_any_split("matmul", |ctx| a.matmul_in(&b, None, ctx));
     assert_within_bound(&exact, &fast, &mass, "matmul");
 
     let exact_bias = a.matmul_bias(&b, &bias);
-    let fast_bias = a.matmul_bias_mode(&b, &bias, MathMode::Fast);
+    let fast_bias = fast_at_any_split("matmul_bias", |ctx| a.matmul_in(&b, Some(&bias), ctx));
     // Bias adds one more |term| of mass per element.
     let mut mass_bias = mass.clone();
     mass_bias.add_bias_assign(&bias.map(|x| x.abs()));
@@ -115,13 +135,13 @@ fn check_dense_kernels<E: Elem>(m: usize, k: usize, n: usize, data: &[f32]) {
     // a (m×k) @ b_t.T where b_t = b.T (n×k).
     let b_t = b.transpose();
     let exact_tb = a.matmul_tb(&b_t);
-    let fast_tb = a.matmul_tb_mode(&b_t, MathMode::Fast);
+    let fast_tb = fast_at_any_split("matmul_tb", |ctx| a.matmul_tb_in(&b_t, ctx));
     assert_within_bound(&exact_tb, &fast_tb, &mass, "matmul_tb");
 
     // a_t.T @ b where a_t = a.T (k×m): output m×n, same mass.
     let a_t = a.transpose();
     let exact_ta = a_t.matmul_ta(&b);
-    let fast_ta = a_t.matmul_ta_mode(&b, MathMode::Fast);
+    let fast_ta = fast_at_any_split("matmul_ta", |ctx| a_t.matmul_ta_in(&b, ctx));
     assert_within_bound(&exact_ta, &fast_ta, &mass, "matmul_ta");
 }
 
@@ -145,30 +165,14 @@ fn check_sparse_kernels<E: Elem>(
     let mass = CsrMatrixT::from_triplets(rows, cols, &abs_t).spmm(&x.map(|v| v.abs()));
 
     let exact = s.spmm(&x);
-    let fast = s.spmm_mode(&x, MathMode::Fast);
+    let fast = fast_at_any_split("spmm", |ctx| s.spmm_in(&x, None, ctx));
     assert_within_bound(&exact, &fast, &mass, "spmm");
 
     let exact_bias = s.spmm_bias(&x, &bias);
-    let fast_bias = s.spmm_bias_mode(&x, &bias, MathMode::Fast);
+    let fast_bias = fast_at_any_split("spmm_bias", |ctx| s.spmm_in(&x, Some(&bias), ctx));
     let mut mass_bias = mass.clone();
     mass_bias.add_bias_assign(&bias.map(|v| v.abs()));
     assert_within_bound(&exact_bias, &fast_bias, &mass_bias, "spmm_bias");
-
-    let xv: Vec<E> = xdata[..cols].iter().map(|&v| E::from_f32(v)).collect();
-    let exact_v = s.spmv(&xv);
-    let fast_v = s.spmv_mode(&xv, MathMode::Fast);
-    let mass_v = CsrMatrixT::from_triplets(rows, cols, &abs_t)
-        .spmv(&xv.iter().map(|v| v.abs()).collect::<Vec<_>>());
-    let tol = tol_for::<E>();
-    for r in 0..rows {
-        let e = exact_v[r].to_f64();
-        let f = fast_v[r].to_f64();
-        let bound = tol * (mass_v[r].to_f64() + 1e-30);
-        assert!(
-            (e - f).abs() <= bound,
-            "spmv: row {r} exact={e} fast={f} > bound={bound}"
-        );
-    }
 }
 
 proptest! {
@@ -224,9 +228,9 @@ proptest! {
     }
 }
 
-/// With the feature off, `Fast` must be a bitwise alias of `Exact` — the
-/// runtime-mode contract a `--exact`-less binary without fast-math
-/// compiled in relies on.
+/// With the feature off, `Fast` must be a bitwise alias of `Exact` on
+/// every product — the runtime-mode contract a `--exact`-less binary
+/// without fast-math compiled in relies on.
 #[cfg(not(feature = "fast-math"))]
 #[test]
 fn fast_mode_is_bitwise_exact_without_the_feature() {
@@ -241,10 +245,7 @@ fn fast_mode_is_bitwise_exact_without_the_feature() {
         11,
         (0..29 * 11).map(|i| (i as f32 * 0.089).cos()).collect(),
     );
-    assert_eq!(
-        a.matmul_mode(&b, MathMode::Fast).as_slice(),
-        a.matmul(&b).as_slice()
-    );
+    let bias = MatrixT::<f32>::from_vec(1, 11, (0..11).map(|i| i as f32 * 0.37 - 1.0).collect());
     let s = CsrMatrixT::<f32>::from_triplets(
         7,
         29,
@@ -252,10 +253,20 @@ fn fast_mode_is_bitwise_exact_without_the_feature() {
             .map(|i| ((i * 13) % 7, (i * 29) % 29, i as f32 * 0.21 - 3.0))
             .collect::<Vec<_>>(),
     );
-    assert_eq!(
-        s.spmm_mode(&b, MathMode::Fast).as_slice(),
-        s.spmm(&b).as_slice()
-    );
+    let (b_t, a_t) = (b.transpose(), a.transpose());
+    let run = |mode: MathMode| {
+        let ctx = KernelCtx::tier(mode);
+        [
+            a.matmul_in(&b, None, ctx),
+            a.matmul_in(&b, Some(&bias), ctx),
+            a.matmul_tb_in(&b_t, ctx),
+            a_t.matmul_ta_in(&b, ctx),
+            s.spmm_in(&b, None, ctx),
+            s.spmm_in(&b, Some(&bias), ctx),
+        ]
+        .map(|m| bits(&m))
+    };
+    assert_eq!(run(MathMode::Fast), run(MathMode::Exact));
 }
 
 /// With the feature on, the fast tier must actually be a different code

@@ -10,7 +10,9 @@
 //! to the same contract against its multi-pass reference, in `f32` and
 //! `f64`.
 
-use cgnp_tensor::{reference, CentroidScores, CsrMatrix, Elem, Matrix, MatrixT, SegmentAttention};
+use cgnp_tensor::{
+    reference, CentroidScores, CsrMatrix, Elem, KernelCtx, Matrix, MatrixT, SegmentAttention,
+};
 use proptest::prelude::*;
 
 /// Matrices with dimensions in `[0, dim_hi)`, entries including exact
@@ -62,7 +64,7 @@ proptest! {
         let expect = bits(&reference::matmul(&a, &b));
         prop_assert_eq!(bits(&a.matmul(&b)), expect.clone());
         // Forced multi-chunk parallel path must agree on any machine.
-        prop_assert_eq!(bits(&a.matmul_with_threads(&b, 4)), expect);
+        prop_assert_eq!(bits(&a.matmul_in(&b, None, KernelCtx::threads(4))), expect);
     }
 
     #[test]
@@ -73,7 +75,7 @@ proptest! {
     ) {
         let expect = bits(&reference::matmul_tb(&a, &b));
         prop_assert_eq!(bits(&a.matmul_tb(&b)), expect.clone());
-        prop_assert_eq!(bits(&a.matmul_tb_with_threads(&b, 4)), expect);
+        prop_assert_eq!(bits(&a.matmul_tb_in(&b, KernelCtx::threads(4))), expect);
     }
 
     #[test]
@@ -84,7 +86,7 @@ proptest! {
     ) {
         let expect = bits(&reference::matmul_ta(&a, &b));
         prop_assert_eq!(bits(&a.matmul_ta(&b)), expect.clone());
-        prop_assert_eq!(bits(&a.matmul_ta_with_threads(&b, 4)), expect);
+        prop_assert_eq!(bits(&a.matmul_ta_in(&b, KernelCtx::threads(4))), expect);
     }
 
     #[test]
@@ -95,21 +97,7 @@ proptest! {
     ) {
         let expect = bits(&reference::spmm(&s, &x));
         prop_assert_eq!(bits(&s.spmm(&x)), expect.clone());
-        prop_assert_eq!(bits(&s.spmm_with_threads(&x, 4)), expect);
-    }
-
-    #[test]
-    fn spmv_matches_reference_bitwise(
-        (s, x) in (0usize..16, 0usize..16).prop_flat_map(|(r, k)| {
-            (arb_csr(r, k), proptest::collection::vec(-4.0f32..4.0, k))
-        })
-    ) {
-        let to_bits = |v: &[f32]| -> Vec<u32> {
-            v.iter().map(|x| x.to_bits()).collect()
-        };
-        let expect = to_bits(&reference::spmv(&s, &x));
-        prop_assert_eq!(to_bits(&s.spmv(&x)), expect.clone());
-        prop_assert_eq!(to_bits(&s.spmv_with_threads(&x, 4)), expect);
+        prop_assert_eq!(bits(&s.spmm_in(&x, None, KernelCtx::threads(4))), expect);
     }
 
     #[test]
@@ -128,6 +116,69 @@ proptest! {
         let mut unfused = reference::matmul(&x, &w);
         unfused.add_bias_assign(&b);
         prop_assert!(fused.approx_eq(&unfused, 1e-4));
+    }
+}
+
+/// Worker counts every `*_in` entry point is held to: work-sized, serial,
+/// a split that leaves a short last chunk, and more workers than rows.
+const THREADS: [Option<usize>; 4] = [None, Some(1), Some(3), Some(64)];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Dimensions reach 48, so an explicit count cuts up to six row chunks
+    /// and the largest cases pass the work gate `None` fans out above.
+    ///
+    /// The oracle for a fused bias is the reference product with the bias
+    /// as term zero — `[1 | a] @ [bias; b]`: `0 + 1·bias` is `bias`
+    /// exactly, and the remaining terms follow in the same order.
+    #[test]
+    fn every_in_entry_point_matches_reference_at_any_thread_count(
+        ((a, b, b_t), (a_t, bias, s)) in (0usize..48, 0usize..48, 0usize..48).prop_flat_map(|(m, k, n)| {
+            (
+                (
+                    arb_matrix(m..m + 1, k..k + 1),
+                    arb_matrix(k..k + 1, n..n + 1),
+                    arb_matrix(n..n + 1, k..k + 1),
+                ),
+                (
+                    arb_matrix(m..m + 1, n..n + 1),
+                    arb_matrix(1..2, n..n + 1),
+                    arb_csr(m, k),
+                ),
+            )
+        })
+    ) {
+        let ones = Matrix::full(a.rows(), 1, 1.0);
+        let biased_b = Matrix::vstack(&[&bias, &b]);
+        let mut trips: Vec<(usize, usize, f32)> = (0..s.n_rows()).map(|r| (r, 0, 1.0)).collect();
+        for r in 0..s.n_rows() {
+            trips.extend(s.row_iter(r).map(|(c, v)| (r, c + 1, v)));
+        }
+        let ones_and_s = CsrMatrix::from_triplets(s.n_rows(), s.n_cols() + 1, &trips);
+
+        let expect = [
+            reference::matmul(&a, &b),
+            reference::matmul(&Matrix::hstack(&[&ones, &a]), &biased_b),
+            reference::matmul_tb(&a, &b_t),
+            reference::matmul_ta(&a, &a_t),
+            reference::spmm(&s, &b),
+            reference::spmm(&ones_and_s, &biased_b),
+        ];
+        for threads in THREADS {
+            let ctx = KernelCtx { threads, ..KernelCtx::default() };
+            let got = [
+                ("matmul", a.matmul_in(&b, None, ctx)),
+                ("matmul + bias", a.matmul_in(&b, Some(&bias), ctx)),
+                ("matmul_tb", a.matmul_tb_in(&b_t, ctx)),
+                ("matmul_ta", a.matmul_ta_in(&a_t, ctx)),
+                ("spmm", s.spmm_in(&b, None, ctx)),
+                ("spmm + bias", s.spmm_in(&b, Some(&bias), ctx)),
+            ];
+            for ((name, got), want) in got.iter().zip(&expect) {
+                prop_assert!(bits(got) == bits(want), "{name} threads={threads:?}");
+            }
+        }
     }
 }
 
@@ -162,7 +213,7 @@ fn large_matmul_crosses_tile_and_chunk_boundaries() {
         .collect();
     for threads in [1, 2, 3, 8] {
         let got: Vec<u32> = a
-            .matmul_with_threads(&b, threads)
+            .matmul_in(&b, None, KernelCtx::threads(threads))
             .as_slice()
             .iter()
             .map(|v| v.to_bits())
@@ -199,7 +250,7 @@ fn many_tiny_sections_reuse_the_pool_bitwise_stable() {
         .collect();
     for round in 0..400 {
         let got: Vec<u32> = a
-            .matmul_with_threads(&b, 4)
+            .matmul_in(&b, None, KernelCtx::threads(4))
             .as_slice()
             .iter()
             .map(|v| v.to_bits())
@@ -241,7 +292,10 @@ fn nested_join_inside_scope_keeps_kernels_bitwise_identical() {
             s.spawn(move |_| {
                 // Inside a worker the auto path must resolve serially and
                 // still match the reference bit-for-bit.
-                let (x, y) = rayon::join(|| a.matmul(b), || a.matmul_with_threads(b, 4));
+                let (x, y) = rayon::join(
+                    || a.matmul(b),
+                    || a.matmul_in(b, None, KernelCtx::threads(4)),
+                );
                 assert_eq!(bits_of(&x), bits_of(&y));
                 *out = bits_of(&x);
             });
@@ -254,8 +308,8 @@ fn nested_join_inside_scope_keeps_kernels_bitwise_identical() {
 
 #[test]
 fn sequential_sections_across_kernel_types_stay_identical() {
-    // Pool reuse across *different* kernels back-to-back: matmul, spmm,
-    // and spmv sections interleaved, all forced multi-chunk.
+    // Pool reuse across *different* kernels back-to-back: matmul and spmm
+    // sections interleaved, all forced multi-chunk.
     let a = Matrix::from_vec(
         80,
         50,
@@ -284,23 +338,20 @@ fn sequential_sections_across_kernel_types_stay_identical() {
             .map(|i| ((i % 37) as f32) * 0.05 - 0.9)
             .collect(),
     );
-    let v: Vec<f32> = (0..200).map(|i| ((i % 41) as f32) * 0.04 - 0.8).collect();
 
     let mm_expect = bits(&reference::matmul(&a, &b));
     let sp_expect = bits(&reference::spmm(&s, &x));
-    let sv_expect: Vec<u32> = reference::spmv(&s, &v)
-        .iter()
-        .map(|f| f.to_bits())
-        .collect();
     for round in 0..100 {
-        assert_eq!(bits(&a.matmul_with_threads(&b, 3)), mm_expect, "mm {round}");
-        assert_eq!(bits(&s.spmm_with_threads(&x, 4)), sp_expect, "sp {round}");
-        let sv: Vec<u32> = s
-            .spmv_with_threads(&v, 2)
-            .iter()
-            .map(|f| f.to_bits())
-            .collect();
-        assert_eq!(sv, sv_expect, "sv {round}");
+        assert_eq!(
+            bits(&a.matmul_in(&b, None, KernelCtx::threads(3))),
+            mm_expect,
+            "mm {round}"
+        );
+        assert_eq!(
+            bits(&s.spmm_in(&x, None, KernelCtx::threads(4))),
+            sp_expect,
+            "sp {round}"
+        );
     }
 }
 
@@ -332,7 +383,7 @@ fn large_spmm_parallel_chunks_are_bitwise_stable() {
         .collect();
     for threads in [1, 2, 5] {
         let got: Vec<u32> = s
-            .spmm_with_threads(&x, threads)
+            .spmm_in(&x, None, KernelCtx::threads(threads))
             .as_slice()
             .iter()
             .map(|v| v.to_bits())

@@ -1,54 +1,42 @@
 #!/usr/bin/env python3
-"""Bench-regression gate: compare a regenerated bench baseline against the
-checked-in snapshot and fail on large dispatch/overhead regressions.
+"""Bench-regression gate: compare a regenerated `BENCH_kernels.json` against
+the checked-in snapshot and fail on large dispatch/overhead regressions.
 
-The committed BENCH_*.json files are single-machine recordings, so absolute
-nanoseconds are not comparable across runners. What *is* comparable is each
-file's internal ratios — `speedup_vs_naive` (pool dispatch vs per-section OS
-threads, lock-free tensor reads vs the locked replica, batched meta-training
-vs the sequential loop), `speedup_vs_batch1` (serve micro-batching) and
-`speedup_vs_shard1` (scatter/gather coordination overhead) — because both
-sides of a ratio ran on the same machine in the same process.
+The committed file is a single-machine recording, so absolute nanoseconds
+are not comparable across runners. What *is* comparable is its internal
+`speedup_vs_naive` ratios (pool dispatch vs per-section OS threads, the
+fast-math tier vs the naive loop), because both sides of a ratio ran on the
+same machine in the same process.
 
 Two rules, both tuned to be generous to quick-mode CI noise while
 catching structural regressions:
 
 * relative: a gated ratio that collapses by more than --factor (default
   3x) against the snapshot fails. This protects the large ratios (pool
-  dispatch ~55x, serve batching ~27x).
+  dispatch ~50x).
 * absolute floor: a row whose snapshot records a win (ratio >= 1) whose
   current ratio falls below --floor (default 0.5, i.e. the "optimised"
   variant measuring 2x slower than its own baseline) fails even when the
   relative drop is under --factor. This protects the near-unity rows
-  (batched meta-training ~1.1x, lock-free tensor reads ~1.1-1.4x), where
-  a 3x relative drop would otherwise only trip after the optimisation
-  had become ~3x slower than doing nothing.
+  (fast-math spmm ~1.4x), where a 3x relative drop would otherwise only
+  trip after the optimisation had become ~2x slower than doing nothing.
 
 Usage:
-    check_bench_regression.py --kind kernels --baseline BENCH_kernels.json \
+    check_bench_regression.py --baseline BENCH_kernels.json \
         --current regenerated.json [--factor 3.0]
-    check_bench_regression.py --kind serve --baseline BENCH_serve.json \
-        --current regenerated.json
-    check_bench_regression.py --kind shard --baseline BENCH_shard.json \
-        --current regenerated.json
 """
 
 import argparse
 import json
 import sys
 
-# Kernel groups whose speedup ratios are dispatch/overhead-bound: they
-# measure bookkeeping (pool dispatch, lock traffic, per-task optimiser
-# overhead), not arithmetic throughput, so their ratios are stable enough
-# to gate. Raw-kernel ratios (matmul/spmm blocking) swing with cache
-# hierarchy and stay report-only — except the fast-math rows, whose
-# fast-vs-naive ratio is the acceptance headroom of the fast tier and is
-# gated whenever the current run compiled the feature in.
-GATED_KERNEL_PREFIXES = (
-    "parallel_dispatch",
-    "tensor_op_overhead",
-    "meta_train_throughput",
-)
+# Kernel groups whose speedup ratios are dispatch-bound: they measure
+# bookkeeping (pool dispatch), not arithmetic throughput, so their ratios
+# are stable enough to gate. Raw-kernel ratios (matmul/spmm blocking)
+# swing with cache hierarchy and stay report-only — except the fast-math
+# rows, whose fast-vs-naive ratio is the acceptance headroom of the fast
+# tier and is gated whenever the current run compiled the feature in.
+GATED_KERNEL_PREFIXES = ("parallel_dispatch",)
 
 # Variant names produced only by `--features fast-math` builds. A default
 # build legitimately regenerates a baseline without them; the gate drops
@@ -75,77 +63,8 @@ def ratio_rows_kernels(doc):
     return out
 
 
-def ratio_rows_serve(doc):
-    """Batching rows keyed on speedup_vs_batch1, engine rows on
-    speedup_vs_exact_f64 (the fast_f32 row is fast-gated)."""
-    out = {}
-    for row in doc.get("results", []):
-        variant = row.get("variant")
-        if isinstance(variant, str):
-            speedup = row.get("speedup_vs_exact_f64")
-            if variant != "exact_f64" and isinstance(speedup, (int, float)):
-                out[("serve_precision", variant)] = float(speedup)
-            continue
-        batch, speedup = row.get("batch"), row.get("speedup_vs_batch1")
-        if isinstance(batch, int) and batch > 1 and isinstance(speedup, (int, float)):
-            out[("serve_throughput", f"batch_{batch}")] = float(speedup)
-    return out
-
-
-def ratio_rows_shard(doc):
-    """shard count -> speedup_vs_shard1 for shard counts > 1.
-
-    On one machine a sharded deployment re-runs the encoder per shard, so
-    these ratios sit *below* 1 by design; the gate guards against the
-    coordination overhead blowing up (a >3x collapse of the ratio), not
-    against sharding failing to win. The floor rule never fires here
-    because the snapshot never records a win.
-    """
-    out = {}
-    for row in doc.get("results", []):
-        shards, speedup = row.get("shards"), row.get("speedup_vs_shard1")
-        if isinstance(shards, int) and shards > 1 and isinstance(speedup, (int, float)):
-            out[("shard_scaling", f"shards_{shards}")] = float(speedup)
-    return out
-
-
-def ratio_rows_update(doc):
-    """Live-update rows: refresh-strategy speedups vs a fresh session
-    rebuild, plus the durable row's *inverted* WAL overhead.
-
-    The inversion matters for the rules above: `overhead_vs_ephemeral`
-    is >= 1 by construction (durability adds an fsync), so gating the
-    raw value would let it grow unboundedly (base/cur shrinks as cur
-    grows). Gating `1/overhead` makes a 3x overhead blow-up trip the
-    --factor rule, and keeps the ratio below 1 so the --floor rule
-    (which presumes a snapshot-recorded win) never fires on fsync-bound
-    filesystem noise. Absolute latencies stay report-only.
-    """
-    out = {}
-    for row in doc.get("results", []):
-        mode = row.get("mode")
-        if not isinstance(mode, str):
-            continue
-        speedup = row.get("speedup_vs_fresh")
-        if mode in ("per_row", "epoch_swap") and isinstance(speedup, (int, float)):
-            out[("update_refresh", mode)] = float(speedup)
-        overhead = row.get("overhead_vs_ephemeral")
-        if isinstance(overhead, (int, float)) and overhead > 0:
-            out[("update_durability", mode)] = 1.0 / float(overhead)
-    return out
-
-
-EXTRACTORS = {
-    "kernels": ratio_rows_kernels,
-    "serve": ratio_rows_serve,
-    "shard": ratio_rows_shard,
-    "update": ratio_rows_update,
-}
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--kind", choices=sorted(EXTRACTORS), required=True)
     ap.add_argument("--baseline", required=True, help="checked-in snapshot")
     ap.add_argument("--current", required=True, help="regenerated baseline")
     ap.add_argument(
@@ -162,11 +81,10 @@ def main():
     )
     args = ap.parse_args()
 
-    extract = EXTRACTORS[args.kind]
     baseline_doc = load_doc(args.baseline)
     current_doc = load_doc(args.current)
-    baseline = extract(baseline_doc)
-    current = extract(current_doc)
+    baseline = ratio_rows_kernels(baseline_doc)
+    current = ratio_rows_kernels(current_doc)
 
     # Fast-tier rows only exist in `--features fast-math` builds. When the
     # current regeneration ran without the feature, drop the snapshot's

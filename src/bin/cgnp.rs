@@ -419,7 +419,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         cache: parse_usize(flags, "cache", ServeConfig::default().cache)?,
         threads: parse_usize(flags, "threads", rayon::current_num_threads())?.max(1),
         seed: args.seed,
-        context_cache: true,
         refresh,
         precision,
         math,
