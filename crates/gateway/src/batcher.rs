@@ -20,6 +20,7 @@
 //! spending its read/flush budget on JSON emission.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use cgnp_serve::{ErrorCode, Frame, QueryRequest, QueryResponse, UpdateRequest};
@@ -79,6 +80,14 @@ pub fn run(engine: &dyn QueryEngine, shared: &Shared) {
         };
         let responses = answer_tick(engine, shared, &tick);
         debug_assert_eq!(responses.len(), tick.len());
+        // Applied, refused or expired, the tick is through: the boundary
+        // check may trust the engine's state again (`Release` pairs with
+        // the event loop's `Acquire` load).
+        if matches!(tick[0].frame, Frame::Update(_)) {
+            shared
+                .updates_pending
+                .fetch_sub(tick.len() as u64, Ordering::Release);
+        }
         // Serialise on this thread; the event loop only moves bytes.
         let lines: Vec<(u64, String)> = tick
             .iter()

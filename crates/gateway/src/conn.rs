@@ -1,17 +1,45 @@
 //! Per-connection state: a nonblocking socket with bounded read/write
-//! buffers and NDJSON line framing.
+//! buffers, NDJSON line framing, and in-order release of responses.
 //!
 //! Every buffer here has a failure story. The read buffer is bounded by
 //! `max_line_bytes` — an unterminated line beyond that is answered with
 //! one `bad_request` and discarded up to the next newline, so a garbage
 //! writer cannot grow it. The write buffer holds responses the socket
-//! has not accepted yet; the event loop pauses reading when it exceeds
-//! the configured limit, so a reader that never drains its responses
-//! caps its own footprint.
+//! has not accepted yet, and `owed` the replies waiting their turn
+//! behind an answer the batcher still owes; the event loop pauses
+//! reading when the two together exceed the configured limit, so a
+//! reader that never drains its responses — or floods garbage behind
+//! one slow request — caps its own footprint.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
+
+/// The byte stream under a connection: whatever the event loop can read
+/// and write without blocking and hand to `poll(2)` — an accepted TCP
+/// peer, or the socket pair `Gateway::serve_stream` adopts.
+pub trait Socket: Read + Write + AsRawFd + Send {
+    /// Puts the socket in the mode the event loop drives it in.
+    fn prepare(&self) -> std::io::Result<()>;
+}
+
+impl Socket for TcpStream {
+    fn prepare(&self) -> std::io::Result<()> {
+        self.set_nonblocking(true)?;
+        // Responses are single writes of complete lines; latency beats
+        // segment coalescing for a query endpoint.
+        let _ = self.set_nodelay(true);
+        Ok(())
+    }
+}
+
+impl Socket for UnixStream {
+    fn prepare(&self) -> std::io::Result<()> {
+        self.set_nonblocking(true)
+    }
+}
 
 /// One framed inbound line, or the notice that a line was dropped.
 #[derive(Debug, PartialEq, Eq)]
@@ -27,7 +55,7 @@ pub enum Framed {
 
 /// State of one client connection inside the event loop.
 pub struct Conn {
-    pub stream: TcpStream,
+    pub stream: Box<dyn Socket>,
     /// Bytes read but not yet framed into a complete line.
     read_buf: Vec<u8>,
     /// Framed lines not yet admitted. One read gulp can frame hundreds
@@ -41,7 +69,18 @@ pub struct Conn {
     write_buf: Vec<u8>,
     /// How much of `write_buf` is already written.
     write_pos: usize,
-    /// Admitted-but-unanswered requests from this connection.
+    /// One entry per admitted request the batcher still owes an answer,
+    /// oldest first, holding the replies the event loop wrote itself for
+    /// lines that arrived after it: they are held back so that they
+    /// cannot overtake the answer, and released right behind it.
+    owed: VecDeque<Vec<u8>>,
+    /// Bytes held in `owed`. A counter, not a sum over `owed` on demand:
+    /// the backpressure gates read it several times a pass, and summing
+    /// there cost `serve_sharded` 16 % of its throughput (CHANGES.md,
+    /// PR 18: behind in 10 of 10 pairs, bisected to that one expression).
+    held_bytes: usize,
+    /// Admitted-but-unanswered requests from this connection (the
+    /// length of `owed`).
     pub inflight: usize,
     /// Inside an oversized line: drop bytes until the next newline.
     discarding: bool,
@@ -53,17 +92,16 @@ pub struct Conn {
 }
 
 impl Conn {
-    pub fn new(stream: TcpStream) -> std::io::Result<Self> {
-        stream.set_nonblocking(true)?;
-        // Responses are single writes of complete lines; latency beats
-        // segment coalescing for a query endpoint.
-        let _ = stream.set_nodelay(true);
+    pub fn new(stream: impl Socket + 'static) -> std::io::Result<Self> {
+        stream.prepare()?;
         Ok(Self {
-            stream,
+            stream: Box::new(stream),
             read_buf: Vec::new(),
             pending: VecDeque::new(),
             write_buf: Vec::new(),
             write_pos: 0,
+            owed: VecDeque::new(),
+            held_bytes: 0,
             inflight: 0,
             discarding: false,
             read_closed: false,
@@ -71,8 +109,17 @@ impl Conn {
         })
     }
 
-    /// Unflushed response bytes (the backpressure signal).
+    /// Response bytes not yet handed to the socket, held replies
+    /// included (the backpressure signal).
     pub fn buffered_bytes(&self) -> usize {
+        self.writable_bytes() + self.held_bytes
+    }
+
+    /// The part of [`Conn::buffered_bytes`] the socket could take now.
+    /// Only this may ask for `WRITABLE` or a flush: a held reply waits
+    /// for the batcher, not for room, and a socket polled on its account
+    /// is ready every time with nothing to write.
+    pub fn writable_bytes(&self) -> usize {
         self.write_buf.len() - self.write_pos
     }
 
@@ -190,10 +237,34 @@ impl Conn {
         (!fragment.is_empty()).then_some(fragment)
     }
 
-    /// Queues one response line for writing.
+    /// Records that a request was admitted: its answer is owed, and
+    /// every later reply waits behind it.
+    pub fn admit(&mut self) {
+        self.inflight += 1;
+        self.owed.push_back(Vec::new());
+    }
+
+    /// Queues a reply the event loop wrote itself (parse error, boundary
+    /// rejection, shed): behind the answers still owed, if there are any.
     pub fn push_response(&mut self, json: &str) {
+        if !self.owed.is_empty() {
+            self.held_bytes += json.len() + 1;
+        }
+        let buf = self.owed.back_mut().unwrap_or(&mut self.write_buf);
+        buf.extend_from_slice(json.as_bytes());
+        buf.push(b'\n');
+    }
+
+    /// Queues the batcher's answer to this connection's oldest
+    /// unanswered request, and behind it the replies that were waiting
+    /// for it.
+    pub fn push_answer(&mut self, json: &str) {
+        self.inflight = self.inflight.saturating_sub(1);
+        let held = self.owed.pop_front().unwrap_or_default();
+        self.held_bytes -= held.len();
         self.write_buf.extend_from_slice(json.as_bytes());
         self.write_buf.push(b'\n');
+        self.write_buf.extend_from_slice(&held);
     }
 
     /// Writes as much of the buffer as the socket accepts right now.
@@ -263,7 +334,7 @@ mod tests {
     /// Blocks until what the client just did (bytes, or a half-close)
     /// has reached the server's socket, then reads it.
     fn read_delivered(conn: &mut Conn, max_line_bytes: usize) -> usize {
-        let mut readable = [PollFd::new(&conn.stream, READABLE)];
+        let mut readable = [PollFd::new(&*conn.stream, READABLE)];
         assert_eq!(
             readiness::wait(&mut readable, Some(Duration::from_secs(10))),
             1,

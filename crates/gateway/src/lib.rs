@@ -1,11 +1,13 @@
 //! # cgnp-gateway
 //!
-//! A hardened multi-client TCP front-end for the serving engine,
-//! designed around failure first: the paper's value proposition — answer
-//! community-search queries online, with adaptation as a single forward
-//! pass — only pays off if the serving layer survives real client
-//! behavior. One slow, dead, or malicious peer must never stall the
-//! process or the other connections.
+//! The serving engine's one stream front-end — [`Gateway::start`] for
+//! many TCP peers, [`Gateway::serve_stream`] for the process's own
+//! stdin/stdout as the single connection of a gateway that listens
+//! nowhere — designed around failure first: the paper's value
+//! proposition — answer community-search queries online, with adaptation
+//! as a single forward pass — only pays off if the serving layer
+//! survives real client behavior. One slow, dead, or malicious peer must
+//! never stall the process or the other connections.
 //!
 //! ## Architecture
 //!
@@ -13,25 +15,30 @@
 //! hand-rolled loop over nonblocking sockets, blocking in `poll(2)`
 //! between bursts of work, is enough):
 //!
-//! * The **event loop** owns the listener and every connection. Each
-//!   pass it accepts new peers (up to `max_conns`; excess
-//!   connections get one structured `overloaded` response and are
+//! * The **event loop** owns the listener, if any, and every connection
+//!   (any [`conn::Socket`]: a TCP peer, or the socket pair behind
+//!   `serve_stream`). Each pass it accepts new peers (up to `max_conns`;
+//!   excess connections get one structured `overloaded` response and are
 //!   closed), reads whatever bytes are available per connection into a
 //!   bounded read buffer, frames NDJSON lines, parses and
 //!   boundary-validates them ([`cgnp_serve::validate_request`] — a bad
-//!   request is answered immediately and never consumes a queue slot),
-//!   and admits the rest into the global request queue (bounded by
+//!   request is answered without consuming a queue slot; while an update
+//!   is queued the state to judge against is about to change, so the
+//!   check stands aside and the frame's own tick validates it), and
+//!   admits the rest into the global request queue (bounded by
 //!   `max_queue`; overflow is shed with an `overloaded` response). It
 //!   also moves finished responses into per-connection write buffers and
-//!   flushes them as sockets accept bytes. A pass that did nothing ends
-//!   in [`readiness::wait`]: the loop sleeps in the kernel until the
-//!   listener has a peer, a connection it would read has input
+//!   flushes them as sockets accept bytes — **in the order the
+//!   connection sent its lines**: a reply the loop writes itself waits
+//!   behind the answers the batcher still owes. A pass that did nothing
+//!   ends in [`readiness::wait`]: the loop sleeps in the kernel until
+//!   the listener has a peer, a connection it would read has input
 //!   (`POLLIN` iff [`conn::Conn::wants_read`]), a connection holding
-//!   unflushed bytes has room (`POLLOUT`), or its [`readiness::Waker`]
-//!   is written — by the batcher after it extends the outbox, and by
-//!   drain. There is no timer: an idle gateway is two parked threads
-//!   and makes no wake-ups, and a request is read when it arrives, not
-//!   at the next poll interval.
+//!   bytes it may write now has room (`POLLOUT`), or its
+//!   [`readiness::Waker`] is written — by the batcher after it extends
+//!   the outbox, and by drain. There is no timer: an idle gateway is two
+//!   parked threads and makes no wake-ups, and a request is read when it
+//!   arrives, not at the next poll interval.
 //! * The **batcher** pops up to one micro-batch per tick from the queue,
 //!   expires requests whose deadline passed (`timeout` responses —
 //!   expired work is *never* scored), and hands the rest to the

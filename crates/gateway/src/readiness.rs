@@ -49,7 +49,7 @@ mod sys {
     impl PollFd {
         /// Waits for `interest` on `source`, which the caller keeps open
         /// for as long as the entry is passed to [`wait`].
-        pub fn new(source: &impl AsRawFd, interest: Interest) -> Self {
+        pub fn new(source: &(impl AsRawFd + ?Sized), interest: Interest) -> Self {
             Self {
                 fd: source.as_raw_fd(),
                 events: interest,

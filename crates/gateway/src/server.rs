@@ -1,5 +1,5 @@
-//! The gateway itself: listener, readiness loop, admission control, and
-//! the drain state machine.
+//! The gateway itself: listener (or one adopted stream), readiness
+//! loop, admission control, and the drain state machine.
 //!
 //! The event loop runs passes — accept, read and admit, route the
 //! outbox, flush, reap — for as long as a pass makes progress, and
@@ -7,8 +7,9 @@
 //! for is ready or another thread wakes it (see `EventLoop::park`).
 
 use std::collections::{HashMap, VecDeque};
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -18,7 +19,7 @@ use cgnp_serve::{parse_frame, ErrorCode, Frame, QueryResponse};
 
 use crate::batcher::{self, Pending};
 use crate::config::GatewayConfig;
-use crate::conn::{Conn, Framed};
+use crate::conn::{Conn, Framed, Socket};
 use crate::readiness::{self, PollFd, Waker, READABLE, WRITABLE};
 use crate::stats::{GatewayReport, GatewayStats, GatewaySummary};
 use crate::QueryEngine;
@@ -44,6 +45,12 @@ pub struct Shared {
     state: AtomicU8,
     /// Requests admitted but not yet routed to a write buffer.
     pub inflight: AtomicU64,
+    /// Update frames admitted and not yet through their tick (applied,
+    /// refused or expired): while there are any, the engine's `n()` /
+    /// `max_shots()` are about to change and the boundary check stands
+    /// aside (see `EventLoop::handle_line`). Raised under the queue lock
+    /// at admission, lowered by the batcher once the tick returned.
+    pub updates_pending: AtomicU64,
     pub stats: GatewayStats,
 }
 
@@ -56,6 +63,7 @@ impl Shared {
             waker: Waker::new()?,
             state: AtomicU8::new(State::Running as u8),
             inflight: AtomicU64::new(0),
+            updates_pending: AtomicU64::new(0),
             stats: GatewayStats::default(),
         })
     }
@@ -110,10 +118,76 @@ impl Gateway {
         addr: impl ToSocketAddrs,
         cfg: GatewayConfig,
     ) -> std::io::Result<GatewayHandle> {
-        let cfg = cfg.sanitised();
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
+        Self::spawn(engine, Some(listener), None, cfg.sanitised())
+    }
+
+    /// Serves the NDJSON stream `input` → `output` (the CLI's stdin and
+    /// stdout) to its end as the one connection of a gateway that
+    /// listens nowhere: the framing, admission, ticks, deadlines and
+    /// isolation a TCP peer gets, and no network surface. Returns once
+    /// every line is answered and written, with durability synced.
+    ///
+    /// The event loop adopts one end of a socket pair (it polls sockets;
+    /// putting fds 0/1 in its set would take `fcntl`). This thread
+    /// copies `input` into the other end and a scoped one copies each
+    /// answer out as it is written, so an interactive caller is not kept
+    /// waiting for EOF. A read error ends serving with that error once
+    /// what arrived is answered; a write error ends it at once. The
+    /// connection's in-flight quota is at least `4 × engine.batch()` —
+    /// one connection must be able to fill a tick — but never above
+    /// `max_queue`: the only client there is waits, it is not shed.
+    pub fn serve_stream(
+        engine: Arc<dyn QueryEngine>,
+        mut input: impl Read,
+        mut output: impl Write + Send,
+        cfg: GatewayConfig,
+    ) -> std::io::Result<GatewayReport> {
+        let mut cfg = cfg.sanitised();
+        cfg.max_inflight_per_conn = cfg
+            .max_inflight_per_conn
+            .max(4 * engine.batch())
+            .min(cfg.max_queue);
+        let (near, far) = UnixStream::pair()?;
+        let handle = Self::spawn(engine, None, Some(far), cfg)?;
+        let (sent, written) = std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                for line in BufReader::new(&near).split(b'\n') {
+                    let mut line = line?;
+                    line.push(b'\n');
+                    if let Err(e) = output.write_all(&line).and_then(|()| output.flush()) {
+                        // Nobody reads the answers any more: fail the
+                        // copy below rather than leave it blocked on a
+                        // socket the gateway has stopped draining.
+                        let _ = near.shutdown(Shutdown::Both);
+                        return Err(e);
+                    }
+                }
+                Ok(())
+            });
+            // A pipe's last line often lacks its newline and is a whole
+            // request all the same; after a complete line the extra one
+            // frames a blank, which is skipped.
+            let sent = std::io::copy(&mut input, &mut &near).and_then(|_| (&near).write_all(b"\n"));
+            let _ = near.shutdown(Shutdown::Write);
+            (sent, writer.join().expect("stream writer thread"))
+        });
+        let report = handle.join();
+        written?;
+        sent?;
+        Ok(report)
+    }
+
+    /// Spawns the event loop — over `listener`, or with `adopted` as its
+    /// only connection — and the batcher.
+    fn spawn(
+        engine: Arc<dyn QueryEngine>,
+        listener: Option<TcpListener>,
+        adopted: Option<UnixStream>,
+        cfg: GatewayConfig,
+    ) -> std::io::Result<GatewayHandle> {
+        let addr = listener.as_ref().map(TcpListener::local_addr).transpose()?;
         let shared = Arc::new(Shared::new()?);
 
         let batcher = {
@@ -128,10 +202,10 @@ impl Gateway {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("gateway-events".into())
-                .spawn(move || EventLoop::new(listener, engine, shared, cfg).run())?
+                .spawn(move || EventLoop::new(listener, engine, shared, cfg).run(adopted))?
         };
         Ok(GatewayHandle {
-            addr: local_addr,
+            addr,
             shared,
             engine,
             event: Some(event),
@@ -142,7 +216,8 @@ impl Gateway {
 
 /// Owner handle for a running gateway.
 pub struct GatewayHandle {
-    addr: SocketAddr,
+    /// `None` inside `serve_stream`, whose handle never leaves it.
+    addr: Option<SocketAddr>,
     shared: Arc<Shared>,
     engine: Arc<dyn QueryEngine>,
     event: Option<JoinHandle<()>>,
@@ -152,7 +227,7 @@ pub struct GatewayHandle {
 impl GatewayHandle {
     /// The bound listen address (resolves `:0` port requests).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.addr.expect("a started gateway has a listener")
     }
 
     /// Signals graceful drain: stop accepting and reading, answer every
@@ -201,7 +276,8 @@ impl Drop for GatewayHandle {
 }
 
 struct EventLoop {
-    listener: TcpListener,
+    /// `None`: accept nothing, serve the adopted connection only.
+    listener: Option<TcpListener>,
     engine: Arc<dyn QueryEngine>,
     shared: Arc<Shared>,
     cfg: GatewayConfig,
@@ -217,7 +293,7 @@ struct EventLoop {
 
 impl EventLoop {
     fn new(
-        listener: TcpListener,
+        listener: Option<TcpListener>,
         engine: Arc<dyn QueryEngine>,
         shared: Arc<Shared>,
         cfg: GatewayConfig,
@@ -235,7 +311,10 @@ impl EventLoop {
         }
     }
 
-    fn run(mut self) {
+    fn run(mut self, adopted: Option<UnixStream>) {
+        if let Some(stream) = adopted {
+            self.add_connection(stream);
+        }
         loop {
             let draining = self.shared.state() == State::Draining;
             if draining && self.drain_started.is_none() {
@@ -266,8 +345,8 @@ impl EventLoop {
     ///   signalled;
     /// * the listener, for a pending peer, while running;
     /// * each connection, for input iff the loop would read it
-    ///   ([`Conn::wants_read`]) and for room iff it holds unflushed
-    ///   bytes.
+    ///   ([`Conn::wants_read`]) and for room iff it holds bytes the
+    ///   socket could take ([`Conn::writable_bytes`]).
     ///
     /// A connection with neither interest is left out: `poll` reports a
     /// hang-up on every descriptor it is given, so a reset peer whose
@@ -287,7 +366,9 @@ impl EventLoop {
         self.pollfds.clear();
         self.pollfds.push(self.shared.waker.pollfd());
         if !draining && !self.accept_failed {
-            self.pollfds.push(PollFd::new(&self.listener, READABLE));
+            let listener = self.listener.iter();
+            self.pollfds
+                .extend(listener.map(|l| PollFd::new(l, READABLE)));
         }
         let (quota, limit) = (self.cfg.max_inflight_per_conn, self.cfg.write_buffer_limit);
         for conn in self.conns.values() {
@@ -295,11 +376,11 @@ impl EventLoop {
             if !draining && conn.wants_read(quota, limit) {
                 interest |= READABLE;
             }
-            if conn.buffered_bytes() > 0 {
+            if conn.writable_bytes() > 0 {
                 interest |= WRITABLE;
             }
             if interest != 0 {
-                self.pollfds.push(PollFd::new(&conn.stream, interest));
+                self.pollfds.push(PollFd::new(&*conn.stream, interest));
             }
         }
         let timeout = self
@@ -351,7 +432,10 @@ impl EventLoop {
         // Bounded per iteration so one accept storm cannot starve the
         // read/write phases.
         for _ in 0..32 {
-            match self.listener.accept() {
+            let Some(listener) = &self.listener else {
+                break;
+            };
+            match listener.accept() {
                 Ok((stream, _peer)) => {
                     progressed = true;
                     if self.conns.len() >= self.cfg.max_conns {
@@ -359,14 +443,7 @@ impl EventLoop {
                         refuse_connection(stream);
                         continue;
                     }
-                    match Conn::new(stream) {
-                        Ok(conn) => {
-                            self.shared.stats.bump(&self.shared.stats.accepted);
-                            self.conns.insert(self.next_conn_id, conn);
-                            self.next_conn_id += 1;
-                        }
-                        Err(_) => self.shared.stats.bump(&self.shared.stats.disconnects),
-                    }
+                    self.add_connection(stream);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     self.accept_failed = false;
@@ -380,6 +457,18 @@ impl EventLoop {
             }
         }
         progressed
+    }
+
+    /// Takes a connected socket into the loop.
+    fn add_connection(&mut self, stream: impl Socket + 'static) {
+        match Conn::new(stream) {
+            Ok(conn) => {
+                self.shared.stats.bump(&self.shared.stats.accepted);
+                self.conns.insert(self.next_conn_id, conn);
+                self.next_conn_id += 1;
+            }
+            Err(_) => self.shared.stats.bump(&self.shared.stats.disconnects),
+        }
     }
 
     /// Reads every connection that is not paused by backpressure, then
@@ -409,20 +498,14 @@ impl EventLoop {
                 progressed = true;
                 match frame {
                     Framed::Line(line) => self.handle_line(id, &line),
-                    Framed::Oversized => {
-                        self.shared.stats.bump(&self.shared.stats.bad_requests);
-                        self.respond_direct(
-                            id,
-                            &QueryResponse::error(
-                                0,
-                                ErrorCode::BadRequest,
-                                format!(
-                                    "request line exceeds {} bytes; discarded to next newline",
-                                    self.cfg.max_line_bytes
-                                ),
-                            ),
-                        );
-                    }
+                    Framed::Oversized => self.reject(
+                        id,
+                        0,
+                        format!(
+                            "request line exceeds {} bytes; discarded to next newline",
+                            self.cfg.max_line_bytes
+                        ),
+                    ),
                 }
             }
             // A half-written line followed by EOF gets a best-effort
@@ -432,16 +515,12 @@ impl EventLoop {
             let conn = self.conns.get_mut(&id).expect("conn exists");
             if let Some(fragment) = conn.take_trailing_fragment() {
                 progressed = true;
-                self.shared.stats.bump(&self.shared.stats.bad_requests);
-                self.respond_direct(
+                self.reject(
                     id,
-                    &QueryResponse::error(
-                        0,
-                        ErrorCode::BadRequest,
-                        format!(
-                            "connection closed mid-line ({} unterminated bytes discarded)",
-                            fragment.len()
-                        ),
+                    0,
+                    format!(
+                        "connection closed mid-line ({} unterminated bytes discarded)",
+                        fragment.len()
                     ),
                 );
             }
@@ -457,20 +536,21 @@ impl EventLoop {
             Ok(frame) => frame,
             Err(e) => {
                 self.shared.stats.bump(&self.shared.stats.bad_requests);
-                self.respond_direct(
-                    conn_id,
-                    &QueryResponse::error(
-                        e.response_id(),
-                        ErrorCode::BadRequest,
-                        format!("bad request line: {e}"),
-                    ),
-                );
+                self.respond_direct(conn_id, &e.to_response());
                 return;
             }
         };
         // Boundary validation: an invalid frame is answered here and
-        // never consumes a queue slot or a scoring tick.
+        // never consumes a queue slot or a scoring tick — unless an
+        // update is queued ahead of it. Then the frame may refer to what
+        // that update creates (an `add_edge` to the node an `add_node`
+        // is about to add), and its own tick judges it: the same rules
+        // and messages, against the state the frames before it left.
+        // Only this thread admits updates, so a zero read here cannot go
+        // stale before the check that follows it.
+        let settled = self.shared.updates_pending.load(Ordering::Acquire) == 0;
         let checked = match &frame {
+            _ if !settled => Ok(()),
             Frame::Query(req) => {
                 cgnp_serve::validate_request(req, self.engine.n(), self.engine.max_shots())
                     .map(|_| ())
@@ -480,12 +560,7 @@ impl EventLoop {
             }
         };
         if let Err(msg) = checked {
-            self.shared.stats.bump(&self.shared.stats.bad_requests);
-            self.respond_direct(
-                conn_id,
-                &QueryResponse::error(frame.id(), ErrorCode::BadRequest, msg),
-            );
-            return;
+            return self.reject(conn_id, frame.id(), msg);
         }
         // Admission control: shed instead of queuing unboundedly. The
         // in-flight count is raised *inside* the queue lock so a racing
@@ -496,6 +571,9 @@ impl EventLoop {
             if queue.len() >= self.cfg.max_queue {
                 Some(frame.id())
             } else {
+                if matches!(frame, Frame::Update(_)) {
+                    self.shared.updates_pending.fetch_add(1, Ordering::AcqRel);
+                }
                 queue.push_back(Pending {
                     conn: conn_id,
                     deadline: self.cfg.request_timeout.map(|t| Instant::now() + t),
@@ -509,7 +587,7 @@ impl EventLoop {
             None => {
                 self.shared.stats.bump(&self.shared.stats.requests);
                 if let Some(conn) = self.conns.get_mut(&conn_id) {
-                    conn.inflight += 1;
+                    conn.admit();
                 }
                 self.shared.queue_cv.notify_one();
             }
@@ -533,6 +611,11 @@ impl EventLoop {
     /// Routes finished responses — serialised by the batcher — into
     /// write buffers. No JSON is emitted on this thread: the event loop
     /// spends its budget on socket readiness, not string building.
+    ///
+    /// A line carries no request identity because it needs none: the
+    /// batcher is one thread popping a FIFO, so a connection's answers
+    /// come back in the order its requests were admitted, and each one
+    /// belongs to that connection's oldest unanswered request.
     fn route_outbox(&mut self) -> bool {
         let finished: Vec<(u64, String)> = {
             let mut outbox = self.shared.outbox.lock().expect("gateway outbox lock");
@@ -545,8 +628,7 @@ impl EventLoop {
             self.shared.inflight.fetch_sub(1, Ordering::AcqRel);
             match self.conns.get_mut(&conn_id) {
                 Some(conn) => {
-                    conn.inflight = conn.inflight.saturating_sub(1);
-                    conn.push_response(&line);
+                    conn.push_answer(&line);
                     self.shared.stats.bump(&self.shared.stats.responses);
                 }
                 // The peer disconnected with this request in flight;
@@ -566,7 +648,7 @@ impl EventLoop {
         let mut progressed = false;
         let mut total_buffered = 0u64;
         for conn in self.conns.values_mut() {
-            if conn.buffered_bytes() > 0 {
+            if conn.writable_bytes() > 0 {
                 progressed |= conn.flush_some();
             }
             total_buffered += conn.buffered_bytes() as u64;
@@ -589,8 +671,18 @@ impl EventLoop {
         }
     }
 
-    /// Serialises a response straight into a connection's write buffer
-    /// (the path for errors that never reach the batcher).
+    /// Answers a line that will not be queued with a counted `bad_request`.
+    fn reject(&mut self, conn_id: u64, id: u64, msg: String) {
+        self.shared.stats.bump(&self.shared.stats.bad_requests);
+        self.respond_direct(
+            conn_id,
+            &QueryResponse::error(id, ErrorCode::BadRequest, msg),
+        );
+    }
+
+    /// Serialises a reply that never reaches the batcher (parse error,
+    /// boundary rejection, shed) onto its connection, where it takes its
+    /// turn behind the answers still owed to earlier lines.
     fn respond_direct(&mut self, conn_id: u64, response: &QueryResponse) {
         if let Some(conn) = self.conns.get_mut(&conn_id) {
             conn.push_response(&response.to_json());

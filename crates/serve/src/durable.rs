@@ -266,29 +266,6 @@ impl DurableEngine {
         Ok(engine)
     }
 
-    /// One-call recovery for callers whose engine construction a
-    /// closure owns: [`scan`], restore the snapshot task (when one
-    /// exists), build the inner engine, and [`attach`]. The closure
-    /// receives `Some(task)` when a snapshot was recovered and `None`
-    /// when the engine should start from its fresh, seed-deterministic
-    /// state.
-    ///
-    /// [`attach`]: DurableEngine::attach
-    pub fn recover_with(
-        dir: impl AsRef<Path>,
-        snapshot_every: u64,
-        build: impl FnOnce(Option<cgnp_data::Task>) -> Result<Arc<dyn QueryEngine>, String>,
-    ) -> Result<Self, DurableError> {
-        let dir = dir.as_ref();
-        let state = scan(dir)?;
-        let task = match &state.snapshot {
-            Some(snap) => Some(snap.restore_task().map_err(DurableError::BadSnapshot)?),
-            None => None,
-        };
-        let inner = build(task).map_err(DurableError::Io)?;
-        Self::attach(inner, dir, snapshot_every, state)
-    }
-
     /// The durability directory this engine logs into.
     pub fn dir(&self) -> &Path {
         &self.dir

@@ -1,10 +1,11 @@
-//! [`QueryEngine`]: the trait every serving front-end scores through.
+//! [`QueryEngine`]: the trait the serving front-end scores through.
 //!
-//! Front-ends — the stdin NDJSON loop ([`crate::serve_ndjson`]) and the
-//! TCP gateway — speak to an abstract engine rather than a concrete
-//! session, so one binary serves a single [`ServeSession`], a sharded
-//! scatter/gather coordinator, or a fault-injection wrapper through the
-//! same protocol with zero wire changes.
+//! The front-end — `cgnp-gateway`, whether its connections are TCP
+//! peers or the process's own stdin/stdout — speaks to an abstract
+//! engine rather than a concrete session, so one binary serves a single
+//! [`ServeSession`], a sharded scatter/gather coordinator, or a
+//! fault-injection wrapper through the same protocol with zero wire
+//! changes.
 
 use crate::protocol::{ErrorCode, QueryRequest, QueryResponse, UpdateRequest};
 use crate::session::{ServeSession, ServeSummary};
@@ -59,7 +60,7 @@ pub trait QueryEngine: Send + Sync + 'static {
         None
     }
     /// Flushes any durability buffers to stable storage. Called by the
-    /// gateway on drain and by the CLI at end of stream, before the
+    /// gateway on drain (for a stdin stream: at its end), before the
     /// process reports success; a no-op for ephemeral engines.
     fn sync_durability(&self) -> Result<(), String> {
         Ok(())

@@ -9,8 +9,9 @@
 //! checkpoint, precompute the graph's sparse operators and base features
 //! — then answers a stream of [`QueryRequest`]s. Internally:
 //!
-//! * a micro-batching loop ([`serve_ndjson`]) coalesces up to `B`
-//!   in-flight requests per tick,
+//! * the front-end's micro-batcher (`cgnp-gateway`, for TCP peers and
+//!   for the process's own stdin/stdout alike) coalesces up to `B`
+//!   in-flight requests per [`QueryEngine::answer_batch`] tick,
 //! * the decoded task context is computed once per shot count and cached
 //!   **across ticks** (invalidated by
 //!   [`ServeSession::replace_support`]); each tick only scores its
@@ -46,7 +47,6 @@
 pub mod cache;
 pub mod durable;
 pub mod engine;
-pub mod ndjson;
 pub mod protocol;
 pub mod session;
 pub mod snapshot;
@@ -55,10 +55,9 @@ pub mod wal;
 pub use cache::{CacheStats, LruCache};
 pub use durable::{scan, DurableEngine, DurableError, RecoveredState};
 pub use engine::QueryEngine;
-pub use ndjson::serve_ndjson;
 pub use protocol::{
-    parse_frame, parse_frame_value, parse_request, validate_request, validate_update, ErrorCode,
-    Frame, ParseError, QueryRequest, QueryResponse, UpdateOp, UpdateRequest,
+    parse_frame, parse_frame_value, validate_request, validate_update, ErrorCode, Frame,
+    ParseError, QueryRequest, QueryResponse, UpdateOp, UpdateRequest,
 };
 pub use session::{
     finish_burst, query_tick, rank_members, serve_task, update_burst, Applied, ServeConfig,

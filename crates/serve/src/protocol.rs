@@ -163,10 +163,10 @@ pub const MAX_REASONABLE_SHOTS: usize = 1 << 20;
 /// *effective* shot count — the session default (`max_shots`, the whole
 /// pool) unless the request narrows it; always within `1..=max_shots`.
 ///
-/// Both front-ends (the stdin NDJSON loop and the TCP gateway) call
-/// this before a request can consume a queue slot or a scoring tick, so
-/// the scoring kernels' deep assertions are never the first line of
-/// defense against wire input.
+/// The gateway calls this before a request can consume a queue slot,
+/// and [`crate::query_tick`] again inside the tick, against the state
+/// the frames before it left — so the scoring kernels' deep assertions
+/// are never the first line of defense against wire input.
 pub fn validate_request(
     req: &QueryRequest,
     n_nodes: usize,
@@ -425,6 +425,15 @@ impl ParseError {
     pub fn response_id(&self) -> u64 {
         self.id.unwrap_or(0)
     }
+
+    /// The `bad_request` line that answers the unparseable one.
+    pub fn to_response(&self) -> QueryResponse {
+        QueryResponse::error(
+            self.response_id(),
+            ErrorCode::BadRequest,
+            format!("bad request line: {self}"),
+        )
+    }
 }
 
 impl std::fmt::Display for ParseError {
@@ -453,24 +462,12 @@ fn as_id_list(v: &Value, key: &str) -> Result<Vec<u64>, String> {
     }
 }
 
-/// Parses one NDJSON request line. Optional fields may be absent (the
-/// vendored serde derive has no `#[serde(default)]`, so this is
-/// hand-rolled over the parsed [`Value`]). On failure the returned
-/// [`ParseError`] carries the request id when the line got far enough
-/// for one to be recovered.
-pub fn parse_request(line: &str) -> Result<QueryRequest, ParseError> {
-    match parse_frame(line)? {
-        Frame::Query(q) => Ok(q),
-        Frame::Update(u) => Err(ParseError {
-            id: Some(u.id),
-            message: "control frame not accepted here".into(),
-        }),
-    }
-}
-
 /// Parses one NDJSON line into a [`Frame`], dispatching on the presence
 /// of an `"op"` key: lines carrying one are control frames, everything
-/// else is a query.
+/// else is a query. Optional fields may be absent (the vendored serde
+/// derive has no `#[serde(default)]`, so this is hand-rolled over the
+/// parsed [`Value`]). On failure the returned [`ParseError`] carries the
+/// request id when the line got far enough for one to be recovered.
 pub fn parse_frame(line: &str) -> Result<Frame, ParseError> {
     let value = serde::json::parse(line).map_err(|e| ParseError::new(e.0))?;
     parse_frame_value(&value)
@@ -630,6 +627,14 @@ fn support_example(v: &Value) -> Result<QueryExample, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`parse_frame`] for a line that is, or fails as, a query.
+    fn parse_request(line: &str) -> Result<QueryRequest, ParseError> {
+        parse_frame(line).map(|frame| match frame {
+            Frame::Query(req) => req,
+            Frame::Update(req) => panic!("not a query: {req:?}"),
+        })
+    }
 
     #[test]
     fn parses_minimal_request() {
@@ -794,9 +799,6 @@ mod tests {
         );
         let e = parse_frame(r#"{"id": 5, "op": "update_support", "add": 3}"#).unwrap_err();
         assert!(e.message.contains("object"));
-        // parse_request refuses control frames but keeps the id.
-        let e = parse_request(r#"{"id": 6, "op": "add_edge", "u": 0, "v": 1}"#).unwrap_err();
-        assert_eq!(e.id, Some(6));
     }
 
     #[test]

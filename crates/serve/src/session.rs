@@ -451,12 +451,6 @@ impl ServeSession {
         &self.cfg
     }
 
-    /// The kernel tier scoring actually runs on (the requested mode,
-    /// demoted to exact when the build carries no fast-math tier).
-    pub fn math(&self) -> MathMode {
-        self.cfg.effective_math()
-    }
-
     /// The decoded task context for a given shot count — the matrix a
     /// micro-batch shares, in the serving dtype. `Arc`ed because
     /// [`Block`] clones are deep copies and cache hits must not duplicate
@@ -606,20 +600,6 @@ impl ServeSession {
         live.engine.resnapshot(&live.prepared);
         live.mark.advance(true);
         Ok(())
-    }
-
-    /// Boundary validation for this session's graph and support pool
-    /// (the shared [`crate::protocol::validate_request`] rules). Returns
-    /// the effective shot count. Both front-ends call this before a
-    /// request is admitted; `answer_batch` re-checks as defense in depth
-    /// for library callers.
-    pub fn validate(&self, req: &QueryRequest) -> Result<usize, String> {
-        let live = self.read_live();
-        validate_request(
-            req,
-            live.prepared.task.n(),
-            live.prepared.task.support.len(),
-        )
     }
 
     /// Answers one request (a micro-batch of one).

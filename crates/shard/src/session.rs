@@ -321,10 +321,6 @@ impl ShardedSession {
         self.read_global().shards.len()
     }
 
-    pub fn config(&self) -> &ShardedConfig {
-        &self.cfg
-    }
-
     /// Answers one request (a micro-batch of one).
     pub fn answer(&self, req: &QueryRequest) -> QueryResponse {
         self.answer_batch(std::slice::from_ref(req))

@@ -6,13 +6,15 @@ What it proves, end to end over real TCP:
 
 * every well-formed request a client sends gets exactly one response
   with its id echoed back — across >= --clients concurrent connections
-  sending interleaved good, bad, and oversized lines;
+  sending interleaved good, bad, and oversized lines — and arrives
+  **in the order the connection sent its lines**, error lines included;
 * malformed lines are answered with typed `bad_request` errors and do
   not disturb neighbouring requests on the same connection;
 * a mutation client interleaving live updates (`add_edge` /
-  `update_support` control frames) with queries gets every frame
-  acknowledged, sees its graph epochs advance monotonically, and never
-  disturbs the query-only clients running beside it;
+  `add_node` / `update_support` control frames) with queries gets every
+  frame acknowledged — an `add_edge` and a query pipelined behind the
+  `add_node` that creates their node included — sees its graph epochs
+  advance monotonically, and never disturbs the clients beside it;
 * a graceful drain (the "drain" control line on stdin) answers
   everything admitted, flushes, and the process exits 0;
 * the end-of-run report on stderr carries the robustness counters
@@ -98,23 +100,23 @@ def launch_server(args):
 
 def run_client(client_id, addr, n_requests, n_nodes, result):
     """One mixed-traffic client: well-formed requests interleaved with
-    malformed and oversized lines, responses checked by echoed id."""
+    malformed and oversized lines, responses checked by echoed id (0 for
+    a line no id can be recovered from), in send order."""
     try:
         with socket.create_connection(addr, timeout=30) as sock:
             sock.settimeout(60)
             rfile = sock.makefile("r", encoding="utf-8")
             sent_ids = []
-            bad_sent = 0
             for i in range(n_requests):
                 rid = client_id * 100_000 + i
                 node = (client_id * 7 + i * 13) % n_nodes
                 lines = []
                 if i % 7 == 3:
                     lines.append("this is not json\n")
-                    bad_sent += 1
+                    sent_ids.append(0)
                 if i % 11 == 5:
                     lines.append("x" * (80 * 1024) + "\n")  # oversized frame
-                    bad_sent += 1
+                    sent_ids.append(0)
                 req = {"id": rid, "nodes": [node]}
                 if i % 3 == 0:
                     req["top_k"] = 5
@@ -125,9 +127,9 @@ def run_client(client_id, addr, n_requests, n_nodes, result):
                 sock.sendall("".join(lines).encode())
                 # Pipeline a little, then read back to keep buffers sane.
                 if i % 4 == 3:
-                    drain_responses(rfile, result, sent_ids, bad_sent, client_id)
-                    sent_ids, bad_sent = [], 0
-            drain_responses(rfile, result, sent_ids, bad_sent, client_id)
+                    drain_responses(rfile, result, sent_ids, client_id)
+                    sent_ids = []
+            drain_responses(rfile, result, sent_ids, client_id)
     except Exception as e:  # noqa: BLE001 - report, don't crash the soak
         result["errors"].append(f"client {client_id}: {type(e).__name__}: {e}")
 
@@ -135,19 +137,32 @@ def run_client(client_id, addr, n_requests, n_nodes, result):
 def run_mutator(addr, n_updates, n_nodes, result):
     """One mutation client: live-update control frames interleaved with
     queries on the same connection. Every frame must be acknowledged,
-    and the epochs stamped on its responses must never go backwards —
-    an update is applied before anything admitted after it is scored."""
+    in send order, and the epochs stamped on its responses must never go
+    backwards — an update is applied before anything admitted after it
+    is scored. Every fifth round pipelines `add_node`, `add_edge` onto
+    the id it will get (nobody else adds nodes: `n_nodes` plus those
+    added so far) and a query on it, in one write."""
     try:
         with socket.create_connection(addr, timeout=30) as sock:
             sock.settimeout(60)
             rfile = sock.makefile("r", encoding="utf-8")
             last_epoch = -1
+            added = 0
             for i in range(n_updates):
-                uid = 900_000 + 2 * i
-                qid = uid + 1
-                if i % 3 == 2:
+                uid = 900_000 + 3 * i
+                qid = uid + 2
+                query = {"id": qid, "nodes": [(i * 3) % n_nodes]}
+                if i % 5 == 4:
+                    new = n_nodes + added
+                    added += 1
+                    frames = [
+                        {"id": uid, "op": "add_node", "attrs": []},
+                        {"id": uid + 1, "op": "add_edge", "u": i % n_nodes, "v": new},
+                    ]
+                    query = {"id": qid, "nodes": [new], "top_k": 3}
+                elif i % 3 == 2:
                     q = (i * 5) % n_nodes
-                    frame = {
+                    frames = [{
                         "id": uid,
                         "op": "update_support",
                         "add": {
@@ -155,20 +170,19 @@ def run_mutator(addr, n_updates, n_nodes, result):
                             "pos": [(q + 1) % n_nodes],
                             "neg": [(q + 2) % n_nodes],
                         },
-                    }
+                    }]
                 else:
                     u = (i * 17) % n_nodes
-                    frame = {
+                    frames = [{
                         "id": uid,
                         "op": "add_edge",
                         "u": u,
                         "v": (u + 1 + (i * 29) % (n_nodes - 1)) % n_nodes,
-                    }
-                query = {"id": qid, "nodes": [(i * 3) % n_nodes]}
-                sock.sendall(
-                    (json.dumps(frame) + "\n" + json.dumps(query) + "\n").encode()
-                )
-                for _ in range(2):
+                    }]
+                result["mut_sent"] += len(frames)
+                frames.append(query)
+                sock.sendall("".join(json.dumps(f) + "\n" for f in frames).encode())
+                for sent in frames:
                     line = rfile.readline()
                     if not line:
                         result["errors"].append(
@@ -176,6 +190,10 @@ def run_mutator(addr, n_updates, n_nodes, result):
                         )
                         return
                     r = json.loads(line)
+                    if r["id"] != sent["id"]:
+                        result["errors"].append(
+                            f"mutator: sent {sent['id']}, next response is {r}"
+                        )
                     if not r["ok"]:
                         result["errors"].append(f"mutator: frame rejected: {r}")
                         continue
@@ -188,40 +206,35 @@ def run_mutator(addr, n_updates, n_nodes, result):
                         )
                     else:
                         last_epoch = epoch
-                    result["mut_ok" if r["id"] == uid else "ok"] += 1
+                    result["ok" if r["id"] == qid else "mut_ok"] += 1
     except Exception as e:  # noqa: BLE001 - report, don't crash the soak
         result["errors"].append(f"mutator: {type(e).__name__}: {e}")
 
 
-def drain_responses(rfile, result, sent_ids, bad_sent, client_id):
-    """Reads one response per outstanding line and checks the contract."""
-    expected = len(sent_ids) + bad_sent
-    got_ids = set()
-    for _ in range(expected):
+def drain_responses(rfile, result, sent_ids, client_id):
+    """Reads one response per outstanding line — `sent_ids` in send
+    order, 0 for a malformed line — and checks the contract."""
+    for k, sent in enumerate(sent_ids):
         line = rfile.readline()
         if not line:
             result["errors"].append(
                 f"client {client_id}: connection closed with "
-                f"{expected - len(got_ids)} responses outstanding"
+                f"{len(sent_ids) - k} responses outstanding"
             )
             return
         r = json.loads(line)
+        if r["id"] != sent:
+            result["errors"].append(
+                f"client {client_id}: sent {sent}, next response is {r}"
+            )
         if r["ok"]:
             result["ok"] += 1
             if not r["members"]:
                 result["errors"].append(f"client {client_id}: empty members: {r}")
-            got_ids.add(r["id"])
         else:
             result["bad"] += 1
             if r.get("code") not in {"bad_request", "timeout", "overloaded"}:
                 result["errors"].append(f"client {client_id}: untyped error: {r}")
-            if r["id"] != 0:
-                got_ids.add(r["id"])
-    missing = set(sent_ids) - got_ids
-    if missing:
-        result["errors"].append(
-            f"client {client_id}: no response for ids {sorted(missing)[:5]}..."
-        )
 
 
 def main():
@@ -236,7 +249,7 @@ def main():
         m = re.search(r"(\d+) nodes", reply["error"])
         n_nodes = int(m.group(1)) if m else 64
 
-    result = {"ok": 0, "bad": 0, "mut_ok": 0, "errors": []}
+    result = {"ok": 0, "bad": 0, "mut_ok": 0, "mut_sent": 0, "errors": []}
     threads = [
         threading.Thread(
             target=run_client, args=(c + 1, addr, args.requests, n_nodes, result)
@@ -286,9 +299,9 @@ def main():
             failures.append(
                 f"dropped well-formed responses: got {result['ok']} ok of {want_ok}"
             )
-        if result["mut_ok"] != args.updates:
+        if result["mut_ok"] != result["mut_sent"]:
             failures.append(
-                f"dropped update acks: got {result['mut_ok']} of {args.updates}"
+                f"dropped update acks: got {result['mut_ok']} of {result['mut_sent']}"
             )
         if g.get("panics_caught", 0) != 0:
             failures.append(f"unexpected panics during soak: {g}")

@@ -29,15 +29,18 @@
 //!            [--request-timeout-ms MS] [--drain MS]
 //!            [--durable DIR] [--snapshot-every N]
 //!     Answer newline-delimited JSON queries using a restored checkpoint
-//!     (micro-batched; see README "Serving" and "Operations").
-//!     Without --listen, queries stream from stdin to stdout. With
-//!     --listen ADDR (e.g. 127.0.0.1:7878, port 0 for ephemeral), a TCP
-//!     gateway multiplexes many concurrent NDJSON clients into the same
-//!     micro-batcher; the bound address is printed to stderr. stdin then
-//!     becomes the control channel: a "drain" line or EOF triggers a
-//!     graceful drain (stop accepting, answer everything admitted, flush,
-//!     exit 0), bounded by the --drain grace period in milliseconds.
-//!     --request-timeout-ms 0 disables per-request deadlines.
+//!     (micro-batched; see README "Serving" and "Operations"). The
+//!     front-end is the gateway either way, and a connection reads its
+//!     responses in the order it sent its lines. Without --listen,
+//!     stdin/stdout is its one connection, nothing is bound, and serving
+//!     ends when stdin does. With --listen ADDR (e.g. 127.0.0.1:7878,
+//!     port 0 for ephemeral), it multiplexes many concurrent NDJSON
+//!     clients into the same micro-batcher; the bound address is printed
+//!     to stderr. stdin then becomes the control channel: a "drain" line
+//!     or EOF triggers a graceful drain (stop accepting, answer
+//!     everything admitted, flush, exit 0), bounded by the --drain grace
+//!     period in milliseconds. --request-timeout-ms 0 disables
+//!     per-request deadlines. All but --max-conns apply without --listen.
 //!     --precision selects the element type scoring runs in (f32, the
 //!     training dtype and default, or f64). Serving defaults to the
 //!     fast-math kernel tier when the binary carries it (build with
@@ -61,14 +64,16 @@
 //!     architecture embedded in the file is used and --scale/--decoder
 //!     are ignored. For legacy checkpoints without an embedded
 //!     architecture, the flags must match the ones used at training time
-//!     so the restored architecture lines up. A serving summary (latency
-//!     percentiles, batch occupancy, cache counters — plus gateway
-//!     counters when --listen is set) is printed to stderr at exit.
+//!     so the restored architecture lines up. At exit one line is
+//!     printed to stderr, `gateway report: {"gateway":{..},"session":{..}}`:
+//!     the front-end's counters next to the serving summary (latency
+//!     percentiles, batch occupancy, cache counters).
 //! ```
 
 #![forbid(unsafe_code)]
 
 use std::collections::HashMap;
+use std::time::Duration;
 
 use cgnp_core::{
     meta_train_validated_with_threads, prepare_tasks, prepare_tasks_with_threads, Cgnp,
@@ -79,9 +84,9 @@ use cgnp_eval::{
     build_single_graph_tasks, load_checkpoint_file, restore, save_with_arch, ArchSpec, Metrics,
     ScaleSettings, TaskKind, TextTable,
 };
-use cgnp_gateway::{Gateway, GatewayConfig};
+use cgnp_gateway::{Gateway, GatewayConfig, GatewayReport};
 use cgnp_nn::Module;
-use cgnp_serve::{serve_ndjson, serve_task, ServeConfig, ServeSession};
+use cgnp_serve::{serve_task, ServeConfig, ServeSession};
 use cgnp_shard::{ShardedConfig, ShardedSession};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -501,38 +506,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         cfg.precision,
         cfg.effective_math()
     );
-    if let Some(listen) = flags.get("listen") {
-        return serve_gateway(engine, listen, flags);
-    }
-    // `StdinLock` is not `Send`; a fresh `BufReader` over the handle is,
-    // and the reader thread is the only consumer anyway.
-    let stdin = std::io::BufReader::new(std::io::stdin());
-    let mut stdout = std::io::stdout().lock();
-    let mut summary = serve_ndjson(&*engine, stdin, &mut stdout)
-        .map_err(|e| format!("serving stream failed: {e}"))?;
-    // Flush durability buffers before reporting success: a stream that
-    // ended cleanly must leave every acknowledged update on disk. The
-    // summary is re-read so it counts the drain-time snapshot.
-    engine
-        .sync_durability()
-        .map_err(|e| format!("durability sync failed: {e}"))?;
-    if let Some(s) = engine.session_summary() {
-        summary = s;
-    }
-    let json = serde_json::to_string(&summary).map_err(|e| e.to_string())?;
-    eprintln!("serve summary: {json}");
-    Ok(())
-}
-
-/// Runs the TCP gateway until stdin says stop, then drains gracefully.
-fn serve_gateway(
-    engine: std::sync::Arc<dyn cgnp_serve::QueryEngine>,
-    listen: &str,
-    flags: &HashMap<String, String>,
-) -> Result<(), String> {
-    use std::io::BufRead;
-    use std::time::Duration;
-
     let defaults = GatewayConfig::default();
     let timeout_ms = parse_usize(flags, "request-timeout-ms", 10_000)?;
     let gateway_cfg = GatewayConfig {
@@ -542,6 +515,29 @@ fn serve_gateway(
         drain_grace: Duration::from_millis(parse_usize(flags, "drain", 5_000)? as u64),
         ..defaults
     };
+    // One front-end either way: stdin/stdout is a connection on the same
+    // gateway a `--listen` peer talks to, without the listener.
+    let report = match flags.get("listen") {
+        Some(listen) => serve_gateway(engine, listen, gateway_cfg)?,
+        None => {
+            let (stdin, stdout) = (std::io::stdin().lock(), std::io::stdout());
+            Gateway::serve_stream(engine, stdin, stdout, gateway_cfg)
+                .map_err(|e| format!("serving stream failed: {e}"))?
+        }
+    };
+    let json = serde_json::to_string(&report).map_err(|e| e.to_string())?;
+    eprintln!("gateway report: {json}");
+    Ok(())
+}
+
+/// Runs the TCP gateway until stdin says stop, then drains gracefully.
+fn serve_gateway(
+    engine: std::sync::Arc<dyn cgnp_serve::QueryEngine>,
+    listen: &str,
+    gateway_cfg: GatewayConfig,
+) -> Result<GatewayReport, String> {
+    use std::io::BufRead;
+
     let handle = Gateway::start(engine, listen, gateway_cfg)
         .map_err(|e| format!("binding {listen}: {e}"))?;
     // The address line is load-bearing: with `--listen 127.0.0.1:0` it
@@ -557,11 +553,7 @@ fn serve_gateway(
         }
     }
     eprintln!("draining: accepting no new connections, finishing in-flight work");
-    handle.drain();
-    let report = handle.join();
-    let json = serde_json::to_string(&report).map_err(|e| e.to_string())?;
-    eprintln!("gateway report: {json}");
-    Ok(())
+    Ok(handle.join())
 }
 
 #[cfg(test)]
