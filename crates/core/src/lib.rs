@@ -48,7 +48,7 @@ pub mod config;
 pub mod decoder;
 pub mod infer;
 pub mod model;
-pub(crate) mod par;
+pub mod par;
 pub mod train;
 
 pub use commutative::Commutative;
@@ -57,7 +57,7 @@ pub use decoder::Decoder;
 pub use infer::{InferModel, InferState};
 pub use model::{Cgnp, PreparedTask, RefreshStrategy};
 pub use train::{
-    meta_train, meta_train_validated, meta_train_validated_with_threads, meta_train_with_threads,
-    prepare_tasks, prepare_tasks_with_threads, task_loss, validation_loss,
+    meta_train, meta_train_validated, meta_train_validated_with_threads, meta_train_with_rng,
+    meta_train_with_threads, prepare_tasks, prepare_tasks_with_threads, task_loss, validation_loss,
     validation_loss_with_threads, TrainStats, ValidatedTrainStats,
 };

@@ -6,6 +6,17 @@
 //! harness's meta-test and as the oracle every serving response is
 //! pinned bitwise against. Serving itself never comes through here — it
 //! runs the forward-only executor in [`crate::infer`].
+//!
+//! The context comes in two halves. [`Cgnp::encode_views`] runs the K
+//! encoder passes — independent by construction: same graph, same weights,
+//! one indicator column apart — on up to `threads` pool workers;
+//! [`Cgnp::decode`] joins them (`⊕`, then the decoder transform) on the
+//! caller. [`Cgnp::context`] is the two composed at the pool's width, so
+//! meta-test and the validation sweep fan out whenever they are not
+//! already inside a fan-out, and the training step
+//! (`crate::train`) puts a tape cut between the halves to send the
+//! backward pass out the same way. [`Cgnp::encode_view`] stays the serial
+//! building block and the oracle the fan-out is tested against.
 
 use std::collections::BTreeSet;
 
@@ -19,6 +30,7 @@ use rand::SeedableRng;
 use crate::commutative::Commutative;
 use crate::config::CgnpConfig;
 use crate::decoder::Decoder;
+use crate::par::par_map;
 
 /// How a stale [`PreparedTask`] catches up with its mutated graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -258,38 +270,81 @@ impl Cgnp {
         &self.config
     }
 
-    /// Encoder view for one support pair `(q, l_q)` (Eq. 13 + Fig. 2): the
-    /// indicator marks `{q} ∪ l⁺_q` under the close-world assumption.
+    /// The encoder's input for one support pair `(q, l_q)` (Eq. 13 +
+    /// Fig. 2): the indicator marks `{q} ∪ l⁺_q` under the close-world
+    /// assumption.
+    fn view_input(prepared: &PreparedTask, example: &QueryExample) -> Tensor {
+        let mut marked = Vec::with_capacity(1 + example.pos.len());
+        if example.query != NO_QUERY {
+            marked.push(example.query);
+        }
+        marked.extend_from_slice(&example.pos);
+        Tensor::constant(with_indicator(&prepared.base, &marked))
+    }
+
+    /// Encoder view for one support pair: the serial building block, one
+    /// pass drawing its dropout masks from `fctx` as it goes.
     pub fn encode_view(
         &self,
         prepared: &PreparedTask,
         example: &QueryExample,
         fctx: &mut ForwardCtx<'_>,
     ) -> Tensor {
-        let mut marked = Vec::with_capacity(1 + example.pos.len());
-        if example.query != NO_QUERY {
-            marked.push(example.query);
-        }
-        marked.extend_from_slice(&example.pos);
-        let x = Tensor::constant(with_indicator(&prepared.base, &marked));
+        let x = Self::view_input(prepared, example);
         self.encoder.forward(&prepared.gctx, &x, fctx)
     }
 
+    /// The views of `support`, in support order, computed on at most
+    /// `threads` pool workers — bitwise what a loop over
+    /// [`Cgnp::encode_view`] returns, and it leaves `fctx`'s RNG where
+    /// that loop would. The views share nothing but the weights, so the
+    /// only state to carry across the fan-out is thread-local: the RNG
+    /// stays on the caller, which draws view 1's dropout masks, then view
+    /// 2's, … (the order the loop draws them) before any pass runs; and
+    /// the caller's `no_grad` state travels with the jobs ([`par_map`]).
+    pub fn encode_views(
+        &self,
+        prepared: &PreparedTask,
+        support: &[QueryExample],
+        fctx: &mut ForwardCtx<'_>,
+        threads: usize,
+    ) -> Vec<Tensor> {
+        assert!(!support.is_empty(), "CGNP requires a non-empty support set");
+        let n = prepared.base.rows();
+        let work: Vec<_> = support
+            .iter()
+            .map(|ex| (ex, self.encoder.draw_masks(n, fctx)))
+            .collect();
+        par_map(&work, threads, |(ex, masks)| {
+            let x = Self::view_input(prepared, ex);
+            self.encoder.forward_masked(&prepared.gctx, &x, masks)
+        })
+    }
+
+    /// `⊕` over the views, then the decoder transform: the part of the
+    /// context every view feeds, on the calling thread.
+    pub fn decode(
+        &self,
+        prepared: &PreparedTask,
+        views: &[Tensor],
+        fctx: &mut ForwardCtx<'_>,
+    ) -> Tensor {
+        let combined = self.commutative.combine(views);
+        self.decoder.transform(&prepared.gctx, &combined, fctx)
+    }
+
     /// The task context `H = ⊕_{(q,l) ∈ S} ϕθ(q, l, G)` (Alg. 1 l.5–7,
-    /// Alg. 2 l.2–4) followed by the decoder transform.
+    /// Alg. 2 l.2–4) followed by the decoder transform. The K encoder
+    /// passes fan out across the pool ([`Cgnp::encode_views`]) unless the
+    /// caller is itself a pool job, where the width is 1.
     pub fn context(
         &self,
         prepared: &PreparedTask,
         support: &[QueryExample],
         fctx: &mut ForwardCtx<'_>,
     ) -> Tensor {
-        assert!(!support.is_empty(), "CGNP requires a non-empty support set");
-        let views: Vec<Tensor> = support
-            .iter()
-            .map(|ex| self.encode_view(prepared, ex, fctx))
-            .collect();
-        let combined = self.commutative.combine(&views);
-        self.decoder.transform(&prepared.gctx, &combined, fctx)
+        let views = self.encode_views(prepared, support, fctx, rayon::current_num_threads());
+        self.decode(prepared, &views, fctx)
     }
 
     /// Membership logits of every node for query `q*` given the decoded
@@ -367,6 +422,7 @@ mod tests {
     use crate::infer::{self, InferModel, InferState};
     use cgnp_data::{sample_task, SbmConfig, TaskConfig};
     use cgnp_tensor::MathMode;
+    use rand::Rng;
 
     fn prepared_task(seed: u64) -> PreparedTask {
         let ag =
@@ -557,6 +613,109 @@ mod tests {
             0,
             "eval context must record zero tape nodes"
         );
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn fanned_views_match_the_serial_loop_and_leave_the_rng_where_it_does() {
+        // Training mode, so dropout masks are drawn: the caller draws them
+        // in the loop's order whatever the width.
+        let p = prepared_task(17);
+        let model = model_for(&p, DecoderKind::InnerProduct, CommutativeOp::Mean);
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut fctx = ForwardCtx::train(&mut rng);
+        let serial: Vec<Vec<u32>> = p
+            .task
+            .support
+            .iter()
+            .map(|ex| bits(&model.encode_view(&p, ex, &mut fctx).value()))
+            .collect();
+        let next = rng.gen::<u64>();
+        for threads in [1, 2, 4, 16] {
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut fctx = ForwardCtx::train(&mut rng);
+            let fanned: Vec<Vec<u32>> = model
+                .encode_views(&p, &p.task.support, &mut fctx, threads)
+                .iter()
+                .map(|v| bits(&v.value()))
+                .collect();
+            assert_eq!(fanned, serial, "{threads} threads");
+            assert_eq!(rng.gen::<u64>(), next, "{threads} threads: RNG state");
+        }
+    }
+
+    #[test]
+    fn views_on_other_threads_keep_their_callers_tape_state() {
+        // Whether ops record is thread-local, and a view's job runs on
+        // whoever takes it: a pool worker (recording, by default) or
+        // another section's owner helping out in *its* state. Two plain
+        // threads in opposite states hammer the global pool side by side,
+        // so each keeps finding the other's jobs — on a pool with no
+        // workers they are the only ones who can run them. Meta-test must
+        // come back tape-free (else `predict_task` silently builds tapes
+        // on the workers) and the taped caller must get its tape (else a
+        // training step silently loses a view); both must equal the
+        // serial loop bitwise.
+        const ROUNDS: usize = 60;
+        let p = prepared_task(18);
+        let model = model_for(&p, DecoderKind::Gnn, CommutativeOp::SelfAttention);
+        let eval_views = |threads: Option<usize>| -> Vec<Tensor> {
+            let mut rng = StdRng::seed_from_u64(0);
+            let mut fctx = ForwardCtx::eval(&mut rng);
+            match threads {
+                Some(t) => model.encode_views(&p, &p.task.support, &mut fctx, t),
+                None => (p.task.support.iter())
+                    .map(|ex| model.encode_view(&p, ex, &mut fctx))
+                    .collect(),
+            }
+        };
+        let oracle: Vec<Vec<u32>> = cgnp_tensor::no_grad(|| eval_views(None))
+            .iter()
+            .map(|v| bits(&v.value()))
+            .collect();
+        let oracle_preds = cgnp_tensor::no_grad(|| {
+            let mut rng = StdRng::seed_from_u64(0);
+            let ctx = model.decode(&p, &eval_views(None), &mut ForwardCtx::eval(&mut rng));
+            (p.task.targets.iter())
+                .map(|ex| {
+                    model
+                        .logits(&ctx, ex.query)
+                        .sigmoid()
+                        .value()
+                        .as_slice()
+                        .to_vec()
+                })
+                .collect::<Vec<_>>()
+        });
+        // One rendezvous, before anything can fail: a barrier per round
+        // would hang the survivor when the other side's assertion fires.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..ROUNDS {
+                    let views = cgnp_tensor::no_grad(|| eval_views(Some(4)));
+                    for (v, want) in views.iter().zip(&oracle) {
+                        assert!(!v.needs_grad(), "meta-test view carries a tape");
+                        assert_eq!(&bits(&v.value()), want);
+                    }
+                    let preds = model.predict_task(&p, &mut StdRng::seed_from_u64(0));
+                    assert_eq!(preds, oracle_preds);
+                }
+            });
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..2 * ROUNDS {
+                    for (v, want) in eval_views(Some(4)).iter().zip(&oracle) {
+                        assert!(v.tape_len() > 1, "taped caller got a constant view");
+                        assert_eq!(&bits(&v.value()), want);
+                    }
+                }
+            });
+        });
     }
 
     #[test]

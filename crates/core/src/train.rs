@@ -3,14 +3,62 @@
 //! Training iterates over tasks; for each task the support set is encoded
 //! into a context and the negative log-likelihood of the query set's
 //! labelled samples (Eq. 19 = the BCE of Eq. 3) is minimised by Adam.
-//! With `meta_batch = 1` (the default) that is one step per task, exactly
-//! the paper's loop; with a larger meta-batch the per-task
-//! forward/backward passes of one batch fan out across the persistent
-//! worker pool, each capturing its leaf gradients in a private
-//! [`GradSink`], and the sinks are reduced **in fixed task order** into
-//! one averaged Adam step — so a fixed seed gives bitwise-identical runs
-//! regardless of thread count. Adaptation at test time is gradient-free:
-//! the support set is simply encoded (Alg. 2).
+//! Adaptation at test time is gradient-free: the support set is simply
+//! encoded (Alg. 2).
+//!
+//! ## The step: K views out, one short tape, K views back
+//!
+//! The context is `H = ⊕_{(q,l)∈S} ϕθ(q, l, G)`: K encoder passes over one
+//! graph that share nothing but the weights, joined by an operation chosen
+//! for being permutation-invariant. `task_backward` — the one training
+//! step, for every `meta_batch` — runs it in four stages:
+//!
+//! 1. **Views forward**, fanned across at most `threads` pool workers
+//!    ([`Cgnp::encode_views`]; the caller draws every dropout mask first,
+//!    in the serial order, so the RNG stream does not see the fan-out).
+//! 2. **One short serial tape** from the views to the loss: each view is
+//!    [`Tensor::cut`], then `⊕`, the decoder and the loss are built on the
+//!    cuts and `loss.backward()` walks just that — decoder and attention-⊕
+//!    leaves get their gradients here, and each cut collects the gradient
+//!    its view would have received.
+//! 3. **Views backward**, fanned out the same way, *last view first*, each
+//!    `view.backward_with(cut gradient)` into a private [`GradSink`].
+//! 4. **Fold** the sinks into the leaves in that order, on the caller.
+//!
+//! At width 1 (or inside a pool job, where the pool reports width 1) this
+//! is the same arithmetic in the same order as one `loss.backward()` over
+//! the whole tape, and at any width the leaves end up with the same bits:
+//!
+//! * `backward` walks the reverse of a post-order over `parents` in index
+//!   order, and `⊕` lists the views in support order (`fold_sum`'s chain
+//!   of `add`s, `weighted_sum_views`' parent list, the attention
+//!   summaries' `concat_rows`), so the whole-tape walk runs view K's
+//!   sub-tape, then K−1's, …, then view 1's. Last-to-first is therefore
+//!   the order in which each encoder leaf receives its K contributions.
+//! * A view's sub-tape walked alone visits its nodes in the same relative
+//!   order as inside the whole tape: the only nodes it shares with
+//!   anything else are leaves, which have no closure to run.
+//! * `add` / `scale` / `weighted_sum_views` hand a view exactly the
+//!   gradient matrix its cut receives, and a view with several consumers
+//!   (attention ⊕: the weighted sum and `mean_rows`) receives them at the
+//!   cut in the same order.
+//! * **Precondition:** every encoder layer (GAT, GCN, SAGE) uses each leaf
+//!   *once per view*, so a per-view sink holds single contributions and
+//!   the fold's "first moves in, the rest add" is the leaf's own
+//!   `None → clone, Some → add_assign`. A layer that used one leaf twice
+//!   inside a view would have the pair summed `(a + b)` in the sink before
+//!   joining the total — different bits. `tests/batched_training.rs` pins
+//!   every layer kind against a whole-tape replica for this reason.
+//!
+//! With `meta_batch = 1` (the default) that is one Adam step per task,
+//! exactly the paper's loop, and `threads` bounds the view fan-out. With a
+//! larger meta-batch the *tasks* of one batch fan out instead (each step
+//! then runs at width 1 inside its pool job), each capturing its leaf
+//! gradients in a private [`GradSink`], and the sinks are reduced **in
+//! fixed task order** into one averaged Adam step. Either way a fixed seed
+//! gives bitwise-identical runs for every `threads` value.
+
+use std::time::Instant;
 
 use cgnp_tensor::{clip_grad_norm, Adam, GradSink, Matrix, Optimizer, Reduction, Tensor};
 use rand::rngs::StdRng;
@@ -28,6 +76,8 @@ use crate::par::par_map;
 pub struct TrainStats {
     /// Mean query-set loss per epoch.
     pub epoch_losses: Vec<f32>,
+    /// Wall time of the whole run, in seconds.
+    pub train_seconds: f64,
 }
 
 impl TrainStats {
@@ -69,38 +119,83 @@ fn shuffle(order: &mut [usize], rng: &mut StdRng) {
     }
 }
 
-/// One task's training forward/backward under an isolated RNG, with leaf
-/// gradients captured in a private sink so any number of these can run
-/// concurrently against one shared model. Returns the loss value and the
-/// captured gradients.
-fn task_grad(model: &Cgnp, prepared: &PreparedTask, task_seed: u64) -> (f32, GradSink) {
+/// One task's forward and backward — the staged step of the module docs —
+/// leaving the task's gradient in `params` (or in the [`GradSink`] the
+/// caller has installed) and returning its loss. `threads` bounds both
+/// view fan-outs; the result does not depend on it.
+fn task_backward(
+    model: &Cgnp,
+    prepared: &PreparedTask,
+    params: &[Tensor],
+    fctx: &mut ForwardCtx<'_>,
+    threads: usize,
+) -> f32 {
+    let views = model.encode_views(prepared, &prepared.task.support, fctx, threads);
+    let cuts: Vec<Tensor> = views.iter().map(Tensor::cut).collect();
+    let loss = task_loss(model, &model.decode(prepared, &cuts, fctx), &prepared.task);
+    loss.backward();
+    // Last view first: the order the whole tape would reach them in. A
+    // view the loss does not depend on has no gradient and no walk.
+    let seeded: Vec<(&Tensor, Matrix)> = views
+        .iter()
+        .zip(&cuts)
+        .rev()
+        .filter_map(|(view, cut)| Some((view, cut.grad()?)))
+        .collect();
+    let mut sinks = par_map(&seeded, threads, |(view, seed)| {
+        GradSink::capture(|| view.backward_with(seed)).1
+    });
+    fold_sinks(params, &mut sinks);
+    loss.item()
+}
+
+/// Folds captured leaf gradients into `params`, sink by sink in slice
+/// order: per leaf, the first gradient moves in and the rest add — the
+/// leaf's own accumulation rule, so the sum has the bits of one thread
+/// having produced the contributions in that order. Lands in the sink
+/// the caller has installed, if any (`accum_grad_owned` routes).
+fn fold_sinks(params: &[Tensor], sinks: &mut [GradSink]) {
+    for p in params {
+        for sink in sinks.iter_mut() {
+            if let Some(g) = sink.take(p) {
+                p.accum_grad_owned(g);
+            }
+        }
+    }
+}
+
+/// One task's step under an isolated RNG, with leaf gradients captured in
+/// a private sink so any number of these can run concurrently against one
+/// shared model. Returns the loss value and the captured gradients. Runs
+/// at width 1: the batch's tasks are what fans out.
+fn task_grad(
+    model: &Cgnp,
+    prepared: &PreparedTask,
+    params: &[Tensor],
+    task_seed: u64,
+) -> (f32, GradSink) {
     GradSink::capture(|| {
         let mut rng = StdRng::seed_from_u64(task_seed);
-        let mut fctx = ForwardCtx::train(&mut rng);
-        let context = model.context(prepared, &prepared.task.support, &mut fctx);
-        let loss = task_loss(model, &context, &prepared.task);
-        let item = loss.item();
-        loss.backward();
-        item
+        task_backward(model, prepared, params, &mut ForwardCtx::train(&mut rng), 1)
     })
 }
 
 /// Mutable outer-loop state threaded through the epochs of one training
 /// run: configuration snapshot, the epoch RNG, the optimiser, the leaf
-/// parameters, and the task fan-out width.
-struct Trainer {
+/// parameters, and the fan-out width.
+struct Trainer<'r> {
     cfg: CgnpConfig,
-    rng: StdRng,
+    rng: &'r mut StdRng,
     opt: Adam,
     params: Vec<Tensor>,
     threads: usize,
 }
 
-impl Trainer {
-    fn new(model: &Cgnp, seed: u64, threads: usize) -> Self {
+impl<'r> Trainer<'r> {
+    fn new(model: &Cgnp, rng: &'r mut StdRng, threads: usize) -> Self {
         let cfg = model.config().clone();
         Self {
-            rng: StdRng::seed_from_u64(seed),
+            rng,
             opt: Adam::new(model.params(), cfg.effective_lr()),
             params: model.params(),
             cfg,
@@ -111,69 +206,51 @@ impl Trainer {
     /// One epoch of Algorithm 1 over `order`, returning the summed task
     /// loss.
     ///
-    /// `meta_batch = 1` is the paper's loop verbatim: the epoch RNG
-    /// threads through every forward pass and each task takes its own
-    /// Adam step, so existing seeds reproduce bitwise. `meta_batch > 1`
+    /// `meta_batch = 1` is the paper's loop: the epoch RNG threads through
+    /// every step (dropout is its only consumer there), each task takes
+    /// its own Adam step, and up to `threads` workers share a step's
+    /// views, so existing seeds reproduce bitwise. `meta_batch > 1`
     /// chunks `order`, derives one RNG seed per task **in task order**
     /// from the epoch RNG (making the dropout streams independent of
-    /// scheduling), fans the chunk's forward/backward passes across up to
-    /// `threads` workers, and reduces the per-task [`GradSink`]s in task
-    /// order into one averaged, clipped Adam step per chunk.
+    /// scheduling), fans the chunk's steps across up to `threads`
+    /// workers, and reduces the per-task [`GradSink`]s in task order into
+    /// one averaged, clipped Adam step per chunk.
     fn epoch(&mut self, model: &Cgnp, tasks: &[PreparedTask], order: &[usize]) -> f32 {
         let mut epoch_loss = 0.0f32;
-        if self.cfg.meta_batch <= 1 {
-            for &ti in order {
-                let prepared = &tasks[ti];
-                self.opt.zero_grad();
-                let loss = {
-                    let mut fctx = ForwardCtx::train(&mut self.rng);
-                    let context = model.context(prepared, &prepared.task.support, &mut fctx);
-                    task_loss(model, &context, &prepared.task)
-                };
-                epoch_loss += loss.item();
-                loss.backward();
-                if let Some(max_norm) = self.cfg.grad_clip {
-                    clip_grad_norm(&self.params, max_norm);
-                }
-                self.opt.step();
-            }
-            return epoch_loss;
-        }
-
-        for chunk in order.chunks(self.cfg.meta_batch) {
-            // Per-task seeds drawn in task order: the stream each task
-            // sees is fixed by (seed, meta_batch) alone, never by which
-            // worker runs it or how the chunk interleaves.
-            let work: Vec<(usize, u64)> = chunk
-                .iter()
-                .map(|&ti| (ti, self.rng.gen::<u64>()))
-                .collect();
-            let mut sinks: Vec<GradSink> = Vec::with_capacity(chunk.len());
-            for (loss, sink) in par_map(&work, self.threads, |&(ti, ts)| {
-                task_grad(model, &tasks[ti], ts)
-            }) {
-                epoch_loss += loss;
-                sinks.push(sink);
-            }
-            // Fixed-order reduction: task grads fold into the leaf slots
-            // in task order (the first moves in, the rest add) and are
-            // averaged in place, so the batch gradient is bitwise
-            // independent of the thread count; only then do clipping and
-            // the step see it.
+        let params = &self.params;
+        for chunk in order.chunks(self.cfg.meta_batch.max(1)) {
             self.opt.zero_grad();
-            let inv = 1.0 / chunk.len() as f32;
-            for p in &self.params {
-                for sink in &mut sinks {
-                    if let Some(g) = sink.take(p) {
-                        p.accum_grad_owned(g);
-                    }
+            if self.cfg.meta_batch <= 1 {
+                let mut fctx = ForwardCtx::train(self.rng);
+                epoch_loss +=
+                    task_backward(model, &tasks[chunk[0]], params, &mut fctx, self.threads);
+            } else {
+                // Per-task seeds drawn in task order: the stream each task
+                // sees is fixed by (seed, meta_batch) alone, never by which
+                // worker runs it or how the chunk interleaves.
+                let work: Vec<(usize, u64)> = chunk
+                    .iter()
+                    .map(|&ti| (ti, self.rng.gen::<u64>()))
+                    .collect();
+                let mut sinks: Vec<GradSink> = Vec::with_capacity(chunk.len());
+                for (loss, sink) in par_map(&work, self.threads, |&(ti, ts)| {
+                    task_grad(model, &tasks[ti], params, ts)
+                }) {
+                    epoch_loss += loss;
+                    sinks.push(sink);
                 }
+                // Fixed-order reduction: task grads fold into the leaf
+                // slots in task order and are averaged in place, so the
+                // batch gradient is bitwise independent of the thread
+                // count; only then do clipping and the step see it.
+                fold_sinks(params, &mut sinks);
                 if chunk.len() > 1 {
-                    p.scale_grad(inv);
+                    let inv = 1.0 / chunk.len() as f32;
+                    params.iter().for_each(|p| p.scale_grad(inv));
                 }
             }
             if let Some(max_norm) = self.cfg.grad_clip {
-                clip_grad_norm(&self.params, max_norm);
+                clip_grad_norm(params, max_norm);
             }
             self.opt.step();
         }
@@ -183,31 +260,47 @@ impl Trainer {
 
 /// Algorithm 1: trains `model` on `tasks` for `model.config().epochs`
 /// epochs, shuffling tasks per epoch. `model.config().meta_batch` selects
-/// how many tasks share one Adam step (1 = the paper's loop); batches fan
-/// out across the persistent worker pool.
+/// how many tasks share one Adam step (1 = the paper's loop); a step's
+/// views, or a batch's tasks, fan out across the persistent worker pool.
 pub fn meta_train(model: &Cgnp, tasks: &[PreparedTask], seed: u64) -> TrainStats {
     meta_train_with_threads(model, tasks, seed, rayon::current_num_threads())
 }
 
-/// [`meta_train`] with an explicit fan-out width for the per-batch task
-/// parallelism (results are bitwise identical for every `threads` value;
-/// the knob exists for tests and for callers that pin worker counts).
+/// [`meta_train`] with an explicit fan-out width: of a step's views at
+/// `meta_batch = 1`, of a batch's tasks above it. Results are bitwise
+/// identical for every `threads` value; the knob exists for tests and for
+/// callers that pin worker counts.
 pub fn meta_train_with_threads(
     model: &Cgnp,
     tasks: &[PreparedTask],
     seed: u64,
     threads: usize,
 ) -> TrainStats {
+    meta_train_with_rng(model, tasks, &mut StdRng::seed_from_u64(seed), threads)
+}
+
+/// [`meta_train_with_threads`] drawing from the caller's RNG. Shuffles,
+/// dropout masks and per-task seeds are all that consume it, on the
+/// calling thread and in serial order, so the state it is left in is part
+/// of the determinism contract too: the same for every `threads`.
+pub fn meta_train_with_rng(
+    model: &Cgnp,
+    tasks: &[PreparedTask],
+    rng: &mut StdRng,
+    threads: usize,
+) -> TrainStats {
     assert!(!tasks.is_empty(), "meta_train requires at least one task");
-    let mut trainer = Trainer::new(model, seed, threads);
+    let started = Instant::now();
+    let mut trainer = Trainer::new(model, rng, threads);
     let mut order: Vec<usize> = (0..tasks.len()).collect();
     let mut stats = TrainStats::default();
 
     for _epoch in 0..trainer.cfg.epochs {
-        shuffle(&mut order, &mut trainer.rng);
+        shuffle(&mut order, trainer.rng);
         let epoch_loss = trainer.epoch(model, tasks, &order);
         stats.epoch_losses.push(epoch_loss / tasks.len() as f32);
     }
+    stats.train_seconds = started.elapsed().as_secs_f64();
     stats
 }
 
@@ -232,6 +325,9 @@ pub struct ValidatedTrainStats {
     pub valid_losses: Vec<f32>,
     /// Epoch index whose weights were kept (best validation loss).
     pub best_epoch: usize,
+    /// Wall time of the whole run — training epochs and the validation
+    /// sweep after each — in seconds.
+    pub train_seconds: f64,
 }
 
 /// Algorithm 1 with early model selection: trains like [`meta_train`] but
@@ -248,8 +344,9 @@ pub fn meta_train_validated(
 }
 
 /// [`meta_train_validated`] with an explicit fan-out width for both the
-/// per-batch task parallelism and the per-epoch validation sweep (results
-/// are bitwise identical for every `threads` value).
+/// training steps (see [`meta_train_with_threads`]) and the per-epoch
+/// validation sweep (results are bitwise identical for every `threads`
+/// value).
 pub fn meta_train_validated_with_threads(
     model: &Cgnp,
     train: &[PreparedTask],
@@ -265,15 +362,18 @@ pub fn meta_train_validated_with_threads(
             epoch_losses: stats.epoch_losses,
             valid_losses: Vec::new(),
             best_epoch: n.saturating_sub(1),
+            train_seconds: stats.train_seconds,
         };
     }
-    let mut trainer = Trainer::new(model, seed, threads);
+    let started = Instant::now();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut trainer = Trainer::new(model, &mut rng, threads);
     let mut order: Vec<usize> = (0..train.len()).collect();
     let mut stats = ValidatedTrainStats::default();
     let mut best: Option<(f32, Vec<Matrix>)> = None;
 
     for epoch in 0..trainer.cfg.epochs {
-        shuffle(&mut order, &mut trainer.rng);
+        shuffle(&mut order, trainer.rng);
         let epoch_loss = trainer.epoch(model, train, &order);
         stats.epoch_losses.push(epoch_loss / train.len() as f32);
 
@@ -287,6 +387,7 @@ pub fn meta_train_validated_with_threads(
     if let Some((_, weights)) = best {
         model.import_weights(&weights);
     }
+    stats.train_seconds = started.elapsed().as_secs_f64();
     stats
 }
 
@@ -306,10 +407,9 @@ pub fn validation_loss_with_threads(model: &Cgnp, valid: &[PreparedTask], thread
     if valid.is_empty() {
         return f32::NAN;
     }
-    // Each worker re-enters `no_grad`: the flag is thread-local and pool
-    // workers outlive this sweep.
-    let losses = par_map(valid, threads, |prepared| {
-        cgnp_tensor::no_grad(|| {
+    // `par_map` hands this thread's `no_grad` on to its jobs.
+    let losses = cgnp_tensor::no_grad(|| {
+        par_map(valid, threads, |prepared| {
             let mut rng = StdRng::seed_from_u64(0);
             let mut fctx = ForwardCtx::eval(&mut rng);
             let context = model.context(prepared, &prepared.task.support, &mut fctx);
@@ -410,6 +510,114 @@ mod tests {
         let loss = task_loss(&model, &ctx, &tasks[0].task);
         assert!(loss.item() > 0.0);
         assert!(loss.item().is_finite());
+    }
+
+    type GradBits = Vec<Option<Vec<u32>>>;
+
+    fn grad_bits(g: Option<Matrix>) -> Option<Vec<u32>> {
+        g.map(|m| m.as_slice().iter().map(|v| v.to_bits()).collect())
+    }
+
+    /// The step's oracle: the views one after the other on this thread,
+    /// then one `loss.backward()` over the whole tape. Returns the loss
+    /// and every parameter's gradient, and leaves the leaves cleared.
+    fn whole_tape_step(model: &Cgnp, prepared: &PreparedTask, seed: u64) -> (u32, GradBits) {
+        model.zero_grad();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut fctx = ForwardCtx::train(&mut rng);
+        let views: Vec<Tensor> = (prepared.task.support.iter())
+            .map(|ex| model.encode_view(prepared, ex, &mut fctx))
+            .collect();
+        let loss = task_loss(
+            model,
+            &model.decode(prepared, &views, &mut fctx),
+            &prepared.task,
+        );
+        loss.backward();
+        let grads = model.params().iter().map(|p| grad_bits(p.grad())).collect();
+        model.zero_grad();
+        (loss.item().to_bits(), grads)
+    }
+
+    #[test]
+    fn batched_step_fills_its_sink_and_leaves_the_leaves_alone() {
+        // Under `meta_batch > 1` tasks run side by side against one model:
+        // until the trainer's reduction no shared leaf may see a gradient,
+        // and the sink holds exactly what the whole tape would have left.
+        let tasks = tiny_tasks(1, 8);
+        let model = small_model(&tasks, 1);
+        let params = model.params();
+        let (want_loss, want) = whole_tape_step(&model, &tasks[0], 5);
+        let (loss, mut sink) = task_grad(&model, &tasks[0], &params, 5);
+        assert_eq!(loss.to_bits(), want_loss);
+        assert!(params.iter().all(|p| p.grad().is_none()));
+        let got: GradBits = params.iter().map(|p| grad_bits(sink.take(p))).collect();
+        assert_eq!(got, want);
+        assert!(sink.is_empty(), "nothing but the model's leaves");
+    }
+
+    #[test]
+    fn panic_in_a_view_job_propagates_and_leaks_nothing() {
+        let tasks = tiny_tasks(2, 9);
+        let model = small_model(&tasks, 1);
+        let params = model.params();
+        // A support pair naming a node the graph does not have: building
+        // that one view's input panics, inside its job.
+        let mut poisoned = PreparedTask::new(tasks[0].task.clone());
+        let n = poisoned.task.n();
+        poisoned.task.support[1].pos.push(n + 7);
+        let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            GradSink::capture(|| {
+                let mut rng = StdRng::seed_from_u64(1);
+                task_backward(
+                    &model,
+                    &poisoned,
+                    &params,
+                    &mut ForwardCtx::train(&mut rng),
+                    4,
+                )
+            })
+        }));
+        assert!(step.is_err(), "the job's panic must reach the caller");
+        let meta_test = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            model.predict_task(&poisoned, &mut StdRng::seed_from_u64(1))
+        }));
+        assert!(meta_test.is_err());
+
+        // Neither this thread nor any worker the jobs ran on is left
+        // tape-less or with a sink installed ...
+        assert!(cgnp_tensor::grad_enabled());
+        let probes: Vec<Tensor> = (0..8)
+            .map(|_| Tensor::parameter(Matrix::scalar(1.0)))
+            .collect();
+        let seen = par_map(&probes, 4, |p| {
+            p.scale(3.0).backward();
+            (cgnp_tensor::grad_enabled(), p.grad().map(|g| g.item()))
+        });
+        assert!(seen.iter().all(|s| *s == (true, Some(3.0))), "{seen:?}");
+        // ... and the next step on the same pool is the oracle's, bitwise.
+        let (want_loss, want) = whole_tape_step(&model, &tasks[1], 2);
+        let mut rng = StdRng::seed_from_u64(2);
+        let loss = task_backward(
+            &model,
+            &tasks[1],
+            &params,
+            &mut ForwardCtx::train(&mut rng),
+            4,
+        );
+        assert_eq!(loss.to_bits(), want_loss);
+        let got: GradBits = params.iter().map(|p| grad_bits(p.grad())).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn train_seconds_is_reported_on_every_path() {
+        let tasks = tiny_tasks(3, 10);
+        let (train, valid) = tasks.split_at(2);
+        let model = small_model(train, 2);
+        assert!(meta_train(&model, train, 0).train_seconds > 0.0);
+        assert!(super::meta_train_validated(&model, train, valid, 0).train_seconds > 0.0);
+        assert!(super::meta_train_validated(&model, train, &[], 0).train_seconds > 0.0);
     }
 
     #[test]

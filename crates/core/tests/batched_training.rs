@@ -1,32 +1,42 @@
-//! Determinism contract of task-batched meta-training.
+//! Determinism contract of meta-training.
 //!
-//! Three guarantees, all bitwise:
-//! 1. `meta_batch = 1` (the default) reproduces the pre-batching
-//!    sequential loop exactly — same losses, same final weights — pinned
-//!    here against a verbatim replica of the old `meta_train`.
-//! 2. Batched runs are identical across fan-out widths (1 vs 4 workers):
+//! Four guarantees, all bitwise:
+//! 1. The live trainer — whose step fans a task's support views across
+//!    the pool, forward and backward — reproduces a frozen replica of the
+//!    loop it replaced, which runs the views one after the other and walks
+//!    the whole tape in one `loss.backward()`: same losses, same final
+//!    weights, same RNG state afterwards, for every encoder layer kind,
+//!    ⊕, decoder, shot count, meta-batch and fan-out width.
+//! 2. `meta_batch = 1` (the default) is the paper's one-step-per-task
+//!    loop: if it ever diverges from the replica, seeds stop reproducing
+//!    published runs.
+//! 3. Batched runs are identical across fan-out widths (1 vs 4 workers):
 //!    per-task RNG seeds are drawn in task order and the per-task
 //!    gradient sinks are reduced in task order, so thread scheduling
 //!    never reaches the arithmetic.
-//! 3. `prepare_tasks` and the validation sweep parallelise without
+//! 4. `prepare_tasks` and the validation sweep parallelise without
 //!    changing their results.
 
 use cgnp_core::{
-    meta_train, meta_train_validated_with_threads, meta_train_with_threads, prepare_tasks,
-    prepare_tasks_with_threads, task_loss, validation_loss_with_threads, Cgnp, CgnpConfig,
-    CommutativeOp, DecoderKind, LrScale, PreparedTask,
+    meta_train, meta_train_validated_with_threads, meta_train_with_rng, meta_train_with_threads,
+    prepare_tasks, prepare_tasks_with_threads, task_loss, validation_loss_with_threads, Cgnp,
+    CgnpConfig, CommutativeOp, DecoderKind, LrScale, PreparedTask,
 };
 use cgnp_data::{generate_sbm, model_input_dim, sample_task, SbmConfig, Task, TaskConfig};
-use cgnp_nn::{ForwardCtx, Module};
-use cgnp_tensor::{clip_grad_norm, Adam, Optimizer};
+use cgnp_nn::{ForwardCtx, GnnKind, Module};
+use cgnp_tensor::{clip_grad_norm, Adam, GradSink, Optimizer, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn raw_tasks(n_tasks: usize, seed: u64) -> Vec<Task> {
+    raw_tasks_with_shots(n_tasks, seed, 2)
+}
+
+fn raw_tasks_with_shots(n_tasks: usize, seed: u64, shots: usize) -> Vec<Task> {
     let ag = generate_sbm(&SbmConfig::small_test(), &mut StdRng::seed_from_u64(seed));
     let cfg = TaskConfig {
         subgraph_size: 40,
-        shots: 2,
+        shots,
         n_targets: 3,
         ..Default::default()
     };
@@ -51,15 +61,36 @@ fn small_model(tasks: &[PreparedTask], epochs: usize, meta_batch: usize) -> Cgnp
     Cgnp::new(cfg, 42)
 }
 
-/// Verbatim replica of the pre-batching `meta_train`: one shared RNG
-/// threaded through shuffle and every training forward, one Adam step per
-/// task, gradients accumulated directly in the leaves. If the live
-/// `meta_batch = 1` path ever diverges from this, seeds stop reproducing
-/// published runs.
-fn old_sequential_meta_train(model: &Cgnp, tasks: &[PreparedTask], seed: u64) -> Vec<f32> {
+/// One task's forward and backward the way every trainer before the
+/// staged step ran it: the views one after the other on this thread, each
+/// drawing its dropout masks from the one RNG as it goes, then a single
+/// `loss.backward()` over the whole tape. Uses none of the fan-out.
+fn whole_tape_step(model: &Cgnp, prepared: &PreparedTask, rng: &mut StdRng) -> f32 {
+    let mut fctx = ForwardCtx::train(rng);
+    let views: Vec<Tensor> = prepared
+        .task
+        .support
+        .iter()
+        .map(|ex| model.encode_view(prepared, ex, &mut fctx))
+        .collect();
+    let context = model.decode(prepared, &views, &mut fctx);
+    let loss = task_loss(model, &context, &prepared.task);
+    loss.backward();
+    loss.item()
+}
+
+/// Frozen replica of the trainer as it stood before the staged step: one
+/// RNG threaded through shuffle and every training forward; at
+/// `meta_batch = 1` one Adam step per task with gradients accumulated
+/// directly in the leaves (the pre-batching `meta_train`, verbatim); above
+/// it, per-task seeds drawn in task order, each task's whole tape walked
+/// under its own sink, sinks reduced in task order into one averaged step
+/// — all on this thread. Returns the epoch losses and the next `u64` the
+/// RNG yields.
+fn old_sequential_meta_train(model: &Cgnp, tasks: &[PreparedTask], seed: u64) -> (Vec<f32>, u64) {
     let cfg = model.config().clone();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut opt = Adam::new(model.params(), cfg.lr);
+    let mut opt = Adam::new(model.params(), cfg.effective_lr());
     let params = model.params();
     let mut order: Vec<usize> = (0..tasks.len()).collect();
     let mut epoch_losses = Vec::new();
@@ -69,16 +100,31 @@ fn old_sequential_meta_train(model: &Cgnp, tasks: &[PreparedTask], seed: u64) ->
             order.swap(i, j);
         }
         let mut epoch_loss = 0.0f32;
-        for &ti in &order {
-            let prepared = &tasks[ti];
+        for chunk in order.chunks(cfg.meta_batch.max(1)) {
             opt.zero_grad();
-            let loss = {
-                let mut fctx = ForwardCtx::train(&mut rng);
-                let context = model.context(prepared, &prepared.task.support, &mut fctx);
-                task_loss(model, &context, &prepared.task)
-            };
-            epoch_loss += loss.item();
-            loss.backward();
+            if cfg.meta_batch <= 1 {
+                epoch_loss += whole_tape_step(model, &tasks[chunk[0]], &mut rng);
+            } else {
+                let seeds: Vec<u64> = chunk.iter().map(|_| rng.gen()).collect();
+                let mut sinks = Vec::new();
+                for (&ti, &task_seed) in chunk.iter().zip(&seeds) {
+                    let (loss, sink) = GradSink::capture(|| {
+                        whole_tape_step(model, &tasks[ti], &mut StdRng::seed_from_u64(task_seed))
+                    });
+                    epoch_loss += loss;
+                    sinks.push(sink);
+                }
+                for p in &params {
+                    for sink in &mut sinks {
+                        if let Some(g) = sink.take(p) {
+                            p.accum_grad_owned(g);
+                        }
+                    }
+                    if chunk.len() > 1 {
+                        p.scale_grad(1.0 / chunk.len() as f32);
+                    }
+                }
+            }
             if let Some(max_norm) = cfg.grad_clip {
                 clip_grad_norm(&params, max_norm);
             }
@@ -86,7 +132,11 @@ fn old_sequential_meta_train(model: &Cgnp, tasks: &[PreparedTask], seed: u64) ->
         }
         epoch_losses.push(epoch_loss / tasks.len() as f32);
     }
-    epoch_losses
+    (epoch_losses, rng.gen())
+}
+
+fn bits(losses: &[f32]) -> Vec<u32> {
+    losses.iter().map(|l| l.to_bits()).collect()
 }
 
 fn weights_bits(model: &Cgnp) -> Vec<Vec<u32>> {
@@ -102,7 +152,7 @@ fn meta_batch_1_matches_old_sequential_loop_bitwise() {
     let tasks = tiny_tasks(5, 11);
 
     let reference = small_model(&tasks, 4, 1);
-    let ref_losses = old_sequential_meta_train(&reference, &tasks, 7);
+    let (ref_losses, _) = old_sequential_meta_train(&reference, &tasks, 7);
 
     let live = small_model(&tasks, 4, 1);
     let live_losses = meta_train(&live, &tasks, 7).epoch_losses;
@@ -117,6 +167,66 @@ fn meta_batch_1_matches_old_sequential_loop_bitwise() {
         weights_bits(&reference),
         "meta_batch = 1 must reproduce the old sequential weights bitwise"
     );
+}
+
+/// The staged step against the whole-tape replica, over everything that
+/// shapes the tape or the fan-out. Every encoder layer kind is here
+/// because the step's bitwise argument has a precondition on them (each
+/// leaf used once per view); 1 shot is the nothing-to-fan-out case; 3
+/// workers split 5 views unevenly and 8 are more than there are views.
+#[test]
+fn staged_step_matches_whole_tape_replica_bitwise() {
+    for shots in [5, 1] {
+        let tasks = prepare_tasks(&raw_tasks_with_shots(4, 21, shots));
+        assert_eq!(tasks[0].task.support.len(), shots);
+        let in_dim = model_input_dim(&tasks[0].task.graph);
+        for kind in [GnnKind::Gat, GnnKind::Gcn, GnnKind::Sage] {
+            for op in [
+                CommutativeOp::Sum,
+                CommutativeOp::Mean,
+                CommutativeOp::SelfAttention,
+            ] {
+                for decoder in [
+                    DecoderKind::InnerProduct,
+                    DecoderKind::Mlp,
+                    DecoderKind::Gnn,
+                ] {
+                    for meta_batch in [1, 3] {
+                        let build = || {
+                            let mut cfg = CgnpConfig::paper_default(in_dim, 8)
+                                .with_encoder_kind(kind)
+                                .with_commutative(op)
+                                .with_decoder(decoder)
+                                .with_epochs(2)
+                                .with_meta_batch(meta_batch);
+                            cfg.lr = 5e-3;
+                            Cgnp::new(cfg, 42)
+                        };
+                        let reference = build();
+                        let (ref_losses, ref_next) =
+                            old_sequential_meta_train(&reference, &tasks, 7);
+                        let expect = (bits(&ref_losses), weights_bits(&reference), ref_next);
+                        for threads in [1, 2, 3, 8] {
+                            let live = build();
+                            let mut rng = StdRng::seed_from_u64(7);
+                            let stats = meta_train_with_rng(&live, &tasks, &mut rng, threads);
+                            let got = (
+                                bits(&stats.epoch_losses),
+                                weights_bits(&live),
+                                rng.gen::<u64>(),
+                            );
+                            assert!(
+                                got == expect,
+                                "{kind} / {op} / {decoder}, {shots} shots, meta_batch \
+                                 {meta_batch}, {threads} threads: losses, weights or RNG \
+                                 state diverged from the whole-tape replica"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -6,6 +6,7 @@ use cgnp_algos::{acq_members, attributed_truss_community, closest_truss_communit
 use cgnp_baselines::{
     AqdGnn, BaselineHyper, CsLearner, FeatTrans, Gpn, IcsGnn, Maml, Reptile, SupervisedGnn,
 };
+use cgnp_core::par::par_map;
 use cgnp_core::{meta_train, Cgnp, CgnpConfig, CommutativeOp, DecoderKind, PreparedTask};
 use cgnp_data::model_input_dim;
 use cgnp_nn::GnnKind;
@@ -89,45 +90,15 @@ impl CgnpMethod {
         if tasks.is_empty() {
             return Vec::new();
         }
-        let threads = threads.min(tasks.len());
         self.ensure_model(&tasks[0], seeds[0]);
         let model = self.model.as_ref().expect("initialised");
-        if threads <= 1 {
-            return tasks
-                .iter()
-                .zip(seeds)
-                .map(|(task, &seed)| {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    model.predict_task(task, &mut rng)
-                })
-                .collect();
-        }
         // `Cgnp` and `PreparedTask` are `Sync` (Arc-backed tensors and
         // operators), so workers borrow the trained model and the
         // prepared tasks directly.
-        let mut results: Vec<Option<Vec<Vec<f32>>>> = vec![None; tasks.len()];
-        let chunk_len = tasks.len().div_ceil(threads);
-        rayon::scope(|s| {
-            let model = &*model;
-            for ((task_chunk, seed_chunk), out_chunk) in tasks
-                .chunks(chunk_len)
-                .zip(seeds.chunks(chunk_len))
-                .zip(results.chunks_mut(chunk_len))
-            {
-                s.spawn(move |_| {
-                    for ((task, &seed), out) in
-                        task_chunk.iter().zip(seed_chunk).zip(out_chunk.iter_mut())
-                    {
-                        let mut rng = StdRng::seed_from_u64(seed);
-                        *out = Some(model.predict_task(task, &mut rng));
-                    }
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("worker filled every slot"))
-            .collect()
+        let work: Vec<(&PreparedTask, u64)> = tasks.iter().zip(seeds.iter().copied()).collect();
+        par_map(&work, threads, |&(task, seed)| {
+            model.predict_task(task, &mut StdRng::seed_from_u64(seed))
+        })
     }
 }
 

@@ -1,7 +1,9 @@
 //! K-layer GNN stack: the encoder ϕθ of CGNP (Fig. 2) and the base model of
 //! every learned baseline in §IV.
 
-use cgnp_tensor::Tensor;
+use std::sync::Arc;
+
+use cgnp_tensor::{Matrix, Tensor};
 use rand::rngs::StdRng;
 
 use crate::gat::GatLayer;
@@ -141,13 +143,49 @@ impl GnnEncoder {
     }
 
     pub fn forward(&self, gctx: &GraphContext, x: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
-        let mut h = x.clone();
+        let masks = self.draw_masks(x.rows(), ctx);
+        self.forward_masked(gctx, x, &masks)
+    }
+
+    /// The dropout masks one [`GnnEncoder::forward`] over `n_rows` nodes
+    /// draws, in the order it draws them: one `n_rows × hidden_dim` mask
+    /// per layer but the last; none in eval mode or at `dropout = 0`.
+    /// Layers never touch the RNG, so drawing every mask first leaves the
+    /// stream exactly where the interleaved pass would — which lets a
+    /// caller draw the masks of several passes in order on one thread and
+    /// run the passes themselves elsewhere.
+    pub fn draw_masks(&self, n_rows: usize, ctx: &mut ForwardCtx<'_>) -> Vec<Arc<Matrix>> {
+        if !ctx.training || self.dropout == 0.0 {
+            return Vec::new();
+        }
+        (1..self.layers.len())
+            .map(|_| {
+                Arc::new(Tensor::dropout_mask(
+                    n_rows,
+                    self.config.hidden_dim,
+                    self.dropout,
+                    ctx.rng,
+                ))
+            })
+            .collect()
+    }
+
+    /// The forward pass under masks from [`GnnEncoder::draw_masks`] (an
+    /// empty slice: no dropout). Touches no RNG.
+    pub fn forward_masked(&self, gctx: &GraphContext, x: &Tensor, masks: &[Arc<Matrix>]) -> Tensor {
         let last = self.layers.len() - 1;
+        assert!(
+            masks.is_empty() || masks.len() == last,
+            "one mask per layer but the last"
+        );
+        let mut h = x.clone();
         for (i, layer) in self.layers.iter().enumerate() {
             h = layer.forward(gctx, &h);
             if i < last {
                 h = self.activation.apply(&h);
-                h = h.dropout(self.dropout, ctx.training, ctx.rng);
+                if let Some(mask) = masks.get(i) {
+                    h = h.dropout_with(Arc::clone(mask));
+                }
             }
         }
         h
@@ -171,8 +209,7 @@ impl Module for GnnEncoder {
 mod tests {
     use super::*;
     use cgnp_graph::Graph;
-    use cgnp_tensor::Matrix;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn ring(n: usize) -> GraphContext {
         let edges: Vec<_> = (0..n).map(|i| (i, (i + 1) % n)).collect();
@@ -200,6 +237,63 @@ mod tests {
             let out = enc.forward(&gctx, &x, &mut ctx);
             assert_eq!(out.shape(), (6, 3), "{kind} output shape");
             assert!(!out.value().has_non_finite());
+        }
+    }
+
+    #[test]
+    fn masks_drawn_first_match_the_interleaved_pass() {
+        // `forward`, its two halves, and the loop that draws each mask
+        // where it is used agree bitwise — value, gradients, and where the
+        // RNG is left — for every layer kind, in train and eval mode.
+        let gctx = ring(9);
+        let x = Tensor::constant(Matrix::from_vec(
+            9,
+            4,
+            (0..36).map(|i| (i as f32 * 0.7).sin()).collect(),
+        ));
+        for kind in [GnnKind::Gcn, GnnKind::Gat, GnnKind::Sage] {
+            for training in [true, false] {
+                let cfg = GnnConfig {
+                    kind,
+                    dropout: 0.4,
+                    ..GnnConfig::paper_default(4, 6, 3)
+                };
+                let enc = GnnEncoder::new(&cfg, &mut StdRng::seed_from_u64(1));
+                let run = |pass: &dyn Fn(&mut ForwardCtx<'_>) -> Tensor| {
+                    let mut rng = StdRng::seed_from_u64(5);
+                    let out = pass(&mut ForwardCtx {
+                        training,
+                        rng: &mut rng,
+                    });
+                    enc.zero_grad();
+                    out.l2_sum().backward();
+                    let grads: Vec<Vec<f32>> = enc
+                        .params()
+                        .iter()
+                        .map(|p| p.grad().expect("grad").as_slice().to_vec())
+                        .collect();
+                    (out.value().as_slice().to_vec(), grads, rng.gen::<u64>())
+                };
+                let interleaved = run(&|ctx| {
+                    let mut h = x.clone();
+                    for (i, layer) in enc.layers().iter().enumerate() {
+                        h = layer.forward(&gctx, &h);
+                        if i + 1 < enc.n_layers() {
+                            h = cfg.activation.apply(&h);
+                            h = h.dropout(cfg.dropout, ctx.training, ctx.rng);
+                        }
+                    }
+                    h
+                });
+                let fused = run(&|ctx| enc.forward(&gctx, &x, ctx));
+                let split = run(&|ctx| {
+                    let masks = enc.draw_masks(x.rows(), ctx);
+                    assert_eq!(masks.len(), if training { 2 } else { 0 });
+                    enc.forward_masked(&gctx, &x, &masks)
+                });
+                assert!(fused == interleaved, "{kind} training={training}: forward");
+                assert!(split == interleaved, "{kind} training={training}: halves");
+            }
         }
     }
 

@@ -58,7 +58,7 @@ pub use ops::{softmax_in_place, stable_sigmoid, Reduction};
 pub use optim::{clip_grad_norm, Adam, Optimizer, Sgd};
 pub use scores::CentroidScores;
 pub use sparse::{CsrMatrix, CsrMatrixT, SparseOperator};
-pub use tensor::{grad_enabled, no_grad, Tensor, ValueRef};
+pub use tensor::{grad_enabled, no_grad, with_grad_enabled, Tensor, ValueRef};
 
 #[cfg(test)]
 mod proptests {

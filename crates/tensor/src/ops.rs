@@ -319,19 +319,32 @@ impl Tensor {
         if !training || p == 0.0 {
             return self.clone();
         }
+        let (rows, cols) = self.shape();
+        self.dropout_with(Arc::new(Tensor::dropout_mask(rows, cols, p, rng)))
+    }
+
+    /// The draw half of [`Tensor::dropout`]: the inverted-scale mask a
+    /// training-mode call on a `rows×cols` tensor applies, consuming `rng`
+    /// exactly as that call does (one `f32` per element, row-major). Drawn
+    /// apart from its use, a mask can be made on the thread that owns the
+    /// RNG and applied on another.
+    pub fn dropout_mask<R: Rng>(rows: usize, cols: usize, p: f32, rng: &mut R) -> Matrix {
+        assert!((0.0..1.0).contains(&p), "dropout p must be in [0,1)");
         let keep = 1.0 - p;
-        let mask = {
-            let x = self.value_ref();
-            let mut m = Matrix::zeros(x.rows(), x.cols());
-            for v in m.as_mut_slice() {
-                *v = if rng.gen::<f32>() < keep {
-                    1.0 / keep
-                } else {
-                    0.0
-                };
-            }
-            m
-        };
+        let mut m = Matrix::zeros(rows, cols);
+        for v in m.as_mut_slice() {
+            *v = if rng.gen::<f32>() < keep {
+                1.0 / keep
+            } else {
+                0.0
+            };
+        }
+        m
+    }
+
+    /// The application half of [`Tensor::dropout`]: `self ⊙ mask`, with
+    /// the mask shared (not copied) into the backward closure.
+    pub fn dropout_with(&self, mask: Arc<Matrix>) -> Tensor {
         let value = self.value_ref().hadamard(&mask);
         Tensor::from_op(
             value,
@@ -1138,6 +1151,46 @@ mod tests {
             .count();
         assert_eq!(zeros + doubled, 100);
         assert!(zeros > 10 && zeros < 90, "mask should be non-trivial");
+    }
+
+    #[test]
+    fn dropout_is_its_mask_drawn_then_applied() {
+        // The fused call, the two halves, and the loop they both replace
+        // (one `f32` per element, row-major) agree on the value, on the
+        // gradient, and on where they leave the RNG.
+        let x = param(7, 5, 41);
+        let (p, keep) = (0.3f32, 0.7f32);
+        let mut fused_rng = StdRng::seed_from_u64(9);
+        let mut split_rng = StdRng::seed_from_u64(9);
+        let mut loop_rng = StdRng::seed_from_u64(9);
+
+        let fused = x.dropout(p, true, &mut fused_rng);
+        let mask = Tensor::dropout_mask(7, 5, p, &mut split_rng);
+        let split = x.dropout_with(Arc::new(mask.clone()));
+        let by_loop: Vec<f32> = x
+            .value()
+            .as_slice()
+            .iter()
+            .map(|v| {
+                v * if loop_rng.gen::<f32>() < keep {
+                    1.0 / keep
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        assert_eq!(fused.value().as_slice(), &by_loop[..]);
+        assert_eq!(split.value().as_slice(), &by_loop[..]);
+        let next = loop_rng.gen::<u64>();
+        assert_eq!(fused_rng.gen::<u64>(), next);
+        assert_eq!(split_rng.gen::<u64>(), next);
+
+        split.sum_all().backward();
+        assert_eq!(x.grad().unwrap().as_slice(), mask.as_slice());
+        // Eval mode and p = 0 draw nothing.
+        let _ = x.dropout(p, false, &mut fused_rng);
+        let _ = x.dropout(0.0, true, &mut fused_rng);
+        assert_eq!(fused_rng.gen::<u64>(), loop_rng.gen::<u64>());
     }
 
     #[test]

@@ -54,18 +54,29 @@ thread_local! {
 
 /// Runs `f` with tape construction disabled: any op executed inside produces
 /// constant tensors, which makes pure inference allocation-light.
+pub fn no_grad<R>(f: impl FnOnce() -> R) -> R {
+    with_grad_enabled(false, f)
+}
+
+/// Runs `f` with tape construction switched on or off **on this thread**.
+/// The flag is thread-local, so work handed to another thread does not
+/// inherit it — and the thread that picks a pool job up may be anyone's:
+/// a worker, or the owner of an unrelated parallel section helping out
+/// from inside its own [`no_grad`]. A fan-out whose jobs build tensors
+/// therefore runs each under the setting its spawner had
+/// ([`grad_enabled`]), either way (`cgnp_core::par::par_map` does).
 ///
 /// The previous state is restored even if `f` panics: pool worker threads
-/// outlive caught job panics, so a leaked "disabled" flag would silently
-/// stop tape recording for every later job on that worker.
-pub fn no_grad<R>(f: impl FnOnce() -> R) -> R {
+/// outlive caught job panics, so a leaked flag would silently switch tape
+/// recording for every later job on that worker.
+pub fn with_grad_enabled<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
     struct Restore(bool);
     impl Drop for Restore {
         fn drop(&mut self) {
             GRAD_ENABLED.with(|g| g.set(self.0));
         }
     }
-    let _restore = Restore(GRAD_ENABLED.with(|g| g.replace(false)));
+    let _restore = Restore(GRAD_ENABLED.with(|g| g.replace(enabled)));
     f()
 }
 
@@ -314,6 +325,29 @@ impl Tensor {
     /// forward values are immutable, so the snapshot can be aliased).
     pub fn detach(&self) -> Tensor {
         Tensor::constant_shared(self.value_arc())
+    }
+
+    /// A tape boundary sharing this tensor's value (no copy): ops built on
+    /// the cut back-propagate into it and stop there, so [`Tensor::grad`]
+    /// of the cut is afterwards exactly the gradient this tensor would
+    /// have received — the seed for `self.backward_with(..)`. That splits
+    /// one tape into pieces that can be walked apart (see
+    /// `cgnp_core::train`). The cut is an interior node, not a leaf: an
+    /// installed [`crate::GradSink`] leaves its gradient in place. A
+    /// constant has nothing to cut and is returned as is.
+    pub fn cut(&self) -> Tensor {
+        if !self.needs_grad() {
+            return self.clone();
+        }
+        Tensor {
+            storage: Storage::Fixed(self.value_arc()),
+            tape: Some(Arc::new(TapeNode {
+                requires_grad: false,
+                parents: Vec::new(),
+                backward: None,
+                grad: Mutex::new(None),
+            })),
+        }
     }
 
     /// Adds `delta` into the gradient buffer (no-op for constants). When
@@ -608,6 +642,21 @@ mod tests {
     }
 
     #[test]
+    fn grad_flag_can_be_forced_on_inside_no_grad_and_is_restored() {
+        // What a pool job does when it lands on a thread that is helping
+        // out from inside its own `no_grad`.
+        let x = Tensor::parameter(Matrix::scalar(1.0));
+        no_grad(|| {
+            assert!(with_grad_enabled(true, || x.scale(2.0)).needs_grad());
+            assert!(!grad_enabled(), "the outer region is back in force");
+            let r = std::panic::catch_unwind(|| with_grad_enabled(true, || panic!("job failed")));
+            assert!(r.is_err());
+            assert!(!grad_enabled(), "restored on unwind too");
+        });
+        assert!(grad_enabled());
+    }
+
+    #[test]
     fn backward_requires_scalar() {
         let result = std::panic::catch_unwind(|| {
             let x = Tensor::parameter(Matrix::zeros(2, 2));
@@ -664,6 +713,40 @@ mod tests {
         assert!(!loss.needs_grad());
         loss.backward_with(&Matrix::scalar(1.0));
         assert!(x.grad().is_none());
+    }
+
+    #[test]
+    fn cut_collects_the_gradient_and_passes_nothing_upstream() {
+        let x = Tensor::parameter(Matrix::from_vec(1, 2, vec![1.0, -2.0]));
+        let y = x.scale(3.0);
+        let c = y.cut();
+        assert!(Arc::ptr_eq(&y.value_arc(), &c.value_arc()), "no copy");
+        assert!(c.needs_grad() && !c.requires_grad());
+        assert_eq!(c.tape_len(), 1, "the cut has no parents");
+        // Two consumers: the cut sums what arrives, in arrival order.
+        c.scale(2.0).add(&c).sum_all().backward();
+        assert_eq!(c.grad().unwrap().as_slice(), &[3.0, 3.0]);
+        assert!(y.grad().is_none() && x.grad().is_none());
+        // Seeding the original with the cut's gradient finishes the walk.
+        y.backward_with(&c.grad().unwrap());
+        assert_eq!(x.grad().unwrap().as_slice(), &[9.0, 9.0]);
+    }
+
+    #[test]
+    fn cut_is_not_a_leaf_to_a_grad_sink_and_constants_cut_to_themselves() {
+        let x = Tensor::parameter(Matrix::scalar(2.0));
+        let c = x.scale(1.0).cut();
+        let ((), sink) = crate::GradSink::capture(|| c.scale(5.0).backward());
+        assert!(sink.is_empty(), "a sink diverts leaves only");
+        assert_eq!(c.grad().unwrap().item(), 5.0);
+
+        let k = Tensor::constant(Matrix::scalar(1.0));
+        let kc = k.cut();
+        assert!(!kc.needs_grad());
+        assert!(Arc::ptr_eq(&k.value_arc(), &kc.value_arc()));
+        // Under `no_grad` every op output is such a constant.
+        let frozen = no_grad(|| x.scale(2.0)).cut();
+        assert!(!frozen.needs_grad());
     }
 
     #[test]

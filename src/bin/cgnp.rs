@@ -8,10 +8,13 @@
 //!            [--seed N] [--decoder ip|mlp|gnn] [--out model.json]
 //!            [--meta-batch B] [--lr-scale none|linear] [--threads N]
 //!     Meta-train a CGNP model (with validation-based model selection)
-//!     and optionally save a checkpoint. --meta-batch accumulates B task
-//!     gradients into one averaged Adam step, fanned across --threads
-//!     workers; a fixed seed reproduces bitwise for any --threads
-//!     (--meta-batch 1, the default, is the paper's sequential loop).
+//!     and optionally save a checkpoint. --meta-batch 1, the default, is
+//!     the paper's loop, one Adam step per task; --threads workers share
+//!     the step's support views, forward and backward. --meta-batch B
+//!     accumulates B task gradients into one averaged Adam step, the
+//!     tasks fanned across --threads workers. Either way a fixed seed
+//!     reproduces bitwise for any --threads, and the run prints its
+//!     task-steps/s so what --threads buys can be read off.
 //!     --lr-scale linear multiplies the learning rate by the meta-batch
 //!     size to compensate for the reduced step count; the default (none)
 //!     keeps the configured rate and reproduces existing runs bitwise.
@@ -297,9 +300,11 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
     cfg.encoder.in_dim = model_input_dim(&tasks.train[0].graph);
     let model = Cgnp::new(cfg, args.seed);
     let stats = meta_train_validated_with_threads(&model, &train, &valid, args.seed, threads);
+    let epochs = stats.epoch_losses.len();
     println!(
-        "trained {} epochs; best validation epoch {} (valid loss {:.4})",
-        stats.epoch_losses.len(),
+        "trained {epochs} epochs in {:.1} s ({:.1} task-steps/s); best validation epoch {} (valid loss {:.4})",
+        stats.train_seconds,
+        (epochs * train.len()) as f64 / stats.train_seconds,
         stats.best_epoch,
         stats
             .valid_losses

@@ -141,3 +141,43 @@ fn non_attributed_dataset_pipeline_runs() {
     let preds = model.predict_task(&test[0], &mut rng);
     assert!(!preds.is_empty());
 }
+
+/// `cgnp train` reports how long training took and the rate that makes —
+/// the number `--threads` moves — and the checkpoint it writes does not
+/// depend on `--threads`.
+#[test]
+fn cli_train_prints_a_rate_and_threads_leave_the_checkpoint_alone() {
+    let dir = std::env::temp_dir().join(format!("cgnp-cli-train-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let train = |threads: &str| {
+        let out = dir.join(format!("model-{threads}.json"));
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_cgnp"))
+            .args(["train", "--dataset", "citeseer", "--scale", "smoke"])
+            .args(["--shots", "3", "--threads", threads, "--out"])
+            .arg(&out)
+            .output()
+            .expect("cgnp runs");
+        assert!(
+            run.status.success(),
+            "{}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        let stdout = String::from_utf8(run.stdout).expect("utf-8");
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("trained "))
+            .unwrap_or_else(|| panic!("no `trained` line in {stdout:?}"));
+        let rate: f64 = line
+            .split_once(" s (")
+            .and_then(|(_, rest)| rest.split_once(" task-steps/s)"))
+            .and_then(|(rate, _)| rate.parse().ok())
+            .unwrap_or_else(|| panic!("no rate in {line:?}"));
+        assert!(rate > 0.0 && rate.is_finite(), "{line:?}");
+        std::fs::read(&out).expect("checkpoint written")
+    };
+    assert!(
+        train("1") == train("3"),
+        "checkpoint bytes depend on --threads"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
