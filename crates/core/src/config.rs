@@ -46,30 +46,6 @@ impl std::fmt::Display for DecoderKind {
     }
 }
 
-/// How the Adam learning rate responds to meta-batching. Averaging
-/// gradients over `meta_batch` tasks shrinks the step count per epoch by
-/// the same factor; linear scaling (Goyal et al.'s rule applied to the
-/// meta-batch) compensates by growing the step size.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum LrScale {
-    /// Use `lr` as configured regardless of `meta_batch` (the default —
-    /// reproduces every existing run bitwise).
-    #[default]
-    None,
-    /// Multiply `lr` by `meta_batch`, so one averaged step over B tasks
-    /// moves as far as B sequential steps would have in expectation.
-    Linear,
-}
-
-impl std::fmt::Display for LrScale {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LrScale::None => write!(f, "none"),
-            LrScale::Linear => write!(f, "linear"),
-        }
-    }
-}
-
 /// Full CGNP architecture + optimisation settings.
 #[derive(Clone, Debug)]
 pub struct CgnpConfig {
@@ -88,13 +64,6 @@ pub struct CgnpConfig {
     pub epochs: usize,
     /// Gradient-norm clip; `None` disables.
     pub grad_clip: Option<f32>,
-    /// Tasks per outer Adam step (Alg. 1 batching). `1` reproduces the
-    /// paper's one-step-per-task loop bitwise; larger values accumulate
-    /// task gradients in parallel across the worker pool and average them
-    /// into a single step per batch (MAML-family meta-batching).
-    pub meta_batch: usize,
-    /// Learning-rate response to `meta_batch` (see [`LrScale`]).
-    pub lr_scale: LrScale,
 }
 
 impl CgnpConfig {
@@ -110,18 +79,6 @@ impl CgnpConfig {
             lr: 5e-4,
             epochs: 200,
             grad_clip: Some(5.0),
-            meta_batch: 1,
-            lr_scale: LrScale::None,
-        }
-    }
-
-    /// The Adam step size actually handed to the optimiser: `lr`, scaled
-    /// by `meta_batch` under [`LrScale::Linear`]. With `meta_batch <= 1`
-    /// both policies coincide.
-    pub fn effective_lr(&self) -> f32 {
-        match self.lr_scale {
-            LrScale::None => self.lr,
-            LrScale::Linear => self.lr * self.meta_batch.max(1) as f32,
         }
     }
 
@@ -145,17 +102,6 @@ impl CgnpConfig {
         self
     }
 
-    /// Tasks per outer Adam step; `0` is normalised to `1` (sequential).
-    pub fn with_meta_batch(mut self, meta_batch: usize) -> Self {
-        self.meta_batch = meta_batch.max(1);
-        self
-    }
-
-    pub fn with_lr_scale(mut self, lr_scale: LrScale) -> Self {
-        self.lr_scale = lr_scale;
-        self
-    }
-
     /// A variant label matching the paper's naming (CGNP-IP / -MLP / -GNN).
     pub fn variant_name(&self) -> String {
         format!("CGNP-{}", self.decoder)
@@ -175,39 +121,6 @@ mod tests {
         assert!((cfg.lr - 5e-4).abs() < 1e-9);
         assert_eq!(cfg.epochs, 200);
         assert_eq!(cfg.mlp_hidden, 512);
-        assert_eq!(cfg.meta_batch, 1, "default must stay the paper's loop");
-        assert_eq!(cfg.lr_scale, LrScale::None, "default lr policy is unscaled");
-    }
-
-    #[test]
-    fn lr_scale_none_pins_the_configured_rate() {
-        // `none` must keep the step size independent of meta_batch — this
-        // is what makes existing seeded runs reproduce bitwise.
-        let cfg = CgnpConfig::paper_default(4, 8).with_meta_batch(16);
-        assert!((cfg.effective_lr() - cfg.lr).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lr_scale_linear_multiplies_by_meta_batch() {
-        let cfg = CgnpConfig::paper_default(4, 8)
-            .with_meta_batch(8)
-            .with_lr_scale(LrScale::Linear);
-        assert!((cfg.effective_lr() - cfg.lr * 8.0).abs() < 1e-12);
-        // Degenerate batch: both policies coincide.
-        let seq = CgnpConfig::paper_default(4, 8).with_lr_scale(LrScale::Linear);
-        assert!((seq.effective_lr() - seq.lr).abs() < 1e-12);
-    }
-
-    #[test]
-    fn meta_batch_builder_normalises_zero() {
-        let cfg = CgnpConfig::paper_default(4, 8).with_meta_batch(0);
-        assert_eq!(cfg.meta_batch, 1);
-        assert_eq!(
-            CgnpConfig::paper_default(4, 8)
-                .with_meta_batch(16)
-                .meta_batch,
-            16
-        );
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod par;
 pub mod train;
 
 pub use commutative::Commutative;
-pub use config::{CgnpConfig, CommutativeOp, DecoderKind, LrScale};
+pub use config::{CgnpConfig, CommutativeOp, DecoderKind};
 pub use decoder::Decoder;
 pub use infer::{InferModel, InferState};
 pub use model::{Cgnp, PreparedTask, RefreshStrategy};

@@ -36,10 +36,10 @@ use crate::par::par_map;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum RefreshStrategy {
     /// Rebuild operators and base features from scratch at the new epoch.
-    #[default]
     EpochSwap,
     /// Patch only the operator/feature rows the mutation log touches;
     /// falls back to a full rebuild when the log has been truncated.
+    #[default]
     PerRow,
 }
 

@@ -11,7 +11,7 @@
 //! The context is `H = ⊕_{(q,l)∈S} ϕθ(q, l, G)`: K encoder passes over one
 //! graph that share nothing but the weights, joined by an operation chosen
 //! for being permutation-invariant. `task_backward` — the one training
-//! step, for every `meta_batch` — runs it in four stages:
+//! step — runs it in four stages:
 //!
 //! 1. **Views forward**, fanned across at most `threads` pool workers
 //!    ([`Cgnp::encode_views`]; the caller draws every dropout mask first,
@@ -50,12 +50,8 @@
 //!   joining the total — different bits. `tests/batched_training.rs` pins
 //!   every layer kind against a whole-tape replica for this reason.
 //!
-//! With `meta_batch = 1` (the default) that is one Adam step per task,
-//! exactly the paper's loop, and `threads` bounds the view fan-out. With a
-//! larger meta-batch the *tasks* of one batch fan out instead (each step
-//! then runs at width 1 inside its pool job), each capturing its leaf
-//! gradients in a private [`GradSink`], and the sinks are reduced **in
-//! fixed task order** into one averaged Adam step. Either way a fixed seed
+//! That is one Adam step per task, exactly the paper's loop (Alg. 1);
+//! `threads` bounds the view fan-out and nothing else, so a fixed seed
 //! gives bitwise-identical runs for every `threads` value.
 
 use std::time::Instant;
@@ -67,7 +63,6 @@ use rand::{Rng, SeedableRng};
 use cgnp_data::Task;
 use cgnp_nn::{ForwardCtx, Module};
 
-use crate::config::CgnpConfig;
 use crate::model::{Cgnp, PreparedTask};
 use crate::par::par_map;
 
@@ -120,9 +115,8 @@ fn shuffle(order: &mut [usize], rng: &mut StdRng) {
 }
 
 /// One task's forward and backward — the staged step of the module docs —
-/// leaving the task's gradient in `params` (or in the [`GradSink`] the
-/// caller has installed) and returning its loss. `threads` bounds both
-/// view fan-outs; the result does not depend on it.
+/// leaving the task's gradient in `params` and returning its loss.
+/// `threads` bounds both view fan-outs; the result does not depend on it.
 fn task_backward(
     model: &Cgnp,
     prepared: &PreparedTask,
@@ -152,8 +146,7 @@ fn task_backward(
 /// Folds captured leaf gradients into `params`, sink by sink in slice
 /// order: per leaf, the first gradient moves in and the rest add — the
 /// leaf's own accumulation rule, so the sum has the bits of one thread
-/// having produced the contributions in that order. Lands in the sink
-/// the caller has installed, if any (`accum_grad_owned` routes).
+/// having produced the contributions in that order.
 fn fold_sinks(params: &[Tensor], sinks: &mut [GradSink]) {
     for p in params {
         for sink in sinks.iter_mut() {
@@ -164,112 +157,16 @@ fn fold_sinks(params: &[Tensor], sinks: &mut [GradSink]) {
     }
 }
 
-/// One task's step under an isolated RNG, with leaf gradients captured in
-/// a private sink so any number of these can run concurrently against one
-/// shared model. Returns the loss value and the captured gradients. Runs
-/// at width 1: the batch's tasks are what fans out.
-fn task_grad(
-    model: &Cgnp,
-    prepared: &PreparedTask,
-    params: &[Tensor],
-    task_seed: u64,
-) -> (f32, GradSink) {
-    GradSink::capture(|| {
-        let mut rng = StdRng::seed_from_u64(task_seed);
-        task_backward(model, prepared, params, &mut ForwardCtx::train(&mut rng), 1)
-    })
-}
-
-/// Mutable outer-loop state threaded through the epochs of one training
-/// run: configuration snapshot, the epoch RNG, the optimiser, the leaf
-/// parameters, and the fan-out width.
-struct Trainer<'r> {
-    cfg: CgnpConfig,
-    rng: &'r mut StdRng,
-    opt: Adam,
-    params: Vec<Tensor>,
-    threads: usize,
-}
-
-impl<'r> Trainer<'r> {
-    fn new(model: &Cgnp, rng: &'r mut StdRng, threads: usize) -> Self {
-        let cfg = model.config().clone();
-        Self {
-            rng,
-            opt: Adam::new(model.params(), cfg.effective_lr()),
-            params: model.params(),
-            cfg,
-            threads,
-        }
-    }
-
-    /// One epoch of Algorithm 1 over `order`, returning the summed task
-    /// loss.
-    ///
-    /// `meta_batch = 1` is the paper's loop: the epoch RNG threads through
-    /// every step (dropout is its only consumer there), each task takes
-    /// its own Adam step, and up to `threads` workers share a step's
-    /// views, so existing seeds reproduce bitwise. `meta_batch > 1`
-    /// chunks `order`, derives one RNG seed per task **in task order**
-    /// from the epoch RNG (making the dropout streams independent of
-    /// scheduling), fans the chunk's steps across up to `threads`
-    /// workers, and reduces the per-task [`GradSink`]s in task order into
-    /// one averaged, clipped Adam step per chunk.
-    fn epoch(&mut self, model: &Cgnp, tasks: &[PreparedTask], order: &[usize]) -> f32 {
-        let mut epoch_loss = 0.0f32;
-        let params = &self.params;
-        for chunk in order.chunks(self.cfg.meta_batch.max(1)) {
-            self.opt.zero_grad();
-            if self.cfg.meta_batch <= 1 {
-                let mut fctx = ForwardCtx::train(self.rng);
-                epoch_loss +=
-                    task_backward(model, &tasks[chunk[0]], params, &mut fctx, self.threads);
-            } else {
-                // Per-task seeds drawn in task order: the stream each task
-                // sees is fixed by (seed, meta_batch) alone, never by which
-                // worker runs it or how the chunk interleaves.
-                let work: Vec<(usize, u64)> = chunk
-                    .iter()
-                    .map(|&ti| (ti, self.rng.gen::<u64>()))
-                    .collect();
-                let mut sinks: Vec<GradSink> = Vec::with_capacity(chunk.len());
-                for (loss, sink) in par_map(&work, self.threads, |&(ti, ts)| {
-                    task_grad(model, &tasks[ti], params, ts)
-                }) {
-                    epoch_loss += loss;
-                    sinks.push(sink);
-                }
-                // Fixed-order reduction: task grads fold into the leaf
-                // slots in task order and are averaged in place, so the
-                // batch gradient is bitwise independent of the thread
-                // count; only then do clipping and the step see it.
-                fold_sinks(params, &mut sinks);
-                if chunk.len() > 1 {
-                    let inv = 1.0 / chunk.len() as f32;
-                    params.iter().for_each(|p| p.scale_grad(inv));
-                }
-            }
-            if let Some(max_norm) = self.cfg.grad_clip {
-                clip_grad_norm(params, max_norm);
-            }
-            self.opt.step();
-        }
-        epoch_loss
-    }
-}
-
 /// Algorithm 1: trains `model` on `tasks` for `model.config().epochs`
-/// epochs, shuffling tasks per epoch. `model.config().meta_batch` selects
-/// how many tasks share one Adam step (1 = the paper's loop); a step's
-/// views, or a batch's tasks, fan out across the persistent worker pool.
+/// epochs, shuffling tasks per epoch and taking one Adam step per task; a
+/// step's views fan out across the persistent worker pool.
 pub fn meta_train(model: &Cgnp, tasks: &[PreparedTask], seed: u64) -> TrainStats {
     meta_train_with_threads(model, tasks, seed, rayon::current_num_threads())
 }
 
-/// [`meta_train`] with an explicit fan-out width: of a step's views at
-/// `meta_batch = 1`, of a batch's tasks above it. Results are bitwise
-/// identical for every `threads` value; the knob exists for tests and for
-/// callers that pin worker counts.
+/// [`meta_train`] with an explicit width for the view fan-out. Results are
+/// bitwise identical for every `threads` value; the knob exists for tests
+/// and for callers that pin worker counts.
 pub fn meta_train_with_threads(
     model: &Cgnp,
     tasks: &[PreparedTask],
@@ -279,29 +176,21 @@ pub fn meta_train_with_threads(
     meta_train_with_rng(model, tasks, &mut StdRng::seed_from_u64(seed), threads)
 }
 
-/// [`meta_train_with_threads`] drawing from the caller's RNG. Shuffles,
-/// dropout masks and per-task seeds are all that consume it, on the
-/// calling thread and in serial order, so the state it is left in is part
-/// of the determinism contract too: the same for every `threads`.
+/// [`meta_train_with_threads`] drawing from the caller's RNG. Shuffles
+/// and dropout masks are all that consume it, on the calling thread and
+/// in serial order, so the state it is left in is part of the determinism
+/// contract too: the same for every `threads`.
 pub fn meta_train_with_rng(
     model: &Cgnp,
     tasks: &[PreparedTask],
     rng: &mut StdRng,
     threads: usize,
 ) -> TrainStats {
-    assert!(!tasks.is_empty(), "meta_train requires at least one task");
-    let started = Instant::now();
-    let mut trainer = Trainer::new(model, rng, threads);
-    let mut order: Vec<usize> = (0..tasks.len()).collect();
-    let mut stats = TrainStats::default();
-
-    for _epoch in 0..trainer.cfg.epochs {
-        shuffle(&mut order, trainer.rng);
-        let epoch_loss = trainer.epoch(model, tasks, &order);
-        stats.epoch_losses.push(epoch_loss / tasks.len() as f32);
+    let stats = train_epochs(model, tasks, &[], rng, threads);
+    TrainStats {
+        epoch_losses: stats.epoch_losses,
+        train_seconds: stats.train_seconds,
     }
-    stats.train_seconds = started.elapsed().as_secs_f64();
-    stats
 }
 
 /// Prepares raw tasks for training/inference (graph operators + features),
@@ -346,7 +235,8 @@ pub fn meta_train_validated(
 /// [`meta_train_validated`] with an explicit fan-out width for both the
 /// training steps (see [`meta_train_with_threads`]) and the per-epoch
 /// validation sweep (results are bitwise identical for every `threads`
-/// value).
+/// value). With no validation tasks this is [`meta_train_with_threads`]:
+/// `valid_losses` stays empty and `best_epoch` is the last one.
 pub fn meta_train_validated_with_threads(
     model: &Cgnp,
     train: &[PreparedTask],
@@ -354,34 +244,58 @@ pub fn meta_train_validated_with_threads(
     seed: u64,
     threads: usize,
 ) -> ValidatedTrainStats {
+    train_epochs(
+        model,
+        train,
+        valid,
+        &mut StdRng::seed_from_u64(seed),
+        threads,
+    )
+}
+
+/// The one epoch loop behind every `meta_train*` entry point: per epoch,
+/// shuffle (Alg. 1 line 2), then one clipped Adam step per task with the
+/// epoch RNG threaded through every step (dropout is its only consumer
+/// there), then — when there are validation tasks — the sweep that picks
+/// the weights to keep. Without them the last epoch's weights stay.
+fn train_epochs(
+    model: &Cgnp,
+    train: &[PreparedTask],
+    valid: &[PreparedTask],
+    rng: &mut StdRng,
+    threads: usize,
+) -> ValidatedTrainStats {
     assert!(!train.is_empty(), "meta_train requires at least one task");
-    if valid.is_empty() {
-        let stats = meta_train_with_threads(model, train, seed, threads);
-        let n = stats.epoch_losses.len();
-        return ValidatedTrainStats {
-            epoch_losses: stats.epoch_losses,
-            valid_losses: Vec::new(),
-            best_epoch: n.saturating_sub(1),
-            train_seconds: stats.train_seconds,
-        };
-    }
     let started = Instant::now();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut trainer = Trainer::new(model, &mut rng, threads);
+    let cfg = model.config();
+    let params = model.params();
+    let mut opt = Adam::new(model.params(), cfg.lr);
     let mut order: Vec<usize> = (0..train.len()).collect();
     let mut stats = ValidatedTrainStats::default();
     let mut best: Option<(f32, Vec<Matrix>)> = None;
 
-    for epoch in 0..trainer.cfg.epochs {
-        shuffle(&mut order, trainer.rng);
-        let epoch_loss = trainer.epoch(model, train, &order);
+    for epoch in 0..cfg.epochs {
+        shuffle(&mut order, rng);
+        let mut epoch_loss = 0.0f32;
+        for &ti in &order {
+            opt.zero_grad();
+            let mut fctx = ForwardCtx::train(rng);
+            epoch_loss += task_backward(model, &train[ti], &params, &mut fctx, threads);
+            if let Some(max_norm) = cfg.grad_clip {
+                clip_grad_norm(&params, max_norm);
+            }
+            opt.step();
+        }
         stats.epoch_losses.push(epoch_loss / train.len() as f32);
-
-        let vloss = validation_loss_with_threads(model, valid, threads);
-        stats.valid_losses.push(vloss);
-        if best.as_ref().is_none_or(|(b, _)| vloss < *b) {
-            best = Some((vloss, model.export_weights()));
+        if valid.is_empty() {
             stats.best_epoch = epoch;
+        } else {
+            let vloss = validation_loss_with_threads(model, valid, threads);
+            stats.valid_losses.push(vloss);
+            if best.as_ref().is_none_or(|(b, _)| vloss < *b) {
+                best = Some((vloss, model.export_weights()));
+                stats.best_epoch = epoch;
+            }
         }
     }
     if let Some((_, weights)) = best {
@@ -537,23 +451,6 @@ mod tests {
         let grads = model.params().iter().map(|p| grad_bits(p.grad())).collect();
         model.zero_grad();
         (loss.item().to_bits(), grads)
-    }
-
-    #[test]
-    fn batched_step_fills_its_sink_and_leaves_the_leaves_alone() {
-        // Under `meta_batch > 1` tasks run side by side against one model:
-        // until the trainer's reduction no shared leaf may see a gradient,
-        // and the sink holds exactly what the whole tape would have left.
-        let tasks = tiny_tasks(1, 8);
-        let model = small_model(&tasks, 1);
-        let params = model.params();
-        let (want_loss, want) = whole_tape_step(&model, &tasks[0], 5);
-        let (loss, mut sink) = task_grad(&model, &tasks[0], &params, 5);
-        assert_eq!(loss.to_bits(), want_loss);
-        assert!(params.iter().all(|p| p.grad().is_none()));
-        let got: GradBits = params.iter().map(|p| grad_bits(sink.take(p))).collect();
-        assert_eq!(got, want);
-        assert!(sink.is_empty(), "nothing but the model's leaves");
     }
 
     #[test]

@@ -1,30 +1,26 @@
 //! Determinism contract of meta-training.
 //!
-//! Four guarantees, all bitwise:
+//! Three guarantees, all bitwise:
 //! 1. The live trainer — whose step fans a task's support views across
 //!    the pool, forward and backward — reproduces a frozen replica of the
 //!    loop it replaced, which runs the views one after the other and walks
 //!    the whole tape in one `loss.backward()`: same losses, same final
 //!    weights, same RNG state afterwards, for every encoder layer kind,
-//!    ⊕, decoder, shot count, meta-batch and fan-out width.
-//! 2. `meta_batch = 1` (the default) is the paper's one-step-per-task
-//!    loop: if it ever diverges from the replica, seeds stop reproducing
-//!    published runs.
-//! 3. Batched runs are identical across fan-out widths (1 vs 4 workers):
-//!    per-task RNG seeds are drawn in task order and the per-task
-//!    gradient sinks are reduced in task order, so thread scheduling
-//!    never reaches the arithmetic.
-//! 4. `prepare_tasks` and the validation sweep parallelise without
+//!    ⊕, decoder, shot count and fan-out width. If it ever diverges from
+//!    the replica, seeds stop reproducing published runs.
+//! 2. Validated training is identical across fan-out widths (1 vs 4
+//!    workers), sweep and model selection included.
+//! 3. `prepare_tasks` and the validation sweep parallelise without
 //!    changing their results.
 
 use cgnp_core::{
-    meta_train, meta_train_validated_with_threads, meta_train_with_rng, meta_train_with_threads,
-    prepare_tasks, prepare_tasks_with_threads, task_loss, validation_loss_with_threads, Cgnp,
-    CgnpConfig, CommutativeOp, DecoderKind, LrScale, PreparedTask,
+    meta_train, meta_train_validated_with_threads, meta_train_with_rng, prepare_tasks,
+    prepare_tasks_with_threads, task_loss, validation_loss_with_threads, Cgnp, CgnpConfig,
+    CommutativeOp, DecoderKind, PreparedTask,
 };
 use cgnp_data::{generate_sbm, model_input_dim, sample_task, SbmConfig, Task, TaskConfig};
 use cgnp_nn::{ForwardCtx, GnnKind, Module};
-use cgnp_tensor::{clip_grad_norm, Adam, GradSink, Optimizer, Tensor};
+use cgnp_tensor::{clip_grad_norm, Adam, Optimizer, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -50,13 +46,12 @@ fn tiny_tasks(n_tasks: usize, seed: u64) -> Vec<PreparedTask> {
     prepare_tasks(&raw_tasks(n_tasks, seed))
 }
 
-fn small_model(tasks: &[PreparedTask], epochs: usize, meta_batch: usize) -> Cgnp {
+fn small_model(tasks: &[PreparedTask], epochs: usize) -> Cgnp {
     let in_dim = model_input_dim(&tasks[0].task.graph);
     let mut cfg = CgnpConfig::paper_default(in_dim, 8)
         .with_decoder(DecoderKind::InnerProduct)
         .with_commutative(CommutativeOp::Mean)
-        .with_epochs(epochs)
-        .with_meta_batch(meta_batch);
+        .with_epochs(epochs);
     cfg.lr = 5e-3;
     Cgnp::new(cfg, 42)
 }
@@ -80,17 +75,14 @@ fn whole_tape_step(model: &Cgnp, prepared: &PreparedTask, rng: &mut StdRng) -> f
 }
 
 /// Frozen replica of the trainer as it stood before the staged step: one
-/// RNG threaded through shuffle and every training forward; at
-/// `meta_batch = 1` one Adam step per task with gradients accumulated
-/// directly in the leaves (the pre-batching `meta_train`, verbatim); above
-/// it, per-task seeds drawn in task order, each task's whole tape walked
-/// under its own sink, sinks reduced in task order into one averaged step
-/// — all on this thread. Returns the epoch losses and the next `u64` the
-/// RNG yields.
+/// RNG threaded through shuffle and every training forward, one Adam step
+/// per task with gradients accumulated directly in the leaves (the
+/// original `meta_train`, verbatim) — all on this thread. Returns the
+/// epoch losses and the next `u64` the RNG yields.
 fn old_sequential_meta_train(model: &Cgnp, tasks: &[PreparedTask], seed: u64) -> (Vec<f32>, u64) {
     let cfg = model.config().clone();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut opt = Adam::new(model.params(), cfg.effective_lr());
+    let mut opt = Adam::new(model.params(), cfg.lr);
     let params = model.params();
     let mut order: Vec<usize> = (0..tasks.len()).collect();
     let mut epoch_losses = Vec::new();
@@ -100,31 +92,9 @@ fn old_sequential_meta_train(model: &Cgnp, tasks: &[PreparedTask], seed: u64) ->
             order.swap(i, j);
         }
         let mut epoch_loss = 0.0f32;
-        for chunk in order.chunks(cfg.meta_batch.max(1)) {
+        for &ti in &order {
             opt.zero_grad();
-            if cfg.meta_batch <= 1 {
-                epoch_loss += whole_tape_step(model, &tasks[chunk[0]], &mut rng);
-            } else {
-                let seeds: Vec<u64> = chunk.iter().map(|_| rng.gen()).collect();
-                let mut sinks = Vec::new();
-                for (&ti, &task_seed) in chunk.iter().zip(&seeds) {
-                    let (loss, sink) = GradSink::capture(|| {
-                        whole_tape_step(model, &tasks[ti], &mut StdRng::seed_from_u64(task_seed))
-                    });
-                    epoch_loss += loss;
-                    sinks.push(sink);
-                }
-                for p in &params {
-                    for sink in &mut sinks {
-                        if let Some(g) = sink.take(p) {
-                            p.accum_grad_owned(g);
-                        }
-                    }
-                    if chunk.len() > 1 {
-                        p.scale_grad(1.0 / chunk.len() as f32);
-                    }
-                }
-            }
+            epoch_loss += whole_tape_step(model, &tasks[ti], &mut rng);
             if let Some(max_norm) = cfg.grad_clip {
                 clip_grad_norm(&params, max_norm);
             }
@@ -148,24 +118,24 @@ fn weights_bits(model: &Cgnp) -> Vec<Vec<u32>> {
 }
 
 #[test]
-fn meta_batch_1_matches_old_sequential_loop_bitwise() {
+fn live_trainer_matches_old_sequential_loop_bitwise() {
     let tasks = tiny_tasks(5, 11);
 
-    let reference = small_model(&tasks, 4, 1);
+    let reference = small_model(&tasks, 4);
     let (ref_losses, _) = old_sequential_meta_train(&reference, &tasks, 7);
 
-    let live = small_model(&tasks, 4, 1);
+    let live = small_model(&tasks, 4);
     let live_losses = meta_train(&live, &tasks, 7).epoch_losses;
 
     assert_eq!(
         live_losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
         ref_losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
-        "meta_batch = 1 must reproduce the old sequential losses bitwise"
+        "the trainer must reproduce the old sequential losses bitwise"
     );
     assert_eq!(
         weights_bits(&live),
         weights_bits(&reference),
-        "meta_batch = 1 must reproduce the old sequential weights bitwise"
+        "the trainer must reproduce the old sequential weights bitwise"
     );
 }
 
@@ -191,37 +161,32 @@ fn staged_step_matches_whole_tape_replica_bitwise() {
                     DecoderKind::Mlp,
                     DecoderKind::Gnn,
                 ] {
-                    for meta_batch in [1, 3] {
-                        let build = || {
-                            let mut cfg = CgnpConfig::paper_default(in_dim, 8)
-                                .with_encoder_kind(kind)
-                                .with_commutative(op)
-                                .with_decoder(decoder)
-                                .with_epochs(2)
-                                .with_meta_batch(meta_batch);
-                            cfg.lr = 5e-3;
-                            Cgnp::new(cfg, 42)
-                        };
-                        let reference = build();
-                        let (ref_losses, ref_next) =
-                            old_sequential_meta_train(&reference, &tasks, 7);
-                        let expect = (bits(&ref_losses), weights_bits(&reference), ref_next);
-                        for threads in [1, 2, 3, 8] {
-                            let live = build();
-                            let mut rng = StdRng::seed_from_u64(7);
-                            let stats = meta_train_with_rng(&live, &tasks, &mut rng, threads);
-                            let got = (
-                                bits(&stats.epoch_losses),
-                                weights_bits(&live),
-                                rng.gen::<u64>(),
-                            );
-                            assert!(
-                                got == expect,
-                                "{kind} / {op} / {decoder}, {shots} shots, meta_batch \
-                                 {meta_batch}, {threads} threads: losses, weights or RNG \
-                                 state diverged from the whole-tape replica"
-                            );
-                        }
+                    let build = || {
+                        let mut cfg = CgnpConfig::paper_default(in_dim, 8)
+                            .with_encoder_kind(kind)
+                            .with_commutative(op)
+                            .with_decoder(decoder)
+                            .with_epochs(2);
+                        cfg.lr = 5e-3;
+                        Cgnp::new(cfg, 42)
+                    };
+                    let reference = build();
+                    let (ref_losses, ref_next) = old_sequential_meta_train(&reference, &tasks, 7);
+                    let expect = (bits(&ref_losses), weights_bits(&reference), ref_next);
+                    for threads in [1, 2, 3, 8] {
+                        let live = build();
+                        let mut rng = StdRng::seed_from_u64(7);
+                        let stats = meta_train_with_rng(&live, &tasks, &mut rng, threads);
+                        let got = (
+                            bits(&stats.epoch_losses),
+                            weights_bits(&live),
+                            rng.gen::<u64>(),
+                        );
+                        assert!(
+                            got == expect,
+                            "{kind} / {op} / {decoder}, {shots} shots, {threads} threads: \
+                             losses, weights or RNG state diverged from the whole-tape replica"
+                        );
                     }
                 }
             }
@@ -230,68 +195,11 @@ fn staged_step_matches_whole_tape_replica_bitwise() {
 }
 
 #[test]
-fn batched_training_is_identical_across_thread_counts() {
-    let tasks = tiny_tasks(7, 12);
-    for meta_batch in [3, 4, 16] {
-        let serial = small_model(&tasks, 3, meta_batch);
-        let serial_losses = meta_train_with_threads(&serial, &tasks, 5, 1).epoch_losses;
-        let fanned = small_model(&tasks, 3, meta_batch);
-        let fanned_losses = meta_train_with_threads(&fanned, &tasks, 5, 4).epoch_losses;
-        assert_eq!(
-            serial_losses
-                .iter()
-                .map(|l| l.to_bits())
-                .collect::<Vec<_>>(),
-            fanned_losses
-                .iter()
-                .map(|l| l.to_bits())
-                .collect::<Vec<_>>(),
-            "meta_batch {meta_batch}: losses must not depend on thread count"
-        );
-        assert_eq!(
-            weights_bits(&serial),
-            weights_bits(&fanned),
-            "meta_batch {meta_batch}: weights must not depend on thread count"
-        );
-    }
-}
-
-#[test]
-fn batched_training_is_deterministic_across_runs() {
-    let tasks = tiny_tasks(6, 13);
-    let run = || {
-        let model = small_model(&tasks, 3, 4);
-        let losses = meta_train(&model, &tasks, 9).epoch_losses;
-        (
-            losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
-            weights_bits(&model),
-        )
-    };
-    assert_eq!(run(), run());
-}
-
-#[test]
-fn batched_training_still_learns() {
-    // A batch of 4 over 8 tasks takes 4× fewer (averaged) steps per
-    // epoch than the sequential loop, so give it a longer run.
-    let tasks = tiny_tasks(8, 14);
-    let model = small_model(&tasks, 60, 4);
-    let stats = meta_train(&model, &tasks, 0);
-    let first = stats.epoch_losses[0];
-    let last = *stats.epoch_losses.last().unwrap();
-    assert!(
-        last < first * 0.9,
-        "batched loss should drop ≥10%: first {first}, last {last}"
-    );
-    assert!(last.is_finite());
-}
-
-#[test]
 fn validated_training_is_identical_across_thread_counts() {
     let tasks = tiny_tasks(8, 15);
     let (train, valid) = tasks.split_at(6);
     let run = |threads: usize| {
-        let model = small_model(train, 4, 3);
+        let model = small_model(train, 4);
         let stats = meta_train_validated_with_threads(&model, train, valid, 2, threads);
         (
             stats
@@ -310,7 +218,7 @@ fn validated_training_is_identical_across_thread_counts() {
 #[test]
 fn validation_sweep_is_identical_across_thread_counts() {
     let tasks = tiny_tasks(5, 16);
-    let model = small_model(&tasks, 1, 1);
+    let model = small_model(&tasks, 1);
     let serial = validation_loss_with_threads(&model, &tasks, 1);
     let fanned = validation_loss_with_threads(&model, &tasks, 4);
     assert_eq!(serial.to_bits(), fanned.to_bits());
@@ -327,7 +235,7 @@ fn parallel_prepare_tasks_matches_serial() {
         assert_eq!(a.task.support.len(), b.task.support.len());
         // The prepared operators must encode the same graph: probe them
         // through a forward pass of one shared model.
-        let model = small_model(&serial, 1, 1);
+        let model = small_model(&serial, 1);
         let mut ra = StdRng::seed_from_u64(0);
         let mut rb = StdRng::seed_from_u64(0);
         let q = a.task.targets[0].query;
@@ -339,80 +247,4 @@ fn parallel_prepare_tasks_matches_serial() {
             "prepared operators must be interchangeable"
         );
     }
-}
-
-#[test]
-fn meta_batch_changes_trajectory_but_stays_finite() {
-    // Batching is a *different* (averaged) optimisation path, not a
-    // reordering of the sequential one: make sure the two diverge (so
-    // the batched code is actually exercised) and both stay finite.
-    let tasks = tiny_tasks(6, 18);
-    let seq = small_model(&tasks, 3, 1);
-    let seq_losses = meta_train(&seq, &tasks, 4).epoch_losses;
-    let bat = small_model(&tasks, 3, 3);
-    let bat_losses = meta_train(&bat, &tasks, 4).epoch_losses;
-    assert_ne!(
-        seq_losses, bat_losses,
-        "meta_batch > 1 must take averaged steps"
-    );
-    assert!(bat_losses.iter().all(|l| l.is_finite()));
-}
-
-#[test]
-fn lr_scale_none_pins_current_behaviour_and_linear_scales_the_step() {
-    // Three runs over the same seeds and meta_batch = 4, differing only
-    // in the lr policy. `none` (the default) must keep using cfg.lr
-    // verbatim — pinned by matching a hand-scaled `none` run against a
-    // `linear` run whose base rate is 4× smaller (1.25e-3 × 4 is exact
-    // in f32, so bitwise equality is well-defined).
-    let tasks = tiny_tasks(6, 20);
-    let in_dim = model_input_dim(&tasks[0].task.graph);
-    let build = |lr: f32, scale: LrScale| {
-        let mut cfg = CgnpConfig::paper_default(in_dim, 8)
-            .with_decoder(DecoderKind::InnerProduct)
-            .with_commutative(CommutativeOp::Mean)
-            .with_epochs(3)
-            .with_meta_batch(4)
-            .with_lr_scale(scale);
-        cfg.lr = lr;
-        Cgnp::new(cfg, 42)
-    };
-    let run = |model: &Cgnp| {
-        let losses = meta_train(model, &tasks, 6).epoch_losses;
-        (
-            losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
-            weights_bits(model),
-        )
-    };
-
-    let hand_scaled_none = build(5e-3, LrScale::None);
-    let linear = build(1.25e-3, LrScale::Linear);
-    assert_eq!(
-        run(&hand_scaled_none),
-        run(&linear),
-        "linear scaling must equal the hand-multiplied unscaled run bitwise"
-    );
-
-    let unscaled = build(1.25e-3, LrScale::None);
-    assert_ne!(
-        run(&unscaled),
-        run(&linear),
-        "the policy must actually change the step at meta_batch > 1"
-    );
-}
-
-/// A meta-batch larger than the task count degenerates to full-batch
-/// gradient descent and must still be deterministic and well-formed.
-#[test]
-fn oversized_meta_batch_is_full_batch() {
-    let tasks = tiny_tasks(3, 19);
-    let run = |threads: usize| {
-        let model = small_model(&tasks, 2, 64);
-        let losses = meta_train_with_threads(&model, &tasks, 1, threads).epoch_losses;
-        (
-            losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
-            weights_bits(&model),
-        )
-    };
-    assert_eq!(run(1), run(4));
 }

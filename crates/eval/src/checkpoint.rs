@@ -15,7 +15,7 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use cgnp_core::{CgnpConfig, CommutativeOp, DecoderKind};
+use cgnp_core::{Cgnp, CgnpConfig, CommutativeOp, DecoderKind};
 use cgnp_nn::{Activation, GnnConfig, GnnKind, Module};
 use cgnp_tensor::Matrix;
 
@@ -385,6 +385,35 @@ pub fn load_from_file(module: &dyn Module, path: impl AsRef<Path>) -> io::Result
 pub fn load_checkpoint_file(path: impl AsRef<Path>) -> io::Result<Checkpoint> {
     let json = std::fs::read_to_string(path)?;
     serde_json::from_str(&json).map_err(io::Error::other)
+}
+
+/// Rebuilds the [`Cgnp`] a checkpoint file belongs to and loads its
+/// weights. Self-describing checkpoints (saved by `cgnp train`, which
+/// embeds an [`ArchSpec`]) rebuild their own architecture; `template` is
+/// only consulted for legacy checkpoints without one, in which case it
+/// must describe the architecture the checkpoint was trained with —
+/// hidden width, decoder, encoder kind — or restoration fails with a
+/// shape error. Either way the encoder input width is re-bound to
+/// `in_dim`, the feature width of the graph the model will run on.
+pub fn restore_model(
+    path: impl AsRef<Path>,
+    template: CgnpConfig,
+    in_dim: usize,
+    seed: u64,
+) -> Result<Cgnp, String> {
+    let path = path.as_ref();
+    let ckpt =
+        load_checkpoint_file(path).map_err(|e| format!("loading checkpoint {path:?}: {e}"))?;
+    let mut config = match &ckpt.arch {
+        Some(spec) => spec
+            .to_config()
+            .map_err(|e| format!("checkpoint {path:?} carries a bad architecture: {e}"))?,
+        None => template,
+    };
+    config.encoder.in_dim = in_dim;
+    let model = Cgnp::new(config, seed);
+    restore(&model, &ckpt).map_err(|e| format!("loading checkpoint {path:?}: {e}"))?;
+    Ok(model)
 }
 
 #[cfg(test)]

@@ -103,7 +103,7 @@ pub fn run(engine: &dyn QueryEngine, shared: &Shared) {
     }
 }
 
-/// Answers one tick: expiry split, then isolated scoring/applying.
+/// Answers one tick: expiry split, then [`isolated`] scoring/applying.
 fn answer_tick(engine: &dyn QueryEngine, shared: &Shared, tick: &[Pending]) -> Vec<QueryResponse> {
     let now = Instant::now();
     // Partition without reordering: responses must line up with `tick`.
@@ -124,10 +124,23 @@ fn answer_tick(engine: &dyn QueryEngine, shared: &Shared, tick: &[Pending]) -> V
     // Tick assembly guarantees a tick is homogeneous: a run of queries
     // or a run of updates, never both.
     let mut answered = if live_updates.is_empty() {
-        score_isolated(engine, shared, &live_reqs).into_iter()
+        isolated(
+            shared,
+            &live_reqs,
+            |r| r.id,
+            "request panicked during scoring (isolated; server healthy)",
+            &|reqs| engine.answer_batch(reqs),
+        )
     } else {
-        apply_isolated(engine, shared, &live_updates).into_iter()
-    };
+        isolated(
+            shared,
+            &live_updates,
+            |r| r.id,
+            "update panicked while applying (isolated; server healthy)",
+            &|reqs| engine.apply_updates(reqs),
+        )
+    }
+    .into_iter();
     tick.iter()
         .zip(&expired)
         .map(|(p, &is_expired)| {
@@ -144,57 +157,22 @@ fn answer_tick(engine: &dyn QueryEngine, shared: &Shared, tick: &[Pending]) -> V
         .collect()
 }
 
-/// Applies a run of updates with panic isolation: a batch-level panic
-/// retries one frame at a time, so a poisoned frame loses itself — not
-/// the server, and not its healthy neighbours in the same burst.
-fn apply_isolated(
-    engine: &dyn QueryEngine,
+/// Runs `call` — the engine scoring a batch, or applying a run of
+/// updates — with panic isolation: a batch-level panic retries one frame
+/// at a time, so a poisoned frame loses itself (answered `internal` with
+/// `panic_msg`) — not the server, and not its healthy neighbours in the
+/// same tick.
+fn isolated<R>(
     shared: &Shared,
-    reqs: &[UpdateRequest],
+    reqs: &[R],
+    id: fn(&R) -> u64,
+    panic_msg: &str,
+    call: &dyn Fn(&[R]) -> Vec<QueryResponse>,
 ) -> Vec<QueryResponse> {
     if reqs.is_empty() {
         return Vec::new();
     }
-    match catch_unwind(AssertUnwindSafe(|| engine.apply_updates(reqs))) {
-        Ok(responses) if responses.len() == reqs.len() => responses,
-        Ok(mismatched) => {
-            drop(mismatched);
-            reqs.iter()
-                .map(|r| {
-                    QueryResponse::error(
-                        r.id,
-                        ErrorCode::Internal,
-                        "engine returned a mismatched response count",
-                    )
-                })
-                .collect()
-        }
-        Err(_) if reqs.len() == 1 => {
-            shared.stats.bump(&shared.stats.panics_caught);
-            vec![QueryResponse::error(
-                reqs[0].id,
-                ErrorCode::Internal,
-                "update panicked while applying (isolated; server healthy)",
-            )]
-        }
-        Err(_) => reqs
-            .iter()
-            .flat_map(|r| apply_isolated(engine, shared, std::slice::from_ref(r)))
-            .collect(),
-    }
-}
-
-/// Scores a batch with panic isolation. On a batch-level panic, retries
-/// one request at a time so only the poisoned requests are lost.
-fn score_isolated(
-    engine: &dyn QueryEngine,
-    shared: &Shared,
-    reqs: &[QueryRequest],
-) -> Vec<QueryResponse> {
-    if reqs.is_empty() {
-        return Vec::new();
-    }
-    match catch_unwind(AssertUnwindSafe(|| engine.answer_batch(reqs))) {
+    match catch_unwind(AssertUnwindSafe(|| call(reqs))) {
         Ok(responses) if responses.len() == reqs.len() => responses,
         Ok(mismatched) => {
             // A miscounting engine is a bug, but the wire contract
@@ -203,7 +181,7 @@ fn score_isolated(
             reqs.iter()
                 .map(|r| {
                     QueryResponse::error(
-                        r.id,
+                        id(r),
                         ErrorCode::Internal,
                         "engine returned a mismatched response count",
                     )
@@ -213,14 +191,14 @@ fn score_isolated(
         Err(_) if reqs.len() == 1 => {
             shared.stats.bump(&shared.stats.panics_caught);
             vec![QueryResponse::error(
-                reqs[0].id,
+                id(&reqs[0]),
                 ErrorCode::Internal,
-                "request panicked during scoring (isolated; server healthy)",
+                panic_msg,
             )]
         }
         Err(_) => reqs
             .iter()
-            .flat_map(|r| score_isolated(engine, shared, std::slice::from_ref(r)))
+            .flat_map(|r| isolated(shared, std::slice::from_ref(r), id, panic_msg, call))
             .collect(),
     }
 }

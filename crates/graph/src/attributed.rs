@@ -302,10 +302,10 @@ impl AttributedGraph {
         Some(&self.log[(since - self.log_start) as usize..])
     }
 
-    /// Total mutations evicted from the log since construction. A rising
-    /// count is the signal (surfaced through the serve summary) that
-    /// some consumer fell more than [`MAX_MUTATION_LOG`] epochs behind
-    /// and was forced onto epoch-swap rebuilds.
+    /// Total mutations evicted from the log since construction (surfaced
+    /// through the serve summary). While it reads 0 no consumer can have
+    /// been forced onto a rebuild; past that, one that falls more than
+    /// [`MAX_MUTATION_LOG`] epochs behind is.
     #[inline]
     pub fn log_evictions(&self) -> u64 {
         self.log_evictions

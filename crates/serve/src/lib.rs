@@ -13,8 +13,8 @@
 //!   for the process's own stdin/stdout alike) coalesces up to `B`
 //!   in-flight requests per [`QueryEngine::answer_batch`] tick,
 //! * the decoded task context is computed once per shot count and cached
-//!   **across ticks** (invalidated by
-//!   [`ServeSession::replace_support`]); each tick only scores its
+//!   **across ticks** (retired by the updates that invalidate it —
+//!   [`ServeSession::apply_update`]); each tick only scores its
 //!   queries against it, all of them in one pass over the context rows,
 //!   which split across the persistent worker pool
 //!   (`cgnp_core::infer::score_batch_with_threads` — forward-only, no

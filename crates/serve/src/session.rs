@@ -11,10 +11,11 @@
 //!
 //! The graph is **live**: [`ServeSession::apply_update`] inserts edges
 //! and nodes or rotates the support pool while queries keep flowing.
-//! Updates take the write half of a session-wide `RwLock`, refresh the
-//! prepared operators ([`RefreshStrategy`] picks epoch-swap rebuild or
-//! per-row patching — both bitwise-identical to a scratch build), and
-//! advance a version watermark that retires exactly the cache entries
+//! Updates take the write half of a session-wide `RwLock`, patch the
+//! operator and feature rows the burst's mutations touched (rebuilding
+//! from scratch only when the graph's mutation log no longer says which
+//! — either way bitwise-identical to a scratch build), and advance a
+//! version watermark that retires exactly the cache entries
 //! the update invalidates: graph mutations and support expiry retire
 //! everything, while appending a support example retires nothing
 //! (cached contexts condition on prefixes of the pool, which an append
@@ -40,7 +41,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use cgnp_core::{infer, Cgnp, CgnpConfig, InferModel, InferState, PreparedTask, RefreshStrategy};
-use cgnp_data::{model_input_dim, task_on_whole_graph, QueryExample, Task, TaskConfig, NO_QUERY};
+use cgnp_data::{model_input_dim, task_on_whole_graph, QueryExample, Task, TaskConfig};
 use cgnp_graph::AttributedGraph;
 use cgnp_tensor::{dispatch, fast_math_compiled, Block, Dtype, MathMode};
 use rand::SeedableRng;
@@ -63,8 +64,10 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Seed for model restoration / support-pool sampling.
     pub seed: u64,
-    /// How graph updates rebuild the prepared operators and features:
-    /// from scratch, or by patching only the touched rows.
+    /// How graph updates bring the prepared operators and features up to
+    /// date. Every front-end serves at the default,
+    /// [`RefreshStrategy::PerRow`]; the field survives for differential
+    /// tests that pin the scratch rebuild against it.
     pub refresh: RefreshStrategy,
     /// Element type scoring runs in. [`Dtype::F32`] (the default) is the
     /// training dtype; [`Dtype::F64`] snapshots the weights, operators,
@@ -84,7 +87,7 @@ impl Default for ServeConfig {
             cache: 256,
             threads: rayon::current_num_threads(),
             seed: 42,
-            refresh: RefreshStrategy::EpochSwap,
+            refresh: RefreshStrategy::PerRow,
             precision: Dtype::F32,
             math: MathMode::Exact,
         }
@@ -221,9 +224,9 @@ pub struct ServeSummary {
     /// Updates that shared a batched refresh instead of paying for their
     /// own (see [`ServeSession::apply_updates`]).
     pub coalesced_updates: u64,
-    /// Mutation-log entries the graph evicted because a consumer fell
-    /// more than the retention bound behind (forcing epoch-swap
-    /// rebuilds); non-zero values mean per-row refresh stopped applying.
+    /// Mutation-log entries the graph has dropped (it keeps the most
+    /// recent 4 096). While this reads 0 every refresh has patched rows;
+    /// past that, a single burst longer than the log forces a rebuild.
     pub log_evictions: u64,
     /// WAL records appended by the durability wrapper (0 when serving
     /// ephemerally).
@@ -348,8 +351,8 @@ impl ServeSession {
 
     /// [`ServeSession::new`] over an already-shared model: the weights
     /// are only read, once, to snapshot them into the serving dtype, so
-    /// any number of sessions — per-shard replicas of a sharded
-    /// deployment most of all — build from one restored checkpoint.
+    /// any number of sessions — the shards of a sharded deployment most
+    /// of all — build from one restored checkpoint.
     pub fn with_shared_model(
         model: Arc<Cgnp>,
         task: Task,
@@ -380,33 +383,18 @@ impl ServeSession {
         })
     }
 
-    /// Restores a checkpoint into a fresh model and wraps it in a
-    /// session. Self-describing checkpoints (saved by `cgnp train`, which
-    /// embeds an [`cgnp_eval::ArchSpec`]) rebuild their own architecture;
-    /// `template` is only consulted for legacy checkpoints without one,
-    /// in which case it must describe the architecture the checkpoint was
-    /// trained with — hidden width, decoder, encoder kind — or
-    /// restoration fails with a shape error. Either way the encoder input
-    /// width is re-bound to the serving graph here.
+    /// Restores a checkpoint into a fresh model
+    /// ([`cgnp_eval::restore_model`]: `template` is only consulted for
+    /// legacy checkpoints without an embedded architecture) and wraps it
+    /// in a session.
     pub fn from_checkpoint(
         path: impl AsRef<Path>,
         template: CgnpConfig,
         task: Task,
         cfg: ServeConfig,
     ) -> Result<Self, String> {
-        let path = path.as_ref();
-        let ckpt = cgnp_eval::load_checkpoint_file(path)
-            .map_err(|e| format!("loading checkpoint {path:?}: {e}"))?;
-        let mut config = match &ckpt.arch {
-            Some(spec) => spec
-                .to_config()
-                .map_err(|e| format!("checkpoint {path:?} carries a bad architecture: {e}"))?,
-            None => template,
-        };
-        config.encoder.in_dim = model_input_dim(&task.graph);
-        let model = Cgnp::new(config, cfg.seed);
-        cgnp_eval::restore(&model, &ckpt)
-            .map_err(|e| format!("loading checkpoint {path:?}: {e}"))?;
+        let in_dim = model_input_dim(&task.graph);
+        let model = cgnp_eval::restore_model(path, template, in_dim, cfg.seed)?;
         Self::new(model, task, cfg)
     }
 
@@ -502,42 +490,6 @@ impl ServeSession {
         dispatch!(ctx, |m| infer::score_batch_with_threads(
             m, batch, threads, math
         ))
-    }
-
-    /// Replaces the labelled support pool the session conditions on
-    /// wholesale and invalidates everything derived from it — the
-    /// per-shot context cache and the prediction cache — so no response
-    /// is ever served from stale conditioning data. For incremental
-    /// rotation (append one, expire the oldest) use
-    /// [`ServeSession::apply_update`], which keeps caches where it can.
-    pub fn replace_support(&self, support: Vec<QueryExample>) -> Result<(), String> {
-        if support.is_empty() {
-            return Err("serving task has no support examples to condition on".into());
-        }
-        let mut live = self.live.write().expect("live state lock");
-        // Bounds-check like `validate` does for request nodes: an
-        // out-of-range id would otherwise panic the encoder forward on
-        // the next request, poisoning the session's mutexes.
-        let n = live.prepared.task.n();
-        for ex in &support {
-            // `NO_QUERY` is the sharded-serving sentinel for a support
-            // view whose query node fell outside this partition; it is
-            // never indexed, only skipped by the indicator builder.
-            if let Some(&bad) = std::iter::once(&ex.query)
-                .filter(|&&q| q != NO_QUERY)
-                .chain(&ex.pos)
-                .chain(&ex.neg)
-                .find(|&&v| v >= n)
-            {
-                return Err(format!(
-                    "support node {bad} out of range (graph has {n} nodes)"
-                ));
-            }
-        }
-        live.prepared.task.support = support;
-        live.mark.advance(true);
-        self.stats.lock().expect("stats lock").updates += 1;
-        Ok(())
     }
 
     /// Applies one live update — a graph mutation or a support-pool
@@ -675,7 +627,7 @@ impl ServeSession {
     }
 
     /// Context forwards `(computed, answered from the per-shot cache)`
-    /// so far — what a coordinator sums over its replicas.
+    /// so far — what a coordinator sums over its shards.
     pub fn context_counters(&self) -> (u64, u64) {
         let stats = self.stats.lock().expect("stats lock");
         (stats.context_builds, stats.context_hits)

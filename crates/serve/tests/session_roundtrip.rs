@@ -5,11 +5,13 @@
 
 use cgnp_core::{meta_train, prepare_tasks, Cgnp, CgnpConfig, PreparedTask};
 use cgnp_data::{
-    generate_sbm, load_dataset, model_input_dim, sample_task, DatasetId, SbmConfig, Scale, Task,
-    TaskConfig,
+    generate_sbm, load_dataset, model_input_dim, sample_task, DatasetId, QueryExample, SbmConfig,
+    Scale, Task, TaskConfig,
 };
 use cgnp_nn::{GnnKind, Module};
-use cgnp_serve::{rank_members, serve_task, QueryRequest, ServeConfig, ServeSession};
+use cgnp_serve::{
+    rank_members, serve_task, QueryRequest, ServeConfig, ServeSession, UpdateOp, UpdateRequest,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -353,12 +355,18 @@ fn ragged_shot_traffic_builds_one_context_per_shot_count() {
 }
 
 #[test]
-fn replace_support_invalidates_context_and_prediction_caches() {
+fn support_expiry_invalidates_context_and_prediction_caches() {
     let (model, task) = trained_model_and_task(28);
     let q = task.targets[0].query;
-    let narrowed = task.support[..1].to_vec();
-    let bad_base = narrowed.clone();
+    // Expiry drops the oldest examples: two of three leave the last.
+    let narrowed = task.support[2..].to_vec();
     let session = ServeSession::new(model, task.clone(), serve_cfg()).unwrap();
+    let rotate = |id: u64, add: Option<QueryExample>, expire: usize| {
+        session.apply_update(&UpdateRequest {
+            id,
+            op: UpdateOp::UpdateSupport { add, expire },
+        })
+    };
 
     // Warm both caches on the full pool.
     let before = session.answer(&QueryRequest::new(1, vec![q]));
@@ -366,38 +374,99 @@ fn replace_support_invalidates_context_and_prediction_caches() {
     let hit = session.answer(&QueryRequest::new(2, vec![q]));
     assert!(hit.cached, "second identical query must hit the LRU");
 
-    // Swap the conditioning data: one support example instead of three.
-    session.replace_support(narrowed.clone()).unwrap();
+    // Narrow the conditioning data: one support example instead of three.
+    assert!(rotate(10, None, 2).ok);
     assert_eq!(session.max_shots(), 1);
     let after = session.answer(&QueryRequest::new(3, vec![q]));
     assert!(after.ok);
     assert!(
         !after.cached,
-        "stale predictions must not survive a support swap"
+        "stale predictions must not survive a support expiry"
     );
     assert_ne!(
         before.probs, after.probs,
         "new conditioning must actually reach the encoder"
     );
 
-    // The post-swap session behaves exactly like a session built fresh
+    // The narrowed session behaves exactly like a session built fresh
     // on the narrowed pool — no stale context leaks into the forward.
     let (model2, _) = trained_model_and_task(28);
     let mut fresh_task = task;
-    fresh_task.support = narrowed;
+    fresh_task.support = narrowed.clone();
     let fresh = ServeSession::new(model2, fresh_task, serve_cfg()).unwrap();
     let expected = fresh.answer(&QueryRequest::new(3, vec![q]));
     assert_eq!(after.members, expected.members);
     assert_eq!(after.probs, expected.probs);
 
-    // Empty pools stay rejected, and so are out-of-range node ids —
-    // both without disturbing the installed pool.
-    assert!(session.replace_support(Vec::new()).is_err());
-    let mut bad = bad_base;
-    bad[0].query = session.n();
-    let err = session.replace_support(bad).unwrap_err();
+    // Emptying the pool stays rejected, and so are out-of-range node
+    // ids — both without disturbing the installed pool.
+    assert!(!rotate(11, None, 1).ok);
+    let mut bad = narrowed[0].clone();
+    bad.query = session.n();
+    let refused = rotate(12, Some(bad), 0);
+    let err = refused.error.expect("an out-of-range example is refused");
     assert!(err.contains("out of range"), "{err}");
-    assert!(session.answer(&QueryRequest::new(4, vec![q])).ok);
+    assert_eq!(session.max_shots(), 1);
+    let still = session.answer(&QueryRequest::new(4, vec![q]));
+    assert!(still.ok && still.cached, "refused frames retire nothing");
+    assert_eq!(still.probs, after.probs);
+}
+
+#[test]
+fn a_burst_longer_than_the_mutation_log_falls_back_to_a_rebuild() {
+    // A session patches the rows its graph's mutation log names, and the
+    // log keeps the last 4 096 mutations: one burst longer than that
+    // leaves the refresh nothing to patch from, so it must rebuild — and
+    // answer like a session built fresh on the final graph.
+    let ag = generate_sbm(&SbmConfig::small_test(), &mut StdRng::seed_from_u64(31));
+    let task = serve_task(&ag, 3, 31).unwrap();
+    let model_cfg = CgnpConfig::paper_default(model_input_dim(&task.graph), 8);
+    let build = |task: Task| {
+        ServeSession::new(
+            Cgnp::new(model_cfg.clone(), 31),
+            task,
+            ServeConfig::default(),
+        )
+        .unwrap()
+    };
+    let n = task.graph.n();
+    let missing: Vec<(usize, usize)> = (0..n)
+        .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+        .filter(|&(u, v)| !task.graph.graph().has_edge(u, v))
+        .take(4200)
+        .collect();
+    assert!(missing.len() > 4096, "the burst must outrun the log");
+    let burst: Vec<UpdateRequest> = (0u64..)
+        .zip(&missing)
+        .map(|(id, &(u, v))| UpdateRequest {
+            id,
+            op: UpdateOp::AddEdge { u, v },
+        })
+        .collect();
+
+    let session = build(task.clone());
+    let probe = |id: u64| QueryRequest::new(id, vec![0, n / 2]).with_top_k(n);
+    assert!(session.answer(&probe(1)).ok, "warm the caches first");
+    assert!(session.apply_updates(&burst).iter().all(|ack| ack.ok));
+    assert!(
+        session.snapshot_state().graph.mutations_since(0).is_none(),
+        "the log must no longer reach back to the session's last refresh"
+    );
+    assert!(session.summary().log_evictions > 0);
+
+    let mut final_task = task;
+    for &(u, v) in &missing {
+        assert!(final_task.graph.insert_edge(u, v).unwrap());
+    }
+    let fresh = build(final_task);
+    let (got, want) = (session.answer(&probe(2)), fresh.answer(&probe(2)));
+    assert!(got.ok && !got.cached);
+    assert_eq!(got.epoch, missing.len() as u64);
+    assert_eq!(got.members, want.members);
+    let bits = |r: &cgnp_serve::QueryResponse| -> Vec<u32> {
+        r.probs.iter().map(|p| p.to_bits()).collect()
+    };
+    assert_eq!(bits(&got), bits(&want));
 }
 
 #[test]

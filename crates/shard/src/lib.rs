@@ -1,10 +1,10 @@
 //! # cgnp-shard
 //!
-//! Sharded, replicated serving for the CGNP engine: an edge-cut graph
+//! Sharded serving for the CGNP engine: an edge-cut graph
 //! partitioner with halo rings ([`partition_graph`]) plus a
 //! scatter/gather coordinator ([`ShardedSession`]) that answers the
 //! exact serving protocol of a single [`cgnp_serve::ServeSession`] —
-//! bitwise — over N partitions × R replicas.
+//! bitwise — over N partitions.
 //!
 //! The contract this crate is built around: **sharding is a deployment
 //! choice, not a model change.** Every response a sharded deployment
@@ -18,7 +18,7 @@
 //! ```
 //! use cgnp_core::{Cgnp, CgnpConfig};
 //! use cgnp_data::model_input_dim;
-//! use cgnp_serve::{serve_task, QueryRequest, ServeConfig};
+//! use cgnp_serve::{serve_task, QueryRequest};
 //! use cgnp_shard::{ShardedConfig, ShardedSession};
 //! use cgnp_data::{generate_sbm, SbmConfig};
 //! use rand::{rngs::StdRng, SeedableRng};
@@ -28,7 +28,7 @@
 //! let mut config = CgnpConfig::paper_default(model_input_dim(&task.graph), 8);
 //! config.commutative = cgnp_core::CommutativeOp::Mean;
 //! let model = Cgnp::new(config, 0);
-//! let cfg = ShardedConfig { shards: 2, replicas: 2, serve: ServeConfig::default() };
+//! let cfg = ShardedConfig { shards: 2, ..ShardedConfig::default() };
 //! let session = ShardedSession::new(model, task, cfg).unwrap();
 //!
 //! let response = session.answer(&QueryRequest::new(1, vec![0]).with_top_k(5));

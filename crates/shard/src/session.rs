@@ -30,18 +30,15 @@
 //! shard order — no node is owned twice, so the merge is a permutation,
 //! not a reduction.
 //!
-//! ## Replicas and epochs
+//! ## Epochs
 //!
-//! Each shard holds `replicas` identical sessions sharing one model
-//! `Arc`; queries pick one round-robin (they are bitwise-identical, so
-//! rotation affects throughput, never results). Live updates apply to
-//! the global graph, then route to every shard whose local set they
-//! touch; each routed frame bumps that shard's epoch, and the summary
-//! reports the full epoch vector.
+//! Each shard is one session over its induced subgraph, all sharing one
+//! model `Arc`. Live updates apply to the global graph, then route to
+//! every shard whose local set they touch; each routed frame bumps that
+//! shard's epoch, and the summary reports the full epoch vector.
 
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
@@ -63,7 +60,10 @@ use crate::partition::{halo_ball, partition_graph};
 pub struct ShardedConfig {
     /// Number of graph partitions (≥ 1).
     pub shards: usize,
-    /// Sessions per shard (≥ 1); queries rotate across them.
+    /// Sessions per shard. Only `1` is supported — a shard is one
+    /// session — and [`ShardedSession::with_shared_model`] refuses any
+    /// other value; the field exists for callers that spell the whole
+    /// struct out.
     pub replicas: usize,
     /// Per-session tuning; `seed` also seeds the partitioner. The
     /// coordinator owns the LRU (`cache`) and the scoring fan-out
@@ -138,28 +138,17 @@ fn translate_example(ex: &QueryExample, local_of: &HashMap<usize, usize>) -> Que
     }
 }
 
-/// One partition: its local (owned ∪ halo) node list, replicas, and
+/// One partition: its local (owned ∪ halo) node list, session, and
 /// update epoch.
 struct Shard {
     /// Local node list, ascending by global id; local id = position.
     local: Vec<usize>,
     /// Inverse of `local`: global id → local id.
     local_of: HashMap<usize, usize>,
-    /// Identical sessions over the induced subgraph, one model `Arc`.
-    replicas: Vec<ServeSession>,
-    /// Round-robin cursor for replica selection.
-    rr: AtomicUsize,
+    /// The session over the induced subgraph.
+    session: ServeSession,
     /// Bumped once per live update routed to this shard.
     epoch: u64,
-}
-
-impl Shard {
-    /// Round-robin replica pick (replicas are bitwise-identical, so any
-    /// choice returns the same results).
-    fn replica(&self) -> &ServeSession {
-        let i = self.rr.fetch_add(1, Ordering::Relaxed) % self.replicas.len();
-        &self.replicas[i]
-    }
 }
 
 /// Everything a live update mutates, behind one write lock (queries
@@ -181,7 +170,7 @@ struct Global {
     mark: Watermark,
 }
 
-/// A scatter/gather serving coordinator over N partitions × R replicas,
+/// A scatter/gather serving coordinator over N partitions,
 /// wire-compatible (and bitwise response-compatible) with a single
 /// [`ServeSession`] over the same graph.
 pub struct ShardedSession {
@@ -197,7 +186,7 @@ impl ShardedSession {
     /// Partitions the task graph and builds every per-shard session.
     /// Fails on a self-attention aggregator (it mixes rows across the
     /// whole graph, which no finite halo can make exact), on an empty
-    /// support pool, and on more shards than nodes.
+    /// support pool, on more shards than nodes, and on `replicas != 1`.
     pub fn new(model: Cgnp, task: Task, cfg: ShardedConfig) -> Result<Self, String> {
         Self::with_shared_model(Arc::new(model), task, cfg)
     }
@@ -215,6 +204,13 @@ impl ShardedSession {
                     .into(),
             );
         }
+        if cfg.replicas != 1 {
+            return Err(format!(
+                "replicas = {} is not supported: each shard is exactly one session \
+                 (set replicas to 1)",
+                cfg.replicas
+            ));
+        }
         if task.support.is_empty() {
             return Err("serving task has no support examples to condition on".into());
         }
@@ -226,7 +222,6 @@ impl ShardedSession {
             ));
         }
         let n_shards = cfg.shards.max(1);
-        let n_replicas = cfg.replicas.max(1);
         let halo = halo_depth_for(model.config());
         let parts = partition_graph(task.graph.graph(), n_shards, halo, cfg.serve.seed)?;
         let core_col = global_core_column(task.graph.graph());
@@ -240,7 +235,6 @@ impl ShardedSession {
                     &task.support,
                     local,
                     &cfg.serve,
-                    n_replicas,
                     &core_col,
                 )
             })
@@ -272,19 +266,8 @@ impl ShardedSession {
         task: Task,
         cfg: ShardedConfig,
     ) -> Result<Self, String> {
-        let path = path.as_ref();
-        let ckpt = cgnp_eval::load_checkpoint_file(path)
-            .map_err(|e| format!("loading checkpoint {path:?}: {e}"))?;
-        let mut config = match &ckpt.arch {
-            Some(spec) => spec
-                .to_config()
-                .map_err(|e| format!("checkpoint {path:?} carries a bad architecture: {e}"))?,
-            None => template,
-        };
-        config.encoder.in_dim = model_input_dim(&task.graph);
-        let model = Cgnp::new(config, cfg.serve.seed);
-        cgnp_eval::restore(&model, &ckpt)
-            .map_err(|e| format!("loading checkpoint {path:?}: {e}"))?;
+        let in_dim = model_input_dim(&task.graph);
+        let model = cgnp_eval::restore_model(path, template, in_dim, cfg.serve.seed)?;
         Self::new(model, task, cfg)
     }
 
@@ -331,7 +314,7 @@ impl ShardedSession {
     /// Answers a micro-batch by scatter/gather — the same
     /// [`query_tick`] a single session runs, with its own way of scoring
     /// a shot group: each shard contributes one decoded context
-    /// (round-robin replica, cached across ticks inside the replica);
+    /// (cached across ticks inside its session);
     /// per query set, the centroid is gathered from the owning shards'
     /// exact rows, broadcast, scored against every shard's context in
     /// parallel, and the owned rows are merged in fixed shard order.
@@ -347,7 +330,7 @@ impl ShardedSession {
             let ctxs: Vec<Arc<Block>> = global
                 .shards
                 .iter()
-                .map(|sh| sh.replica().context_for_shots(shots))
+                .map(|sh| sh.session.context_for_shots(shots))
                 .collect();
             match self.cfg.serve.precision {
                 Dtype::F32 => scatter_gather::<f32>(&ctxs, &global, batch),
@@ -368,7 +351,7 @@ impl ShardedSession {
     /// recomputed, shards whose local node set gained pre-existing
     /// nodes are rebuilt, and every other touched shard receives its
     /// translated frames as one batched [`ServeSession::apply_updates`]
-    /// call (one refresh per replica per burst). The globally computed
+    /// call (one refresh per shard per burst). The globally computed
     /// core column is re-injected wherever it changed. Acks — ids,
     /// errors, members, per-frame graph epochs — are identical to an
     /// unsharded session applying the same burst.
@@ -425,14 +408,12 @@ impl ShardedSession {
             *core_col = new_col;
         } else {
             // Support-only burst: forward the translated frames to every
-            // replica (one batched apply each; the sessions' refresh
+            // shard (one batched apply each; the sessions' refresh
             // no-ops because no graph epoch moved, so the injected core
             // column survives).
             for shard in shards.iter_mut() {
                 let frames = translate_frames(applied, graph, &shard.local_of);
-                for replica in &shard.replicas {
-                    forward(replica, &frames);
-                }
+                forward(&shard.session, &frames);
             }
         }
         // Epoch attribution: one bump per routed frame. Edges route to
@@ -484,9 +465,7 @@ impl ShardedSession {
             let topo_forwarded = frames
                 .iter()
                 .any(|f| matches!(f.op, UpdateOp::AddEdge { .. } | UpdateOp::AddNode { .. }));
-            for replica in &shard.replicas {
-                forward(replica, &frames);
-            }
+            forward(&shard.session, &frames);
             // Any session-side refresh recomputed the core column from
             // the *local* graph; the injected global column also goes
             // stale whenever the global cores moved under this shard.
@@ -497,11 +476,10 @@ impl ShardedSession {
                 .zip(&col)
                 .any(|(&v, c)| old_core_col.get(v) != Some(c));
             if topo_forwarded || col_changed {
-                for replica in &shard.replicas {
-                    replica
-                        .override_core_column(&col)
-                        .expect("column length matches the replica graph");
-                }
+                shard
+                    .session
+                    .override_core_column(&col)
+                    .expect("column length matches the shard graph");
             }
         } else {
             let rebuilt = build_shard(
@@ -510,7 +488,6 @@ impl ShardedSession {
                 support,
                 &new_local,
                 &self.cfg.serve,
-                shard.replicas.len(),
                 new_col,
             )
             .expect("rebuilding a shard from already-validated state");
@@ -527,12 +504,12 @@ impl ShardedSession {
 
     /// Serving summary. `shard_epochs` reports the per-shard update
     /// epochs in fixed shard order; `context_builds`/`context_hits`
-    /// aggregate over every replica of every shard.
+    /// aggregate over every shard.
     pub fn summary(&self) -> ServeSummary {
         let global = self.read_global();
         let (mut context_builds, mut context_hits) = (0u64, 0u64);
-        for replica in global.shards.iter().flat_map(|s| &s.replicas) {
-            let (builds, hits) = replica.context_counters();
+        for shard in &global.shards {
+            let (builds, hits) = shard.session.context_counters();
             context_builds += builds;
             context_hits += hits;
         }
@@ -592,7 +569,7 @@ fn translate_frames(
 /// `select_rows(queries).mean_rows()` — broadcast it, score every
 /// shard's local rows against it in parallel on the pool, then merge.
 /// Rows are gathered and the centroid broadcast as raw `E` bits, which is
-/// why every shard serves the coordinator's dtype (each replica's config
+/// why every shard serves the coordinator's dtype (each shard's config
 /// is the coordinator's [`ServeConfig`]).
 fn scatter_gather<E: Elem>(
     ctxs: &[Arc<Block>],
@@ -650,59 +627,51 @@ fn merge_owned(global: &Global, per_shard: &[Vec<f32>]) -> Vec<f32> {
     probs
 }
 
-/// Applies translated frames to one replica, asserting they all land —
-/// they were validated against the same state globally.
-fn forward(replica: &ServeSession, frames: &[UpdateRequest]) {
+/// Applies translated frames to one shard's session, asserting they all
+/// land — they were validated against the same state globally.
+fn forward(session: &ServeSession, frames: &[UpdateRequest]) {
     if frames.is_empty() {
         return;
     }
-    for ack in replica.apply_updates(frames) {
+    for ack in session.apply_updates(frames) {
         debug_assert!(ack.ok, "translated frame refused: {:?}", ack.error);
     }
 }
 
 /// Builds one shard: induced subgraph on `local`, translated support,
-/// `n_replicas` identical sessions (own prediction caches off — the
-/// coordinator holds the LRU; single-threaded scoring — parallelism
-/// fans across shards), global core column injected.
+/// one session (own prediction cache off — the coordinator holds the
+/// LRU; single-threaded scoring — parallelism fans across shards),
+/// global core column injected.
 fn build_shard(
     model: &Arc<Cgnp>,
     graph: &AttributedGraph,
     support: &[QueryExample],
     local: &[usize],
     serve: &ServeConfig,
-    n_replicas: usize,
     core_col: &[f32],
 ) -> Result<Shard, String> {
     let (sub, _back) = graph.induced_subgraph(local);
     let local_of: HashMap<usize, usize> = local.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-    let sub_support: Vec<QueryExample> = support
-        .iter()
-        .map(|ex| translate_example(ex, &local_of))
-        .collect();
-    let col: Vec<f32> = local.iter().map(|&v| core_col[v]).collect();
+    let task = Task {
+        graph: sub,
+        support: support
+            .iter()
+            .map(|ex| translate_example(ex, &local_of))
+            .collect(),
+        targets: Vec::new(),
+    };
     let session_cfg = ServeConfig {
         cache: 0,
         threads: 1,
         ..*serve
     };
-    let replicas = (0..n_replicas)
-        .map(|_| {
-            let task = Task {
-                graph: sub.clone(),
-                support: sub_support.clone(),
-                targets: Vec::new(),
-            };
-            let session = ServeSession::with_shared_model(Arc::clone(model), task, session_cfg)?;
-            session.override_core_column(&col)?;
-            Ok(session)
-        })
-        .collect::<Result<Vec<ServeSession>, String>>()?;
+    let session = ServeSession::with_shared_model(Arc::clone(model), task, session_cfg)?;
+    let col: Vec<f32> = local.iter().map(|&v| core_col[v]).collect();
+    session.override_core_column(&col)?;
     Ok(Shard {
         local: local.to_vec(),
         local_of,
-        replicas,
-        rr: AtomicUsize::new(0),
+        session,
         epoch: 0,
     })
 }

@@ -1,5 +1,5 @@
 //! The sharded precision contract: every shard of a deployment scores
-//! in the coordinator's dtype (each replica is built from the
+//! in the coordinator's dtype (each shard is built from the
 //! coordinator's own `ServeConfig`, so there is nothing to mix), and a
 //! sharded session answers queries identically to an unsharded session
 //! of the same precision.

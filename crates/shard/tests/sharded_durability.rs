@@ -13,7 +13,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use cgnp_core::{Cgnp, CgnpConfig};
+use cgnp_core::{Cgnp, CgnpConfig, RefreshStrategy};
 use cgnp_data::{model_input_dim, QueryExample, Task};
 use cgnp_graph::{AttributedGraph, Graph};
 use cgnp_serve::{
@@ -60,12 +60,13 @@ fn serving_task() -> Task {
     }
 }
 
-fn serve_cfg() -> ServeConfig {
+fn serve_cfg(refresh: RefreshStrategy) -> ServeConfig {
     ServeConfig {
         batch: 4,
         cache: 32,
         threads: 2,
         seed: 9,
+        refresh,
         ..ServeConfig::default()
     }
 }
@@ -77,17 +78,17 @@ fn model() -> Cgnp {
     )
 }
 
-fn sharded_on(task: Task) -> Arc<dyn QueryEngine> {
+fn sharded_on(task: Task, refresh: RefreshStrategy) -> Arc<dyn QueryEngine> {
     let cfg = ShardedConfig {
         shards: 4,
         replicas: 1,
-        serve: serve_cfg(),
+        serve: serve_cfg(refresh),
     };
     Arc::new(ShardedSession::new(model(), task, cfg).expect("sharded session"))
 }
 
-fn unsharded_on(task: Task) -> Arc<dyn QueryEngine> {
-    Arc::new(ServeSession::new(model(), task, serve_cfg()).expect("session"))
+fn unsharded_on(task: Task, refresh: RefreshStrategy) -> Arc<dyn QueryEngine> {
+    Arc::new(ServeSession::new(model(), task, serve_cfg(refresh)).expect("session"))
 }
 
 /// A stream mixing every update kind the sharded reconciliation paths
@@ -170,14 +171,20 @@ fn assert_same(a: &Arc<dyn QueryEngine>, b: &Arc<dyn QueryEngine>, when: &str) {
 
 #[test]
 fn sharded_recovery_is_bitwise_identical_to_never_crashed_and_unsharded() {
-    let dir = temp_dir("bitwise");
+    for refresh in [RefreshStrategy::EpochSwap, RefreshStrategy::PerRow] {
+        recovery_is_bitwise_under(refresh);
+    }
+}
+
+fn recovery_is_bitwise_under(refresh: RefreshStrategy) {
+    let dir = temp_dir(&format!("bitwise-{refresh:?}"));
     let stream = update_stream();
     let split = 7; // crash after this many acknowledged updates
 
     // Never-crashed references: one sharded, one unsharded, both
     // absorbing the full stream in a single life.
-    let sharded_oracle = sharded_on(serving_task());
-    let unsharded_oracle = unsharded_on(serving_task());
+    let sharded_oracle = sharded_on(serving_task(), refresh);
+    let unsharded_oracle = unsharded_on(serving_task(), refresh);
     for req in &stream {
         assert!(sharded_oracle.apply_update(req).ok);
         assert!(unsharded_oracle.apply_update(req).ok);
@@ -185,7 +192,8 @@ fn sharded_recovery_is_bitwise_identical_to_never_crashed_and_unsharded() {
 
     // Durable sharded life 1: crash (drop, no drain) mid-stream.
     let state = scan(&dir).expect("fresh scan");
-    let life1 = DurableEngine::attach(sharded_on(serving_task()), &dir, 3, state).expect("attach");
+    let life1 =
+        DurableEngine::attach(sharded_on(serving_task(), refresh), &dir, 3, state).expect("attach");
     for req in &stream[..split] {
         let ack = life1.apply_update(req);
         assert!(ack.ok, "ack {}: {:?}", req.id, ack.error);
@@ -202,7 +210,9 @@ fn sharded_recovery_is_bitwise_identical_to_never_crashed_and_unsharded() {
         .expect("snapshot")
         .restore_task()
         .expect("restore");
-    let life2 = Arc::new(DurableEngine::attach(sharded_on(task), &dir, 3, state).expect("recover"));
+    let life2 = Arc::new(
+        DurableEngine::attach(sharded_on(task, refresh), &dir, 3, state).expect("recover"),
+    );
     for req in &stream[split..] {
         let ack = life2.apply_update(req);
         assert!(ack.ok, "post-recovery ack {}: {:?}", req.id, ack.error);
@@ -222,7 +232,8 @@ fn sharded_recovery_is_bitwise_identical_to_never_crashed_and_unsharded() {
 fn sharded_summary_surfaces_durability_counters() {
     let dir = temp_dir("counters");
     let state = scan(&dir).expect("scan");
-    let engine = DurableEngine::attach(sharded_on(serving_task()), &dir, 0, state).expect("attach");
+    let engine = sharded_on(serving_task(), RefreshStrategy::default());
+    let engine = DurableEngine::attach(engine, &dir, 0, state).expect("attach");
     let reqs: Vec<UpdateRequest> = (0..4u64)
         .map(|i| UpdateRequest {
             id: i,

@@ -1,5 +1,6 @@
 //! The sharded-serving contract, tested end to end: a [`ShardedSession`]
-//! with any shard/replica sweep must be **bitwise indistinguishable**
+//! at any shard count, under either refresh strategy, must be **bitwise
+//! indistinguishable**
 //! from one unsharded [`ServeSession`] over the same graph — member
 //! lists, probability bits, shot counts, error strings, ack epochs —
 //! including after live-update control frames that force both the
@@ -13,7 +14,7 @@
 
 use std::sync::Arc;
 
-use cgnp_core::{Cgnp, CgnpConfig, CommutativeOp, DecoderKind};
+use cgnp_core::{Cgnp, CgnpConfig, CommutativeOp, DecoderKind, RefreshStrategy};
 use cgnp_data::{model_input_dim, QueryExample, Task};
 use cgnp_graph::{AttributedGraph, Graph};
 use cgnp_nn::GnnKind;
@@ -186,8 +187,15 @@ fn support_only_burst(pool: &[QueryExample]) -> Vec<UpdateRequest> {
 }
 
 /// Builds the oracle and the sharded deployment over one shared model
-/// and drives both through the same query batches and update bursts.
-fn check_equivalence(config: CgnpConfig, shards: usize, replicas: usize) {
+/// and drives both through the same query batches and update bursts,
+/// once per refresh strategy (the shards inherit the coordinator's).
+fn check_equivalence(config: CgnpConfig, shards: usize) {
+    for refresh in [RefreshStrategy::EpochSwap, RefreshStrategy::PerRow] {
+        check_equivalence_under(config.clone(), shards, refresh);
+    }
+}
+
+fn check_equivalence_under(config: CgnpConfig, shards: usize, refresh: RefreshStrategy) {
     let halo = halo_depth_for(&config);
     assert!(
         N / shards.max(1) > 4 * halo,
@@ -196,15 +204,19 @@ fn check_equivalence(config: CgnpConfig, shards: usize, replicas: usize) {
     );
     let model = Arc::new(Cgnp::new(config, 7));
     let task = serving_task();
-    let oracle = ServeSession::with_shared_model(Arc::clone(&model), task.clone(), serve_cfg())
+    let serve = ServeConfig {
+        refresh,
+        ..serve_cfg()
+    };
+    let oracle = ServeSession::with_shared_model(Arc::clone(&model), task.clone(), serve)
         .expect("oracle session");
     let sharded = ShardedSession::with_shared_model(
         model,
         task,
         ShardedConfig {
             shards,
-            replicas,
-            serve: serve_cfg(),
+            replicas: 1,
+            serve,
         },
     )
     .expect("sharded session");
@@ -274,11 +286,22 @@ fn check_equivalence(config: CgnpConfig, shards: usize, replicas: usize) {
 
 #[test]
 fn gat_mean_ip_two_shards_two_replicas() {
-    check_equivalence(
-        model_config(GnnKind::Gat, CommutativeOp::Mean, DecoderKind::InnerProduct),
-        2,
-        2,
+    // A shard is one session; the field survives only for callers that
+    // spell the struct out, and any value but 1 is an error that says so.
+    let config = model_config(GnnKind::Gat, CommutativeOp::Mean, DecoderKind::InnerProduct);
+    let result = ShardedSession::new(
+        Cgnp::new(config, 7),
+        serving_task(),
+        ShardedConfig {
+            shards: 2,
+            replicas: 2,
+            serve: serve_cfg(),
+        },
     );
+    match result {
+        Ok(_) => panic!("replicas: 2 must be refused, not silently served as 1"),
+        Err(err) => assert!(err.contains("replicas = 2"), "unexpected error: {err}"),
+    }
 }
 
 #[test]
@@ -286,7 +309,6 @@ fn gat_mean_ip_three_shards() {
     check_equivalence(
         model_config(GnnKind::Gat, CommutativeOp::Mean, DecoderKind::InnerProduct),
         3,
-        1,
     );
 }
 
@@ -296,7 +318,6 @@ fn gcn_sum_gnn_decoder_two_shards() {
     check_equivalence(
         model_config(GnnKind::Gcn, CommutativeOp::Sum, DecoderKind::Gnn),
         2,
-        2,
     );
 }
 
@@ -305,7 +326,6 @@ fn gat_mean_mlp_decoder_two_shards() {
     check_equivalence(
         model_config(GnnKind::Gat, CommutativeOp::Mean, DecoderKind::Mlp),
         2,
-        1,
     );
 }
 

@@ -1,24 +1,25 @@
-//! Per-task gradient sinks for concurrent backward passes.
+//! Per-view gradient sinks for concurrent backward passes.
 //!
-//! Meta-training batches tasks: each task's forward builds its own tape,
-//! but every tape bottoms out in the **same** leaf parameters, so two
-//! `backward()` calls running on different pool workers would interleave
-//! their `accum_grad` calls on the shared leaf accumulators. The mutex
-//! makes that memory-safe but not *deterministic*: float addition is not
-//! associative, so the summation order — and therefore the bits of the
-//! batch gradient — would depend on thread scheduling.
+//! A meta-training step fans out the support views of one task: each
+//! view's forward builds its own sub-tape, but every sub-tape bottoms out
+//! in the **same** leaf parameters, so two backward walks running on
+//! different pool workers would interleave their `accum_grad` calls on
+//! the shared leaf accumulators. The mutex makes that memory-safe but not
+//! *deterministic*: float addition is not associative, so the summation
+//! order — and therefore the bits of the step's gradient — would depend
+//! on thread scheduling.
 //!
-//! A [`GradSink`] fixes this by giving each in-flight task a private
+//! A [`GradSink`] fixes this by giving each in-flight walk a private
 //! destination for leaf gradients. While a sink is installed on the
 //! current thread (via [`GradSink::capture`]), every gradient that would
 //! land in a `requires_grad` leaf is routed into the sink instead, keyed
 //! by the leaf's [`Tensor::id`]. Gradients of interior tape nodes are
-//! untouched — they live in task-local tape cells and `backward` reads
+//! untouched — they live in walk-local tape cells and `backward` reads
 //! them mid-traversal.
 //!
-//! The training loop then reduces the collected sinks into the real leaf
-//! accumulators **in fixed task order** on one thread, which makes the
-//! batch gradient bitwise independent of how many workers ran the tasks.
+//! The training step then folds the collected sinks into the real leaf
+//! accumulators **in fixed view order** on one thread, which makes the
+//! gradient bitwise independent of how many workers ran the walks.
 //!
 //! The sink is thread-local state, exactly like the [`crate::no_grad`]
 //! flag, and is restored on unwind for the same reason: pool workers
@@ -35,7 +36,7 @@ thread_local! {
     static ACTIVE_SINK: RefCell<Option<GradSink>> = const { RefCell::new(None) };
 }
 
-/// Accumulated leaf gradients of one task's backward pass, keyed by leaf
+/// Accumulated leaf gradients of one backward walk, keyed by leaf
 /// identity ([`Tensor::id`] — stable while the parameter is alive, which
 /// the model's ownership guarantees for the whole training run).
 #[derive(Default)]

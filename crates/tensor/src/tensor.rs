@@ -390,10 +390,10 @@ impl Tensor {
 
     /// [`Tensor::accum_grad`] taking ownership: an empty gradient slot is
     /// filled by **moving** `delta` in (no copy), a non-empty one by
-    /// adding. This is the batched-training reduction primitive: the
-    /// first task's captured gradient becomes the accumulator, the rest
-    /// fold in. Routes through an installed [`crate::GradSink`] like the
-    /// borrowing variant.
+    /// adding. This is what folds per-view [`crate::GradSink`]s into a
+    /// leaf: the first captured gradient becomes the accumulator, the
+    /// rest fold in. Routes through an installed sink like the borrowing
+    /// variant.
     pub fn accum_grad_owned(&self, delta: Matrix) {
         let Some(tape) = &self.tape else { return };
         debug_assert_eq!(self.shape(), delta.shape(), "gradient shape mismatch");
@@ -404,16 +404,6 @@ impl Tensor {
         match &mut *grad {
             Some(g) => g.add_assign(&delta),
             slot @ None => *slot = Some(delta),
-        }
-    }
-
-    /// Scales the accumulated gradient in place (no-op when empty): the
-    /// averaging step of a batched reduction, without materialising a
-    /// scaled copy.
-    pub fn scale_grad(&self, c: f32) {
-        let Some(tape) = &self.tape else { return };
-        if let Some(g) = &mut *tape.grad.lock().expect("tensor grad lock poisoned") {
-            g.scale_assign(c);
         }
     }
 
@@ -667,21 +657,14 @@ mod tests {
     }
 
     #[test]
-    fn owned_accumulation_and_in_place_scaling() {
+    fn owned_accumulation_moves_then_adds() {
         let x = Tensor::parameter(Matrix::scalar(0.0));
         x.accum_grad_owned(Matrix::scalar(3.0)); // moves into the empty slot
         x.accum_grad_owned(Matrix::scalar(4.0)); // adds
         assert_eq!(x.grad().unwrap().item(), 7.0);
-        x.scale_grad(0.5);
-        assert_eq!(x.grad().unwrap().item(), 3.5);
-        // Empty slot: scaling is a no-op, not a panic.
-        x.zero_grad();
-        x.scale_grad(2.0);
-        assert!(x.grad().is_none());
-        // Constants ignore both, like the borrowing variant.
+        // Constants ignore it, like the borrowing variant.
         let c = Tensor::constant(Matrix::scalar(1.0));
         c.accum_grad_owned(Matrix::scalar(1.0));
-        c.scale_grad(2.0);
         assert!(c.grad().is_none());
     }
 

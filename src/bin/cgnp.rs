@@ -6,18 +6,13 @@
 //!
 //! cgnp train --dataset citeseer [--kind sgsc|sgdc] [--shots N] [--scale S]
 //!            [--seed N] [--decoder ip|mlp|gnn] [--out model.json]
-//!            [--meta-batch B] [--lr-scale none|linear] [--threads N]
+//!            [--threads N]
 //!     Meta-train a CGNP model (with validation-based model selection)
-//!     and optionally save a checkpoint. --meta-batch 1, the default, is
-//!     the paper's loop, one Adam step per task; --threads workers share
-//!     the step's support views, forward and backward. --meta-batch B
-//!     accumulates B task gradients into one averaged Adam step, the
-//!     tasks fanned across --threads workers. Either way a fixed seed
-//!     reproduces bitwise for any --threads, and the run prints its
-//!     task-steps/s so what --threads buys can be read off.
-//!     --lr-scale linear multiplies the learning rate by the meta-batch
-//!     size to compensate for the reduced step count; the default (none)
-//!     keeps the configured rate and reproduces existing runs bitwise.
+//!     and optionally save a checkpoint: the paper's loop, one Adam step
+//!     per task. --threads workers share the step's support views,
+//!     forward and backward; a fixed seed reproduces bitwise for any
+//!     --threads, and the run prints its task-steps/s so what --threads
+//!     buys can be read off.
 //!
 //! cgnp evaluate --dataset citeseer [--kind ...] [--shots N] [--scale S]
 //!               [--seed N] [--model model.json]
@@ -27,7 +22,7 @@
 //!            [--decoder ip|mlp|gnn] [--shots N] [--seed N]
 //!            [--threads N] [--batch B] [--cache C]
 //!            [--precision f32|f64] [--exact]
-//!            [--shards N] [--replicas R]
+//!            [--shards N]
 //!            [--listen ADDR] [--max-conns N] [--max-queue N]
 //!            [--request-timeout-ms MS] [--drain MS]
 //!            [--durable DIR] [--snapshot-every N]
@@ -51,10 +46,10 @@
 //!     reproducible kernels instead — with f32, predictions are then
 //!     bit-for-bit identical to the training-side forward. The summary
 //!     reports the precision and the kernel tier actually used.
-//!     With --shards N (> 1) and/or --replicas R (> 1), the graph is
-//!     partitioned and queries are answered by a scatter/gather
-//!     coordinator over N per-partition sessions x R replicas — same
-//!     protocol, bitwise-identical responses (see README "Sharding").
+//!     With --shards N (> 1), the graph is partitioned and queries are
+//!     answered by a scatter/gather coordinator over N per-partition
+//!     sessions — same protocol, bitwise-identical responses (see README
+//!     "Sharding").
 //!     With --durable DIR, every acknowledged update is appended to a
 //!     checksummed, fsync'd write-ahead log in DIR *before* the ack is
 //!     emitted, and epoch-consistent snapshots of the mutated graph +
@@ -71,6 +66,9 @@
 //!     printed to stderr, `gateway report: {"gateway":{..},"session":{..}}`:
 //!     the front-end's counters next to the serving summary (latency
 //!     percentiles, batch occupancy, cache counters).
+//!
+//! A flag the subcommand does not read is a usage error (exit 2), not
+//! something to ignore.
 //! ```
 
 #![forbid(unsafe_code)]
@@ -79,13 +77,12 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use cgnp_core::{
-    meta_train_validated_with_threads, prepare_tasks, prepare_tasks_with_threads, Cgnp,
-    DecoderKind, LrScale, RefreshStrategy,
+    meta_train_validated_with_threads, prepare_tasks, prepare_tasks_with_threads, Cgnp, DecoderKind,
 };
 use cgnp_data::{load_dataset, model_input_dim, DatasetId, Scale};
 use cgnp_eval::{
-    build_single_graph_tasks, load_checkpoint_file, restore, save_with_arch, ArchSpec, Metrics,
-    ScaleSettings, TaskKind, TextTable,
+    build_single_graph_tasks, restore_model, save_with_arch, ArchSpec, Metrics, ScaleSettings,
+    TaskKind, TextTable,
 };
 use cgnp_gateway::{Gateway, GatewayConfig, GatewayReport};
 use cgnp_nn::Module;
@@ -94,29 +91,86 @@ use cgnp_shard::{ShardedConfig, ShardedSession};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+type Flags = HashMap<String, String>;
+
+/// A subcommand: its name, every flag it reads, and its entry point.
+struct Subcommand {
+    name: &'static str,
+    flags: &'static [&'static str],
+    run: fn(&Flags) -> Result<(), String>,
+}
+
+const SUBCOMMANDS: &[Subcommand] = &[
+    Subcommand {
+        name: "datasets",
+        flags: &["scale"],
+        run: cmd_datasets,
+    },
+    Subcommand {
+        name: "train",
+        flags: &[
+            "dataset", "kind", "shots", "scale", "seed", "decoder", "out", "threads",
+        ],
+        run: cmd_train,
+    },
+    Subcommand {
+        name: "evaluate",
+        flags: &[
+            "dataset", "kind", "shots", "scale", "seed", "decoder", "model",
+        ],
+        run: cmd_evaluate,
+    },
+    Subcommand {
+        name: "serve",
+        flags: &[
+            "dataset",
+            "kind",
+            "shots",
+            "scale",
+            "seed",
+            "decoder",
+            "checkpoint",
+            "threads",
+            "batch",
+            "cache",
+            "precision",
+            "exact",
+            "shards",
+            "listen",
+            "max-conns",
+            "max-queue",
+            "request-timeout-ms",
+            "drain",
+            "durable",
+            "snapshot-every",
+        ],
+        run: cmd_serve,
+    },
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
         eprintln!("usage: cgnp <datasets|train|evaluate|serve> [flags]; see --help");
         std::process::exit(2);
     };
-    let flags = match parse_flags(rest) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
+    let usage_error = |e: String| -> ! {
+        eprintln!("error: {e}");
+        std::process::exit(2);
     };
-    let result = match command.as_str() {
-        "datasets" => cmd_datasets(&flags),
-        "train" => cmd_train(&flags),
-        "evaluate" => cmd_evaluate(&flags),
-        "serve" => cmd_serve(&flags),
-        "--help" | "help" => {
+    let flags = parse_flags(rest).unwrap_or_else(|e| usage_error(e));
+    let result = match SUBCOMMANDS.iter().find(|c| c.name == command) {
+        Some(sub) => {
+            // Before anything is loaded: a misspelt flag must not cost a
+            // training run at the default it was meant to change.
+            check_known(sub, &flags).unwrap_or_else(|e| usage_error(e));
+            (sub.run)(&flags)
+        }
+        None if matches!(command.as_str(), "--help" | "help") => {
             println!("subcommands: datasets | train | evaluate | serve");
             Ok(())
         }
-        other => Err(format!("unknown subcommand {other:?}")),
+        None => Err(format!("unknown subcommand {command:?}")),
     };
     if let Err(e) = result {
         eprintln!("error: {e}");
@@ -124,11 +178,21 @@ fn main() {
     }
 }
 
+/// Refuses any flag `sub` does not read, by name.
+fn check_known(sub: &Subcommand, flags: &Flags) -> Result<(), String> {
+    // The first in name order, so the flag named is the same on every run.
+    let unknown = flags.keys().filter(|n| !sub.flags.contains(&n.as_str()));
+    match unknown.min() {
+        Some(name) => Err(format!("unknown flag --{name} for {}", sub.name)),
+        None => Ok(()),
+    }
+}
+
 /// Flags that take no value: presence alone sets them.
 const BOOLEAN_FLAGS: &[&str] = &["exact"];
 
 /// Parses `--key value` pairs (and valueless [`BOOLEAN_FLAGS`]).
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(key) = it.next() {
@@ -195,7 +259,7 @@ struct CommonArgs {
     decoder: DecoderKind,
 }
 
-fn common_args(flags: &HashMap<String, String>) -> Result<CommonArgs, String> {
+fn common_args(flags: &Flags) -> Result<CommonArgs, String> {
     let dataset = parse_dataset(
         flags
             .get("dataset")
@@ -232,7 +296,7 @@ fn common_args(flags: &HashMap<String, String>) -> Result<CommonArgs, String> {
     })
 }
 
-fn cmd_datasets(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_datasets(flags: &Flags) -> Result<(), String> {
     let scale = parse_scale(flags.get("scale").map(String::as_str).unwrap_or("quick"))?;
     let mut table = TextTable::new(vec![
         "Dataset",
@@ -262,7 +326,7 @@ fn cmd_datasets(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_train(flags: &Flags) -> Result<(), String> {
     let args = common_args(flags)?;
     let tasks = build_single_graph_tasks(
         args.dataset,
@@ -274,15 +338,9 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
     if tasks.train.is_empty() {
         return Err("task sampling produced no training tasks".into());
     }
-    let meta_batch = parse_usize(flags, "meta-batch", 1)?.max(1);
-    let lr_scale = match flags.get("lr-scale").map(String::as_str) {
-        None | Some("none") => LrScale::None,
-        Some("linear") => LrScale::Linear,
-        Some(other) => return Err(format!("--lr-scale must be none or linear, got {other:?}")),
-    };
     let threads = parse_usize(flags, "threads", rayon::current_num_threads())?.max(1);
     println!(
-        "{} {} {}-shot: {} train / {} valid tasks (meta-batch {meta_batch}, {threads} threads)",
+        "{} {} {}-shot: {} train / {} valid tasks ({threads} threads)",
         args.dataset.name(),
         args.kind,
         args.shots,
@@ -291,12 +349,7 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
     );
     let train = prepare_tasks_with_threads(&tasks.train, threads);
     let valid = prepare_tasks_with_threads(&tasks.valid, threads);
-    let mut cfg = args
-        .settings
-        .cgnp_template()
-        .with_decoder(args.decoder)
-        .with_meta_batch(meta_batch)
-        .with_lr_scale(lr_scale);
+    let mut cfg = args.settings.cgnp_template().with_decoder(args.decoder);
     cfg.encoder.in_dim = model_input_dim(&tasks.train[0].graph);
     let model = Cgnp::new(cfg, args.seed);
     let stats = meta_train_validated_with_threads(&model, &train, &valid, args.seed, threads);
@@ -325,7 +378,7 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
     let args = common_args(flags)?;
     let tasks = build_single_graph_tasks(
         args.dataset,
@@ -338,32 +391,19 @@ fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
         return Err("task sampling produced no test tasks".into());
     }
     let test = prepare_tasks(&tasks.test);
+    let template = args.settings.cgnp_template().with_decoder(args.decoder);
+    let in_dim = model_input_dim(&tasks.test[0].graph);
     let model = match flags.get("model") {
         Some(path) => {
-            let ckpt =
-                load_checkpoint_file(path).map_err(|e| format!("loading checkpoint: {e}"))?;
             // Self-describing checkpoints rebuild their own architecture;
             // legacy ones fall back to the --scale/--decoder flags.
-            let mut cfg = match &ckpt.arch {
-                Some(spec) => spec.to_config()?,
-                None => args.settings.cgnp_template().with_decoder(args.decoder),
-            };
-            cfg.encoder.in_dim = model_input_dim(&tasks.test[0].graph);
-            let model = Cgnp::new(cfg, args.seed);
-            restore(&model, &ckpt).map_err(|e| format!("loading checkpoint: {e}"))?;
-            println!(
-                "loaded checkpoint {path}{}",
-                if ckpt.arch.is_some() {
-                    " (self-describing)"
-                } else {
-                    ""
-                }
-            );
+            let model = restore_model(path, template, in_dim, args.seed)?;
+            println!("loaded checkpoint {path}");
             model
         }
         None => {
-            let mut cfg = args.settings.cgnp_template().with_decoder(args.decoder);
-            cfg.encoder.in_dim = model_input_dim(&tasks.test[0].graph);
+            let mut cfg = template;
+            cfg.encoder.in_dim = in_dim;
             println!("note: evaluating an untrained model (pass --model to load weights)");
             Cgnp::new(cfg, args.seed)
         }
@@ -388,31 +428,18 @@ fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_usize(
-    flags: &HashMap<String, String>,
-    name: &str,
-    default: usize,
-) -> Result<usize, String> {
+fn parse_usize(flags: &Flags, name: &str, default: usize) -> Result<usize, String> {
     flags
         .get(name)
         .map(|s| s.parse().map_err(|e| format!("bad --{name}: {e}")))
         .unwrap_or(Ok(default))
 }
 
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let args = common_args(flags)?;
     let checkpoint = flags
         .get("checkpoint")
         .ok_or("serve needs --checkpoint <model.json>")?;
-    let refresh = match flags.get("refresh").map(String::as_str).unwrap_or("swap") {
-        "swap" => RefreshStrategy::EpochSwap,
-        "per-row" => RefreshStrategy::PerRow,
-        other => {
-            return Err(format!(
-                "bad --refresh {other:?} (expected swap or per-row)"
-            ))
-        }
-    };
     let precision =
         cgnp_tensor::Dtype::parse(flags.get("precision").map(String::as_str).unwrap_or("f32"))?;
     // The CLI opts into the fast tier by default — the binary only
@@ -429,12 +456,11 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         cache: parse_usize(flags, "cache", ServeConfig::default().cache)?,
         threads: parse_usize(flags, "threads", rayon::current_num_threads())?.max(1),
         seed: args.seed,
-        refresh,
         precision,
         math,
+        ..ServeConfig::default()
     };
     let shards = parse_usize(flags, "shards", 1)?.max(1);
-    let replicas = parse_usize(flags, "replicas", 1)?.max(1);
     let durable_dir = flags.get("durable").map(std::path::PathBuf::from);
     let snapshot_every = parse_usize(flags, "snapshot-every", 256)? as u64;
     // Scan the durability directory before building anything: when a
@@ -457,21 +483,18 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     // Sharding is a deployment choice, not a protocol change: both
     // engines answer the same NDJSON stream with bitwise-identical
     // responses, so the front-ends below only see `dyn QueryEngine`.
-    let engine: std::sync::Arc<dyn cgnp_serve::QueryEngine> = if shards > 1 || replicas > 1 {
+    let engine: std::sync::Arc<dyn cgnp_serve::QueryEngine> = if shards > 1 {
         let sharded = ShardedSession::from_checkpoint(
             checkpoint,
             template,
             task,
             ShardedConfig {
                 shards,
-                replicas,
                 serve: cfg,
+                ..ShardedConfig::default()
             },
         )?;
-        eprintln!(
-            "sharded serving: {} shards x {replicas} replicas",
-            sharded.n_shards()
-        );
+        eprintln!("sharded serving: {} shards", sharded.n_shards());
         std::sync::Arc::new(sharded)
     } else {
         std::sync::Arc::new(ServeSession::from_checkpoint(
@@ -576,6 +599,53 @@ mod tests {
         assert_eq!(flags["shots"], "5");
         assert!(parse_flags(&["--lonely".to_string()]).is_err());
         assert!(parse_flags(&["positional".to_string()]).is_err());
+    }
+
+    /// `check_known` on a command line given as one string.
+    fn check(name: &str, line: &str) -> Result<(), String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let sub = SUBCOMMANDS.iter().find(|c| c.name == name).unwrap();
+        check_known(sub, &parse_flags(&args).unwrap())
+    }
+
+    #[test]
+    fn flags_a_subcommand_does_not_read_are_refused_by_name() {
+        // Two flags no subcommand has, a typo, two flags of another
+        // subcommand; of several, the first in name order is reported.
+        for (name, line, flag) in [
+            ("serve", "--seed 1 --refresh swap", "--refresh"),
+            ("serve", "--seed 1 --replicas 2", "--replicas"),
+            ("serve", "--refesh per-row --exact", "--refesh"),
+            ("train", "--batch 8 --seed 1", "--batch"),
+            ("evaluate", "--checkpoint m.json", "--checkpoint"),
+            ("datasets", "--zeta 1 --alpha 2", "--alpha"),
+        ] {
+            let err = check(name, line).unwrap_err();
+            assert_eq!(err, format!("unknown flag {flag} for {name}"));
+        }
+    }
+
+    #[test]
+    fn flags_the_benchmark_ci_and_soaks_pass_are_accepted() {
+        // cgnp-e2e's `ensure_checkpoint` and CI's train steps.
+        let train = "--dataset citeseer --scale full --shots 5 --seed 42 --out m.json --threads 2";
+        check("train", train).unwrap();
+        // cgnp-e2e's `ServerChild::spawn` with each workload's extras,
+        // CI's serve smoke, `gateway_soak.py` and `crash_soak.py`.
+        let spawn = "--checkpoint m.json --dataset citeseer --scale smoke --listen 127.0.0.1:0";
+        for extra in [
+            "",
+            "--durable d",
+            "--shards 2",
+            "--batch 2",
+            "--batch 4 --request-timeout-ms 30000 --drain 20000 --durable d --snapshot-every 5",
+            // The rest of what the usage text documents.
+            "--exact --precision f64 --cache 0 --max-conns 4 --max-queue 64 --decoder ip",
+        ] {
+            check("serve", &format!("{spawn} {extra}")).unwrap();
+        }
+        check("evaluate", "--model m.json --scale smoke --kind sgsc").unwrap();
+        check("datasets", "--scale smoke").unwrap();
     }
 
     #[test]
