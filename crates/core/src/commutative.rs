@@ -1,35 +1,39 @@
 //! The commutative operation ⊕ (Eq. 14–16): permutation-invariant
 //! aggregation of per-query views into one task context.
 
-use cgnp_tensor::{init, Tensor};
-use rand::rngs::StdRng;
+use cgnp_tensor::{Elem, Tensor};
 
-use cgnp_nn::Module;
+use cgnp_nn::{Backend, Module, ParamSource};
 
 use crate::config::CommutativeOp;
 
 /// Aggregator over the views `{H_q}` produced by the encoder.
-pub enum Commutative {
+pub enum Commutative<P = Tensor> {
     Sum,
     Mean,
     /// Self-attention (Eq. 15–16): per-view mean embeddings are projected
     /// by `W1`, `W2`; softmaxed inner-product scores yield one weight per
     /// view, shared by all nodes.
     SelfAttention {
-        w1: Tensor,
-        w2: Tensor,
+        w1: P,
+        w2: P,
         dim: usize,
     },
 }
 
-impl Commutative {
-    pub fn new(op: CommutativeOp, view_dim: usize, attention_dim: usize, rng: &mut StdRng) -> Self {
+impl<P> Commutative<P> {
+    pub fn new(
+        op: CommutativeOp,
+        view_dim: usize,
+        attention_dim: usize,
+        init: &mut impl ParamSource<P>,
+    ) -> Self {
         match op {
             CommutativeOp::Sum => Self::Sum,
             CommutativeOp::Mean => Self::Mean,
             CommutativeOp::SelfAttention => Self::SelfAttention {
-                w1: Tensor::parameter(init::glorot_uniform(view_dim, attention_dim, rng)),
-                w2: Tensor::parameter(init::glorot_uniform(view_dim, attention_dim, rng)),
+                w1: init.glorot(view_dim, attention_dim),
+                w2: init.glorot(view_dim, attention_dim),
                 dim: attention_dim,
             },
         }
@@ -43,38 +47,45 @@ impl Commutative {
         }
     }
 
-    /// Combines `k ≥ 1` equally shaped views into the context matrix `H`.
-    pub fn combine(&self, views: &[Tensor]) -> Tensor {
-        assert!(!views.is_empty(), "⊕ needs at least one view");
-        if views.len() == 1 {
-            return views[0].clone();
-        }
+    /// Combines `k ≥ 1` equally shaped views, in order, into the context
+    /// matrix `H`; one view passes through. `Sum`/`Mean` fold each view in
+    /// as it arrives, so only one is alive at a time; `SelfAttention`
+    /// weighs the views against each other and keeps them all.
+    pub fn combine<B: Backend<Value = P>>(&self, b: &B, views: impl IntoIterator<Item = P>) -> P {
+        let mut views = views.into_iter();
+        let first = views.next().expect("⊕ needs at least one view");
+        let Some(second) = views.next() else {
+            return first;
+        };
+        let rest = std::iter::once(second).chain(views);
+        let one = B::Elem::ONE;
         match self {
-            Self::Sum => fold_sum(views),
-            Self::Mean => fold_sum(views).scale(1.0 / views.len() as f32),
+            Self::Sum | Self::Mean => {
+                let (mut acc, mut k) = (first, 1);
+                for v in rest {
+                    acc = b.add(acc, &v);
+                    k += 1;
+                }
+                match self {
+                    Self::Mean => b.scale(acc, one / B::Elem::from_usize(k)),
+                    _ => acc,
+                }
+            }
             Self::SelfAttention { w1, w2, dim } => {
+                let views: Vec<P> = std::iter::once(first).chain(rest).collect();
                 // Eq. 15–16: stack per-view summaries (mean over nodes),
                 // project, score, softmax, column-average → one weight per
                 // view shared by all nodes.
-                let summaries: Vec<Tensor> = views.iter().map(|v| v.mean_rows()).collect();
-                let m = Tensor::concat_rows(&summaries); // k×d
-                let h1 = m.matmul(w1);
-                let h2 = m.matmul(w2);
-                let scores = h1.matmul_tb(&h2).scale(1.0 / (*dim as f32).sqrt());
-                let attn = scores.row_softmax(); // k×k, rows sum to 1
-                let weights = attn.mean_rows(); // 1×k, sums to 1
-                Tensor::weighted_sum_views(&weights, views)
+                let summaries: Vec<P> = views.iter().map(|v| b.mean_rows(v)).collect();
+                let m = b.stack_rows(&summaries); // k×d
+                let scores = b.matmul_tb(&b.matmul(&m, w1, None), &b.matmul(&m, w2, None));
+                let scores = b.scale(scores, one / B::Elem::from_usize(*dim).sqrt());
+                let attn = b.row_softmax(scores); // k×k, rows sum to 1
+                let weights = b.mean_rows(&attn); // 1×k, sums to 1
+                b.weighted_sum(&weights, &views)
             }
         }
     }
-}
-
-fn fold_sum(views: &[Tensor]) -> Tensor {
-    let mut acc = views[0].clone();
-    for v in &views[1..] {
-        acc = acc.add(v);
-    }
-    acc
 }
 
 impl Module for Commutative {
@@ -89,8 +100,17 @@ impl Module for Commutative {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cgnp_graph::Graph;
+    use cgnp_nn::GraphContext;
     use cgnp_tensor::Matrix;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// ⊕ on the taped backend.
+    fn combine(c: &Commutative, views: &[Tensor]) -> Tensor {
+        let tape = GraphContext::new(&Graph::from_edges(views[0].rows(), &[]));
+        c.combine(&tape, views.iter().cloned())
+    }
 
     fn views() -> Vec<Tensor> {
         vec![
@@ -104,12 +124,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let sum = Commutative::new(CommutativeOp::Sum, 2, 2, &mut rng);
         let mean = Commutative::new(CommutativeOp::Mean, 2, 2, &mut rng);
-        assert!(sum
-            .combine(&views())
+        assert!(combine(&sum, &views())
             .value()
             .approx_eq(&Matrix::full(3, 2, 4.0), 1e-6));
-        assert!(mean
-            .combine(&views())
+        assert!(combine(&mean, &views())
             .value()
             .approx_eq(&Matrix::full(3, 2, 2.0), 1e-6));
     }
@@ -118,7 +136,7 @@ mod tests {
     fn attention_weights_are_convex() {
         let mut rng = StdRng::seed_from_u64(1);
         let att = Commutative::new(CommutativeOp::SelfAttention, 2, 4, &mut rng);
-        let out = att.combine(&views()).value();
+        let out = combine(&att, &views()).value();
         // Convex combination of all-1 and all-3 views ⇒ values in [1, 3].
         for &v in out.as_slice() {
             assert!(
@@ -144,9 +162,9 @@ mod tests {
         ] {
             let c = Commutative::new(op, 2, 4, &mut rng);
             let vs = views();
-            let fwd = c.combine(&vs).value();
+            let fwd = combine(&c, &vs).value();
             let rev: Vec<Tensor> = vs.iter().rev().cloned().collect();
-            let bwd = c.combine(&rev).value();
+            let bwd = combine(&c, &rev).value();
             assert!(
                 fwd.approx_eq(&bwd, 1e-5),
                 "{op:?} not permutation-invariant"
@@ -159,7 +177,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let att = Commutative::new(CommutativeOp::SelfAttention, 2, 4, &mut rng);
         let v = Tensor::parameter(Matrix::full(2, 2, 7.0));
-        let out = att.combine(std::slice::from_ref(&v));
+        let out = combine(&att, std::slice::from_ref(&v));
         assert!(out.value().approx_eq(&Matrix::full(2, 2, 7.0), 0.0));
     }
 
@@ -185,7 +203,7 @@ mod tests {
             Tensor::constant(Matrix::from_vec(2, 2, vec![1.0, -1.0, 0.5, 2.0])),
             Tensor::constant(Matrix::from_vec(2, 2, vec![-2.0, 1.0, 3.0, 0.1])),
         ];
-        let loss = att.combine(&vs).l2_sum();
+        let loss = combine(&att, &vs).l2_sum();
         loss.backward();
         for p in att.params() {
             let g = p.grad().expect("projection gradient");

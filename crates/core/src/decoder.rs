@@ -1,74 +1,31 @@
 //! The decoder ρθ (§VI): transforms the combined context `H` and scores
 //! every node against the target query node by inner product (Eq. 17).
 
-use cgnp_tensor::Tensor;
-use rand::rngs::StdRng;
+use std::sync::Arc;
 
-use cgnp_nn::{Activation, ForwardCtx, GnnConfig, GnnEncoder, GraphContext, Mlp, Module};
+use cgnp_tensor::{Matrix, Tensor};
+
+use cgnp_nn::{Activation, Backend, ForwardCtx, GnnConfig, GnnEncoder, Mlp, Module, ParamSource};
 
 use crate::config::DecoderKind;
 
 /// Decoder variants. All end in the inner-product scoring of Eq. 17;
 /// MLP/GNN first transform the context (the GNN additionally lets messages
 /// pass between nodes).
-pub enum Decoder {
+pub enum Decoder<P = Tensor> {
     InnerProduct,
-    Mlp(Mlp),
-    Gnn(GnnEncoder),
+    Mlp(Mlp<P>),
+    Gnn(GnnEncoder<P>),
 }
 
 impl Decoder {
-    /// Builds the decoder for a context of width `dim`.
-    pub fn new(
-        kind: DecoderKind,
-        dim: usize,
-        mlp_hidden: usize,
-        encoder_template: &GnnConfig,
-        rng: &mut StdRng,
-    ) -> Self {
-        match kind {
-            DecoderKind::InnerProduct => Self::InnerProduct,
-            DecoderKind::Mlp => Self::Mlp(Mlp::new(
-                &[dim, mlp_hidden, dim],
-                Activation::Relu,
-                encoder_template.dropout,
-                rng,
-            )),
-            DecoderKind::Gnn => {
-                // "a two-layer GNN which has the same configuration as the
-                // encoder" (§VII-A), operating context → context.
-                let cfg = GnnConfig {
-                    in_dim: dim,
-                    hidden_dim: dim,
-                    out_dim: dim,
-                    n_layers: 2,
-                    ..encoder_template.clone()
-                };
-                Self::Gnn(GnnEncoder::new(&cfg, rng))
-            }
-        }
-    }
-
-    pub fn kind(&self) -> DecoderKind {
+    /// The dropout masks [`Decoder::transform`] applies to an `n_rows`-row
+    /// context (none for the inner-product decoder).
+    pub fn draw_masks(&self, n_rows: usize, fctx: &mut ForwardCtx<'_>) -> Vec<Arc<Matrix>> {
         match self {
-            Self::InnerProduct => DecoderKind::InnerProduct,
-            Self::Mlp(_) => DecoderKind::Mlp,
-            Self::Gnn(_) => DecoderKind::Gnn,
-        }
-    }
-
-    /// Transforms the context matrix (identity for the inner-product
-    /// decoder).
-    pub fn transform(
-        &self,
-        gctx: &GraphContext,
-        context: &Tensor,
-        fctx: &mut ForwardCtx<'_>,
-    ) -> Tensor {
-        match self {
-            Self::InnerProduct => context.clone(),
-            Self::Mlp(mlp) => mlp.forward(context, fctx),
-            Self::Gnn(gnn) => gnn.forward(gctx, context, fctx),
+            Self::InnerProduct => Vec::new(),
+            Self::Mlp(mlp) => mlp.draw_masks(n_rows, fctx),
+            Self::Gnn(gnn) => gnn.draw_masks(n_rows, fctx),
         }
     }
 
@@ -90,6 +47,58 @@ impl Decoder {
     }
 }
 
+impl<P> Decoder<P> {
+    /// Builds the decoder for a context of width `dim`.
+    pub fn new(
+        kind: DecoderKind,
+        dim: usize,
+        mlp_hidden: usize,
+        encoder_template: &GnnConfig,
+        init: &mut impl ParamSource<P>,
+    ) -> Self {
+        match kind {
+            DecoderKind::InnerProduct => Self::InnerProduct,
+            DecoderKind::Mlp => Self::Mlp(Mlp::new(
+                &[dim, mlp_hidden, dim],
+                Activation::Relu,
+                encoder_template.dropout,
+                init,
+            )),
+            DecoderKind::Gnn => {
+                // "a two-layer GNN which has the same configuration as the
+                // encoder" (§VII-A), operating context → context.
+                let cfg = GnnConfig {
+                    in_dim: dim,
+                    hidden_dim: dim,
+                    out_dim: dim,
+                    n_layers: 2,
+                    ..encoder_template.clone()
+                };
+                Self::Gnn(GnnEncoder::new(&cfg, init))
+            }
+        }
+    }
+
+    pub fn kind(&self) -> DecoderKind {
+        match self {
+            Self::InnerProduct => DecoderKind::InnerProduct,
+            Self::Mlp(_) => DecoderKind::Mlp,
+            Self::Gnn(_) => DecoderKind::Gnn,
+        }
+    }
+
+    /// Transforms the context matrix (identity for the inner-product
+    /// decoder) under masks from [`Decoder::draw_masks`] (an empty slice:
+    /// no dropout).
+    pub fn transform<B: Backend<Value = P>>(&self, b: &B, context: P, masks: &[Arc<Matrix>]) -> P {
+        match self {
+            Self::InnerProduct => context,
+            Self::Mlp(mlp) => mlp.forward(b, context, masks),
+            Self::Gnn(gnn) => gnn.forward_from(b, context, 0, masks),
+        }
+    }
+}
+
 impl Module for Decoder {
     fn params(&self) -> Vec<Tensor> {
         match self {
@@ -104,7 +113,9 @@ impl Module for Decoder {
 mod tests {
     use super::*;
     use cgnp_graph::Graph;
+    use cgnp_nn::GraphContext;
     use cgnp_tensor::Matrix;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn setup() -> (GraphContext, Tensor, GnnConfig) {
@@ -143,7 +154,8 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(0);
             let dec = Decoder::new(kind, 2, 8, &template, &mut rng);
             assert_eq!(dec.kind(), kind);
-            let out = dec.transform(&gctx, &h, &mut ForwardCtx::eval(&mut rng));
+            let masks = dec.draw_masks(h.rows(), &mut ForwardCtx::eval(&mut rng));
+            let out = dec.transform(&gctx, h.clone(), &masks);
             assert_eq!(out.shape(), (4, 2), "{kind:?}");
             let logits = Decoder::score(&out, 1);
             assert_eq!(logits.shape(), (4, 1));

@@ -1,27 +1,21 @@
-//! The serving executor: the forward-only half of CGNP (Alg. 2) over
-//! plain [`MatrixT<E>`] matrices. Meta-test never takes a gradient, so
-//! serving never needs the autodiff tape: **every** serving session —
-//! any dtype, either kernel tier, sharded or not — builds its contexts
-//! and scores its queries here, in `f32` or `f64` storage, with
-//! [`MathMode`] choosing the kernels.
+//! The serving executor: the forward-only half of CGNP (Alg. 2) on the
+//! plain backend. Meta-test never takes a gradient, so serving never needs
+//! the autodiff tape: **every** serving session — any dtype, either kernel
+//! tier, sharded or not — builds its contexts and scores its queries here,
+//! in `f32` or `f64` storage, with [`MathMode`] choosing the kernels.
 //!
-//! Training, and the evaluation oracle [`Cgnp::predict`] /
-//! [`Cgnp::predict_multi`] / [`Cgnp::predict_task`], stay on the
-//! [`cgnp_tensor::Tensor`] tape. This module snapshots a trained
-//! [`Cgnp`]'s weights once ([`InferModel::from_model`]) and a
-//! [`PreparedTask`]'s operators once ([`InferState::from_prepared`]),
-//! both cast to the session's element type. Every op here mirrors its
-//! tensor counterpart expression-for-expression (same accumulation
-//! order, same stability tricks), so the `f32`/`Exact` instantiation
-//! reproduces [`Cgnp::predict_multi`] bitwise — pinned for every encoder
-//! kind, decoder and ⊕ by `f32_exact_executor_is_bitwise_identical`.
+//! There is one forward pass. [`InferModel<E>`] *is* [`Cgnp`] — the same
+//! encoder, ⊕ and decoder code — holding the trained weights cast to `E`
+//! once ([`InferModel::from_model`]); [`InferState<E>`] is a
+//! [`PreparedTask`]'s operators and base features cast once
+//! ([`InferState::from_prepared`]), read through [`cgnp_nn::Plain`].
+//! Each op of the set runs the tape's kernel in the tape's order, so the
+//! `f32`/`Exact` instantiation reproduces the taped oracle
+//! ([`Cgnp::predict_multi`]) bitwise — pinned for every encoder kind,
+//! decoder and ⊕ by `f32_exact_executor_is_bitwise_identical`.
 //!
-//! Three places compute the same values as the tape with fewer passes:
+//! Two things exist only here, each chosen by what the code observes:
 //!
-//! - **GAT layers** run [`SegmentAttention`]: scores, logits, softmax and
-//!   aggregation in one arc-order pass per destination row, over the arc
-//!   list indexed as a CSR ([`InferState`] keeps `dst_ptr`, not the
-//!   per-arc destinations).
 //! - **The encoder's first layer, when it is GAT, runs once per support
 //!   pool** rather than once per shot. The shots of a pool share the graph
 //!   and the base features and differ only in the indicator column of
@@ -49,153 +43,67 @@
 //!   lean on that, and
 //!   `a_querys_scores_do_not_depend_on_its_batch` pins it.
 
-use cgnp_data::{QueryExample, NO_QUERY};
-use cgnp_nn::{Activation, AnyGnnLayer, GnnEncoder, Linear, Mlp};
-use cgnp_tensor::{
-    CentroidScores, CsrMatrixT, Elem, KernelCtx, MathMode, MatrixT, SegmentAttention,
-};
+use cgnp_data::{with_indicator, QueryExample};
+use cgnp_nn::{AnyGnnLayer, GatLayer, GnnEncoder, Plain, PlainGraph, Trained};
+use cgnp_tensor::{CentroidScores, Elem, MathMode, MatrixT};
 
-use crate::commutative::Commutative;
-use crate::decoder::Decoder;
-use crate::model::{Cgnp, PreparedTask};
+use crate::model::{marked_nodes, Cgnp, PreparedTask};
 
-/// One message-passing layer with weights snapshotted into `E`.
-enum InferLayer<E: Elem> {
-    /// `H' = Â (H W) + b`.
-    Gcn { w: MatrixT<E>, b: MatrixT<E> },
-    /// Single-head additive attention (see [`cgnp_nn::GatLayer`]).
-    Gat(InferGat<E>),
-    /// `H' = H W_self + b + (D^{-1} A H) W_neigh`.
-    Sage {
-        w_self: MatrixT<E>,
-        b_self: MatrixT<E>,
-        w_neigh: MatrixT<E>,
-    },
-}
+/// A trained [`Cgnp`] with its weights cast to element type `E`, ready for
+/// forward-only serving: the same model code on the plain backend.
+pub type InferModel<E> = Cgnp<MatrixT<E>>;
 
-impl<E: Elem> InferLayer<E> {
-    fn from_layer(layer: &AnyGnnLayer) -> Self {
-        match layer {
-            AnyGnnLayer::Gcn(l) => Self::Gcn {
-                w: l.linear().weight().value().cast(),
-                b: l.linear()
-                    .bias()
-                    .expect("GCN layers are biased")
-                    .value()
-                    .cast(),
-            },
-            AnyGnnLayer::Gat(l) => Self::Gat(InferGat {
-                w: l.lin().weight().value().cast(),
-                a_src: l.a_src().value().cast(),
-                a_dst: l.a_dst().value().cast(),
-                bias: l.bias().value().cast(),
-                slope: E::from_f32(l.negative_slope()),
-            }),
-            AnyGnnLayer::Sage(l) => Self::Sage {
-                w_self: l.w_self().weight().value().cast(),
-                b_self: l
-                    .w_self()
-                    .bias()
-                    .expect("SAGE self projection is biased")
-                    .value()
-                    .cast(),
-                w_neigh: l.w_neigh().weight().value().cast(),
-            },
-        }
+impl<E: Elem> InferModel<E> {
+    /// `model`'s twin, every weight cast to `E` once; the source model is
+    /// not retained.
+    pub fn from_model(model: &Cgnp) -> Self {
+        Self::build(model.config().clone(), &mut Trained::of(model))
     }
 
-    fn forward(&self, state: &InferState<E>, x: &MatrixT<E>, mode: MathMode) -> MatrixT<E> {
-        let ctx = KernelCtx::from(mode);
-        match self {
-            Self::Gcn { w, b } => state
-                .gcn_adj
-                .spmm_in(&x.matmul_in(w, None, ctx), Some(b), ctx),
-            Self::Gat(gat) => gat.attend(state, &x.matmul_in(&gat.w, None, ctx), None),
-            Self::Sage {
-                w_self,
-                b_self,
-                w_neigh,
-            } => {
-                let self_term = x.matmul_in(w_self, Some(b_self), ctx);
-                let neigh = state
-                    .mean_adj
-                    .spmm_in(x, None, ctx)
-                    .matmul_in(w_neigh, None, ctx);
-                self_term.add(&neigh)
-            }
-        }
-    }
-}
-
-/// A GAT layer's weights: `z = x W`, then segment attention over the
-/// arcs (`a_src`/`a_dst` are `out×1` columns, `bias` a `1×out` row).
-struct InferGat<E: Elem> {
-    w: MatrixT<E>,
-    a_src: MatrixT<E>,
-    a_dst: MatrixT<E>,
-    bias: MatrixT<E>,
-    slope: E,
-}
-
-impl<E: Elem> InferGat<E> {
-    /// Attention output for the projection `z`: every node's row, or
-    /// only `rows` (see [`SegmentAttention::forward`]).
-    fn attend(&self, state: &InferState<E>, z: &MatrixT<E>, rows: Option<&[usize]>) -> MatrixT<E> {
-        SegmentAttention {
-            dst_ptr: &state.dst_ptr,
-            src: &state.arc_src,
-            a_src: self.a_src.as_slice(),
-            a_dst: self.a_dst.as_slice(),
-            bias: self.bias.as_slice(),
-            slope: self.slope,
-        }
-        .forward(z, rows, None)
-    }
-}
-
-/// A GNN stack (encoder or GNN decoder) snapshotted into `E`.
-struct InferGnn<E: Elem> {
-    layers: Vec<InferLayer<E>>,
-    activation: Activation,
-}
-
-impl<E: Elem> InferGnn<E> {
-    fn from_encoder(enc: &GnnEncoder) -> Self {
-        Self {
-            layers: enc.layers().iter().map(InferLayer::from_layer).collect(),
-            activation: enc.config().activation,
-        }
+    /// Runtime tag of this executor's element type.
+    pub fn dtype(&self) -> cgnp_tensor::Dtype {
+        E::DTYPE
     }
 
-    /// The activation that follows layer `i`: none after the last.
-    fn activate_after(&self, i: usize, h: &mut MatrixT<E>) {
-        if i + 1 < self.layers.len() {
-            apply_activation(self.activation, h);
-        }
-    }
-
-    /// Layer `i` and the activation that follows it.
-    fn layer(&self, i: usize, state: &InferState<E>, x: &MatrixT<E>, mode: MathMode) -> MatrixT<E> {
-        let mut h = self.layers[i].forward(state, x, mode);
-        self.activate_after(i, &mut h);
-        h
-    }
-
-    /// Eval-mode forward through `layers[from..]` (all of them for
-    /// `from = 0`, none past the end): activation between layers, none
-    /// after the last, dropout elided (identity in eval mode).
-    fn forward(
+    /// Encoder view for one support pair, the taped `Cgnp::encode_view`
+    /// on the plain backend.
+    fn shot_view(
         &self,
         state: &InferState<E>,
-        x: MatrixT<E>,
-        from: usize,
+        example: &QueryExample,
         mode: MathMode,
     ) -> MatrixT<E> {
-        let mut h = x;
-        for i in from..self.layers.len() {
-            h = self.layer(i, state, &h, mode);
+        let x = with_indicator(&state.base, &marked_nodes(example));
+        self.encoder.forward_from(&state.backend(mode), x, 0, &[])
+    }
+
+    /// The decoded task context, eval-mode [`Cgnp::context`] on the plain
+    /// backend: views → ⊕ → decoder transform, all in `E` under the
+    /// selected kernel tier. `support` is explicit so callers can condition
+    /// on any subset of a task's labelled examples (a per-request shot
+    /// count).
+    ///
+    /// With a GAT first layer and more than one shot the views come from
+    /// [`SharedFirstLayer`]; the result is the same bit for bit.
+    pub fn context(
+        &self,
+        state: &InferState<E>,
+        support: &[QueryExample],
+        mode: MathMode,
+    ) -> MatrixT<E> {
+        assert!(!support.is_empty(), "CGNP requires a non-empty support set");
+        let b = state.backend(mode);
+        match self.encoder.layers().first() {
+            Some(AnyGnnLayer::Gat(gat)) if support.len() > 1 => {
+                let mut shared = SharedFirstLayer::new(&self.encoder, gat, state, b);
+                let views = support.iter().map(|ex| shared.view(marked_nodes(ex)));
+                self.join(&b, views, &[])
+            }
+            _ => {
+                let views = support.iter().map(|ex| self.shot_view(state, ex, mode));
+                self.join(&b, views, &[])
+            }
         }
-        h
     }
 }
 
@@ -217,10 +125,10 @@ impl<E: Elem> InferGnn<E> {
 /// before. Patched rows are swapped in and back out, so nothing
 /// `n`-sized is copied per shot.
 struct SharedFirstLayer<'a, E: Elem> {
-    gnn: &'a InferGnn<E>,
-    gat: &'a InferGat<E>,
+    encoder: &'a GnnEncoder<MatrixT<E>>,
+    gat: &'a GatLayer<MatrixT<E>>,
     state: &'a InferState<E>,
-    mode: MathMode,
+    b: Plain<'a, E>,
     /// `[0 | base]·W`.
     z: MatrixT<E>,
     /// Layer-1 output for `z`, activated when a layer follows.
@@ -229,56 +137,51 @@ struct SharedFirstLayer<'a, E: Elem> {
 
 impl<'a, E: Elem> SharedFirstLayer<'a, E> {
     fn new(
-        gnn: &'a InferGnn<E>,
-        gat: &'a InferGat<E>,
+        encoder: &'a GnnEncoder<MatrixT<E>>,
+        gat: &'a GatLayer<MatrixT<E>>,
         state: &'a InferState<E>,
-        mode: MathMode,
+        b: Plain<'a, E>,
     ) -> Self {
-        let z = state
-            .with_indicator(&[])
-            .matmul_in(&gat.w, None, mode.into());
-        let mut h = gat.attend(state, &z, None);
-        gnn.activate_after(0, &mut h);
+        let z = gat.project(&b, &with_indicator(&state.base, &[]));
+        let h = encoder.after(0, &b, gat.attend(&b, &z), &[]);
         Self {
-            gnn,
+            encoder,
             gat,
             state,
-            mode,
+            b,
             z,
             h,
         }
     }
 
     /// The encoder view whose indicator marks `marked`, bitwise what
-    /// [`InferModel::encode_view`] computes from scratch.
+    /// [`InferModel::shot_view`] computes from scratch.
     fn view(&mut self, mut marked: Vec<usize>) -> MatrixT<E> {
         marked.sort_unstable();
         marked.dedup();
         let mut reached: Vec<usize> = marked
             .iter()
-            .flat_map(|&v| self.state.arc_sources(v))
+            .flat_map(|&v| self.b.graph.arc_sources(v))
             .chain(&marked)
             .copied()
             .collect();
         reached.sort_unstable();
         reached.dedup();
 
-        let mut z_rows =
-            self.state
-                .marked_rows(&marked)
-                .matmul_in(&self.gat.w, None, self.mode.into());
+        let b = &self.b;
+        let mut z_rows = self.gat.project(b, &self.state.marked_rows(&marked));
         swap_rows(&mut self.z, &marked, &mut z_rows);
-        let mut h_rows = self.gat.attend(self.state, &self.z, Some(&reached));
+        let h_rows = self.gat.attend_rows(b, &self.z, &reached);
         swap_rows(&mut self.z, &marked, &mut z_rows);
-        self.gnn.activate_after(0, &mut h_rows);
+        let mut h_rows = self.encoder.after(0, b, h_rows, &[]);
 
         swap_rows(&mut self.h, &reached, &mut h_rows);
-        let h1 = match self.gnn.layers.len() {
+        let h1 = match self.encoder.n_layers() {
             1 => self.h.clone(),
-            _ => self.gnn.layer(1, self.state, &self.h, self.mode),
+            _ => self.encoder.layer(1, b, &self.h, &[]),
         };
         swap_rows(&mut self.h, &reached, &mut h_rows);
-        self.gnn.forward(self.state, h1, 2, self.mode)
+        self.encoder.forward_from(b, h1, 2, &[])
     }
 }
 
@@ -290,274 +193,39 @@ fn swap_rows<E: Elem>(m: &mut MatrixT<E>, rows: &[usize], patch: &mut MatrixT<E>
     }
 }
 
-/// The commutative operation ⊕ snapshotted into `E`.
-enum InferCommutative<E: Elem> {
-    Sum,
-    Mean,
-    SelfAttention {
-        w1: MatrixT<E>,
-        w2: MatrixT<E>,
-        dim: usize,
-    },
-}
-
-impl<E: Elem> InferCommutative<E> {
-    fn from_commutative(c: &Commutative) -> Self {
-        match c {
-            Commutative::Sum => Self::Sum,
-            Commutative::Mean => Self::Mean,
-            Commutative::SelfAttention { w1, w2, dim } => Self::SelfAttention {
-                w1: w1.value().cast(),
-                w2: w2.value().cast(),
-                dim: *dim,
-            },
-        }
-    }
-
-    /// ⊕ over the views in order. `Sum`/`Mean` fold each view into the
-    /// accumulator as it is produced, so one view is alive at a time;
-    /// `SelfAttention` weighs views against each other and keeps them all.
-    fn combine(&self, mut views: impl Iterator<Item = MatrixT<E>>, mode: MathMode) -> MatrixT<E> {
-        match self {
-            Self::Sum | Self::Mean => {
-                let mut acc = views.next().expect("⊕ needs at least one view");
-                let mut count = 1;
-                for v in views {
-                    acc.add_assign(&v);
-                    count += 1;
-                }
-                if matches!(self, Self::Mean) {
-                    acc.scale_assign(E::ONE / E::from_usize(count));
-                }
-                acc
-            }
-            Self::SelfAttention { w1, w2, dim } => {
-                let mut views: Vec<MatrixT<E>> = views.collect();
-                if views.len() == 1 {
-                    return views.pop().expect("checked non-empty");
-                }
-                // Eq. 15–16, mirroring `Commutative::combine`: stack the
-                // per-view mean summaries, project, score, softmax, then
-                // column-average into one weight per view.
-                let summaries: Vec<MatrixT<E>> = views.iter().map(|v| v.mean_rows()).collect();
-                let refs: Vec<&MatrixT<E>> = summaries.iter().collect();
-                let m = MatrixT::vstack(&refs); // k×d
-                let h1 = m.matmul_in(w1, None, mode.into());
-                let h2 = m.matmul_in(w2, None, mode.into());
-                let mut scores = h1.matmul_tb_in(&h2, mode.into());
-                scores.scale_assign(E::ONE / E::from_usize(*dim).sqrt());
-                for r in 0..scores.rows() {
-                    softmax_in_place(scores.row_mut(r));
-                }
-                let weights = scores.mean_rows(); // 1×k, sums to 1
-                let (rows, cols) = views[0].shape();
-                let mut out = MatrixT::zeros(rows, cols);
-                for (q, view) in views.iter().enumerate() {
-                    out.add_scaled_assign(view, weights.get(0, q));
-                }
-                out
-            }
-        }
-    }
-}
-
-/// The decoder ρθ snapshotted into `E`.
-enum InferDecoder<E: Elem> {
-    InnerProduct,
-    Mlp {
-        layers: Vec<(MatrixT<E>, MatrixT<E>)>,
-        activation: Activation,
-    },
-    Gnn(InferGnn<E>),
-}
-
-impl<E: Elem> InferDecoder<E> {
-    fn from_decoder(d: &Decoder) -> Self {
-        match d {
-            Decoder::InnerProduct => Self::InnerProduct,
-            Decoder::Mlp(mlp) => Self::Mlp {
-                layers: mlp_weights(mlp),
-                activation: mlp.activation(),
-            },
-            Decoder::Gnn(gnn) => Self::Gnn(InferGnn::from_encoder(gnn)),
-        }
-    }
-
-    fn transform(&self, state: &InferState<E>, ctx: MatrixT<E>, mode: MathMode) -> MatrixT<E> {
-        match self {
-            Self::InnerProduct => ctx,
-            Self::Mlp { layers, activation } => {
-                let last = layers.len() - 1;
-                let mut h = ctx;
-                for (i, (w, b)) in layers.iter().enumerate() {
-                    h = h.matmul_in(w, Some(b), mode.into());
-                    if i < last {
-                        apply_activation(*activation, &mut h);
-                    }
-                }
-                h
-            }
-            Self::Gnn(gnn) => gnn.forward(state, ctx, 0, mode),
-        }
-    }
-}
-
-fn mlp_weights<E: Elem>(mlp: &Mlp) -> Vec<(MatrixT<E>, MatrixT<E>)> {
-    mlp.layers().iter().map(linear_weights).collect()
-}
-
-fn linear_weights<E: Elem>(lin: &Linear) -> (MatrixT<E>, MatrixT<E>) {
-    (
-        lin.weight().value().cast(),
-        lin.bias().expect("MLP layers are biased").value().cast(),
-    )
-}
-
-/// A trained [`Cgnp`]'s weights snapshotted into element type `E`, ready
-/// for forward-only serving. Conversion happens once at construction; the
-/// source model is not retained.
-pub struct InferModel<E: Elem> {
-    encoder: InferGnn<E>,
-    commutative: InferCommutative<E>,
-    decoder: InferDecoder<E>,
-}
-
-impl<E: Elem> InferModel<E> {
-    pub fn from_model(model: &Cgnp) -> Self {
-        Self {
-            encoder: InferGnn::from_encoder(&model.encoder),
-            commutative: InferCommutative::from_commutative(&model.commutative),
-            decoder: InferDecoder::from_decoder(&model.decoder),
-        }
-    }
-
-    /// Runtime tag of this executor's element type.
-    pub fn dtype(&self) -> cgnp_tensor::Dtype {
-        E::DTYPE
-    }
-
-    /// Encoder view for one support pair, mirroring [`Cgnp::encode_view`].
-    fn encode_view(
-        &self,
-        state: &InferState<E>,
-        example: &QueryExample,
-        mode: MathMode,
-    ) -> MatrixT<E> {
-        let x = state.with_indicator(&marked_nodes(example));
-        self.encoder.forward(state, x, 0, mode)
-    }
-
-    /// The decoded task context, mirroring eval-mode [`Cgnp::context`]:
-    /// views → ⊕ → decoder transform, all in `E` under the selected
-    /// kernel tier. `support` is explicit so callers can condition on any
-    /// subset of a task's labelled examples (a per-request shot count).
-    ///
-    /// With a GAT first layer and more than one shot the views come from
-    /// [`SharedFirstLayer`]; the result is the same bit for bit.
-    pub fn context(
-        &self,
-        state: &InferState<E>,
-        support: &[QueryExample],
-        mode: MathMode,
-    ) -> MatrixT<E> {
-        assert!(!support.is_empty(), "CGNP requires a non-empty support set");
-        let combined = match self.encoder.layers.first() {
-            Some(InferLayer::Gat(gat)) if support.len() > 1 => {
-                let mut shared = SharedFirstLayer::new(&self.encoder, gat, state, mode);
-                let views = support.iter().map(|ex| shared.view(marked_nodes(ex)));
-                self.commutative.combine(views, mode)
-            }
-            _ => {
-                let views = support.iter().map(|ex| self.encode_view(state, ex, mode));
-                self.commutative.combine(views, mode)
-            }
-        };
-        self.decoder.transform(state, combined, mode)
-    }
-}
-
-/// The nodes a support pair's indicator marks: `{q} ∪ l⁺_q` (no query for
-/// the sharded [`NO_QUERY`] sentinel).
-fn marked_nodes(example: &QueryExample) -> Vec<usize> {
-    let mut marked = Vec::with_capacity(1 + example.pos.len());
-    if example.query != NO_QUERY {
-        marked.push(example.query);
-    }
-    marked.extend_from_slice(&example.pos);
-    marked
-}
-
-/// A [`PreparedTask`]'s operators and base features snapshotted into `E`.
+/// A [`PreparedTask`]'s operators and base features cast to `E`.
 /// Rebuild (cheap casts) whenever the prepared task refreshes.
 pub struct InferState<E: Elem> {
-    n: usize,
-    gcn_adj: CsrMatrixT<E>,
-    mean_adj: CsrMatrixT<E>,
-    /// Arc sources grouped by destination; `dst_ptr[v]..dst_ptr[v + 1]`
-    /// are the arcs ending at `v` (a CSR over [`GraphContext::arcs`]).
-    ///
-    /// [`GraphContext::arcs`]: cgnp_nn::GraphContext::arcs
-    arc_src: Vec<usize>,
-    dst_ptr: Vec<usize>,
+    graph: PlainGraph<E>,
     base: MatrixT<E>,
 }
 
 impl<E: Elem> InferState<E> {
     pub fn from_prepared(prepared: &PreparedTask) -> Self {
-        let (src, dst) = prepared.gctx.arcs();
-        let n = prepared.gctx.n();
-        let mut dst_ptr = vec![0; n + 1];
-        for (i, &d) in dst.iter().enumerate() {
-            assert!(
-                d < n && (i == 0 || dst[i - 1] <= d),
-                "arc {i} ends at node {d}: arcs must be grouped by ascending \
-                 destination, the order Graph::directed_arcs emits"
-            );
-            dst_ptr[d + 1] += 1;
-        }
-        for v in 0..n {
-            dst_ptr[v + 1] += dst_ptr[v];
-        }
         Self {
-            n,
-            gcn_adj: prepared.gctx.gcn_adj().forward().cast(),
-            mean_adj: prepared.gctx.mean_adj().forward().cast(),
-            arc_src: src.to_vec(),
-            dst_ptr,
+            graph: PlainGraph::new(&prepared.gctx),
             base: prepared.base.cast(),
         }
     }
 
     #[inline]
     pub fn n(&self) -> usize {
-        self.n
+        self.base.rows()
     }
 
-    /// Base features with the ground-truth indicator channel prepended
-    /// (column 0 is 1 for marked nodes), mirroring
-    /// [`cgnp_data::with_indicator`].
-    fn with_indicator(&self, marked: &[usize]) -> MatrixT<E> {
-        let (n, d) = self.base.shape();
-        let mut out = MatrixT::zeros(n, d + 1);
-        for &m in marked {
-            debug_assert!(m < n);
-            out.set(m, 0, E::ONE);
+    /// The plain backend over this graph on `mode`'s kernel tier.
+    fn backend(&self, mode: MathMode) -> Plain<'_, E> {
+        Plain {
+            graph: &self.graph,
+            ctx: mode.into(),
         }
-        for r in 0..n {
-            out.row_mut(r)[1..].copy_from_slice(self.base.row(r));
-        }
-        out
     }
 
-    /// Rows `nodes` of [`Self::with_indicator`]`(nodes)`: each marked.
+    /// Rows `nodes` of the base features with `nodes` marked (see
+    /// [`with_indicator`]).
     fn marked_rows(&self, nodes: &[usize]) -> MatrixT<E> {
         let ones = MatrixT::full(nodes.len(), 1, E::ONE);
         MatrixT::hstack(&[&ones, &self.base.select_rows(nodes)])
-    }
-
-    /// Sources of the arcs ending at `v`: its neighbours and itself.
-    fn arc_sources(&self, v: usize) -> &[usize] {
-        &self.arc_src[self.dst_ptr[v]..self.dst_ptr[v + 1]]
     }
 }
 
@@ -624,37 +292,11 @@ pub fn score_batch_with_threads<E: Elem>(
     score_sets(context, &sets, Some(threads))
 }
 
-fn apply_activation<E: Elem>(a: Activation, m: &mut MatrixT<E>) {
-    match a {
-        Activation::Relu => m.map_assign(|x| x.max(E::ZERO)),
-        // ELU with α = 1, the only α the model family uses
-        // (`Activation::apply` calls `elu(1.0)`).
-        Activation::Elu => m.map_assign(|x| if x > E::ZERO { x } else { x.exp() - E::ONE }),
-        Activation::Tanh => m.map_assign(|x| x.tanh()),
-        Activation::None => {}
-    }
-}
-
-/// In-place softmax with max-subtraction, mirroring
-/// [`cgnp_tensor::ops::softmax_in_place`].
-fn softmax_in_place<E: Elem>(row: &mut [E]) {
-    let max = row.iter().fold(E::neg_infinity(), |m, &x| m.max(x));
-    let mut sum = E::ZERO;
-    for v in row.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
-    let inv = E::ONE / sum.max(E::min_positive());
-    for v in row {
-        *v *= inv;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{CgnpConfig, CommutativeOp, DecoderKind};
-    use cgnp_data::{sample_task, SbmConfig, TaskConfig};
+    use cgnp_data::{sample_task, SbmConfig, TaskConfig, NO_QUERY};
     use cgnp_nn::GnnKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -690,9 +332,9 @@ mod tests {
 
     #[test]
     fn f32_exact_executor_is_bitwise_identical() {
-        // Every op in this module mirrors its tensor counterpart
-        // expression-for-expression, so the f32/Exact instantiation must
-        // reproduce the autodiff path bit-for-bit — the property the
+        // The plain backend runs the model's own forward, each op on the
+        // tape's kernel in the tape's order, so the f32/Exact instantiation
+        // must reproduce the autodiff path bit-for-bit — the property the
         // serving layer's `--exact` contract leans on.
         let p = prepared_task(21);
         let state = InferState::<f32>::from_prepared(&p);
@@ -737,9 +379,8 @@ mod tests {
         support: &[QueryExample],
         mode: MathMode,
     ) -> MatrixT<E> {
-        let views = support.iter().map(|ex| im.encode_view(state, ex, mode));
-        let combined = im.commutative.combine(views, mode);
-        im.decoder.transform(state, combined, mode)
+        let views = support.iter().map(|ex| im.shot_view(state, ex, mode));
+        im.join(&state.backend(mode), views, &[])
     }
 
     fn bits<E: Elem>(m: &MatrixT<E>) -> Vec<u64> {

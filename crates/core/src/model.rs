@@ -1,17 +1,20 @@
 //! The CGNP model (Fig. 2): GNN encoder ϕθ → commutative ⊕ → decoder ρθ.
 //!
-//! This is the taped forward: meta-training differentiates through it,
-//! and [`Cgnp::predict`] / [`Cgnp::predict_multi`] /
-//! [`Cgnp::predict_task`] run it under `no_grad` as the evaluation
-//! harness's meta-test and as the oracle every serving response is
-//! pinned bitwise against. Serving itself never comes through here — it
-//! runs the forward-only executor in [`crate::infer`].
+//! [`Cgnp`] is written once over the op set of [`cgnp_nn::Backend`]; its
+//! type parameter is the parameter type. `Cgnp` (taped tensors, the
+//! default) is what meta-training differentiates through, and what
+//! [`Cgnp::predict`] / [`Cgnp::predict_multi`] / [`Cgnp::predict_task`]
+//! run under `no_grad` as the evaluation harness's meta-test and as the
+//! oracle every serving response is pinned bitwise against. Serving runs
+//! the same code over plain matrices, with the weights cast once
+//! ([`crate::infer::InferModel`]).
 //!
-//! The context comes in two halves. [`Cgnp::encode_views`] runs the K
-//! encoder passes — independent by construction: same graph, same weights,
-//! one indicator column apart — on up to `threads` pool workers;
-//! [`Cgnp::decode`] joins them (`⊕`, then the decoder transform) on the
-//! caller. [`Cgnp::context`] is the two composed at the pool's width, so
+//! The taped context comes in two halves. [`Cgnp::encode_views`] runs the
+//! K encoder passes — independent by construction: same graph, same
+//! weights, one indicator column apart — on up to `threads` pool workers;
+//! [`Cgnp::decode`] joins them (`⊕`, then the decoder transform:
+//! [`Cgnp::join`], the half both backends share) on the caller.
+//! [`Cgnp::context`] is the two composed at the pool's width, so
 //! meta-test and the validation sweep fan out whenever they are not
 //! already inside a fan-out, and the training step
 //! (`crate::train`) puts a tape cut between the halves to send the
@@ -19,10 +22,11 @@
 //! building block and the oracle the fan-out is tested against.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use cgnp_data::{base_features_with_cores, with_indicator, QueryExample, Task, NO_QUERY};
 use cgnp_graph::{algo, GraphMutation};
-use cgnp_nn::{ForwardCtx, GnnEncoder, GraphContext, Module};
+use cgnp_nn::{Backend, ForwardCtx, GnnEncoder, GraphContext, Module, ParamSource};
 use cgnp_tensor::{Matrix, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -232,32 +236,22 @@ impl PreparedTask {
     }
 }
 
-/// The Conditional Graph Neural Process.
-pub struct Cgnp {
+/// The Conditional Graph Neural Process, its parameters of type `P`.
+pub struct Cgnp<P = Tensor> {
     config: CgnpConfig,
-    pub(crate) encoder: GnnEncoder,
-    pub(crate) commutative: Commutative,
-    pub(crate) decoder: Decoder,
+    pub(crate) encoder: GnnEncoder<P>,
+    pub(crate) commutative: Commutative<P>,
+    pub(crate) decoder: Decoder<P>,
 }
 
-impl Cgnp {
-    /// Builds a CGNP with weights drawn from `seed`.
-    pub fn new(config: CgnpConfig, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let encoder = GnnEncoder::new(&config.encoder, &mut rng);
-        let commutative = Commutative::new(
-            config.commutative,
-            config.encoder.out_dim,
-            config.attention_dim,
-            &mut rng,
-        );
-        let decoder = Decoder::new(
-            config.decoder,
-            config.encoder.out_dim,
-            config.mlp_hidden,
-            &config.encoder,
-            &mut rng,
-        );
+impl<P> Cgnp<P> {
+    /// Builds a CGNP with its parameters taken from `init`, in
+    /// [`Module::params`] order.
+    pub(crate) fn build(config: CgnpConfig, init: &mut impl ParamSource<P>) -> Self {
+        let (enc, dim) = (&config.encoder, config.encoder.out_dim);
+        let encoder = GnnEncoder::new(enc, init);
+        let commutative = Commutative::new(config.commutative, dim, config.attention_dim, init);
+        let decoder = Decoder::new(config.decoder, dim, config.mlp_hidden, enc, init);
         Self {
             config,
             encoder,
@@ -270,16 +264,31 @@ impl Cgnp {
         &self.config
     }
 
+    /// `⊕` over the views, in order, then the decoder transform under
+    /// masks from [`Decoder::draw_masks`]: the part of the context every
+    /// view feeds.
+    pub fn join<B: Backend<Value = P>>(
+        &self,
+        b: &B,
+        views: impl IntoIterator<Item = P>,
+        masks: &[Arc<Matrix>],
+    ) -> P {
+        let combined = self.commutative.combine(b, views);
+        self.decoder.transform(b, combined, masks)
+    }
+}
+
+impl Cgnp {
+    /// Builds a CGNP with weights drawn from `seed`.
+    pub fn new(config: CgnpConfig, seed: u64) -> Self {
+        Self::build(config, &mut StdRng::seed_from_u64(seed))
+    }
+
     /// The encoder's input for one support pair `(q, l_q)` (Eq. 13 +
     /// Fig. 2): the indicator marks `{q} ∪ l⁺_q` under the close-world
     /// assumption.
     fn view_input(prepared: &PreparedTask, example: &QueryExample) -> Tensor {
-        let mut marked = Vec::with_capacity(1 + example.pos.len());
-        if example.query != NO_QUERY {
-            marked.push(example.query);
-        }
-        marked.extend_from_slice(&example.pos);
-        Tensor::constant(with_indicator(&prepared.base, &marked))
+        Tensor::constant(with_indicator(&prepared.base, &marked_nodes(example)))
     }
 
     /// Encoder view for one support pair: the serial building block, one
@@ -317,20 +326,20 @@ impl Cgnp {
             .collect();
         par_map(&work, threads, |(ex, masks)| {
             let x = Self::view_input(prepared, ex);
-            self.encoder.forward_masked(&prepared.gctx, &x, masks)
+            self.encoder.forward_from(&prepared.gctx, x, 0, masks)
         })
     }
 
-    /// `⊕` over the views, then the decoder transform: the part of the
-    /// context every view feeds, on the calling thread.
+    /// [`Cgnp::join`] on the tape, its dropout masks drawn from `fctx`:
+    /// the part of the context every view feeds, on the calling thread.
     pub fn decode(
         &self,
         prepared: &PreparedTask,
         views: &[Tensor],
         fctx: &mut ForwardCtx<'_>,
     ) -> Tensor {
-        let combined = self.commutative.combine(views);
-        self.decoder.transform(&prepared.gctx, &combined, fctx)
+        let masks = self.decoder.draw_masks(prepared.gctx.n(), fctx);
+        self.join(&prepared.gctx, views.iter().cloned(), &masks)
     }
 
     /// The task context `H = ⊕_{(q,l) ∈ S} ϕθ(q, l, G)` (Alg. 1 l.5–7,
@@ -353,15 +362,25 @@ impl Cgnp {
         Decoder::score(transformed_context, q_star)
     }
 
+    /// The eval-mode context over the task's own support, under
+    /// `no_grad`, read by `read`: the shared prologue of the meta-test
+    /// entry points.
+    fn with_eval_context<R>(
+        &self,
+        prepared: &PreparedTask,
+        rng: &mut StdRng,
+        read: impl FnOnce(&Tensor) -> R,
+    ) -> R {
+        cgnp_tensor::no_grad(|| {
+            let mut fctx = ForwardCtx::eval(rng);
+            read(&self.context(prepared, &prepared.task.support, &mut fctx))
+        })
+    }
+
     /// Meta-test (Algorithm 2): adapt to the task's support set with zero
     /// gradient steps and return membership probabilities for `q*`.
     pub fn predict(&self, prepared: &PreparedTask, q_star: usize, rng: &mut StdRng) -> Vec<f32> {
-        cgnp_tensor::no_grad(|| {
-            let mut fctx = ForwardCtx::eval(rng);
-            let ctx = self.context(prepared, &prepared.task.support, &mut fctx);
-            let probs = self.logits(&ctx, q_star).sigmoid();
-            probs.value_ref().as_slice().to_vec()
-        })
+        self.with_eval_context(prepared, rng, |ctx| probs(&self.logits(ctx, q_star)))
     }
 
     /// Multi-query extension (see [`Decoder::score_multi`]): membership
@@ -372,14 +391,8 @@ impl Cgnp {
         queries: &[usize],
         rng: &mut StdRng,
     ) -> Vec<f32> {
-        cgnp_tensor::no_grad(|| {
-            let mut fctx = ForwardCtx::eval(rng);
-            let ctx = self.context(prepared, &prepared.task.support, &mut fctx);
-            Decoder::score_multi(&ctx, queries)
-                .sigmoid()
-                .value_ref()
-                .as_slice()
-                .to_vec()
+        self.with_eval_context(prepared, rng, |ctx| {
+            probs(&Decoder::score_multi(ctx, queries))
         })
     }
 
@@ -387,23 +400,27 @@ impl Cgnp {
     /// computation (the decisive efficiency property in Fig. 3: adaptation
     /// is forward-only and the context is reused across queries).
     pub fn predict_task(&self, prepared: &PreparedTask, rng: &mut StdRng) -> Vec<Vec<f32>> {
-        cgnp_tensor::no_grad(|| {
-            let mut fctx = ForwardCtx::eval(rng);
-            let ctx = self.context(prepared, &prepared.task.support, &mut fctx);
-            prepared
-                .task
-                .targets
-                .iter()
-                .map(|ex| {
-                    self.logits(&ctx, ex.query)
-                        .sigmoid()
-                        .value_ref()
-                        .as_slice()
-                        .to_vec()
-                })
+        self.with_eval_context(prepared, rng, |ctx| {
+            (prepared.task.targets.iter())
+                .map(|ex| probs(&self.logits(ctx, ex.query)))
                 .collect()
         })
     }
+}
+
+/// The nodes a support pair's indicator marks: `{q} ∪ l⁺_q` (no query for
+/// the sharded [`NO_QUERY`] sentinel).
+pub(crate) fn marked_nodes(example: &QueryExample) -> Vec<usize> {
+    let query = (example.query != NO_QUERY).then_some(example.query);
+    query
+        .into_iter()
+        .chain(example.pos.iter().copied())
+        .collect()
+}
+
+/// Membership probabilities from logits.
+fn probs(logits: &Tensor) -> Vec<f32> {
+    logits.sigmoid().value_ref().as_slice().to_vec()
 }
 
 impl Module for Cgnp {

@@ -8,7 +8,7 @@
 //! (§IV) or the ground-truth identifier `I_l` for CGNP (Eq. 13).
 
 use cgnp_graph::{algo, AttributedGraph};
-use cgnp_tensor::Matrix;
+use cgnp_tensor::{Elem, Matrix, MatrixT};
 
 /// Width of the base feature matrix: `|A| + 2` (core number + clustering
 /// coefficient).
@@ -52,13 +52,14 @@ pub fn base_features_with_cores(ag: &AttributedGraph) -> (Matrix, Vec<usize>) {
 
 /// Prepends an indicator column to `base`: rows listed in `marked` get 1.
 /// Used for both `I_q` (query identifier) and `I_l` (close-world
-/// ground-truth identifier, Eq. 13).
-pub fn with_indicator(base: &Matrix, marked: &[usize]) -> Matrix {
+/// ground-truth identifier, Eq. 13), in the taped `f32` or any serving
+/// dtype.
+pub fn with_indicator<E: Elem>(base: &MatrixT<E>, marked: &[usize]) -> MatrixT<E> {
     let (n, d) = base.shape();
-    let mut out = Matrix::zeros(n, d + 1);
+    let mut out = MatrixT::zeros(n, d + 1);
     for &m in marked {
         debug_assert!(m < n);
-        out.set(m, 0, 1.0);
+        out.set(m, 0, E::ONE);
     }
     for r in 0..n {
         out.row_mut(r)[1..].copy_from_slice(base.row(r));

@@ -31,14 +31,6 @@ pub fn local_clustering_coefficient(g: &Graph, v: usize) -> f32 {
     (2 * links) as f32 / (d * (d - 1)) as f32
 }
 
-/// Global average of local clustering coefficients.
-pub fn average_clustering(g: &Graph) -> f32 {
-    if g.n() == 0 {
-        return 0.0;
-    }
-    local_clustering_coefficients(g).iter().sum::<f32>() / g.n() as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,11 +60,5 @@ mod tests {
         let g = Graph::from_edges(3, &[(0, 1)]);
         assert_eq!(local_clustering_coefficient(&g, 0), 0.0);
         assert_eq!(local_clustering_coefficient(&g, 2), 0.0);
-    }
-
-    #[test]
-    fn average_clustering_of_clique() {
-        let g = Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
-        assert!((average_clustering(&g) - 1.0).abs() < 1e-6);
     }
 }

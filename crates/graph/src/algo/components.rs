@@ -35,37 +35,6 @@ pub fn component_count(g: &Graph) -> usize {
     connected_components(g).iter().copied().max().unwrap() + 1
 }
 
-/// Nodes in the same component as `v`.
-pub fn component_of(g: &Graph, v: usize) -> Vec<usize> {
-    let labels = connected_components(g);
-    let target = labels[v];
-    (0..g.n()).filter(|&u| labels[u] == target).collect()
-}
-
-/// True if every node of `nodes` lies in a single component of the subgraph
-/// of `g` induced by `alive` (a node mask).
-pub fn connected_within(g: &Graph, alive: &[bool], nodes: &[usize]) -> bool {
-    let Some((&first, rest)) = nodes.split_first() else {
-        return true;
-    };
-    if !alive[first] || rest.iter().any(|&v| !alive[v]) {
-        return false;
-    }
-    let mut seen = vec![false; g.n()];
-    let mut stack = vec![first];
-    seen[first] = true;
-    while let Some(v) = stack.pop() {
-        for &u in g.neighbors(v) {
-            let u = u as usize;
-            if alive[u] && !seen[u] {
-                seen[u] = true;
-                stack.push(u);
-            }
-        }
-    }
-    rest.iter().all(|&v| seen[v])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,28 +53,5 @@ mod tests {
     fn isolated_nodes_are_components() {
         let g = Graph::from_edges(3, &[]);
         assert_eq!(component_count(&g), 3);
-    }
-
-    #[test]
-    fn component_of_returns_members() {
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]);
-        let mut c = component_of(&g, 1);
-        c.sort_unstable();
-        assert_eq!(c, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn connected_within_respects_mask() {
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let all = vec![true; 4];
-        assert!(connected_within(&g, &all, &[0, 3]));
-        let mut cut = all.clone();
-        cut[1] = false;
-        assert!(!connected_within(&g, &cut, &[0, 3]));
-        assert!(connected_within(&g, &cut, &[2, 3]));
-        // Dead query node fails immediately.
-        assert!(!connected_within(&g, &cut, &[1]));
-        // Empty query is trivially connected.
-        assert!(connected_within(&g, &cut, &[]));
     }
 }

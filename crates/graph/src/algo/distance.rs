@@ -2,7 +2,7 @@
 //! used by the CTC and ATC baselines (max distance from a node to any query
 //! node).
 
-use super::bfs::{bfs_distances, multi_source_distances};
+use super::bfs::bfs_distances;
 use crate::graph::Graph;
 
 /// Eccentricity of `v` within its connected component (max finite BFS
@@ -39,12 +39,6 @@ pub fn query_distances(g: &Graph, queries: &[usize]) -> Vec<usize> {
     out
 }
 
-/// Distance from each node to the nearest query node (`usize::MAX` when
-/// unreachable).
-pub fn nearest_query_distances(g: &Graph, queries: &[usize]) -> Vec<usize> {
-    multi_source_distances(g, queries)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,12 +73,5 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
         let qd = query_distances(&g, &[0, 2]);
         assert!(qd.iter().all(|&d| d == usize::MAX));
-    }
-
-    #[test]
-    fn nearest_query_distances_min_semantics() {
-        let g = path(5);
-        let nd = nearest_query_distances(&g, &[0, 4]);
-        assert_eq!(nd, vec![0, 1, 2, 1, 0]);
     }
 }

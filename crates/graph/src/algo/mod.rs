@@ -2,25 +2,15 @@
 //! core/truss decompositions, clustering coefficients, and distances.
 
 pub mod bfs;
-pub mod cliques;
 pub mod clustering;
 pub mod components;
-pub mod connectivity;
 pub mod cores;
 pub mod distance;
 pub mod truss;
 
 pub use bfs::{bfs_distances, bfs_sample, multi_source_distances};
-pub use cliques::{enumerate_k_cliques, k_clique_communities, k_clique_community_of};
-pub use clustering::{
-    average_clustering, local_clustering_coefficient, local_clustering_coefficients,
-};
-pub use components::{component_count, component_of, connected_components, connected_within};
-pub use connectivity::{
-    global_min_cut, global_min_cut_with_partition, k_ecc_community, k_edge_connected_components,
-};
+pub use clustering::{local_clustering_coefficient, local_clustering_coefficients};
+pub use components::{component_count, connected_components};
 pub use cores::{core_numbers, degeneracy, k_core_community, k_core_mask};
-pub use distance::{diameter, eccentricity, nearest_query_distances, query_distances};
-pub use truss::{
-    edge_support, k_truss_community, k_truss_community_with, max_truss_of_node, truss_numbers,
-};
+pub use distance::{diameter, eccentricity, query_distances};
+pub use truss::{edge_support, truss_numbers};

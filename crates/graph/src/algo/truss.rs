@@ -105,49 +105,6 @@ pub fn truss_numbers(g: &Graph) -> Vec<usize> {
     truss
 }
 
-/// Maximum `k` such that a k-truss containing node `q` exists.
-pub fn max_truss_of_node(g: &Graph, q: usize) -> usize {
-    let truss = truss_numbers(g);
-    g.edge_ids_of(q)
-        .iter()
-        .map(|&e| truss[e as usize])
-        .max()
-        .unwrap_or(0)
-}
-
-/// Connected component containing `q` of the subgraph formed by edges with
-/// truss number ≥ k. Returns sorted node ids (empty if `q` touches no such
-/// edge).
-pub fn k_truss_community(g: &Graph, q: usize, k: usize) -> Vec<usize> {
-    let truss = truss_numbers(g);
-    k_truss_community_with(g, &truss, q, k)
-}
-
-/// Like [`k_truss_community`] but reusing precomputed truss numbers.
-pub fn k_truss_community_with(g: &Graph, truss: &[usize], q: usize, k: usize) -> Vec<usize> {
-    let touches = g.edge_ids_of(q).iter().any(|&e| truss[e as usize] >= k);
-    if !touches {
-        return Vec::new();
-    }
-    let mut seen = vec![false; g.n()];
-    let mut stack = vec![q];
-    seen[q] = true;
-    let mut out = Vec::new();
-    while let Some(v) = stack.pop() {
-        out.push(v);
-        for (i, &u) in g.neighbors(v).iter().enumerate() {
-            let e = g.edge_ids_of(v)[i] as usize;
-            let u = u as usize;
-            if truss[e] >= k && !seen[u] {
-                seen[u] = true;
-                stack.push(u);
-            }
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,26 +169,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn truss_community_of_query() {
-        let g = mixed_graph();
-        assert_eq!(k_truss_community(&g, 0, 4), vec![0, 1, 2, 3]);
-        // The truss-≥3 edge subgraph is connected through node 3, so the
-        // 3-truss community of node 4 includes the clique as well.
-        assert_eq!(k_truss_community(&g, 4, 3), vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(k_truss_community(&g, 0, 3), vec![0, 1, 2, 3, 4, 5]);
-        assert!(k_truss_community(&g, 6, 3).is_empty());
-    }
-
-    #[test]
-    fn max_truss_of_node_values() {
-        let g = mixed_graph();
-        assert_eq!(max_truss_of_node(&g, 0), 4);
-        assert_eq!(max_truss_of_node(&g, 3), 4);
-        assert_eq!(max_truss_of_node(&g, 4), 3);
-        assert_eq!(max_truss_of_node(&g, 6), 2);
     }
 
     #[test]

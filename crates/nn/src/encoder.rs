@@ -4,12 +4,12 @@
 use std::sync::Arc;
 
 use cgnp_tensor::{Matrix, Tensor};
-use rand::rngs::StdRng;
 
+use crate::backend::{between_layers, Backend};
 use crate::gat::GatLayer;
 use crate::gcn::GcnLayer;
 use crate::graph_ctx::GraphContext;
-use crate::module::{Activation, ForwardCtx, Module};
+use crate::module::{Activation, ForwardCtx, Module, ParamSource};
 use crate::sage::SageLayer;
 
 /// Message-passing layer family (the paper ablates these in Table IV).
@@ -32,26 +32,31 @@ impl std::fmt::Display for GnnKind {
 }
 
 /// A layer of any supported family.
-pub enum AnyGnnLayer {
-    Gcn(GcnLayer),
-    Gat(GatLayer),
-    Sage(SageLayer),
+pub enum AnyGnnLayer<P = Tensor> {
+    Gcn(GcnLayer<P>),
+    Gat(GatLayer<P>),
+    Sage(SageLayer<P>),
 }
 
-impl AnyGnnLayer {
-    pub fn new(kind: GnnKind, in_dim: usize, out_dim: usize, rng: &mut StdRng) -> Self {
+impl<P> AnyGnnLayer<P> {
+    pub fn new(
+        kind: GnnKind,
+        in_dim: usize,
+        out_dim: usize,
+        init: &mut impl ParamSource<P>,
+    ) -> Self {
         match kind {
-            GnnKind::Gcn => Self::Gcn(GcnLayer::new(in_dim, out_dim, rng)),
-            GnnKind::Gat => Self::Gat(GatLayer::new(in_dim, out_dim, rng)),
-            GnnKind::Sage => Self::Sage(SageLayer::new(in_dim, out_dim, rng)),
+            GnnKind::Gcn => Self::Gcn(GcnLayer::new(in_dim, out_dim, init)),
+            GnnKind::Gat => Self::Gat(GatLayer::new(in_dim, out_dim, init)),
+            GnnKind::Sage => Self::Sage(SageLayer::new(in_dim, out_dim, init)),
         }
     }
 
-    pub fn forward(&self, gctx: &GraphContext, x: &Tensor) -> Tensor {
+    pub fn forward<B: Backend<Value = P>>(&self, b: &B, x: &P) -> P {
         match self {
-            Self::Gcn(l) => l.forward(gctx, x),
-            Self::Gat(l) => l.forward(gctx, x),
-            Self::Sage(l) => l.forward(gctx, x),
+            Self::Gcn(l) => l.forward(b, x),
+            Self::Gat(l) => l.forward(b, x),
+            Self::Sage(l) => l.forward(b, x),
         }
     }
 }
@@ -97,15 +102,39 @@ impl GnnConfig {
 
 /// A K-layer GNN with activation + dropout between layers (none after the
 /// last layer: its output is either an embedding or a logit).
-pub struct GnnEncoder {
-    layers: Vec<AnyGnnLayer>,
-    dropout: f32,
-    activation: Activation,
+pub struct GnnEncoder<P = Tensor> {
+    layers: Vec<AnyGnnLayer<P>>,
     config: GnnConfig,
 }
 
 impl GnnEncoder {
-    pub fn new(config: &GnnConfig, rng: &mut StdRng) -> Self {
+    pub fn forward(&self, gctx: &GraphContext, x: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
+        let masks = self.draw_masks(x.rows(), ctx);
+        self.forward_from(gctx, x.clone(), 0, &masks)
+    }
+
+    /// The dropout masks one [`GnnEncoder::forward`] over `n_rows` nodes
+    /// draws, in the order it draws them: one `n_rows × hidden_dim` mask
+    /// per layer but the last; none in eval mode or at `dropout = 0`.
+    /// Layers never touch the RNG, so drawing every mask first leaves the
+    /// stream exactly where the interleaved pass would — which lets a
+    /// caller draw the masks of several passes in order on one thread and
+    /// run the passes themselves elsewhere.
+    pub fn draw_masks(&self, n_rows: usize, ctx: &mut ForwardCtx<'_>) -> Vec<Arc<Matrix>> {
+        let widths = (1..self.layers.len()).map(|_| self.config.hidden_dim);
+        ctx.dropout_masks(n_rows, widths, self.config.dropout)
+    }
+
+    /// Parameters of the final layer only — the set FeatTrans fine-tunes
+    /// ("the final layer of the GNN is finetuned on the support set",
+    /// §VII-A ❻).
+    pub fn final_layer_params(&self) -> Vec<Tensor> {
+        self.layers.last().map(|l| l.params()).unwrap_or_default()
+    }
+}
+
+impl<P> GnnEncoder<P> {
+    pub fn new(config: &GnnConfig, init: &mut impl ParamSource<P>) -> Self {
         assert!(config.n_layers >= 1, "encoder needs at least one layer");
         let mut layers = Vec::with_capacity(config.n_layers);
         for i in 0..config.n_layers {
@@ -119,12 +148,10 @@ impl GnnEncoder {
             } else {
                 config.hidden_dim
             };
-            layers.push(AnyGnnLayer::new(config.kind, in_dim, out_dim, rng));
+            layers.push(AnyGnnLayer::new(config.kind, in_dim, out_dim, init));
         }
         Self {
             layers,
-            dropout: config.dropout,
-            activation: config.activation,
             config: config.clone(),
         }
     }
@@ -138,64 +165,36 @@ impl GnnEncoder {
     }
 
     /// The layer stack, in forward order.
-    pub fn layers(&self) -> &[AnyGnnLayer] {
+    pub fn layers(&self) -> &[AnyGnnLayer<P>] {
         &self.layers
     }
 
-    pub fn forward(&self, gctx: &GraphContext, x: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
-        let masks = self.draw_masks(x.rows(), ctx);
-        self.forward_masked(gctx, x, &masks)
-    }
-
-    /// The dropout masks one [`GnnEncoder::forward`] over `n_rows` nodes
-    /// draws, in the order it draws them: one `n_rows × hidden_dim` mask
-    /// per layer but the last; none in eval mode or at `dropout = 0`.
-    /// Layers never touch the RNG, so drawing every mask first leaves the
-    /// stream exactly where the interleaved pass would — which lets a
-    /// caller draw the masks of several passes in order on one thread and
-    /// run the passes themselves elsewhere.
-    pub fn draw_masks(&self, n_rows: usize, ctx: &mut ForwardCtx<'_>) -> Vec<Arc<Matrix>> {
-        if !ctx.training || self.dropout == 0.0 {
-            return Vec::new();
-        }
-        (1..self.layers.len())
-            .map(|_| {
-                Arc::new(Tensor::dropout_mask(
-                    n_rows,
-                    self.config.hidden_dim,
-                    self.dropout,
-                    ctx.rng,
-                ))
-            })
-            .collect()
-    }
-
-    /// The forward pass under masks from [`GnnEncoder::draw_masks`] (an
-    /// empty slice: no dropout). Touches no RNG.
-    pub fn forward_masked(&self, gctx: &GraphContext, x: &Tensor, masks: &[Arc<Matrix>]) -> Tensor {
-        let last = self.layers.len() - 1;
+    /// Layers `from..` over `x`, the input of layer `from` (all of them
+    /// for `from = 0`, none past the end), under masks from
+    /// [`GnnEncoder::draw_masks`] (an empty slice: no dropout).
+    pub fn forward_from<B: Backend<Value = P>>(
+        &self,
+        b: &B,
+        x: P,
+        from: usize,
+        masks: &[Arc<Matrix>],
+    ) -> P {
         assert!(
-            masks.is_empty() || masks.len() == last,
+            masks.is_empty() || masks.len() + 1 == self.layers.len(),
             "one mask per layer but the last"
         );
-        let mut h = x.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(gctx, &h);
-            if i < last {
-                h = self.activation.apply(&h);
-                if let Some(mask) = masks.get(i) {
-                    h = h.dropout_with(Arc::clone(mask));
-                }
-            }
-        }
-        h
+        (from..self.layers.len()).fold(x, |h, i| self.layer(i, b, &h, masks))
     }
 
-    /// Parameters of the final layer only — the set FeatTrans fine-tunes
-    /// ("the final layer of the GNN is finetuned on the support set",
-    /// §VII-A ❻).
-    pub fn final_layer_params(&self) -> Vec<Tensor> {
-        self.layers.last().map(|l| l.params()).unwrap_or_default()
+    /// Layer `i` and what follows it ([`GnnEncoder::after`]).
+    pub fn layer<B: Backend<Value = P>>(&self, i: usize, b: &B, x: &P, masks: &[Arc<Matrix>]) -> P {
+        self.after(i, b, self.layers[i].forward(b, x), masks)
+    }
+
+    /// What follows layer `i`'s output `h`: the activation, then its
+    /// dropout mask — nothing after the last layer.
+    pub fn after<B: Backend<Value = P>>(&self, i: usize, b: &B, h: P, masks: &[Arc<Matrix>]) -> P {
+        between_layers(b, i, self.layers.len(), h, self.config.activation, masks)
     }
 }
 
@@ -209,6 +208,7 @@ impl Module for GnnEncoder {
 mod tests {
     use super::*;
     use cgnp_graph::Graph;
+    use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     fn ring(n: usize) -> GraphContext {
@@ -289,7 +289,7 @@ mod tests {
                 let split = run(&|ctx| {
                     let masks = enc.draw_masks(x.rows(), ctx);
                     assert_eq!(masks.len(), if training { 2 } else { 0 });
-                    enc.forward_masked(&gctx, &x, &masks)
+                    enc.forward_from(&gctx, x.clone(), 0, &masks)
                 });
                 assert!(fused == interleaved, "{kind} training={training}: forward");
                 assert!(split == interleaved, "{kind} training={training}: halves");

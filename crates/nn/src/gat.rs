@@ -10,85 +10,52 @@
 //! h'_v   = Σ_u α_uv · z_u  + b
 //! ```
 
-use cgnp_tensor::{init, Tensor};
-use rand::rngs::StdRng;
+use cgnp_tensor::{Elem, MatrixT, Tensor};
 
-use crate::graph_ctx::GraphContext;
+use crate::backend::{Backend, Plain};
 use crate::linear::Linear;
-use crate::module::Module;
+use crate::module::{Module, ParamSource};
 
 /// One single-head GAT layer.
-pub struct GatLayer {
-    lin: Linear,
-    a_src: Tensor,
-    a_dst: Tensor,
-    bias: Tensor,
-    negative_slope: f32,
+pub struct GatLayer<P = Tensor> {
+    pub(crate) lin: Linear<P>,
+    pub(crate) a_src: P,
+    pub(crate) a_dst: P,
+    pub(crate) bias: P,
+    pub(crate) negative_slope: f32,
 }
 
-impl GatLayer {
-    pub fn new(in_dim: usize, out_dim: usize, rng: &mut StdRng) -> Self {
+impl<P> GatLayer<P> {
+    pub fn new(in_dim: usize, out_dim: usize, init: &mut impl ParamSource<P>) -> Self {
         Self {
-            lin: Linear::new(in_dim, out_dim, false, rng),
-            a_src: Tensor::parameter(init::glorot_uniform(out_dim, 1, rng)),
-            a_dst: Tensor::parameter(init::glorot_uniform(out_dim, 1, rng)),
-            bias: Tensor::parameter(init::zeros(1, out_dim)),
+            lin: Linear::new(in_dim, out_dim, false, init),
+            a_src: init.glorot(out_dim, 1),
+            a_dst: init.glorot(out_dim, 1),
+            bias: init.zeros(1, out_dim),
             negative_slope: 0.2,
         }
     }
 
-    /// The shared projection `W` (no bias).
-    pub fn lin(&self) -> &Linear {
-        &self.lin
+    pub fn forward<B: Backend<Value = P>>(&self, b: &B, x: &P) -> P {
+        self.attend(b, &self.project(b, x))
     }
 
-    /// The source attention vector `a_src` (`out_dim × 1`).
-    pub fn a_src(&self) -> &Tensor {
-        &self.a_src
+    /// The shared projection `z = x W`.
+    pub fn project<B: Backend<Value = P>>(&self, b: &B, x: &P) -> P {
+        self.lin.forward(b, x)
     }
 
-    /// The destination attention vector `a_dst` (`out_dim × 1`).
-    pub fn a_dst(&self) -> &Tensor {
-        &self.a_dst
+    /// Attention over the arcs for the projection `z`, plus the bias.
+    pub fn attend<B: Backend<Value = P>>(&self, b: &B, z: &P) -> P {
+        b.attend(z, self)
     }
+}
 
-    /// The output bias row.
-    pub fn bias(&self) -> &Tensor {
-        &self.bias
-    }
-
-    /// LeakyReLU slope of the attention logits.
-    pub fn negative_slope(&self) -> f32 {
-        self.negative_slope
-    }
-
-    /// Attention coefficients per arc (softmax-normalised per destination).
-    /// Exposed for tests and model introspection.
-    pub fn attention(&self, gctx: &GraphContext, x: &Tensor) -> Tensor {
-        let (src, dst) = gctx.arcs();
-        let z = self.lin.forward(x);
-        let s_src = z.matmul(&self.a_src); // n×1
-        let s_dst = z.matmul(&self.a_dst); // n×1
-        let e = s_src
-            .gather_rows(src)
-            .add(&s_dst.gather_rows(dst))
-            .leaky_relu(self.negative_slope);
-        e.segment_softmax(dst, gctx.n())
-    }
-
-    pub fn forward(&self, gctx: &GraphContext, x: &Tensor) -> Tensor {
-        let (src, dst) = gctx.arcs();
-        let z = self.lin.forward(x);
-        let s_src = z.matmul(&self.a_src);
-        let s_dst = z.matmul(&self.a_dst);
-        let e = s_src
-            .gather_rows(src)
-            .add(&s_dst.gather_rows(dst))
-            .leaky_relu(self.negative_slope);
-        let alpha = e.segment_softmax(dst, gctx.n());
-        let messages = z.gather_rows(src);
-        // Fused aggregation + bias kernel.
-        Tensor::weighted_scatter_rows_bias(&alpha, &messages, dst, gctx.n(), &self.bias)
+impl<E: Elem> GatLayer<MatrixT<E>> {
+    /// [`GatLayer::attend`] for the output rows `rows` only, each bitwise
+    /// the row a full pass produces.
+    pub fn attend_rows(&self, b: &Plain<'_, E>, z: &MatrixT<E>, rows: &[usize]) -> MatrixT<E> {
+        b.segment(self).forward(z, Some(rows), None)
     }
 }
 
@@ -105,9 +72,11 @@ impl Module for GatLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphContext;
     use cgnp_graph::Graph;
     use cgnp_tensor::gradcheck::check_gradients;
     use cgnp_tensor::Matrix;
+    use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     fn toy() -> (GraphContext, Tensor) {
@@ -129,7 +98,8 @@ mod tests {
     fn attention_normalised_per_destination() {
         let (gctx, x) = toy();
         let layer = GatLayer::new(3, 4, &mut StdRng::seed_from_u64(2));
-        let alpha = layer.attention(&gctx, &x).value();
+        let z = layer.project(&gctx, &x);
+        let alpha = gctx.attention(&z, &layer).value();
         let (_, dst) = gctx.arcs();
         let mut sums = vec![0.0f32; gctx.n()];
         for (i, &d) in dst.iter().enumerate() {

@@ -2,37 +2,30 @@
 //! encoder option in Table IV).
 
 use cgnp_tensor::Tensor;
-use rand::rngs::StdRng;
 
-use crate::graph_ctx::GraphContext;
+use crate::backend::{Adjacency, Backend};
 use crate::linear::Linear;
-use crate::module::Module;
+use crate::module::{Module, ParamSource};
 
 /// One GCN layer: `H' = Â (H W) + b` with the symmetric normalised
 /// adjacency `Â = D̃^{-1/2}(A+I)D̃^{-1/2}`.
-pub struct GcnLayer {
-    lin: Linear,
+pub struct GcnLayer<P = Tensor> {
+    lin: Linear<P>,
 }
 
-impl GcnLayer {
-    pub fn new(in_dim: usize, out_dim: usize, rng: &mut StdRng) -> Self {
+impl<P> GcnLayer<P> {
+    pub fn new(in_dim: usize, out_dim: usize, init: &mut impl ParamSource<P>) -> Self {
         Self {
-            lin: Linear::new(in_dim, out_dim, true, rng),
+            lin: Linear::new(in_dim, out_dim, true, init),
         }
     }
 
-    /// The projection (weights + bias) of this layer.
-    pub fn linear(&self) -> &Linear {
-        &self.lin
-    }
-
-    pub fn forward(&self, gctx: &GraphContext, x: &Tensor) -> Tensor {
+    pub fn forward<B: Backend<Value = P>>(&self, b: &B, x: &P) -> P {
         // (H W) first: the projection is the cheaper operand order when
         // out_dim ≤ in_dim, and Â is sparse either way. Message passing
         // and bias run as one fused kernel.
-        let projected = x.matmul(self.lin.weight());
-        let bias = &self.lin.params()[1];
-        Tensor::spmm_bias(gctx.gcn_adj(), &projected, bias)
+        let projected = b.matmul(x, &self.lin.w, None);
+        b.propagate(Adjacency::Gcn, &projected, self.lin.b.as_ref())
     }
 }
 
@@ -45,9 +38,11 @@ impl Module for GcnLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphContext;
     use cgnp_graph::Graph;
     use cgnp_tensor::gradcheck::check_gradients;
     use cgnp_tensor::Matrix;
+    use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     fn toy() -> (GraphContext, Tensor) {

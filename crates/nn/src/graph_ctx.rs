@@ -112,7 +112,7 @@ impl GraphContext {
     /// contract: arcs are grouped by ascending destination — for each `v`
     /// in `0..n`, one arc from every neighbour in `neighbors(v)` order,
     /// then the self-loop `v → v` — so the list is a CSR over
-    /// destinations, which the serving executor indexes it as; and `u → v`
+    /// destinations, which [`crate::PlainGraph`] indexes it as; and `u → v`
     /// is listed exactly when `v → u` is. [`Self::refreshed`] rebuilds
     /// the list, so it holds after every mutation batch.
     #[inline]

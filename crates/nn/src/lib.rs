@@ -1,10 +1,19 @@
 //! # cgnp-nn
 //!
-//! Graph neural network layers on top of the `cgnp-tensor` autodiff engine:
-//! GCN, single-head GAT, and GraphSAGE layers (the three encoder families
-//! the paper ablates in Table IV), an MLP, a configurable K-layer
-//! [`GnnEncoder`], and the [`Module`] parameter-registry trait that the
-//! meta-learning algorithms use to snapshot and restore weights.
+//! Graph neural network layers — GCN, single-head GAT, and GraphSAGE (the
+//! three encoder families the paper ablates in Table IV) — an MLP, a
+//! configurable K-layer [`GnnEncoder`], and the [`Module`] parameter
+//! registry the meta-learning algorithms use to snapshot and restore
+//! weights.
+//!
+//! Every forward is written once, over the op set of [`Backend`], and runs
+//! on either of its two backends: taped [`cgnp_tensor::Tensor`]s on a
+//! [`GraphContext`] (training, and the meta-test oracle), or plain
+//! [`cgnp_tensor::MatrixT`]s in `f32` or `f64` on a [`Plain`] handle
+//! (serving). A layer's type parameter is its parameter type — `Tensor` by
+//! default. Its constructor takes a [`ParamSource`]: an `StdRng` draws
+//! fresh parameters, [`Trained`] hands a trained module's weights, cast
+//! once, to the constructor of its plain-backend twin.
 //!
 //! ## Example
 //!
@@ -26,6 +35,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod backend;
 pub mod encoder;
 pub mod gat;
 pub mod gcn;
@@ -35,13 +45,14 @@ pub mod mlp;
 pub mod module;
 pub mod sage;
 
+pub use backend::{Adjacency, Backend, Plain, PlainGraph};
 pub use encoder::{AnyGnnLayer, GnnConfig, GnnEncoder, GnnKind};
 pub use gat::GatLayer;
 pub use gcn::GcnLayer;
 pub use graph_ctx::{gcn_normalised, mean_aggregator, GraphContext};
 pub use linear::Linear;
 pub use mlp::Mlp;
-pub use module::{Activation, ForwardCtx, Module};
+pub use module::{Activation, ForwardCtx, Module, ParamSource, Trained};
 pub use sage::SageLayer;
 
 #[cfg(test)]

@@ -1,54 +1,27 @@
 //! Dense affine layer.
 
-use cgnp_tensor::{init, Tensor};
-use rand::rngs::StdRng;
+use cgnp_tensor::Tensor;
 
-use crate::module::Module;
+use crate::backend::Backend;
+use crate::module::{Module, ParamSource};
 
-/// `y = x W (+ b)` with Glorot-initialised weights.
-pub struct Linear {
-    w: Tensor,
-    b: Option<Tensor>,
-    in_dim: usize,
-    out_dim: usize,
+/// `y = x W (+ b)` with Glorot-initialised weights, over taped tensors or
+/// plain matrices (`P`, see [`crate::backend`]).
+pub struct Linear<P = Tensor> {
+    pub(crate) w: P,
+    pub(crate) b: Option<P>,
 }
 
-impl Linear {
-    pub fn new(in_dim: usize, out_dim: usize, bias: bool, rng: &mut StdRng) -> Self {
-        let w = Tensor::parameter(init::glorot_uniform(in_dim, out_dim, rng));
-        let b = bias.then(|| Tensor::parameter(init::zeros(1, out_dim)));
+impl<P> Linear<P> {
+    pub fn new(in_dim: usize, out_dim: usize, bias: bool, init: &mut impl ParamSource<P>) -> Self {
         Self {
-            w,
-            b,
-            in_dim,
-            out_dim,
+            w: init.glorot(in_dim, out_dim),
+            b: bias.then(|| init.zeros(1, out_dim)),
         }
     }
 
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
-
-    /// The weight matrix.
-    pub fn weight(&self) -> &Tensor {
-        &self.w
-    }
-
-    /// The bias row, if the layer has one.
-    pub fn bias(&self) -> Option<&Tensor> {
-        self.b.as_ref()
-    }
-
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        // Fused affine kernel: one pass, no un-biased intermediate.
-        match &self.b {
-            Some(b) => x.matmul_bias(&self.w, b),
-            None => x.matmul(&self.w),
-        }
+    pub fn forward<B: Backend<Value = P>>(&self, b: &B, x: &P) -> P {
+        b.matmul(x, &self.w, self.b.as_ref())
     }
 }
 
@@ -65,7 +38,10 @@ impl Module for Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphContext;
+    use cgnp_graph::Graph;
     use cgnp_tensor::{Matrix, Optimizer, Sgd};
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
@@ -74,7 +50,8 @@ mod tests {
         let lin = Linear::new(4, 3, true, &mut rng);
         assert_eq!(lin.param_count(), 4 * 3 + 3);
         let x = Tensor::constant(Matrix::zeros(5, 4));
-        assert_eq!(lin.forward(&x).shape(), (5, 3));
+        let tape = GraphContext::new(&Graph::from_edges(5, &[]));
+        assert_eq!(lin.forward(&tape, &x).shape(), (5, 3));
         let nobias = Linear::new(4, 3, false, &mut rng);
         assert_eq!(nobias.param_count(), 12);
     }
@@ -89,13 +66,14 @@ mod tests {
             2,
             vec![1., 0., 0., 1., 1., 1., -1., 0.5],
         ));
+        let tape = GraphContext::new(&Graph::from_edges(4, &[]));
         for _ in 0..400 {
             opt.zero_grad();
-            let loss = lin.forward(&x).sub(&x).l2_sum();
+            let loss = lin.forward(&tape, &x).sub(&x).l2_sum();
             loss.backward();
             opt.step();
         }
-        let loss = lin.forward(&x).sub(&x).l2_sum().item();
+        let loss = lin.forward(&tape, &x).sub(&x).l2_sum().item();
         assert!(loss < 1e-3, "final loss {loss}");
     }
 }

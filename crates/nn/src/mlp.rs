@@ -1,33 +1,49 @@
 //! Multi-layer perceptron (CGNP's MLP decoder and general utility head).
 
-use cgnp_tensor::Tensor;
-use rand::rngs::StdRng;
+use std::sync::Arc;
 
+use cgnp_tensor::{Matrix, Tensor};
+
+use crate::backend::{between_layers, Backend};
 use crate::linear::Linear;
-use crate::module::{Activation, ForwardCtx, Module};
+use crate::module::{Activation, ForwardCtx, Module, ParamSource};
 
 /// A stack of affine layers with an activation (and optional dropout)
 /// between them; no activation after the last layer.
-pub struct Mlp {
-    layers: Vec<Linear>,
+pub struct Mlp<P = Tensor> {
+    layers: Vec<Linear<P>>,
     activation: Activation,
     dropout: f32,
 }
 
 impl Mlp {
+    /// The dropout masks a forward over `n_rows` rows applies: one per
+    /// layer but the last, as wide as that layer's output.
+    pub fn draw_masks(&self, n_rows: usize, ctx: &mut ForwardCtx<'_>) -> Vec<Arc<Matrix>> {
+        let hidden = &self.layers[..self.layers.len() - 1];
+        ctx.dropout_masks(n_rows, hidden.iter().map(|l| l.w.cols()), self.dropout)
+    }
+}
+
+impl<P> Mlp<P> {
     /// `dims` lists the layer widths, e.g. `[64, 512, 64]` builds the
     /// paper's two-layer decoder MLP with 512 hidden units.
     ///
     /// # Panics
     /// Panics if fewer than two dims are given.
-    pub fn new(dims: &[usize], activation: Activation, dropout: f32, rng: &mut StdRng) -> Self {
+    pub fn new(
+        dims: &[usize],
+        activation: Activation,
+        dropout: f32,
+        init: &mut impl ParamSource<P>,
+    ) -> Self {
         assert!(
             dims.len() >= 2,
             "an MLP needs at least input and output dims"
         );
         let layers = dims
             .windows(2)
-            .map(|w| Linear::new(w[0], w[1], true, rng))
+            .map(|w| Linear::new(w[0], w[1], true, init))
             .collect();
         Self {
             layers,
@@ -36,31 +52,17 @@ impl Mlp {
         }
     }
 
-    pub fn forward(&self, x: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
-        let mut h = x.clone();
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(&h);
-            if i < last {
-                h = self.activation.apply(&h);
-                h = h.dropout(self.dropout, ctx.training, ctx.rng);
-            }
-        }
-        h
+    /// The forward pass under masks from [`Mlp::draw_masks`] (an empty
+    /// slice: no dropout).
+    pub fn forward<B: Backend<Value = P>>(&self, b: &B, x: P, masks: &[Arc<Matrix>]) -> P {
+        let n = self.layers.len();
+        (self.layers.iter().enumerate()).fold(x, |h, (i, layer)| {
+            between_layers(b, i, n, layer.forward(b, &h), self.activation, masks)
+        })
     }
 
     pub fn n_layers(&self) -> usize {
         self.layers.len()
-    }
-
-    /// The affine layers, in forward order.
-    pub fn layers(&self) -> &[Linear] {
-        &self.layers
-    }
-
-    /// The between-layers activation.
-    pub fn activation(&self) -> Activation {
-        self.activation
     }
 }
 
@@ -73,8 +75,18 @@ impl Module for Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgnp_tensor::{Matrix, Optimizer, Sgd};
+    use crate::GraphContext;
+    use cgnp_graph::Graph;
+    use cgnp_tensor::{Optimizer, Sgd};
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// A forward on the taped backend, masks drawn from `ctx`.
+    fn forward(mlp: &Mlp, x: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
+        let masks = mlp.draw_masks(x.rows(), ctx);
+        let tape = GraphContext::new(&Graph::from_edges(x.rows(), &[]));
+        mlp.forward(&tape, x.clone(), &masks)
+    }
 
     #[test]
     fn shapes() {
@@ -83,7 +95,7 @@ mod tests {
         assert_eq!(mlp.n_layers(), 2);
         let x = Tensor::constant(Matrix::zeros(5, 3));
         let mut ctx = ForwardCtx::eval(&mut rng);
-        assert_eq!(mlp.forward(&x, &mut ctx).shape(), (5, 2));
+        assert_eq!(forward(&mlp, &x, &mut ctx).shape(), (5, 2));
     }
 
     #[test]
@@ -97,7 +109,7 @@ mod tests {
             opt.zero_grad();
             let logits = {
                 let mut ctx = ForwardCtx::train(&mut rng);
-                mlp.forward(&x, &mut ctx)
+                forward(&mlp, &x, &mut ctx)
             };
             let loss =
                 logits.bce_with_logits_at(&[0, 1, 2, 3], &targets, cgnp_tensor::Reduction::Mean);
@@ -105,7 +117,7 @@ mod tests {
             opt.step();
         }
         let mut ctx = ForwardCtx::eval(&mut rng);
-        let out = mlp.forward(&x, &mut ctx).sigmoid().value();
+        let out = forward(&mlp, &x, &mut ctx).sigmoid().value();
         for (i, &t) in targets.iter().enumerate() {
             let p = out.get(i, 0);
             assert!(
@@ -121,20 +133,12 @@ mod tests {
         let mlp = Mlp::new(&[4, 16, 4], Activation::Relu, 0.8, &mut rng);
         let x = Tensor::constant(Matrix::full(2, 4, 1.0));
         let mut eval_rng = StdRng::seed_from_u64(3);
-        let a = mlp
-            .forward(&x, &mut ForwardCtx::eval(&mut eval_rng))
-            .value();
-        let b = mlp
-            .forward(&x, &mut ForwardCtx::eval(&mut eval_rng))
-            .value();
+        let a = forward(&mlp, &x, &mut ForwardCtx::eval(&mut eval_rng)).value();
+        let b = forward(&mlp, &x, &mut ForwardCtx::eval(&mut eval_rng)).value();
         assert!(a.approx_eq(&b, 0.0), "eval mode must be deterministic");
         let mut train_rng = StdRng::seed_from_u64(4);
-        let c = mlp
-            .forward(&x, &mut ForwardCtx::train(&mut train_rng))
-            .value();
-        let d = mlp
-            .forward(&x, &mut ForwardCtx::train(&mut train_rng))
-            .value();
+        let c = forward(&mlp, &x, &mut ForwardCtx::train(&mut train_rng)).value();
+        let d = forward(&mlp, &x, &mut ForwardCtx::train(&mut train_rng)).value();
         assert!(
             !c.approx_eq(&d, 1e-9),
             "dropout must randomise training passes"

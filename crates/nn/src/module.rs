@@ -4,7 +4,9 @@
 //! and restore model weights; [`Module::export_weights`] /
 //! [`Module::import_weights`] provide that in a layout-stable order.
 
-use cgnp_tensor::{Matrix, Tensor};
+use std::sync::Arc;
+
+use cgnp_tensor::{init, Elem, Matrix, MatrixT, Tensor};
 use rand::rngs::StdRng;
 
 /// Anything holding trainable parameters.
@@ -53,6 +55,49 @@ pub trait Module {
     }
 }
 
+/// Where a module's parameters come from while its constructor builds it,
+/// one call per parameter in [`Module::params`] order: fresh draws for
+/// training (an [`StdRng`]), or a trained model's weights cast for the
+/// plain backend ([`Trained`]).
+pub trait ParamSource<P> {
+    /// A `rows × cols` parameter, Glorot-uniform when drawn fresh.
+    fn glorot(&mut self, rows: usize, cols: usize) -> P;
+    /// A `rows × cols` parameter, zero when drawn fresh.
+    fn zeros(&mut self, rows: usize, cols: usize) -> P;
+}
+
+impl ParamSource<Tensor> for StdRng {
+    fn glorot(&mut self, rows: usize, cols: usize) -> Tensor {
+        Tensor::parameter(init::glorot_uniform(rows, cols, self))
+    }
+
+    fn zeros(&mut self, rows: usize, cols: usize) -> Tensor {
+        Tensor::parameter(init::zeros(rows, cols))
+    }
+}
+
+/// A trained module's parameters, handed out in order and cast to `E`:
+/// a constructor fed these builds the module's plain-backend twin.
+pub struct Trained(std::vec::IntoIter<Tensor>);
+
+impl Trained {
+    pub fn of(module: &impl Module) -> Self {
+        Self(module.params().into_iter())
+    }
+}
+
+impl<E: Elem> ParamSource<MatrixT<E>> for Trained {
+    fn glorot(&mut self, rows: usize, cols: usize) -> MatrixT<E> {
+        let p = self.0.next().expect("the twin asks for more parameters");
+        assert_eq!(p.shape(), (rows, cols), "the twin's parameters differ");
+        p.value_ref().cast()
+    }
+
+    fn zeros(&mut self, rows: usize, cols: usize) -> MatrixT<E> {
+        self.glorot(rows, cols)
+    }
+}
+
 /// Per-forward-pass context: training mode (enables dropout) and the RNG
 /// driving stochastic regularisation.
 pub struct ForwardCtx<'a> {
@@ -73,6 +118,24 @@ impl<'a> ForwardCtx<'a> {
             training: false,
             rng,
         }
+    }
+
+    /// The inverted-scale dropout masks of a layer stack over `n_rows`
+    /// rows: one `n_rows × w` mask per entry of `widths` (the activations
+    /// between layers, in order), drawn as [`Tensor::dropout`] draws them;
+    /// none in eval mode or at `p = 0`.
+    pub(crate) fn dropout_masks(
+        &mut self,
+        n_rows: usize,
+        widths: impl IntoIterator<Item = usize>,
+        p: f32,
+    ) -> Vec<Arc<Matrix>> {
+        if !self.training || p == 0.0 {
+            return Vec::new();
+        }
+        (widths.into_iter())
+            .map(|w| Arc::new(Tensor::dropout_mask(n_rows, w, p, self.rng)))
+            .collect()
     }
 }
 

@@ -2,41 +2,29 @@
 //! `SAGE` encoder option in Table IV).
 
 use cgnp_tensor::Tensor;
-use rand::rngs::StdRng;
 
-use crate::graph_ctx::GraphContext;
+use crate::backend::{Adjacency, Backend};
 use crate::linear::Linear;
-use crate::module::Module;
+use crate::module::{Module, ParamSource};
 
 /// One GraphSAGE layer: `H' = H W_self + (D^{-1} A H) W_neigh + b`.
-pub struct SageLayer {
-    w_self: Linear,
-    w_neigh: Linear,
+pub struct SageLayer<P = Tensor> {
+    w_self: Linear<P>,
+    w_neigh: Linear<P>,
 }
 
-impl SageLayer {
-    pub fn new(in_dim: usize, out_dim: usize, rng: &mut StdRng) -> Self {
+impl<P> SageLayer<P> {
+    pub fn new(in_dim: usize, out_dim: usize, init: &mut impl ParamSource<P>) -> Self {
         Self {
-            w_self: Linear::new(in_dim, out_dim, true, rng),
-            w_neigh: Linear::new(in_dim, out_dim, false, rng),
+            w_self: Linear::new(in_dim, out_dim, true, init),
+            w_neigh: Linear::new(in_dim, out_dim, false, init),
         }
     }
 
-    pub fn forward(&self, gctx: &GraphContext, x: &Tensor) -> Tensor {
-        let self_term = self.w_self.forward(x);
-        let mean_neigh = Tensor::spmm(gctx.mean_adj(), x);
-        let neigh_term = self.w_neigh.forward(&mean_neigh);
-        self_term.add(&neigh_term)
-    }
-
-    /// The self-feature projection (biased).
-    pub fn w_self(&self) -> &Linear {
-        &self.w_self
-    }
-
-    /// The aggregated-neighbour projection (no bias).
-    pub fn w_neigh(&self) -> &Linear {
-        &self.w_neigh
+    pub fn forward<B: Backend<Value = P>>(&self, b: &B, x: &P) -> P {
+        let self_term = self.w_self.forward(b, x);
+        let mean_neigh = b.propagate(Adjacency::Mean, x, None);
+        b.add(self_term, &self.w_neigh.forward(b, &mean_neigh))
     }
 }
 
@@ -51,9 +39,11 @@ impl Module for SageLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphContext;
     use cgnp_graph::Graph;
     use cgnp_tensor::gradcheck::check_gradients;
     use cgnp_tensor::Matrix;
+    use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     #[test]

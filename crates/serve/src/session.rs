@@ -22,9 +22,10 @@
 //! leaves untouched). Every response reports the graph epoch it was
 //! answered under.
 //!
-//! There is one executor: every context build and every score runs
-//! through the forward-only [`cgnp_core::InferModel`], in the element
-//! type [`ServeConfig::precision`] picks and on the kernel tier
+//! There is one forward pass: every context build runs the model's own
+//! encoder, ⊕ and decoder on the plain backend
+//! ([`cgnp_core::InferModel`], the trained weights cast once), in the
+//! element type [`ServeConfig::precision`] picks and on the kernel tier
 //! [`ServeConfig::math`] picks (`--exact` selects kernels, not an
 //! engine). The autodiff tape is training's and the evaluation oracle's;
 //! no serving path touches it.
@@ -251,7 +252,7 @@ pub struct ServeSummary {
 
 /// The forward-only executor every context build runs through: the
 /// model's weights and the prepared task's operators and base features,
-/// both snapshotted into the session's element type. The arms are the
+/// both cast to the session's element type. The arms are the
 /// runtime dtype choice ([`ServeConfig::precision`]) and nothing else —
 /// the kernel tier is an argument of every call, not a different engine.
 enum Engine {
@@ -274,7 +275,7 @@ impl Engine {
     }
 
     /// Re-casts the operators and base features after a refresh changed
-    /// what the snapshot mirrors (the weights never change).
+    /// them (the weights never change).
     fn resnapshot(&mut self, prepared: &PreparedTask) {
         match self {
             Engine::F32(_, state) => *state = InferState::from_prepared(prepared),
@@ -317,7 +318,7 @@ impl Watermark {
 struct LiveState {
     prepared: PreparedTask,
     /// The serving-dtype executor; lives here so the same write lock
-    /// that refreshes the prepared operators re-snapshots its mirror.
+    /// that refreshes the prepared operators re-casts its copy of them.
     engine: Engine,
     mark: Watermark,
 }
@@ -528,7 +529,7 @@ impl ServeSession {
         if !applied.is_empty() {
             live.prepared.refresh(self.cfg.refresh);
             // Support-only bursts leave the graph epoch — and therefore
-            // the operators and base features the engine mirrors —
+            // the operators and base features the engine casts —
             // untouched; re-casting them would be pure waste.
             if live.prepared.task.graph.epoch() != epoch_before {
                 live.engine.resnapshot(&live.prepared);

@@ -54,7 +54,7 @@ pub use elem::{Dtype, Elem};
 pub use grad_sink::GradSink;
 pub use matrix::{Matrix, MatrixT};
 pub use mode::{fast_math_compiled, KernelCtx, MathMode};
-pub use ops::{softmax_in_place, stable_sigmoid, Reduction};
+pub use ops::{stable_sigmoid, stable_softmax, Reduction};
 pub use optim::{clip_grad_norm, Adam, Optimizer, Sgd};
 pub use scores::CentroidScores;
 pub use sparse::{CsrMatrix, CsrMatrixT, SparseOperator};

@@ -11,6 +11,7 @@
 use rand::Rng;
 use std::sync::Arc;
 
+use crate::elem::Elem;
 use crate::matrix::Matrix;
 use crate::sparse::SparseOperator;
 use crate::tensor::Tensor;
@@ -359,7 +360,7 @@ impl Tensor {
             let x = self.value_ref();
             let mut out = x.clone();
             for r in 0..out.rows() {
-                softmax_in_place(out.row_mut(r));
+                stable_softmax(out.row_mut(r));
             }
             out
         });
@@ -909,14 +910,14 @@ pub fn stable_sigmoid(x: f32) -> f32 {
 }
 
 /// In-place softmax over a slice with max-subtraction for stability.
-pub fn softmax_in_place(row: &mut [f32]) {
-    let max = row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
-    let mut sum = 0.0;
+pub fn stable_softmax<E: Elem>(row: &mut [E]) {
+    let max = row.iter().fold(E::neg_infinity(), |m, &x| m.max(x));
+    let mut sum = E::ZERO;
     for v in row.iter_mut() {
         *v = (*v - max).exp();
         sum += *v;
     }
-    let inv = 1.0 / sum.max(f32::MIN_POSITIVE);
+    let inv = E::ONE / sum.max(E::min_positive());
     for v in row {
         *v *= inv;
     }
