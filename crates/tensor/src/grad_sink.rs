@@ -27,6 +27,7 @@
 //! every later gradient on that worker.
 
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::matrix::Matrix;
@@ -105,6 +106,15 @@ impl GradSink {
             }
         }
     }
+
+    fn accum_owned(&mut self, id: u64, delta: Matrix) {
+        match self.grads.entry(id) {
+            Entry::Occupied(mut g) => g.get_mut().add_assign(&delta),
+            Entry::Vacant(slot) => {
+                slot.insert(delta);
+            }
+        }
+    }
 }
 
 /// Routes a leaf gradient into the current thread's sink, if one is
@@ -119,6 +129,19 @@ pub(crate) fn route_leaf_grad(id: u64, delta: &Matrix, scale: Option<f32>) -> bo
             true
         }
         None => false,
+    })
+}
+
+/// [`route_leaf_grad`] for an owned unscaled gradient
+/// ([`Tensor::accum_grad_owned`]): moved into the sink when one is
+/// installed, handed back otherwise.
+pub(crate) fn route_leaf_grad_owned(id: u64, delta: Matrix) -> Option<Matrix> {
+    ACTIVE_SINK.with(|s| match &mut *s.borrow_mut() {
+        Some(sink) => {
+            sink.accum_owned(id, delta);
+            None
+        }
+        None => Some(delta),
     })
 }
 

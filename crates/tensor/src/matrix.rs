@@ -288,7 +288,9 @@ impl<E: Elem> MatrixT<E> {
     /// Matrix product `self @ other`.
     ///
     /// Cache-blocked (k-tiled, 4-row micro-kernel) and rayon-parallel over
-    /// output-row ranges above a work threshold. Bitwise identical to
+    /// output-row ranges above a work threshold; a single-column `other`
+    /// (GAT's `z·a`) keeps several rows' dot chains in registers instead.
+    /// Bitwise identical to
     /// [`crate::reference::matmul`]: per output element the accumulation
     /// order over `k` is unchanged and explicit zeros of `self` are
     /// skipped exactly as the naive loop does.
@@ -349,11 +351,15 @@ impl<E: Elem> MatrixT<E> {
         out
     }
 
-    /// `self @ other.T` without materialising the transpose.
+    /// `self @ other.T`.
     ///
-    /// Four dot products run per pass over a row of `self` (register
-    /// blocking); rayon-parallel over output rows. Bitwise identical to
-    /// [`crate::reference::matmul_tb`].
+    /// Two exact forms, picked by the shape of `other`: with few rows
+    /// (`Decoder::score`'s `n×d · (1×d)ᵀ`), four dot products per pass
+    /// over a row of `self`; with `TB_KMAJOR_MIN_ROWS` (16) or more, the
+    /// multiply-add form of [`Matrix::matmul`] over `other.T`, transposed
+    /// once per call. Both add every product in increasing `k` from `+0`,
+    /// so both are bitwise identical to [`crate::reference::matmul_tb`].
+    /// Rayon-parallel over output rows.
     pub fn matmul_tb(&self, other: &Self) -> Self {
         self.matmul_tb_in(other, KernelCtx::default())
     }
@@ -376,14 +382,17 @@ impl<E: Elem> MatrixT<E> {
             .saturating_mul(self.cols)
             .saturating_mul(other.rows);
         let mut out = Self::zeros(self.rows, other.rows);
+        let other_t = (ctx.mode == MathMode::Exact && other.rows >= TB_KMAJOR_MIN_ROWS)
+            .then(|| other.transpose());
         for_each_row_chunk(
             &mut out.data,
             self.rows,
             other.rows,
             ctx.workers(work),
-            |r0, r1, chunk| match ctx.mode {
-                MathMode::Exact => matmul_tb_block(self, other, r0, r1, chunk),
-                MathMode::Fast => fast::matmul_tb_fast_block(self, other, r0, r1, chunk),
+            |r0, r1, chunk| match (&other_t, ctx.mode) {
+                (Some(other_t), _) => multiply_add_block::<E, false>(self, other_t, r0, r1, chunk),
+                (None, MathMode::Exact) => matmul_tb_block(self, other, r0, r1, chunk),
+                (None, MathMode::Fast) => fast::matmul_tb_fast_block(self, other, r0, r1, chunk),
             },
         );
         out
@@ -548,6 +557,18 @@ const KC: usize = 256;
 /// quadruples the arithmetic intensity per B-row load.
 const ROW_BLOCK: usize = 4;
 
+/// Rows of `b` from which [`MatrixT::matmul_tb`] runs the multiply-add
+/// form over `bᵀ` instead of dot products. Short output rows do not fill
+/// the multiply-add form's vector loop: against a `150×64` left operand
+/// it is 2–3× slower than the dot form at 2–7 rows, even at 8–12, and
+/// 1.5× faster from 16 (2.4× at the 64–131 rows of a layer's `g·Wᵀ`).
+const TB_KMAJOR_MIN_ROWS: usize = 16;
+
+/// Output rows whose dot-product chains the single-column kernel keeps in
+/// registers at once: independent chains hide the add latency one chain
+/// would wait on.
+const CHAINS: usize = 8;
+
 /// Computes output rows `[r0, r1)` of `a @ b` into `chunk` (which may be
 /// pre-initialised, e.g. with a bias row — the kernel only accumulates).
 ///
@@ -555,8 +576,26 @@ const ROW_BLOCK: usize = 4;
 /// increasing and explicit zeros of `a` are skipped, so results are
 /// bitwise identical to [`crate::reference::matmul`].
 fn matmul_block<E: Elem>(a: &MatrixT<E>, b: &MatrixT<E>, r0: usize, r1: usize, chunk: &mut [E]) {
+    multiply_add_block::<E, true>(a, b, r0, r1, chunk);
+}
+
+/// The multiply-add kernel behind [`matmul_block`] and the wide form of
+/// [`MatrixT::matmul_tb`]: `chunk += a[r0..r1] @ b`, every output element
+/// accumulating its `k` terms in increasing order. `SKIP_ZEROS` skips the
+/// terms whose `a` factor is an explicit zero, as the reference `matmul`
+/// loop does; the reference `matmul_tb` loop adds every term.
+fn multiply_add_block<E: Elem, const SKIP_ZEROS: bool>(
+    a: &MatrixT<E>,
+    b: &MatrixT<E>,
+    r0: usize,
+    r1: usize,
+    chunk: &mut [E],
+) {
     let k_dim = a.cols;
     let n = b.cols;
+    if n == 1 {
+        return single_column_block::<E, SKIP_ZEROS>(a, &b.data, r0, r1, chunk);
+    }
     let a_data = &a.data;
     let b_data = &b.data;
     for kb in (0..k_dim).step_by(KC) {
@@ -568,7 +607,7 @@ fn matmul_block<E: Elem>(a: &MatrixT<E>, b: &MatrixT<E>, r0: usize, r1: usize, c
                 let brow = &b_data[k * n..(k + 1) * n];
                 for r in i..i_end {
                     let a_rk = a_data[r * k_dim + k];
-                    if a_rk == E::ZERO {
+                    if SKIP_ZEROS && a_rk == E::ZERO {
                         continue;
                     }
                     let orow = &mut chunk[(r - r0) * n..(r - r0 + 1) * n];
@@ -578,6 +617,49 @@ fn matmul_block<E: Elem>(a: &MatrixT<E>, b: &MatrixT<E>, r0: usize, r1: usize, c
                 }
             }
             i = i_end;
+        }
+    }
+}
+
+/// `a @ x` term for one element: `a·x`, or `-0.0` for a skipped zero `a`.
+/// Adding `-0.0` leaves every value unchanged (`+0` stays `+0`, `-0`
+/// stays `-0`), so a select in place of the skip's branch gives the
+/// skip's bits — even when `x` is infinite or NaN.
+#[inline(always)]
+fn term<E: Elem, const SKIP_ZEROS: bool>(a: E, x: E) -> E {
+    if SKIP_ZEROS && a == E::ZERO {
+        -E::ZERO
+    } else {
+        a * x
+    }
+}
+
+/// [`multiply_add_block`] for a single-column `b` (`x`, `k` long): one
+/// dot-product chain per output row, [`CHAINS`] rows' chains interleaved
+/// in registers, each seeded from `chunk` and added to in increasing `k`.
+fn single_column_block<E: Elem, const SKIP_ZEROS: bool>(
+    a: &MatrixT<E>,
+    x: &[E],
+    r0: usize,
+    r1: usize,
+    chunk: &mut [E],
+) {
+    let mut r = r0;
+    while r + CHAINS <= r1 {
+        let rows: [&[E]; CHAINS] = std::array::from_fn(|i| &a.row(r + i)[..x.len()]);
+        let out = &mut chunk[r - r0..r - r0 + CHAINS];
+        let mut acc: [E; CHAINS] = std::array::from_fn(|i| out[i]);
+        for (k, &xk) in x.iter().enumerate() {
+            for (s, row) in acc.iter_mut().zip(&rows) {
+                *s += term::<E, SKIP_ZEROS>(row[k], xk);
+            }
+        }
+        out.copy_from_slice(&acc);
+        r += CHAINS;
+    }
+    for (o, rr) in chunk[r - r0..].iter_mut().zip(r..r1) {
+        for (&v, &xk) in a.row(rr).iter().zip(x) {
+            *o += term::<E, SKIP_ZEROS>(v, xk);
         }
     }
 }
@@ -624,9 +706,22 @@ fn matmul_tb_block<E: Elem>(a: &MatrixT<E>, b: &MatrixT<E>, r0: usize, r1: usize
 /// streams all of `a`/`b` but scatter-adds only into its own column band,
 /// keeping the per-element accumulation order over `i` identical to
 /// [`crate::reference::matmul_ta`].
+///
+/// A single-column `b` makes every output row one element: each `i` then
+/// adds a contiguous run of `a`'s row times one scalar into the band,
+/// with the skip as a select ([`term`]) so the run vectorises.
 fn matmul_ta_block<E: Elem>(a: &MatrixT<E>, b: &MatrixT<E>, c0: usize, c1: usize, chunk: &mut [E]) {
     let k_dim = a.cols;
     let n = b.cols;
+    if n == 1 {
+        for (i, &bv) in b.data.iter().enumerate() {
+            let band = &a.data[i * k_dim + c0..i * k_dim + c1];
+            for (o, &v) in chunk.iter_mut().zip(band) {
+                *o += term::<E, true>(v, bv);
+            }
+        }
+        return;
+    }
     for i in 0..a.rows {
         let arow = &a.data[i * k_dim..(i + 1) * k_dim];
         let brow = &b.data[i * n..(i + 1) * n];

@@ -67,8 +67,8 @@ impl Tensor {
                     let a = parents[0].value_ref();
                     g.hadamard(&a)
                 };
-                parents[0].accum_grad(&da);
-                parents[1].accum_grad(&db);
+                parents[0].accum_grad_owned(da);
+                parents[1].accum_grad_owned(db);
             }),
         )
     }
@@ -109,36 +109,30 @@ impl Tensor {
             vec![self.clone(), bias.clone()],
             Box::new(|g, parents| {
                 parents[0].accum_grad(g);
-                parents[1].accum_grad(&g.sum_rows());
+                parents[1].accum_grad_owned(g.sum_rows());
             }),
         )
     }
 
     /// Dense matrix product `self @ other`.
+    ///
+    /// The backward computes an operand's adjoint only if that operand
+    /// carries a tape: the first layer's `dX` of a constant feature matrix
+    /// would be dropped by [`Tensor::accum_grad_owned`] anyway.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         let value = self.value_ref().matmul(&other.value_ref());
         Tensor::from_op(
             value,
             vec![self.clone(), other.clone()],
-            Box::new(|g, parents| {
-                let da = {
-                    let b = parents[1].value_ref();
-                    g.matmul_tb(&b)
-                };
-                let db = {
-                    let a = parents[0].value_ref();
-                    a.matmul_ta(g)
-                };
-                parents[0].accum_grad(&da);
-                parents[1].accum_grad(&db);
-            }),
+            Box::new(|g, parents| product_grads(g, &parents[0], &parents[1])),
         )
     }
 
     /// Fused affine map `self @ w + bias` (one kernel, no un-biased
     /// intermediate): the hot path of every `Linear`/`Mlp` forward.
     ///
-    /// `bias` is a `1×n` row broadcast over the output rows.
+    /// `bias` is a `1×n` row broadcast over the output rows. Skips the
+    /// adjoints of untaped operands like [`Tensor::matmul`].
     pub fn matmul_bias(&self, w: &Tensor, bias: &Tensor) -> Tensor {
         let value = self
             .value_ref()
@@ -147,22 +141,14 @@ impl Tensor {
             value,
             vec![self.clone(), w.clone(), bias.clone()],
             Box::new(|g, parents| {
-                let dx = {
-                    let w = parents[1].value_ref();
-                    g.matmul_tb(&w)
-                };
-                let dw = {
-                    let x = parents[0].value_ref();
-                    x.matmul_ta(g)
-                };
-                parents[0].accum_grad(&dx);
-                parents[1].accum_grad(&dw);
-                parents[2].accum_grad(&g.sum_rows());
+                product_grads(g, &parents[0], &parents[1]);
+                parents[2].accum_grad_owned(g.sum_rows());
             }),
         )
     }
 
-    /// `self @ other.T` (used for attention scores, Eq. 16).
+    /// `self @ other.T` (used for attention scores, Eq. 16). Skips the
+    /// adjoints of untaped operands like [`Tensor::matmul`].
     pub fn matmul_tb(&self, other: &Tensor) -> Tensor {
         let value = self.value_ref().matmul_tb(&other.value_ref());
         Tensor::from_op(
@@ -170,16 +156,13 @@ impl Tensor {
             vec![self.clone(), other.clone()],
             Box::new(|g, parents| {
                 // y = a bᵀ  ⇒  da = g b,  db = gᵀ a.
-                let da = {
-                    let b = parents[1].value_ref();
-                    g.matmul(&b)
-                };
-                let db = {
-                    let a = parents[0].value_ref();
-                    g.matmul_ta(&a)
-                };
-                parents[0].accum_grad(&da);
-                parents[1].accum_grad(&db);
+                let (a, b) = (&parents[0], &parents[1]);
+                if a.needs_grad() {
+                    a.accum_grad_owned(g.matmul(&b.value_ref()));
+                }
+                if b.needs_grad() {
+                    b.accum_grad_owned(g.matmul_ta(&a.value_ref()));
+                }
             }),
         )
     }
@@ -190,7 +173,7 @@ impl Tensor {
         Tensor::from_op(
             value,
             vec![self.clone()],
-            Box::new(|g, parents| parents[0].accum_grad(&g.transpose())),
+            Box::new(|g, parents| parents[0].accum_grad_owned(g.transpose())),
         )
     }
 
@@ -203,7 +186,7 @@ impl Tensor {
             value,
             vec![x.clone()],
             Box::new(move |g, parents| {
-                parents[0].accum_grad(&op_bw.transposed().spmm(g));
+                parents[0].accum_grad_owned(op_bw.transposed().spmm(g));
             }),
         )
     }
@@ -217,8 +200,8 @@ impl Tensor {
             value,
             vec![x.clone(), bias.clone()],
             Box::new(move |g, parents| {
-                parents[0].accum_grad(&op_bw.transposed().spmm(g));
-                parents[1].accum_grad(&g.sum_rows());
+                parents[0].accum_grad_owned(op_bw.transposed().spmm(g));
+                parents[1].accum_grad_owned(g.sum_rows());
             }),
         )
     }
@@ -234,7 +217,7 @@ impl Tensor {
                     let x = parents[0].value_ref();
                     g.zip_map(&x, |gv, xv| if xv > 0.0 { gv } else { 0.0 })
                 };
-                parents[0].accum_grad(&dx);
+                parents[0].accum_grad_owned(dx);
             }),
         )
     }
@@ -252,7 +235,7 @@ impl Tensor {
                     let x = parents[0].value_ref();
                     g.zip_map(&x, |gv, xv| if xv > 0.0 { gv } else { slope * gv })
                 };
-                parents[0].accum_grad(&dx);
+                parents[0].accum_grad_owned(dx);
             }),
         )
     }
@@ -269,19 +252,26 @@ impl Tensor {
             value,
             vec![self.clone()],
             Box::new(move |g, parents| {
-                let dx = {
+                // d/dx α(eˣ−1) = αeˣ = y + α. Both sides are computed and
+                // one selected, because the input's sign is a coin flip per
+                // element for a branch; bitwise `reference::elu_grad`.
+                let dx: Vec<f32> = {
                     let x = parents[0].value_ref();
-                    let mut d = g.clone();
-                    for i in 0..d.len() {
-                        let xv = x.as_slice()[i];
-                        if xv <= 0.0 {
-                            // d/dx α(eˣ−1) = αeˣ = y + α.
-                            d.as_mut_slice()[i] *= y.as_slice()[i] + alpha;
-                        }
-                    }
-                    d
+                    g.as_slice()
+                        .iter()
+                        .zip(x.as_slice())
+                        .zip(y.as_slice())
+                        .map(|((&gv, &xv), &yv)| {
+                            let neg = gv * (yv + alpha);
+                            if xv <= 0.0 {
+                                neg
+                            } else {
+                                gv
+                            }
+                        })
+                        .collect()
                 };
-                parents[0].accum_grad(&dx);
+                parents[0].accum_grad_owned(Matrix::from_vec(g.rows(), g.cols(), dx));
             }),
         )
     }
@@ -295,7 +285,7 @@ impl Tensor {
             vec![self.clone()],
             Box::new(move |g, parents| {
                 let dx = g.zip_map(&y, |gv, yv| gv * yv * (1.0 - yv));
-                parents[0].accum_grad(&dx);
+                parents[0].accum_grad_owned(dx);
             }),
         )
     }
@@ -309,7 +299,7 @@ impl Tensor {
             vec![self.clone()],
             Box::new(move |g, parents| {
                 let dx = g.zip_map(&y, |gv, yv| gv * (1.0 - yv * yv));
-                parents[0].accum_grad(&dx);
+                parents[0].accum_grad_owned(dx);
             }),
         )
     }
@@ -350,7 +340,7 @@ impl Tensor {
         Tensor::from_op(
             value,
             vec![self.clone()],
-            Box::new(move |g, parents| parents[0].accum_grad(&g.hadamard(&mask))),
+            Box::new(move |g, parents| parents[0].accum_grad_owned(g.hadamard(&mask))),
         )
     }
 
@@ -379,7 +369,7 @@ impl Tensor {
                         *d = yv * (gv - dot);
                     }
                 }
-                parents[0].accum_grad(&dx);
+                parents[0].accum_grad_owned(dx);
             }),
         )
     }
@@ -401,7 +391,7 @@ impl Tensor {
                         *d += gv;
                     }
                 }
-                parents[0].accum_grad(&dx);
+                parents[0].accum_grad_owned(dx);
             }),
         )
     }
@@ -419,10 +409,11 @@ impl Tensor {
             value,
             parts.to_vec(),
             Box::new(move |g, parents| {
+                let cols = g.cols();
                 let mut offset = 0;
                 for (p, &rows) in parents.iter().zip(&sizes) {
-                    let idx: Vec<usize> = (offset..offset + rows).collect();
-                    p.accum_grad(&g.select_rows(&idx));
+                    let part = &g.as_slice()[offset * cols..(offset + rows) * cols];
+                    p.accum_grad_owned(Matrix::from_vec(rows, cols, part.to_vec()));
                     offset += rows;
                 }
             }),
@@ -445,8 +436,7 @@ impl Tensor {
                         *d = gv * inv;
                     }
                 }
-                let _ = cols;
-                parents[0].accum_grad(&dx);
+                parents[0].accum_grad_owned(dx);
             }),
         )
     }
@@ -459,7 +449,7 @@ impl Tensor {
             vec![self.clone()],
             Box::new(|g, parents| {
                 let (rows, cols) = parents[0].shape();
-                parents[0].accum_grad(&Matrix::full(rows, cols, g.item()));
+                parents[0].accum_grad_owned(Matrix::full(rows, cols, g.item()));
             }),
         )
     }
@@ -484,7 +474,7 @@ impl Tensor {
                     let x = parents[0].value_ref();
                     x.scale(2.0 * g.item())
                 };
-                parents[0].accum_grad(&dx);
+                parents[0].accum_grad_owned(dx);
             }),
         )
     }
@@ -533,7 +523,7 @@ impl Tensor {
                 for (i, &s) in seg.iter().enumerate() {
                     dx.as_mut_slice()[i] = ys[i] * (gs[i] - dots[s]);
                 }
-                parents[0].accum_grad(&dx);
+                parents[0].accum_grad_owned(dx);
             }),
         )
     }
@@ -560,8 +550,8 @@ impl Tensor {
                     &parents[1].value_ref(),
                     &dst,
                 );
-                parents[0].accum_grad(&dalpha);
-                parents[1].accum_grad(&dfeats);
+                parents[0].accum_grad_owned(dalpha);
+                parents[1].accum_grad_owned(dfeats);
             }),
         )
     }
@@ -593,9 +583,9 @@ impl Tensor {
                     &parents[1].value_ref(),
                     &dst,
                 );
-                parents[0].accum_grad(&dalpha);
-                parents[1].accum_grad(&dfeats);
-                parents[2].accum_grad(&g.sum_rows());
+                parents[0].accum_grad_owned(dalpha);
+                parents[1].accum_grad_owned(dfeats);
+                parents[2].accum_grad_owned(g.sum_rows());
             }),
         )
     }
@@ -628,6 +618,7 @@ impl Tensor {
             parents,
             Box::new(|g, parents| {
                 let k = parents.len() - 1;
+                let w = parents[0].value_ref();
                 let mut dw = Matrix::zeros(1, k);
                 for q in 0..k {
                     let dot = {
@@ -639,10 +630,9 @@ impl Tensor {
                             .sum::<f32>()
                     };
                     dw.set(0, q, dot);
-                    let wq = parents[0].value_ref().get(0, q);
-                    parents[q + 1].accum_grad(&g.scale(wq));
+                    parents[q + 1].accum_grad_owned(g.scale(w.get(0, q)));
                 }
-                parents[0].accum_grad(&dw);
+                parents[0].accum_grad_owned(dw);
             }),
         )
     }
@@ -694,7 +684,7 @@ impl Tensor {
                     }
                     dz
                 };
-                parents[0].accum_grad(&dz);
+                parents[0].accum_grad_owned(dz);
             }),
         )
     }
@@ -708,7 +698,7 @@ impl Tensor {
         Tensor::from_op_shared(
             value,
             vec![self.clone()],
-            Box::new(move |g, parents| parents[0].accum_grad(&g.hadamard(&y))),
+            Box::new(move |g, parents| parents[0].accum_grad_owned(g.hadamard(&y))),
         )
     }
 
@@ -725,7 +715,7 @@ impl Tensor {
                     let x = parents[0].value_ref();
                     g.zip_map(&x, |gv, xv| gv / (xv + eps).max(f32::MIN_POSITIVE))
                 };
-                parents[0].accum_grad(&dx);
+                parents[0].accum_grad_owned(dx);
             }),
         )
     }
@@ -743,7 +733,7 @@ impl Tensor {
                     let x = parents[0].value_ref();
                     g.zip_map(&x, |gv, xv| gv * stable_sigmoid(xv))
                 };
-                parents[0].accum_grad(&dx);
+                parents[0].accum_grad_owned(dx);
             }),
         )
     }
@@ -759,7 +749,7 @@ impl Tensor {
                     let x = parents[0].value_ref();
                     g.zip_map(&x, |gv, xv| gv * xv.signum() * f32::from(xv != 0.0))
                 };
-                parents[0].accum_grad(&dx);
+                parents[0].accum_grad_owned(dx);
             }),
         )
     }
@@ -776,7 +766,7 @@ impl Tensor {
                     let x = parents[0].value_ref();
                     g.zip_map(&x, |gv, xv| if (lo..=hi).contains(&xv) { gv } else { 0.0 })
                 };
-                parents[0].accum_grad(&dx);
+                parents[0].accum_grad_owned(dx);
             }),
         )
     }
@@ -803,7 +793,7 @@ impl Tensor {
                         *d = gv;
                     }
                 }
-                parents[0].accum_grad(&dx);
+                parents[0].accum_grad_owned(dx);
             }),
         )
     }
@@ -828,7 +818,7 @@ impl Tensor {
                 for r in 0..rows {
                     dx.row_mut(r)[c0..c1].copy_from_slice(g.row(r));
                 }
-                parents[0].accum_grad(&dx);
+                parents[0].accum_grad_owned(dx);
             }),
         )
     }
@@ -876,22 +866,51 @@ fn weighted_scatter_value(
     out
 }
 
-/// `(dα, dfeats)` adjoints of the weighted scatter-add.
+/// Adjoints of `y = x @ w` into the operands that carry a tape:
+/// `dx = g·wᵀ`, `dw = xᵀ·g`.
+fn product_grads(g: &Matrix, x: &Tensor, w: &Tensor) {
+    if x.needs_grad() {
+        x.accum_grad_owned(g.matmul_tb(&w.value_ref()));
+    }
+    if w.needs_grad() {
+        w.accum_grad_owned(x.value_ref().matmul_ta(g));
+    }
+}
+
+/// Arcs whose `dα` dots [`weighted_scatter_grads`] runs at once: four
+/// independent chains instead of one waiting on each add.
+const ARC_CHAINS: usize = 4;
+
+/// `(dα, dfeats)` adjoints of the weighted scatter-add: per arc `e`,
+/// `dα[e] = ⟨g[dst[e]], feats[e]⟩` (from `+0`, in column order) and
+/// `dfeats[e] = α[e]·g[dst[e]]`. Bitwise
+/// [`crate::reference::weighted_scatter_grads`].
 fn weighted_scatter_grads(g: &Matrix, a: &Matrix, f: &Matrix, dst: &[usize]) -> (Matrix, Matrix) {
     let m = dst.len();
+    let d = f.cols();
     let mut dalpha = Matrix::zeros(m, 1);
-    let mut dfeats = Matrix::zeros(m, f.cols());
-    for (e, &d) in dst.iter().enumerate() {
-        let grow = g.row(d);
-        let frow = f.row(e);
-        let mut dot = 0.0;
-        for (&gv, &fv) in grow.iter().zip(frow) {
-            dot += gv * fv;
+    let mut dfeats = Matrix::zeros(m, d);
+    let dots = dalpha.as_mut_slice();
+    let mut e = 0;
+    while e + ARC_CHAINS <= m {
+        let grows: [&[f32]; ARC_CHAINS] = std::array::from_fn(|i| &g.row(dst[e + i])[..d]);
+        let frows: [&[f32]; ARC_CHAINS] = std::array::from_fn(|i| &f.row(e + i)[..d]);
+        let mut acc = [0.0f32; ARC_CHAINS];
+        for j in 0..d {
+            for ((s, grow), frow) in acc.iter_mut().zip(&grows).zip(&frows) {
+                *s += grow[j] * frow[j];
+            }
         }
-        dalpha.as_mut_slice()[e] = dot;
-        let av = a.as_slice()[e];
-        let drow = dfeats.row_mut(e);
-        for (o, &gv) in drow.iter_mut().zip(grow) {
+        dots[e..e + ARC_CHAINS].copy_from_slice(&acc);
+        e += ARC_CHAINS;
+    }
+    for (e, dot) in dots.iter_mut().enumerate().skip(e) {
+        for (&gv, &fv) in g.row(dst[e]).iter().zip(f.row(e)) {
+            *dot += gv * fv;
+        }
+    }
+    for ((e, &dd), &av) in dst.iter().enumerate().zip(a.as_slice()) {
+        for (o, &gv) in dfeats.row_mut(e).iter_mut().zip(g.row(dd)) {
             *o = av * gv;
         }
     }
@@ -1241,5 +1260,119 @@ mod tests {
             .grad()
             .unwrap()
             .approx_eq(&Matrix::from_vec(1, 2, vec![6.0, -8.0]), 1e-5));
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn constant(rows: usize, cols: usize, seed: u64) -> Tensor {
+        param(rows, cols, seed).detach()
+    }
+
+    /// A tensor consumed by two branches of one tape: the walk moves the
+    /// first contribution into its empty gradient slot and adds the
+    /// second. The bits must equal cloning one contribution and adding the
+    /// other, each computed on a tape of its own — for a leaf, for a leaf
+    /// under a `GradSink`, and for an interior node (a cut). Each branch's
+    /// output is weighted by random constants, so the contributions are
+    /// not small integers whose sums any order gets right.
+    fn assert_diamond_sums_contributions(x: Matrix, branch: impl Fn(&Tensor, usize) -> Tensor) {
+        let loss = |x: &Tensor, i: usize| {
+            let y = branch(x, i);
+            let (rows, cols) = y.shape();
+            y.mul(&constant(rows, cols, 1_000 + i as u64)).sum_all()
+        };
+        let alone = |i| {
+            let x = Tensor::parameter(x.clone());
+            loss(&x, i).backward();
+            x.grad().expect("every branch reaches x")
+        };
+        let mut want = alone(0);
+        want.add_assign(&alone(1));
+        let both = |x: &Tensor| loss(x, 0).add(&loss(x, 1));
+
+        let leaf = Tensor::parameter(x.clone());
+        both(&leaf).backward();
+        assert_eq!(bits(&leaf.grad().unwrap()), bits(&want), "leaf");
+
+        let leaf = Tensor::parameter(x.clone());
+        let ((), mut sink) = crate::GradSink::capture(|| both(&leaf).backward());
+        assert!(leaf.grad().is_none());
+        assert_eq!(bits(&sink.take(&leaf).unwrap()), bits(&want), "sink");
+
+        let cut = Tensor::parameter(x).cut();
+        both(&cut).backward();
+        assert_eq!(bits(&cut.grad().unwrap()), bits(&want), "interior");
+    }
+
+    #[test]
+    fn matmul_diamond_moves_then_adds() {
+        let (w0, w1, b) = (constant(3, 4, 81), constant(3, 4, 82), constant(1, 4, 83));
+        assert_diamond_sums_contributions(param(5, 3, 80).value(), |x, i| match i {
+            0 => x.matmul(&w0),
+            _ => x.matmul_bias(&w1, &b),
+        });
+        // The same tensor as the right operand.
+        let (l, k) = (constant(2, 5, 84), constant(2, 3, 85));
+        assert_diamond_sums_contributions(param(5, 3, 86).value(), |x, i| match i {
+            0 => l.matmul(x),
+            _ => k.matmul_tb(x),
+        });
+    }
+
+    #[test]
+    fn scatter_diamond_moves_then_adds() {
+        // Five arcs: one group of four `dα` chains plus a remainder.
+        let dst = [0usize, 2, 2, 1, 0];
+        let (a0, a1, bias) = (constant(5, 1, 91), constant(5, 1, 92), constant(1, 3, 93));
+        assert_diamond_sums_contributions(param(5, 3, 90).value(), |x, i| match i {
+            0 => Tensor::weighted_scatter_rows(&a0, x, &dst, 3),
+            _ => Tensor::weighted_scatter_rows_bias(&a1, x, &dst, 3, &bias),
+        });
+        // The same tensor as the arc weights.
+        let (f0, f1) = (constant(5, 3, 94), constant(5, 3, 95));
+        assert_diamond_sums_contributions(param(5, 1, 96).value(), |x, i| {
+            Tensor::weighted_scatter_rows(x, if i == 0 { &f0 } else { &f1 }, &dst, 3)
+        });
+    }
+
+    #[test]
+    fn gather_diamond_moves_then_adds() {
+        let k = constant(2, 3, 101);
+        assert_diamond_sums_contributions(param(4, 3, 100).value(), |x, i| match i {
+            0 => x.gather_rows(&[3, 0, 3]),
+            _ => Tensor::concat_rows(&[k.clone(), x.clone()]),
+        });
+    }
+
+    #[test]
+    fn elementwise_diamond_moves_then_adds() {
+        let c = constant(4, 3, 111);
+        assert_diamond_sums_contributions(param(4, 3, 110).value(), |x, i| match i {
+            0 => x.elu(1.0),
+            _ => x.mul(&c),
+        });
+    }
+
+    #[test]
+    fn constant_left_operand_leaves_dw_equal_to_the_reference_product() {
+        // Zeros in `x`, so `dW = xᵀ·g` takes its skip.
+        let mut xv = param(6, 5, 120).value();
+        for v in xv.as_mut_slice().iter_mut().step_by(4) {
+            *v = 0.0;
+        }
+        let x = Tensor::constant(xv.clone());
+        let g = param(6, 3, 121).value();
+        let (w, b) = (param(5, 3, 122), param(1, 3, 123));
+        let want = bits(&crate::reference::matmul_ta(&xv, &g));
+
+        x.matmul(&w).backward_with(&g);
+        assert_eq!(bits(&w.grad().unwrap()), want, "matmul");
+        w.zero_grad();
+        x.matmul_bias(&w, &b).backward_with(&g);
+        assert_eq!(bits(&w.grad().unwrap()), want, "matmul_bias");
+        assert_eq!(bits(&b.grad().unwrap()), bits(&g.sum_rows()));
+        assert!(x.grad().is_none());
     }
 }

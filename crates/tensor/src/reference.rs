@@ -117,6 +117,48 @@ pub fn spmm(s: &CsrMatrix, x: &Matrix) -> Matrix {
     out
 }
 
+/// Naive `(dα, dfeats)` adjoints of the weighted scatter-add
+/// `out[dst[e]] += α[e]·feats[e]`, one arc at a time — the loop
+/// `Tensor::weighted_scatter_rows`' backward runs four arcs abreast:
+/// `dα[e]` sums `g[dst[e], j]·feats[e, j]` from `+0` in column order,
+/// `dfeats[e] = α[e]·g[dst[e]]`.
+pub fn weighted_scatter_grads(
+    g: &Matrix,
+    alpha: &Matrix,
+    feats: &Matrix,
+    dst: &[usize],
+) -> (Matrix, Matrix) {
+    let m = dst.len();
+    let mut dalpha = Matrix::zeros(m, 1);
+    let mut dfeats = Matrix::zeros(m, feats.cols());
+    for (e, &d) in dst.iter().enumerate() {
+        let grow = g.row(d);
+        let mut dot = 0.0;
+        for (&gv, &fv) in grow.iter().zip(feats.row(e)) {
+            dot += gv * fv;
+        }
+        dalpha.as_mut_slice()[e] = dot;
+        let av = alpha.as_slice()[e];
+        for (o, &gv) in dfeats.row_mut(e).iter_mut().zip(grow) {
+            *o = av * gv;
+        }
+    }
+    (dalpha, dfeats)
+}
+
+/// Naive ELU adjoint, branching on the input's sign — the loop
+/// `Tensor::elu`'s backward replaced with a select: `g` where `x > 0`,
+/// `g·(y + α)` elsewhere, `y` being the forward output.
+pub fn elu_grad(g: &Matrix, x: &Matrix, y: &Matrix, alpha: f32) -> Matrix {
+    let mut d = g.clone();
+    for i in 0..d.len() {
+        if x.as_slice()[i] <= 0.0 {
+            d.as_mut_slice()[i] *= y.as_slice()[i] + alpha;
+        }
+    }
+    d
+}
+
 /// Multi-pass GAT attention over an arc list — the formulation
 /// [`SegmentAttention::forward`] fuses, kept as its oracle: the two
 /// `n×1` score products (the naive [`matmul`] loop), one pass for the

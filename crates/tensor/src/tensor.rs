@@ -390,16 +390,23 @@ impl Tensor {
 
     /// [`Tensor::accum_grad`] taking ownership: an empty gradient slot is
     /// filled by **moving** `delta` in (no copy), a non-empty one by
-    /// adding. This is what folds per-view [`crate::GradSink`]s into a
-    /// leaf: the first captured gradient becomes the accumulator, the
-    /// rest fold in. Routes through an installed sink like the borrowing
-    /// variant.
+    /// adding — the same bits as cloning into the slot. Every backward
+    /// closure hands over the adjoints it computed this way, and it is
+    /// what folds per-view [`crate::GradSink`]s into a leaf: the first
+    /// captured gradient becomes the accumulator, the rest fold in.
+    /// Routes through an installed sink like the borrowing variant, and
+    /// moves into an empty sink entry too.
     pub fn accum_grad_owned(&self, delta: Matrix) {
         let Some(tape) = &self.tape else { return };
         debug_assert_eq!(self.shape(), delta.shape(), "gradient shape mismatch");
-        if tape.requires_grad && crate::grad_sink::route_leaf_grad(self.id(), &delta, None) {
-            return;
-        }
+        let delta = if tape.requires_grad {
+            match crate::grad_sink::route_leaf_grad_owned(self.id(), delta) {
+                Some(delta) => delta,
+                None => return,
+            }
+        } else {
+            delta
+        };
         let mut grad = tape.grad.lock().expect("tensor grad lock poisoned");
         match &mut *grad {
             Some(g) => g.add_assign(&delta),

@@ -12,6 +12,7 @@
 
 use cgnp_tensor::{
     reference, CentroidScores, CsrMatrix, Elem, KernelCtx, Matrix, MatrixT, SegmentAttention,
+    Tensor,
 };
 use proptest::prelude::*;
 
@@ -30,6 +31,33 @@ fn arb_matrix(
             }
             Matrix::from_vec(r, c, data)
         })
+    })
+}
+
+/// [`arb_matrix`] plus the values only a skipped term can tell apart from
+/// an added one: `-0.0` (every 7th entry from the 4th) and one infinity
+/// of random sign at a random entry. Drawn for the operand the zero-skip
+/// never reads, an infinity meets an explicit zero of the other operand in
+/// some cases, where the reference skips a term (`0·∞` would be NaN) and a
+/// kernel must too.
+fn arb_matrix_specials(
+    rows: std::ops::Range<usize>,
+    cols: std::ops::Range<usize>,
+) -> impl Strategy<Value = Matrix> {
+    arb_matrix(rows, cols).prop_perturb(|mut m, mut rng| {
+        let data = m.as_mut_slice();
+        for v in data.iter_mut().skip(3).step_by(7) {
+            *v = -0.0;
+        }
+        if !data.is_empty() {
+            let at = (rng.next_u64() % data.len() as u64) as usize;
+            data[at] = if rng.next_u32() & 1 == 0 {
+                f32::INFINITY
+            } else {
+                f32::NEG_INFINITY
+            };
+        }
+        m
     })
 }
 
@@ -58,7 +86,7 @@ proptest! {
     #[test]
     fn matmul_matches_reference_bitwise(
         (a, b) in (0usize..12, 0usize..12, 0usize..12).prop_flat_map(|(m, k, n)| {
-            (arb_matrix(m..m + 1, k..k + 1), arb_matrix(k..k + 1, n..n + 1))
+            (arb_matrix(m..m + 1, k..k + 1), arb_matrix_specials(k..k + 1, n..n + 1))
         })
     ) {
         let expect = bits(&reference::matmul(&a, &b));
@@ -70,7 +98,7 @@ proptest! {
     #[test]
     fn matmul_tb_matches_reference_bitwise(
         (a, b) in (0usize..12, 0usize..12, 0usize..12).prop_flat_map(|(m, k, n)| {
-            (arb_matrix(m..m + 1, k..k + 1), arb_matrix(n..n + 1, k..k + 1))
+            (arb_matrix(m..m + 1, k..k + 1), arb_matrix_specials(n..n + 1, k..k + 1))
         })
     ) {
         let expect = bits(&reference::matmul_tb(&a, &b));
@@ -81,7 +109,7 @@ proptest! {
     #[test]
     fn matmul_ta_matches_reference_bitwise(
         (a, b) in (0usize..12, 0usize..12, 0usize..12).prop_flat_map(|(m, k, n)| {
-            (arb_matrix(m..m + 1, k..k + 1), arb_matrix(m..m + 1, n..n + 1))
+            (arb_matrix(m..m + 1, k..k + 1), arb_matrix_specials(m..m + 1, n..n + 1))
         })
     ) {
         let expect = bits(&reference::matmul_ta(&a, &b));
@@ -138,11 +166,11 @@ proptest! {
             (
                 (
                     arb_matrix(m..m + 1, k..k + 1),
-                    arb_matrix(k..k + 1, n..n + 1),
-                    arb_matrix(n..n + 1, k..k + 1),
+                    arb_matrix_specials(k..k + 1, n..n + 1),
+                    arb_matrix_specials(n..n + 1, k..k + 1),
                 ),
                 (
-                    arb_matrix(m..m + 1, n..n + 1),
+                    arb_matrix_specials(m..m + 1, n..n + 1),
                     arb_matrix(1..2, n..n + 1),
                     arb_csr(m, k),
                 ),
@@ -178,6 +206,196 @@ proptest! {
             for ((name, got), want) in got.iter().zip(&expect) {
                 prop_assert!(bits(got) == bits(want), "{name} threads={threads:?}");
             }
+        }
+    }
+}
+
+/// The worker counts the narrow-shape tests hold a kernel to: the serial
+/// path and a forced split.
+const NARROW_CTXS: [KernelCtx; 2] = [KernelCtx::threads(1), KernelCtx::threads(4)];
+
+/// The reference `matmul` loop started from a bias row instead of `+0`:
+/// the oracle for a fused bias whatever its sign of zero (`[1 | a] @
+/// [bias; b]` turns a `-0.0` bias into `+0`).
+fn reference_matmul_seeded(a: &Matrix, b: &Matrix, bias: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        let orow = out.row_mut(i);
+        orow.copy_from_slice(bias.row(0));
+        for (k, &aik) in a.row(i).iter().enumerate() {
+            if aik == 0.0 {
+                continue;
+            }
+            for (o, &bv) in orow.iter_mut().zip(b.row(k)) {
+                *o += aik * bv;
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Single-column products: `matmul` against an `n = 1` right operand
+    /// (GAT's `z·a`), alone and seeded with a `-0.0` or drawn bias, and
+    /// `matmul_ta` into an `n = 1` output (its adjoint `zᵀ·g`). Row
+    /// counts reach past several 8-row chain groups and their remainders.
+    #[test]
+    fn single_column_products_match_reference_bitwise(
+        (a, x, g, (drawn, negative_zero)) in (0usize..40, 0usize..70).prop_flat_map(|(m, k)| (
+            arb_matrix(m..m + 1, k..k + 1),
+            arb_matrix_specials(k..k + 1, 1..2),
+            arb_matrix_specials(m..m + 1, 1..2),
+            (-4.0f32..4.0, proptest::bool::ANY),
+        ))
+    ) {
+        let bias = Matrix::scalar(if negative_zero { -0.0 } else { drawn });
+        let want = [
+            reference::matmul(&a, &x),
+            reference_matmul_seeded(&a, &x, &bias),
+            reference::matmul_ta(&a, &g),
+        ];
+        for ctx in NARROW_CTXS {
+            let got = [
+                ("matmul", a.matmul_in(&x, None, ctx)),
+                ("matmul + bias", a.matmul_in(&x, Some(&bias), ctx)),
+                ("matmul_ta", a.matmul_ta_in(&g, ctx)),
+            ];
+            for ((name, got), want) in got.iter().zip(&want) {
+                prop_assert!(bits(got) == bits(want), "{name} {ctx:?}");
+            }
+        }
+    }
+
+    /// Single-term products (`k = 1`): outer products for `matmul` and for
+    /// `matmul_tb` (the adjoint `g·aᵀ` of `z·a`), one input row for
+    /// `matmul_ta`.
+    #[test]
+    fn single_term_products_match_reference_bitwise(
+        (a, b, b_t, a_t) in (0usize..40, 0usize..40).prop_flat_map(|(m, n)| (
+            arb_matrix(m..m + 1, 1..2),
+            arb_matrix_specials(1..2, n..n + 1),
+            arb_matrix_specials(n..n + 1, 1..2),
+            arb_matrix(1..2, m..m + 1),
+        ))
+    ) {
+        let want = [
+            reference::matmul(&a, &b),
+            reference::matmul_tb(&a, &b_t),
+            reference::matmul_ta(&a_t, &b),
+        ];
+        for ctx in NARROW_CTXS {
+            let got = [
+                ("matmul", a.matmul_in(&b, None, ctx)),
+                ("matmul_tb", a.matmul_tb_in(&b_t, ctx)),
+                ("matmul_ta", a_t.matmul_ta_in(&b, ctx)),
+            ];
+            for ((name, got), want) in got.iter().zip(&want) {
+                prop_assert!(bits(got) == bits(want), "{name} {ctx:?}");
+            }
+        }
+    }
+
+    /// `matmul_tb` on both sides of its form switch: 1..=16 right-operand
+    /// rows, dot products below 16 and multiply-adds over the transpose
+    /// at 16. Neither form skips a zero, so an infinity against a zero is
+    /// NaN in the reference and must be in both.
+    #[test]
+    fn matmul_tb_matches_reference_on_both_forms(
+        (a, b) in (0usize..40, 0usize..70, 1usize..=16).prop_flat_map(|(m, k, n)| {
+            (arb_matrix(m..m + 1, k..k + 1), arb_matrix_specials(n..n + 1, k..k + 1))
+        })
+    ) {
+        let want = bits(&reference::matmul_tb(&a, &b));
+        for ctx in NARROW_CTXS {
+            prop_assert!(bits(&a.matmul_tb_in(&b, ctx)) == want, "{} rows {ctx:?}", b.rows());
+        }
+    }
+
+    /// `Tensor::weighted_scatter_rows`' backward — four arcs' `dα` dots at
+    /// a time — against the one-arc loop it replaced, over arc counts on
+    /// both sides of a four-arc group and widths up to 69.
+    #[test]
+    fn weighted_scatter_grads_match_reference_bitwise(
+        (g, alpha, feats, dst) in (1usize..12, 0usize..19, 0usize..70).prop_flat_map(|(n, m, d)| (
+            arb_matrix_specials(n..n + 1, d..d + 1),
+            arb_matrix(m..m + 1, 1..2),
+            arb_matrix(m..m + 1, d..d + 1),
+            proptest::collection::vec(0..n, m),
+        ))
+    ) {
+        let (alpha_t, feats_t) = (Tensor::parameter(alpha.clone()), Tensor::parameter(feats.clone()));
+        Tensor::weighted_scatter_rows(&alpha_t, &feats_t, &dst, g.rows()).backward_with(&g);
+        let (want_alpha, want_feats) = reference::weighted_scatter_grads(&g, &alpha, &feats, &dst);
+        prop_assert!(bits(&alpha_t.grad().unwrap()) == bits(&want_alpha), "dα");
+        prop_assert!(bits(&feats_t.grad().unwrap()) == bits(&want_feats), "dfeats");
+    }
+
+    /// ELU's backward, a select, against the branching loop it replaced:
+    /// inputs of both signs, exact `±0` (the boundary the branch tests)
+    /// and infinities, gradients with `-0.0` and infinities.
+    #[test]
+    fn elu_grad_matches_reference_bitwise(
+        (x, g) in (0usize..20, 0usize..20).prop_flat_map(|(r, c)| {
+            (arb_matrix_specials(r..r + 1, c..c + 1), arb_matrix_specials(r..r + 1, c..c + 1))
+        })
+    ) {
+        for alpha in [1.0f32, 0.3] {
+            let x_t = Tensor::parameter(x.clone());
+            let y = x_t.elu(alpha);
+            y.backward_with(&g);
+            let want = reference::elu_grad(&g, &x, &y.value(), alpha);
+            prop_assert!(bits(&x_t.grad().unwrap()) == bits(&want), "alpha={alpha}");
+        }
+    }
+}
+
+#[test]
+fn single_column_skips_stay_skipped_against_infinities() {
+    // 19 rows: two 8-row chain groups and a remainder of 3. Column 2 of
+    // `a` is zero on the even rows and row 4 is zero throughout; `x[2]` is
+    // +∞, so only a skipped term keeps an even row finite.
+    let (m, k) = (19, 5);
+    let mut a = Matrix::from_vec(
+        m,
+        k,
+        (0..m * k).map(|i| ((i % 13) as f32) * 0.25 - 1.4).collect(),
+    );
+    for r in (0..m).step_by(2) {
+        a.set(r, 2, 0.0);
+    }
+    for c in 0..k {
+        a.set(4, c, 0.0);
+    }
+    let x = Matrix::from_vec(k, 1, vec![0.5, -1.25, f32::INFINITY, 2.0, -0.0]);
+    let bias = Matrix::scalar(-0.0);
+    // `aᵀ·g` meets ±∞ on rows 4 and 6: row 4 is all zeros, and row 6
+    // only in column 2, so only output 2 stays finite.
+    let mut g = Matrix::from_vec(m, 1, (0..m).map(|i| i as f32 * 0.5 - 3.0).collect());
+    g.set(4, 0, f32::INFINITY);
+    g.set(6, 0, f32::NEG_INFINITY);
+
+    for ctx in NARROW_CTXS {
+        let plain = a.matmul_in(&x, None, ctx);
+        let seeded = a.matmul_in(&x, Some(&bias), ctx);
+        assert_eq!(bits(&plain), bits(&reference::matmul(&a, &x)), "{ctx:?}");
+        assert_eq!(
+            bits(&seeded),
+            bits(&reference_matmul_seeded(&a, &x, &bias)),
+            "{ctx:?}"
+        );
+        for r in 0..m {
+            assert_eq!(plain.get(r, 0).is_finite(), r % 2 == 0, "row {r} {ctx:?}");
+        }
+        // The all-zero row is its seed: `+0` alone, `-0.0` under the bias.
+        assert_eq!(plain.get(4, 0).to_bits(), 0.0f32.to_bits());
+        assert_eq!(seeded.get(4, 0).to_bits(), (-0.0f32).to_bits());
+
+        let ta = a.matmul_ta_in(&g, ctx);
+        assert_eq!(bits(&ta), bits(&reference::matmul_ta(&a, &g)), "{ctx:?}");
+        for c in 0..k {
+            assert_eq!(ta.get(c, 0).is_finite(), c == 2, "column {c} {ctx:?}");
         }
     }
 }
