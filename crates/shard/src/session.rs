@@ -10,6 +10,12 @@
 //! contexts, whatever the dtype or kernel tier), the owned-row merge,
 //! and shard epochs.
 //!
+//! A shard's halo exists only to make its owned rows exact, so scoring
+//! reads owned rows alone: each shard keeps the local ids of the nodes
+//! it owns (`owned_local`, position for position with the coordinator's
+//! owned list) and scores only those. The shards together then score
+//! each node once, however much of the graph their halos cover.
+//!
 //! ## Why the merge is bitwise-deterministic
 //!
 //! Each shard serves the subgraph induced by its partition plus a
@@ -25,10 +31,12 @@
 //! core-number features (normalised by the *global* degeneracy, so the
 //! coordinator injects the globally computed column into every shard)
 //! and the query centroid (gathered from owning shards and broadcast,
-//! so every shard scores against identical bits). Merging then writes
-//! each shard's owned rows into the global probability vector in fixed
-//! shard order — no node is owned twice, so the merge is a permutation,
-//! not a reduction.
+//! so every shard scores against identical bits). `CentroidScores`
+//! computes each row's chain on its own, so the owned rows a shard
+//! scores hold exactly the full pass's entries. Merging then writes each
+//! shard's scores to the global ids of its owned list in fixed shard
+//! order — no node is owned twice, so the merge is a permutation, not a
+//! reduction.
 //!
 //! ## Epochs
 //!
@@ -67,8 +75,10 @@ pub struct ShardedConfig {
     pub replicas: usize,
     /// Per-session tuning; `seed` also seeds the partitioner. The
     /// coordinator owns the LRU (`cache`) and the scoring fan-out
-    /// (`threads` becomes shard-parallelism), so per-shard sessions run
-    /// with their own prediction cache off and single-threaded scoring.
+    /// (`threads` becomes shard-parallelism: at most that many shards
+    /// score at once, and at 1 they score one after another on the
+    /// calling thread), so per-shard sessions run with their own
+    /// prediction cache off and single-threaded scoring.
     pub serve: ServeConfig,
 }
 
@@ -145,6 +155,9 @@ struct Shard {
     local: Vec<usize>,
     /// Inverse of `local`: global id → local id.
     local_of: HashMap<usize, usize>,
+    /// Local ids of this shard's owned nodes, position for position with
+    /// `Global::owned` — the only rows scoring reads.
+    owned_local: Vec<usize>,
     /// The session over the induced subgraph.
     session: ServeSession,
     /// Bumped once per live update routed to this shard.
@@ -228,12 +241,14 @@ impl ShardedSession {
         let shards = parts
             .local
             .iter()
-            .map(|local| {
+            .zip(&parts.owned)
+            .map(|(local, owned)| {
                 build_shard(
                     &model,
                     &task.graph,
                     &task.support,
                     local,
+                    owned,
                     &cfg.serve,
                     &core_col,
                 )
@@ -304,6 +319,33 @@ impl ShardedSession {
         self.read_global().shards.len()
     }
 
+    /// Checks the row bookkeeping scoring relies on: for every shard `s`,
+    /// its owned local ids name, position for position, the nodes the
+    /// coordinator assigns to it (`local[owned_local[i]] == owned[s][i]`).
+    /// A stale list would score the wrong rows yet pass any comparison
+    /// whose queries never rank the affected nodes, so the test suites
+    /// call this after every path that builds or grows a shard.
+    pub fn check_owned_rows(&self) -> Result<(), String> {
+        let global = self.read_global();
+        for (s, (shard, owned)) in global.shards.iter().zip(&global.owned).enumerate() {
+            if shard.owned_local.len() != owned.len() {
+                return Err(format!(
+                    "shard {s}: {} owned local ids for {} owned nodes",
+                    shard.owned_local.len(),
+                    owned.len()
+                ));
+            }
+            for (i, (&li, &gv)) in shard.owned_local.iter().zip(owned).enumerate() {
+                if shard.local.get(li) != Some(&gv) {
+                    return Err(format!(
+                        "shard {s}: owned position {i} is local id {li}, which is not node {gv}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Answers one request (a micro-batch of one).
     pub fn answer(&self, req: &QueryRequest) -> QueryResponse {
         self.answer_batch(std::slice::from_ref(req))
@@ -316,8 +358,8 @@ impl ShardedSession {
     /// a shot group: each shard contributes one decoded context
     /// (cached across ticks inside its session);
     /// per query set, the centroid is gathered from the owning shards'
-    /// exact rows, broadcast, scored against every shard's context in
-    /// parallel, and the owned rows are merged in fixed shard order.
+    /// exact rows, broadcast, scored against every shard's owned rows in
+    /// parallel, and the scores are merged in fixed shard order.
     pub fn answer_batch(&self, reqs: &[QueryRequest]) -> Vec<QueryResponse> {
         let t0 = Instant::now();
         let global = self.read_global();
@@ -332,9 +374,10 @@ impl ShardedSession {
                 .iter()
                 .map(|sh| sh.session.context_for_shots(shots))
                 .collect();
+            let threads = self.cfg.serve.threads;
             match self.cfg.serve.precision {
-                Dtype::F32 => scatter_gather::<f32>(&ctxs, &global, batch),
-                Dtype::F64 => scatter_gather::<f64>(&ctxs, &global, batch),
+                Dtype::F32 => scatter_gather::<f32>(&ctxs, &global, batch, threads),
+                Dtype::F64 => scatter_gather::<f64>(&ctxs, &global, batch, threads),
             }
         })
     }
@@ -400,9 +443,9 @@ impl ShardedSession {
                 .iter()
                 .map(|o| halo_ball(graph.graph(), o, self.halo))
                 .collect();
-            for (shard, new_local) in shards.iter_mut().zip(new_locals) {
+            for ((shard, new_local), owned) in shards.iter_mut().zip(new_locals).zip(owned.iter()) {
                 self.reconcile_shard(
-                    graph, support, core_col, shard, new_local, &new_col, applied, old_n,
+                    graph, support, core_col, shard, new_local, owned, &new_col, applied, old_n,
                 );
             }
             *core_col = new_col;
@@ -440,7 +483,8 @@ impl ShardedSession {
     /// burst's own new nodes, rebuilds the shard otherwise (adding
     /// edges only shrinks distances, so halos only grow — a pre-existing
     /// node entering the halo is the one case incremental forwarding
-    /// cannot express).
+    /// cannot express). `owned` is the shard's owned list after the
+    /// burst: the old one plus any newborns assigned to it.
     #[allow(clippy::too_many_arguments)]
     fn reconcile_shard(
         &self,
@@ -449,6 +493,7 @@ impl ShardedSession {
         old_core_col: &[f32],
         shard: &mut Shard,
         new_local: Vec<usize>,
+        owned: &[usize],
         new_col: &[f32],
         applied: &[Applied],
         old_n: usize,
@@ -461,6 +506,10 @@ impl ShardedSession {
                 shard.local_of.insert(gv, li);
             }
             shard.local = new_local;
+            let newborns = &owned[shard.owned_local.len()..];
+            shard
+                .owned_local
+                .extend(newborns.iter().map(|w| shard.local_of[w]));
             let frames = translate_frames(applied, graph, &shard.local_of);
             let topo_forwarded = frames
                 .iter()
@@ -487,6 +536,7 @@ impl ShardedSession {
                 graph,
                 support,
                 &new_local,
+                owned,
                 &self.cfg.serve,
                 new_col,
             )
@@ -566,15 +616,20 @@ fn translate_frames(
 /// Scatter/gather scoring of one shot group. Per query set: gather the
 /// exact (owned) query rows from the shards owning them, build the
 /// centroid centrally — the same kernel, same bits as the unsharded
-/// `select_rows(queries).mean_rows()` — broadcast it, score every
-/// shard's local rows against it in parallel on the pool, then merge.
-/// Rows are gathered and the centroid broadcast as raw `E` bits, which is
-/// why every shard serves the coordinator's dtype (each shard's config
-/// is the coordinator's [`ServeConfig`]).
+/// `select_rows(queries).mean_rows()` — broadcast it, score each shard's
+/// owned rows (`owned_local`; halo rows are never read) against it, then
+/// merge. At most `threads` shards score at once, each a run of adjacent
+/// shards on one pool job; at one thread every shard scores on the
+/// calling thread, in shard order. Every row is its own chain, so
+/// neither the row subset nor the schedule moves a bit. Rows are
+/// gathered and the centroid broadcast as raw `E` bits, which is why
+/// every shard serves the coordinator's dtype (each shard's config is
+/// the coordinator's [`ServeConfig`]).
 fn scatter_gather<E: Elem>(
     ctxs: &[Arc<Block>],
     global: &Global,
     batch: &[Vec<usize>],
+    threads: usize,
 ) -> Vec<Vec<f32>> {
     let mats: Vec<&MatrixT<E>> = ctxs
         .iter()
@@ -584,6 +639,7 @@ fn scatter_gather<E: Elem>(
         })
         .collect();
     let d = mats[0].cols();
+    let per_job = mats.len().div_ceil(threads.max(1));
     batch
         .iter()
         .map(|nodes| {
@@ -594,34 +650,43 @@ fn scatter_gather<E: Elem>(
                     mats[s].row(global.shards[s].local_of[&q])
                 })
                 .collect();
-            let centroid = MatrixT::from_vec(1, d, infer::centroid_of_rows(&rows));
-            let mut per_shard: Vec<Vec<f32>> = vec![Vec::new(); mats.len()];
-            rayon::scope(|scope| {
-                let centroids = &centroid;
-                for (slot, &context) in per_shard.iter_mut().zip(&mats) {
-                    scope.spawn(move |_| {
-                        *slot = CentroidScores { context, centroids }
-                            .forward(None, Some(1))
-                            .pop()
-                            .expect("one centroid, one vector");
-                    });
+            let centroids = &MatrixT::from_vec(1, d, infer::centroid_of_rows(&rows));
+            let score = |slots: &mut [Vec<f32>], contexts: &[&MatrixT<E>], shards: &[Shard]| {
+                for ((slot, &context), shard) in slots.iter_mut().zip(contexts).zip(shards) {
+                    *slot = CentroidScores { context, centroids }
+                        .forward(Some(&shard.owned_local), Some(1))
+                        .pop()
+                        .expect("one centroid, one vector");
                 }
-            });
+            };
+            let mut per_shard: Vec<Vec<f32>> = vec![Vec::new(); mats.len()];
+            if per_job == mats.len() {
+                score(&mut per_shard, &mats, &global.shards);
+            } else {
+                rayon::scope(|scope| {
+                    let jobs = per_shard
+                        .chunks_mut(per_job)
+                        .zip(mats.chunks(per_job))
+                        .zip(global.shards.chunks(per_job));
+                    for ((slots, contexts), shards) in jobs {
+                        scope.spawn(move |_| score(slots, contexts, shards));
+                    }
+                });
+            }
             merge_owned(global, &per_shard)
         })
         .collect()
 }
 
-/// Gather: owned rows only, in fixed shard order. Each node is owned
+/// Gather: shard `s`'s scores belong, position for position, to
+/// `Global::owned[s]`; written in fixed shard order. Each node is owned
 /// exactly once, so this is a permutation of shard outputs, not a
 /// floating-point reduction.
 fn merge_owned(global: &Global, per_shard: &[Vec<f32>]) -> Vec<f32> {
     let mut probs = vec![0.0f32; global.graph.n()];
-    for (s, sh) in global.shards.iter().enumerate() {
-        for (li, &gv) in sh.local.iter().enumerate() {
-            if global.owner[gv] == s {
-                probs[gv] = per_shard[s][li];
-            }
+    for (owned, scores) in global.owned.iter().zip(per_shard) {
+        for (&gv, &p) in owned.iter().zip(scores) {
+            probs[gv] = p;
         }
     }
     probs
@@ -638,15 +703,17 @@ fn forward(session: &ServeSession, frames: &[UpdateRequest]) {
     }
 }
 
-/// Builds one shard: induced subgraph on `local`, translated support,
-/// one session (own prediction cache off — the coordinator holds the
-/// LRU; single-threaded scoring — parallelism fans across shards),
-/// global core column injected.
+/// Builds one shard: induced subgraph on `local`, the local ids of
+/// `owned` (which `local` contains), translated support, one session
+/// (own prediction cache off — the coordinator holds the LRU;
+/// single-threaded scoring — parallelism fans across shards), global
+/// core column injected.
 fn build_shard(
     model: &Arc<Cgnp>,
     graph: &AttributedGraph,
     support: &[QueryExample],
     local: &[usize],
+    owned: &[usize],
     serve: &ServeConfig,
     core_col: &[f32],
 ) -> Result<Shard, String> {
@@ -670,6 +737,7 @@ fn build_shard(
     session.override_core_column(&col)?;
     Ok(Shard {
         local: local.to_vec(),
+        owned_local: owned.iter().map(|v| local_of[v]).collect(),
         local_of,
         session,
         epoch: 0,
@@ -719,5 +787,103 @@ impl QueryEngine for ShardedSession {
             graph: global.graph.clone(),
             support: global.support.clone(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const N: usize = 160;
+
+    /// A ring with a chord every 9 nodes: its diameter dwarfs the halo,
+    /// so every shard holds only part of the graph.
+    fn ring_task() -> Task {
+        let mut edges: Vec<(usize, usize)> = (0..N).map(|v| (v, (v + 1) % N)).collect();
+        edges.extend((0..N).step_by(9).map(|v| (v, (v + 2) % N)));
+        let attrs = (0..N).map(|v| vec![(v % 3) as u32]).collect();
+        let communities = (0..8)
+            .map(|c| (c * 20..(c + 1) * 20).map(|v| v as u32).collect())
+            .collect();
+        let support = (0..4)
+            .map(|c| QueryExample {
+                query: c * 20 + 3,
+                pos: vec![c * 20 + 4, c * 20 + 7],
+                neg: Vec::new(),
+                truth: Vec::new(),
+            })
+            .collect();
+        Task {
+            graph: AttributedGraph::new(Graph::from_edges(N, &edges), 3, attrs, communities),
+            support,
+            targets: Vec::new(),
+        }
+    }
+
+    fn locals(session: &ShardedSession) -> Vec<Vec<usize>> {
+        let global = session.read_global();
+        global.shards.iter().map(|s| s.local.clone()).collect()
+    }
+
+    fn apply(session: &ShardedSession, ops: Vec<UpdateOp>) {
+        let reqs: Vec<UpdateRequest> = ops
+            .into_iter()
+            .map(|op| UpdateRequest { id: 0, op })
+            .collect();
+        for ack in session.apply_updates(&reqs) {
+            assert!(ack.ok, "update refused: {:?}", ack.error);
+        }
+    }
+
+    #[test]
+    fn owned_rows_follow_ownership_through_a_birth_and_a_rebuild() {
+        let task = ring_task();
+        let mut config = CgnpConfig::paper_default(model_input_dim(&task.graph), 8);
+        config.commutative = CommutativeOp::Mean;
+        let cfg = ShardedConfig {
+            shards: 3,
+            replicas: 1,
+            serve: ServeConfig {
+                cache: 0,
+                seed: 9,
+                ..ServeConfig::default()
+            },
+        };
+        let session = ShardedSession::new(Cgnp::new(config, 7), task, cfg).unwrap();
+        session.check_owned_rows().unwrap();
+
+        // A birth joined to a node the least-loaded shard owns: that shard
+        // takes the newborn, and no shard's halo gains an older node, so
+        // every shard takes the grown-only path.
+        let (least_loaded, anchor) = {
+            let global = session.read_global();
+            let s = (0..3).min_by_key(|&s| (global.owned[s].len(), s)).unwrap();
+            (s, global.owned[s][0])
+        };
+        let before = locals(&session);
+        apply(
+            &session,
+            vec![
+                UpdateOp::AddNode { attrs: vec![1] },
+                UpdateOp::AddEdge { u: N, v: anchor },
+            ],
+        );
+        for (old, new) in before.iter().zip(locals(&session)) {
+            assert_eq!(new[..old.len()], old[..], "birth rebuilt a shard");
+            assert!(new[old.len()..].iter().all(|&v| v == N));
+        }
+        assert_eq!(session.read_global().owned[least_loaded].last(), Some(&N));
+        session.check_owned_rows().unwrap();
+
+        // A chord across the ring pulls older nodes into some halo, which
+        // only a rebuild can express.
+        let before = locals(&session);
+        apply(&session, vec![UpdateOp::AddEdge { u: 20, v: 120 }]);
+        let rebuilt = before
+            .iter()
+            .zip(locals(&session))
+            .any(|(old, new)| new.iter().any(|&v| v < N && old.binary_search(&v).is_err()));
+        assert!(rebuilt, "the chord should force a shard rebuild");
+        session.check_owned_rows().unwrap();
     }
 }

@@ -78,13 +78,17 @@ fn model() -> Cgnp {
     )
 }
 
-fn sharded_on(task: Task, refresh: RefreshStrategy) -> Arc<dyn QueryEngine> {
+fn sharded_session(task: Task, refresh: RefreshStrategy) -> Arc<ShardedSession> {
     let cfg = ShardedConfig {
         shards: 4,
         replicas: 1,
         serve: serve_cfg(refresh),
     };
     Arc::new(ShardedSession::new(model(), task, cfg).expect("sharded session"))
+}
+
+fn sharded_on(task: Task, refresh: RefreshStrategy) -> Arc<dyn QueryEngine> {
+    sharded_session(task, refresh)
 }
 
 fn unsharded_on(task: Task, refresh: RefreshStrategy) -> Arc<dyn QueryEngine> {
@@ -202,7 +206,9 @@ fn recovery_is_bitwise_under(refresh: RefreshStrategy) {
 
     // Recovery: rebuild the *sharded* engine from the recovered global
     // snapshot — the coordinator re-partitions it — then replay the WAL
-    // tail through the scatter path and finish the stream.
+    // tail through the scatter path and finish the stream. The shards'
+    // owned-row lists must match the coordinator's ownership both after
+    // the replay and after the rest of the stream.
     let state = scan(&dir).expect("recovery scan");
     let task = state
         .snapshot
@@ -210,13 +216,19 @@ fn recovery_is_bitwise_under(refresh: RefreshStrategy) {
         .expect("snapshot")
         .restore_task()
         .expect("restore");
-    let life2 = Arc::new(
-        DurableEngine::attach(sharded_on(task, refresh), &dir, 3, state).expect("recover"),
-    );
+    let recovered = sharded_session(task, refresh);
+    let life2 =
+        Arc::new(DurableEngine::attach(recovered.clone(), &dir, 3, state).expect("recover"));
+    recovered
+        .check_owned_rows()
+        .expect("owned rows after recovery");
     for req in &stream[split..] {
         let ack = life2.apply_update(req);
         assert!(ack.ok, "post-recovery ack {}: {:?}", req.id, ack.error);
     }
+    recovered
+        .check_owned_rows()
+        .expect("owned rows after the post-recovery stream");
 
     let life2: Arc<dyn QueryEngine> = life2;
     assert_same(

@@ -221,6 +221,9 @@ fn check_equivalence_under(config: CgnpConfig, shards: usize, refresh: RefreshSt
     )
     .expect("sharded session");
     assert_eq!(sharded.n_shards(), shards);
+    sharded
+        .check_owned_rows()
+        .expect("owned rows after construction");
 
     for (b, batch) in query_batches().iter().enumerate() {
         assert_same(
@@ -237,6 +240,9 @@ fn check_equivalence_under(config: CgnpConfig, shards: usize, refresh: RefreshSt
         &sharded.apply_updates(&burst),
         "mixed-burst acks",
     );
+    sharded
+        .check_owned_rows()
+        .expect("owned rows after the mixed burst");
     for (b, batch) in query_batches().iter().enumerate() {
         assert_same(
             &oracle.answer_batch(batch),
@@ -261,6 +267,9 @@ fn check_equivalence_under(config: CgnpConfig, shards: usize, refresh: RefreshSt
         norm(&sharded.apply_update(&single)),
         "single-frame ack"
     );
+    sharded
+        .check_owned_rows()
+        .expect("owned rows after the single frame");
     for (b, batch) in query_batches().iter().enumerate() {
         assert_same(
             &oracle.answer_batch(batch),
@@ -327,6 +336,47 @@ fn gat_mean_mlp_decoder_two_shards() {
         model_config(GnnKind::Gat, CommutativeOp::Mean, DecoderKind::Mlp),
         2,
     );
+}
+
+#[test]
+fn shard_fan_out_width_moves_no_bit() {
+    // `threads` is how many shards score at once: at 1 they score one
+    // after another on the calling thread, at 2 of 3 shards one pool job
+    // takes two of them, at 3 each has its own. Every width must give the
+    // same responses, byte for byte, before and after a burst.
+    let model = Arc::new(Cgnp::new(
+        model_config(GnnKind::Gat, CommutativeOp::Mean, DecoderKind::InnerProduct),
+        7,
+    ));
+    let run = |threads: usize| -> Vec<String> {
+        let sharded = ShardedSession::with_shared_model(
+            Arc::clone(&model),
+            serving_task(),
+            ShardedConfig {
+                shards: 3,
+                replicas: 1,
+                serve: ServeConfig {
+                    threads,
+                    ..serve_cfg()
+                },
+            },
+        )
+        .expect("sharded session");
+        let mut out: Vec<String> = Vec::new();
+        for batch in query_batches() {
+            out.extend(sharded.answer_batch(&batch).iter().map(norm));
+        }
+        let burst = mixed_burst(N, &support_pool());
+        out.extend(sharded.apply_updates(&burst).iter().map(norm));
+        for batch in query_batches() {
+            out.extend(sharded.answer_batch(&batch).iter().map(norm));
+        }
+        out
+    };
+    let serial = run(1);
+    for threads in [2, 3] {
+        assert_eq!(run(threads), serial, "threads = {threads}");
+    }
 }
 
 #[test]
