@@ -7,8 +7,9 @@
 //! global graph; what lives here is only what sharding adds —
 //! partitioning, halo reconciliation, the scatter/gather that scores a
 //! shot group (one `scatter_gather<E>` over the forward-only executor's
-//! contexts, whatever the dtype or kernel tier), the owned-row merge,
-//! and shard epochs.
+//! contexts, whatever the dtype or kernel tier: every query set's
+//! centroid gathered first, then one fan-out in which each shard scores
+//! the whole group in one pass), the owned-row merge, and shard epochs.
 //!
 //! A shard's halo exists only to make its owned rows exact, so scoring
 //! reads owned rows alone: each shard keeps the local ids of the nodes
@@ -30,13 +31,13 @@
 //! not merely close ones. Two global quantities are handled centrally:
 //! core-number features (normalised by the *global* degeneracy, so the
 //! coordinator injects the globally computed column into every shard)
-//! and the query centroid (gathered from owning shards and broadcast,
+//! and the query centroids (gathered from owning shards and broadcast,
 //! so every shard scores against identical bits). `CentroidScores`
-//! computes each row's chain on its own, so the owned rows a shard
-//! scores hold exactly the full pass's entries. Merging then writes each
-//! shard's scores to the global ids of its owned list in fixed shard
-//! order — no node is owned twice, so the merge is a permutation, not a
-//! reduction.
+//! computes each (row, query) chain on its own, so the owned rows a
+//! shard scores hold exactly the full pass's entries, whichever other
+//! queries share the group. Merging then writes each shard's scores to
+//! the global ids of its owned list in fixed shard order — no node is
+//! owned twice, so the merge is a permutation, not a reduction.
 //!
 //! ## Epochs
 //!
@@ -356,10 +357,12 @@ impl ShardedSession {
     /// Answers a micro-batch by scatter/gather — the same
     /// [`query_tick`] a single session runs, with its own way of scoring
     /// a shot group: each shard contributes one decoded context
-    /// (cached across ticks inside its session);
-    /// per query set, the centroid is gathered from the owning shards'
-    /// exact rows, broadcast, scored against every shard's owned rows in
-    /// parallel, and the scores are merged in fixed shard order.
+    /// (cached across ticks inside its session); every query set's
+    /// centroid is gathered from the owning shards' exact rows, the
+    /// group's centroids are broadcast together, each shard scores its
+    /// owned rows against all of them in one pass (shards in parallel:
+    /// one fan-out per group), and each query's scores are merged in
+    /// fixed shard order.
     pub fn answer_batch(&self, reqs: &[QueryRequest]) -> Vec<QueryResponse> {
         let t0 = Instant::now();
         let global = self.read_global();
@@ -613,18 +616,22 @@ fn translate_frames(
     frames
 }
 
-/// Scatter/gather scoring of one shot group. Per query set: gather the
-/// exact (owned) query rows from the shards owning them, build the
-/// centroid centrally — the same kernel, same bits as the unsharded
-/// `select_rows(queries).mean_rows()` — broadcast it, score each shard's
-/// owned rows (`owned_local`; halo rows are never read) against it, then
-/// merge. At most `threads` shards score at once, each a run of adjacent
+/// Scatter/gather scoring of one shot group in one fan-out. First, for
+/// every query set, gather the exact (owned) query rows from the shards
+/// owning them and build the centroid centrally — the same kernel, same
+/// bits as the unsharded `select_rows(queries).mean_rows()` — stacking
+/// the group's `B` centroids into one `B × d` matrix. Then broadcast it:
+/// each shard scores its owned rows (`owned_local`; halo rows are never
+/// read) against all `B` centroids in one [`CentroidScores`] pass, which
+/// reads those rows once for the whole group. Last, merge each query's
+/// vector. At most `threads` shards score at once, each a run of adjacent
 /// shards on one pool job; at one thread every shard scores on the
-/// calling thread, in shard order. Every row is its own chain, so
-/// neither the row subset nor the schedule moves a bit. Rows are
-/// gathered and the centroid broadcast as raw `E` bits, which is why
-/// every shard serves the coordinator's dtype (each shard's config is
-/// the coordinator's [`ServeConfig`]).
+/// calling thread, in shard order. Every (row, query) logit is its own
+/// chain, so neither the row subset, a query's place in the group, nor
+/// the schedule moves a bit. Rows are gathered and the centroids
+/// broadcast as raw `E` bits, which is why every shard serves the
+/// coordinator's dtype (each shard's config is the coordinator's
+/// [`ServeConfig`]).
 fn scatter_gather<E: Elem>(
     ctxs: &[Arc<Block>],
     global: &Global,
@@ -639,50 +646,49 @@ fn scatter_gather<E: Elem>(
         })
         .collect();
     let d = mats[0].cols();
+    let mut centroids = Vec::with_capacity(batch.len() * d);
+    for nodes in batch {
+        let rows: Vec<&[E]> = nodes
+            .iter()
+            .map(|&q| {
+                let s = global.owner[q];
+                mats[s].row(global.shards[s].local_of[&q])
+            })
+            .collect();
+        centroids.extend(infer::centroid_of_rows(&rows));
+    }
+    let centroids = &MatrixT::from_vec(batch.len(), d, centroids);
+    let score = |slots: &mut [Vec<Vec<f32>>], contexts: &[&MatrixT<E>], shards: &[Shard]| {
+        for ((slot, &context), shard) in slots.iter_mut().zip(contexts).zip(shards) {
+            *slot =
+                CentroidScores { context, centroids }.forward(Some(&shard.owned_local), Some(1));
+        }
+    };
     let per_job = mats.len().div_ceil(threads.max(1));
-    batch
-        .iter()
-        .map(|nodes| {
-            let rows: Vec<&[E]> = nodes
-                .iter()
-                .map(|&q| {
-                    let s = global.owner[q];
-                    mats[s].row(global.shards[s].local_of[&q])
-                })
-                .collect();
-            let centroids = &MatrixT::from_vec(1, d, infer::centroid_of_rows(&rows));
-            let score = |slots: &mut [Vec<f32>], contexts: &[&MatrixT<E>], shards: &[Shard]| {
-                for ((slot, &context), shard) in slots.iter_mut().zip(contexts).zip(shards) {
-                    *slot = CentroidScores { context, centroids }
-                        .forward(Some(&shard.owned_local), Some(1))
-                        .pop()
-                        .expect("one centroid, one vector");
-                }
-            };
-            let mut per_shard: Vec<Vec<f32>> = vec![Vec::new(); mats.len()];
-            if per_job == mats.len() {
-                score(&mut per_shard, &mats, &global.shards);
-            } else {
-                rayon::scope(|scope| {
-                    let jobs = per_shard
-                        .chunks_mut(per_job)
-                        .zip(mats.chunks(per_job))
-                        .zip(global.shards.chunks(per_job));
-                    for ((slots, contexts), shards) in jobs {
-                        scope.spawn(move |_| score(slots, contexts, shards));
-                    }
-                });
+    let mut per_shard: Vec<Vec<Vec<f32>>> = vec![Vec::new(); mats.len()];
+    if per_job == mats.len() {
+        score(&mut per_shard, &mats, &global.shards);
+    } else {
+        rayon::scope(|scope| {
+            let jobs = per_shard
+                .chunks_mut(per_job)
+                .zip(mats.chunks(per_job))
+                .zip(global.shards.chunks(per_job));
+            for ((slots, contexts), shards) in jobs {
+                scope.spawn(move |_| score(slots, contexts, shards));
             }
-            merge_owned(global, &per_shard)
-        })
+        });
+    }
+    (0..batch.len())
+        .map(|q| merge_owned(global, per_shard.iter().map(|scores| scores[q].as_slice())))
         .collect()
 }
 
-/// Gather: shard `s`'s scores belong, position for position, to
-/// `Global::owned[s]`; written in fixed shard order. Each node is owned
-/// exactly once, so this is a permutation of shard outputs, not a
-/// floating-point reduction.
-fn merge_owned(global: &Global, per_shard: &[Vec<f32>]) -> Vec<f32> {
+/// Gather for one query: shard `s`'s vector belongs, position for
+/// position, to `Global::owned[s]`; written in fixed shard order. Each
+/// node is owned exactly once, so this is a permutation of shard outputs,
+/// not a floating-point reduction.
+fn merge_owned<'a>(global: &Global, per_shard: impl Iterator<Item = &'a [f32]>) -> Vec<f32> {
     let mut probs = vec![0.0f32; global.graph.n()];
     for (owned, scores) in global.owned.iter().zip(per_shard) {
         for (&gv, &p) in owned.iter().zip(scores) {

@@ -294,7 +294,7 @@ fn check_equivalence_under(config: CgnpConfig, shards: usize, refresh: RefreshSt
 }
 
 #[test]
-fn gat_mean_ip_two_shards_two_replicas() {
+fn replicas_other_than_one_are_refused() {
     // A shard is one session; the field survives only for callers that
     // spell the struct out, and any value but 1 is an error that says so.
     let config = model_config(GnnKind::Gat, CommutativeOp::Mean, DecoderKind::InnerProduct);
@@ -376,6 +376,93 @@ fn shard_fan_out_width_moves_no_bit() {
     let serial = run(1);
     for threads in [2, 3] {
         assert_eq!(run(threads), serial, "threads = {threads}");
+    }
+}
+
+#[test]
+fn a_shot_group_wider_than_one_centroid_panel() {
+    // Each shard scores a whole shot group in one `CentroidScores` pass,
+    // which packs the group's centroids into panels of 8, 4, 2 and 1: 15
+    // unique query sets at one shot count fill every panel width. Single
+    // nodes, pairs half a ring apart and triples a quarter apart (their
+    // rows come from several shards), two repeated keys and one node out
+    // of range, at every shard-fan-out width, before and after a burst.
+    let model = Arc::new(Cgnp::new(
+        model_config(GnnKind::Gat, CommutativeOp::Mean, DecoderKind::InnerProduct),
+        7,
+    ));
+    let wide_tick = |id0: u64, first: Vec<usize>| -> Vec<QueryRequest> {
+        let mut reqs: Vec<QueryRequest> = (0..15usize)
+            .map(|i| {
+                let v = i * 10 + 1;
+                let nodes = match i % 3 {
+                    0 => vec![v],
+                    1 => vec![v, (v + N / 2) % N],
+                    _ => vec![v, (v + N / 4) % N, (v + 3 * N / 4) % N],
+                };
+                QueryRequest::new(id0 + i as u64, nodes).with_top_k(4 + i)
+            })
+            .collect();
+        reqs[0].nodes = first;
+        let (pair, triple) = (reqs[1].nodes.clone(), reqs[5].nodes.clone());
+        reqs.push(QueryRequest::new(id0 + 15, pair).with_top_k(2)); // key of id0 + 1
+        reqs.push(QueryRequest::new(id0 + 16, vec![3, 9999]).with_top_k(5)); // out of range
+        reqs.push(QueryRequest::new(id0 + 17, triple)); // key of id0 + 5, threshold mode
+        reqs
+    };
+    for shards in [2, 3] {
+        for threads in [1, 2, 3] {
+            let serve = ServeConfig {
+                batch: 16,
+                threads,
+                ..serve_cfg()
+            };
+            let sharded_with = |serve: ServeConfig| {
+                ShardedSession::with_shared_model(
+                    Arc::clone(&model),
+                    serving_task(),
+                    ShardedConfig {
+                        shards,
+                        replicas: 1,
+                        serve,
+                    },
+                )
+                .expect("sharded session")
+            };
+            let oracle = ServeSession::with_shared_model(Arc::clone(&model), serving_task(), serve)
+                .expect("oracle session");
+            let sharded = sharded_with(serve);
+            // No prediction cache: every query it answers is scored alone.
+            let alone = sharded_with(ServeConfig { cache: 0, ..serve });
+            let when = |phase: &str| format!("{phase}, {shards} shards, {threads} threads");
+            let check = |tick: &[QueryRequest], phase: &str| {
+                let wide = sharded.answer_batch(tick);
+                assert_same(&oracle.answer_batch(tick), &wide, &when(phase));
+                for (req, response) in tick.iter().zip(&wide) {
+                    assert_eq!(
+                        norm(&alone.answer(req)),
+                        norm(response),
+                        "{}: id {} alone",
+                        when(phase),
+                        req.id
+                    );
+                }
+            };
+
+            check(&wide_tick(0, vec![1]), "wide tick before the burst");
+            let burst = mixed_burst(N, &support_pool());
+            let acks = oracle.apply_updates(&burst);
+            assert_same(&acks, &sharded.apply_updates(&burst), &when("burst acks"));
+            assert_same(
+                &acks,
+                &alone.apply_updates(&burst),
+                &when("burst acks alone"),
+            );
+            sharded
+                .check_owned_rows()
+                .expect("owned rows after the mixed burst");
+            check(&wide_tick(100, vec![N, 1]), "wide tick after the burst");
+        }
     }
 }
 
