@@ -796,8 +796,7 @@ mod tests {
                 scratch.gctx.mean_adj().forward(),
                 "{strategy:?}: mean operator diverged"
             );
-            assert_eq!(p.gctx.arcs().0, scratch.gctx.arcs().0);
-            assert_eq!(p.gctx.arcs().1, scratch.gctx.arcs().1);
+            assert_eq!(p.gctx.arcs(), scratch.gctx.arcs());
         }
     }
 

@@ -229,15 +229,6 @@ impl AttributedGraph {
         &self.node_comms[v]
     }
 
-    /// Boolean membership mask of community `cid`.
-    pub fn community_mask(&self, cid: usize) -> Vec<bool> {
-        let mut mask = vec![false; self.n()];
-        for &v in &self.communities[cid] {
-            mask[v as usize] = true;
-        }
-        mask
-    }
-
     /// The ground-truth community of a query node `q`: the union of all
     /// communities containing `q` (the paper's `C_q(G)`), as a mask
     /// excluding nothing. Empty mask if `q` is unlabelled.

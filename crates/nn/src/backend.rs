@@ -15,18 +15,17 @@
 //!
 //! Each op runs the same kernel with the same accumulation order on both,
 //! so at `f32` on the exact tier the two agree bit for bit, one op at a
-//! time (`tests::op_pairs_agree`). One op differs in shape only: GAT
-//! attention is the unfused taped chain (`gather_rows` / `leaky_relu` /
-//! `segment_softmax` / `weighted_scatter_rows_bias`) on the tape and one
-//! [`SegmentAttention`] pass on plain matrices — the same arithmetic in the
-//! same arc order. Dropout masks are drawn only on the tape (the
-//! `draw_masks` of [`crate::GnnEncoder`] and [`crate::Mlp`]); a plain pass
-//! is an eval pass and is handed none.
+//! time (`tests::op_pairs_agree`). GAT attention is one
+//! [`SegmentAttention`] pass on both: [`Tensor::segment_attention`] on the
+//! tape, which keeps the pass's per-arc weights for its adjoint, and the
+//! pass itself on plain matrices. Dropout masks are drawn only on the tape
+//! (the `draw_masks` of [`crate::GnnEncoder`] and [`crate::Mlp`]); a plain
+//! pass is an eval pass and is handed none.
 
 use std::sync::Arc;
 
 use cgnp_tensor::{
-    stable_softmax, CsrMatrixT, Elem, KernelCtx, Matrix, MatrixT, SegmentAttention, Tensor,
+    stable_softmax, ArcCsr, CsrMatrixT, Elem, KernelCtx, Matrix, MatrixT, SegmentAttention, Tensor,
 };
 
 use crate::gat::GatLayer;
@@ -96,19 +95,6 @@ pub(crate) fn between_layers<B: Backend>(
     }
 }
 
-impl GraphContext {
-    /// GAT attention coefficients per arc, softmax-normalised over the
-    /// arcs sharing a destination: the first half of the taped
-    /// [`Backend::attend`].
-    pub(crate) fn attention(&self, z: &Tensor, gat: &GatLayer) -> Tensor {
-        let (src, dst) = self.arcs();
-        let s_src = z.matmul(&gat.a_src).gather_rows(src);
-        let e = s_src.add(&z.matmul(&gat.a_dst).gather_rows(dst));
-        e.leaky_relu(gat.negative_slope)
-            .segment_softmax(dst, self.n())
-    }
-}
-
 impl Backend for GraphContext {
     type Value = Tensor;
     type Elem = f32;
@@ -144,9 +130,14 @@ impl Backend for GraphContext {
     }
 
     fn attend(&self, z: &Tensor, gat: &GatLayer) -> Tensor {
-        let (src, dst) = self.arcs();
-        let alpha = self.attention(z, gat);
-        Tensor::weighted_scatter_rows_bias(&alpha, &z.gather_rows(src), dst, self.n(), &gat.bias)
+        Tensor::segment_attention(
+            z,
+            &gat.a_src,
+            &gat.a_dst,
+            &gat.bias,
+            gat.negative_slope,
+            self.arcs(),
+        )
     }
 
     fn mean_rows(&self, x: &Tensor) -> Tensor {
@@ -174,44 +165,26 @@ impl Backend for GraphContext {
     }
 }
 
-/// A [`GraphContext`]'s operators cast to `E`, with its arc list indexed
-/// as a CSR over destinations: the graph the [`Plain`] backend reads.
+/// A [`GraphContext`]'s operators cast to `E`, and its arc index shared:
+/// the graph the [`Plain`] backend reads.
 pub struct PlainGraph<E: Elem> {
     gcn_adj: CsrMatrixT<E>,
     mean_adj: CsrMatrixT<E>,
-    /// Arc sources grouped by destination: `dst_ptr[v]..dst_ptr[v + 1]`
-    /// are the arcs ending at `v` (see [`GraphContext::arcs`]).
-    arc_src: Vec<usize>,
-    dst_ptr: Vec<usize>,
+    arcs: Arc<ArcCsr>,
 }
 
 impl<E: Elem> PlainGraph<E> {
     pub fn new(gctx: &GraphContext) -> Self {
-        let (src, dst) = gctx.arcs();
-        let n = gctx.n();
-        let mut dst_ptr = vec![0; n + 1];
-        for (i, &d) in dst.iter().enumerate() {
-            assert!(
-                d < n && (i == 0 || dst[i - 1] <= d),
-                "arc {i} ends at node {d}: arcs must be grouped by ascending \
-                 destination, the order Graph::directed_arcs emits"
-            );
-            dst_ptr[d + 1] += 1;
-        }
-        for v in 0..n {
-            dst_ptr[v + 1] += dst_ptr[v];
-        }
         Self {
             gcn_adj: gctx.gcn_adj().forward().cast(),
             mean_adj: gctx.mean_adj().forward().cast(),
-            arc_src: src.to_vec(),
-            dst_ptr,
+            arcs: Arc::clone(gctx.arcs()),
         }
     }
 
     /// Sources of the arcs ending at `v`: its neighbours and itself.
     pub fn arc_sources(&self, v: usize) -> &[usize] {
-        &self.arc_src[self.dst_ptr[v]..self.dst_ptr[v + 1]]
+        self.arcs.sources(v)
     }
 }
 
@@ -231,8 +204,7 @@ impl<'g, E: Elem> Plain<'g, E> {
         'g: 'a,
     {
         SegmentAttention {
-            dst_ptr: &self.graph.dst_ptr,
-            src: &self.graph.arc_src,
+            arcs: &self.graph.arcs,
             a_src: gat.a_src.as_slice(),
             a_dst: gat.a_dst.as_slice(),
             bias: gat.bias.as_slice(),

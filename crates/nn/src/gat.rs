@@ -75,7 +75,7 @@ mod tests {
     use crate::GraphContext;
     use cgnp_graph::Graph;
     use cgnp_tensor::gradcheck::check_gradients;
-    use cgnp_tensor::Matrix;
+    use cgnp_tensor::{Matrix, SegmentAttention};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -98,18 +98,32 @@ mod tests {
     fn attention_normalised_per_destination() {
         let (gctx, x) = toy();
         let layer = GatLayer::new(3, 4, &mut StdRng::seed_from_u64(2));
-        let z = layer.project(&gctx, &x);
-        let alpha = gctx.attention(&z, &layer).value();
-        let (_, dst) = gctx.arcs();
-        let mut sums = vec![0.0f32; gctx.n()];
-        for (i, &d) in dst.iter().enumerate() {
-            let a = alpha.get(i, 0);
-            assert!((0.0..=1.0 + 1e-6).contains(&a));
-            sums[d] += a;
+        let z = layer.project(&gctx, &x).value();
+        let [a_src, a_dst, bias] = [&layer.a_src, &layer.a_dst, &layer.bias].map(Tensor::value);
+        let (_, kept) = SegmentAttention {
+            arcs: gctx.arcs(),
+            a_src: a_src.as_slice(),
+            a_dst: a_dst.as_slice(),
+            bias: bias.as_slice(),
+            slope: layer.negative_slope,
         }
-        for (v, s) in sums.iter().enumerate() {
+        .forward_keep(&z, None);
+        let dst_ptr = &gctx.arcs().dst_ptr;
+        for v in 0..gctx.n() {
+            let alpha = &kept.alpha[dst_ptr[v]..dst_ptr[v + 1]];
+            assert!(alpha.iter().all(|a| (0.0..=1.0 + 1e-6).contains(a)));
+            let s: f32 = alpha.iter().sum();
             assert!((s - 1.0).abs() < 1e-5, "node {v} attention sums to {s}");
         }
+    }
+
+    #[test]
+    fn taped_layer_records_one_attention_node() {
+        // The four leaves, the projection, and attention as one node.
+        let (gctx, x) = toy();
+        let layer = GatLayer::new(3, 4, &mut StdRng::seed_from_u64(2));
+        let params = layer.params().len();
+        assert_eq!(layer.forward(&gctx, &x).tape_len(), params + 2);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use cgnp_graph::Graph;
-use cgnp_tensor::{CsrMatrix, SparseOperator};
+use cgnp_tensor::{ArcCsr, CsrMatrix, SparseOperator};
 
 /// Message-passing operators derived from one graph.
 #[derive(Clone)]
@@ -17,10 +17,8 @@ pub struct GraphContext {
     gcn_adj: Arc<SparseOperator>,
     /// Row-normalised mean aggregator `D^{-1} A` (zero rows for isolates).
     mean_adj: Arc<SparseOperator>,
-    /// Arc sources including self-loops (GAT edge index).
-    arc_src: Arc<Vec<usize>>,
-    /// Arc destinations including self-loops, aligned with `arc_src`.
-    arc_dst: Arc<Vec<usize>>,
+    /// The GAT arc index, self-loops included (see [`Self::arcs`]).
+    arcs: Arc<ArcCsr>,
 }
 
 impl GraphContext {
@@ -30,13 +28,11 @@ impl GraphContext {
 
     /// Build from scratch, tagging both operators with `epoch`.
     pub fn at_epoch(g: &Graph, epoch: u64) -> Self {
-        let (src, dst) = g.directed_arcs(true);
         Self {
             n: g.n(),
             gcn_adj: Arc::new(SparseOperator::at_epoch(gcn_normalised(g), epoch)),
             mean_adj: Arc::new(SparseOperator::at_epoch(mean_aggregator(g), epoch)),
-            arc_src: Arc::new(src),
-            arc_dst: Arc::new(dst),
+            arcs: Arc::new(arc_csr(g)),
         }
     }
 
@@ -81,13 +77,11 @@ impl GraphContext {
             .mean_adj
             .forward()
             .with_updated_rows(n, n, &mean_updates);
-        let (src, dst) = g.directed_arcs(true);
         Self {
             n,
             gcn_adj: Arc::new(SparseOperator::at_epoch(gcn, epoch)),
             mean_adj: Arc::new(SparseOperator::at_epoch(mean, epoch)),
-            arc_src: Arc::new(src),
-            arc_dst: Arc::new(dst),
+            arcs: Arc::new(arc_csr(g)),
         }
     }
 
@@ -106,19 +100,27 @@ impl GraphContext {
         &self.mean_adj
     }
 
-    /// `(src, dst)` arcs with self-loops, for attention layers.
+    /// The arcs with self-loops that attention layers read, as a CSR
+    /// over destinations — shared, not copied, by the taped attention op
+    /// and by [`crate::PlainGraph`].
     ///
     /// The order is [`Graph::directed_arcs`]`(true)`'s and is part of the
     /// contract: arcs are grouped by ascending destination — for each `v`
     /// in `0..n`, one arc from every neighbour in `neighbors(v)` order,
-    /// then the self-loop `v → v` — so the list is a CSR over
-    /// destinations, which [`crate::PlainGraph`] indexes it as; and `u → v`
-    /// is listed exactly when `v → u` is. [`Self::refreshed`] rebuilds
-    /// the list, so it holds after every mutation batch.
+    /// then the self-loop `v → v` — and `u → v` is listed exactly when
+    /// `v → u` is. [`Self::refreshed`] rebuilds the index, so it holds
+    /// after every mutation batch.
     #[inline]
-    pub fn arcs(&self) -> (&[usize], &[usize]) {
-        (&self.arc_src, &self.arc_dst)
+    pub fn arcs(&self) -> &Arc<ArcCsr> {
+        &self.arcs
     }
+}
+
+/// The arc index of [`GraphContext::arcs`]; [`ArcCsr::grouped`] asserts
+/// the grouping [`Graph::directed_arcs`] emits.
+fn arc_csr(g: &Graph) -> ArcCsr {
+    let (src, dst) = g.directed_arcs(true);
+    ArcCsr::grouped(g.n(), src, &dst)
 }
 
 /// `D̃^{-1/2} (A + I) D̃^{-1/2}` where `D̃` counts the self-loop.
@@ -215,26 +217,30 @@ mod tests {
     fn arcs_include_self_loops() {
         let g = triangle_with_isolate();
         let ctx = GraphContext::new(&g);
-        let (src, dst) = ctx.arcs();
-        assert_eq!(src.len(), 2 * g.m() + g.n());
+        assert_eq!(ctx.arcs().src.len(), 2 * g.m() + g.n());
         // Every node has at least its self-loop arc.
         for v in 0..g.n() {
-            assert!(src.iter().zip(dst.iter()).any(|(&s, &d)| s == v && d == v));
+            assert!(ctx.arcs().sources(v).contains(&v));
         }
     }
 
     /// The documented arc order: per destination `0..n`, its neighbours
     /// in adjacency order, then its self-loop; closed under reversal.
     fn assert_arc_order(ctx: &GraphContext, g: &Graph) {
-        let (src, dst) = ctx.arcs();
         let mut expect = Vec::new();
         for v in 0..g.n() {
             expect.extend(g.neighbors(v).iter().map(|&u| (u as usize, v)));
             expect.push((v, v));
         }
-        let arcs: Vec<(usize, usize)> = src.iter().copied().zip(dst.iter().copied()).collect();
+        let index = ctx.arcs();
+        assert_eq!(index.n(), g.n());
+        let arcs: Vec<(usize, usize)> = index
+            .src
+            .iter()
+            .copied()
+            .zip(index.destinations())
+            .collect();
         assert_eq!(arcs, expect);
-        assert!(dst.windows(2).all(|w| w[0] <= w[1]), "dst-major");
         let set: std::collections::HashSet<_> = arcs.iter().copied().collect();
         assert!(
             arcs.iter().all(|&(u, v)| set.contains(&(v, u))),
@@ -260,8 +266,7 @@ mod tests {
         let lone = g.add_node();
         ctx = ctx.refreshed(&g, &[lone], 3);
         assert_arc_order(&ctx, &g);
-        let (src, dst) = ctx.arcs();
-        assert_eq!((src.last(), dst.last()), (Some(&lone), Some(&lone)));
+        assert_eq!(ctx.arcs().sources(lone), &[lone]);
         assert_arc_order(&GraphContext::at_epoch(&g, 3), &g);
     }
 
@@ -294,7 +299,6 @@ mod tests {
         assert_eq!(patched.gcn_adj().forward(), fresh.gcn_adj().forward());
         assert_eq!(patched.gcn_adj().transposed(), fresh.gcn_adj().transposed());
         assert_eq!(patched.mean_adj().forward(), fresh.mean_adj().forward());
-        assert_eq!(patched.arcs().0, fresh.arcs().0);
-        assert_eq!(patched.arcs().1, fresh.arcs().1);
+        assert_eq!(patched.arcs(), fresh.arcs());
     }
 }

@@ -62,15 +62,6 @@ impl Block {
         }
     }
 
-    /// Wraps an already-typed matrix.
-    pub fn from_typed<E: Elem>(m: MatrixT<E>) -> Self {
-        // The cast is a no-op for the variant matching `E::DTYPE`.
-        match E::DTYPE {
-            Dtype::F32 => Block::F32(m.cast()),
-            Dtype::F64 => Block::F64(m.cast()),
-        }
-    }
-
     /// The runtime element type tag.
     pub fn dtype(&self) -> Dtype {
         match self {

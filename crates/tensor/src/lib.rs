@@ -4,9 +4,9 @@
 //! `f32` matrix type, a CSR sparse-operator type, and a reverse-mode
 //! automatic-differentiation engine with exactly the operator set the
 //! paper's models require (dense/sparse products, point-wise
-//! non-linearities, row/segment softmax, gather/scatter message-passing
-//! kernels, masked BCE-with-logits), plus SGD/Adam optimisers and seeded
-//! initialisers.
+//! non-linearities, the row softmax, row gathers, fused GAT attention over
+//! an arc index, masked BCE-with-logits), plus SGD/Adam optimisers and
+//! seeded initialisers.
 //!
 //! The paper trains its models with PyTorch + PyTorch Geometric; this crate
 //! replaces that stack (see the README, *Paper experiments*, for the
@@ -48,7 +48,7 @@ pub mod scores;
 pub mod sparse;
 pub mod tensor;
 
-pub use attention::SegmentAttention;
+pub use attention::{ArcCsr, SegmentAttention};
 pub use block::{Block, SparseBlock};
 pub use elem::{Dtype, Elem};
 pub use grad_sink::GradSink;

@@ -3,10 +3,10 @@
 //! Every op computes its forward value eagerly and registers a backward
 //! closure with the hand-derived adjoint. The op set is exactly what the
 //! paper's models need: dense/sparse matrix products, point-wise
-//! non-linearities, row/segment softmaxes (GAT attention, Eq. 16), gather /
-//! scatter kernels for per-edge message passing, the commutative-operation
+//! non-linearities, the row softmax, row gathers, the commutative-operation
 //! aggregators of CGNP (Eq. 14–16), and the masked BCE-with-logits loss of
-//! Eq. (3)/(19).
+//! Eq. (3)/(19). GAT attention is one op of its own
+//! (`Tensor::segment_attention`, in the `attention` module).
 
 use rand::Rng;
 use std::sync::Arc;
@@ -81,11 +81,6 @@ impl Tensor {
             vec![self.clone()],
             Box::new(move |g, parents| parents[0].accum_grad_scaled(g, c)),
         )
-    }
-
-    /// Negation.
-    pub fn neg(&self) -> Tensor {
-        self.scale(-1.0)
     }
 
     /// Adds a `1×c` bias row to every row of an `n×c` tensor.
@@ -167,16 +162,6 @@ impl Tensor {
         )
     }
 
-    /// Transposed copy.
-    pub fn transpose(&self) -> Tensor {
-        let value = self.value_ref().transpose();
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(|g, parents| parents[0].accum_grad_owned(g.transpose())),
-        )
-    }
-
     /// Sparse × dense product with a fixed (non-trainable) operator: the GNN
     /// message-passing kernel `S @ x`.
     pub fn spmm(op: &Arc<SparseOperator>, x: &Tensor) -> Tensor {
@@ -216,24 +201,6 @@ impl Tensor {
                 let dx = {
                     let x = parents[0].value_ref();
                     g.zip_map(&x, |gv, xv| if xv > 0.0 { gv } else { 0.0 })
-                };
-                parents[0].accum_grad_owned(dx);
-            }),
-        )
-    }
-
-    /// Leaky ReLU with the given negative slope (GAT uses 0.2).
-    pub fn leaky_relu(&self, slope: f32) -> Tensor {
-        let value = self
-            .value_ref()
-            .map(|x| if x > 0.0 { x } else { slope * x });
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(move |g, parents| {
-                let dx = {
-                    let x = parents[0].value_ref();
-                    g.zip_map(&x, |gv, xv| if xv > 0.0 { gv } else { slope * gv })
                 };
                 parents[0].accum_grad_owned(dx);
             }),
@@ -454,15 +421,6 @@ impl Tensor {
         )
     }
 
-    /// Mean of all elements as a `1×1` tensor.
-    pub fn mean_all(&self) -> Tensor {
-        let n = {
-            let v = self.value_ref();
-            (v.rows() * v.cols()) as f32
-        };
-        self.sum_all().scale(1.0 / n)
-    }
-
     /// Sum of squared elements as a `1×1` tensor (L2 regularisation).
     pub fn l2_sum(&self) -> Tensor {
         let value = Matrix::scalar(self.value_ref().as_slice().iter().map(|x| x * x).sum());
@@ -475,117 +433,6 @@ impl Tensor {
                     x.scale(2.0 * g.item())
                 };
                 parents[0].accum_grad_owned(dx);
-            }),
-        )
-    }
-
-    /// Softmax over segments of an `m×1` column: entry `i` belongs to segment
-    /// `seg[i]` and is normalised against its segment only. This is the
-    /// edge-softmax of GAT attention (grouped by destination node).
-    pub fn segment_softmax(&self, seg: &[usize], n_seg: usize) -> Tensor {
-        let value = {
-            let x = self.value_ref();
-            assert_eq!(x.cols(), 1, "segment_softmax expects an m×1 column");
-            assert_eq!(x.rows(), seg.len(), "segment index length mismatch");
-            let xs = x.as_slice();
-            let mut maxes = vec![f32::NEG_INFINITY; n_seg];
-            for (i, &s) in seg.iter().enumerate() {
-                assert!(s < n_seg, "segment id out of range");
-                maxes[s] = maxes[s].max(xs[i]);
-            }
-            let mut out = vec![0.0f32; xs.len()];
-            let mut sums = vec![0.0f32; n_seg];
-            for (i, &s) in seg.iter().enumerate() {
-                let e = (xs[i] - maxes[s]).exp();
-                out[i] = e;
-                sums[s] += e;
-            }
-            for (i, &s) in seg.iter().enumerate() {
-                out[i] /= sums[s].max(f32::MIN_POSITIVE);
-            }
-            Matrix::from_vec(xs.len(), 1, out)
-        };
-        let value = Arc::new(value);
-        let y = Arc::clone(&value);
-        let seg: Vec<usize> = seg.to_vec();
-        Tensor::from_op_shared(
-            value,
-            vec![self.clone()],
-            Box::new(move |g, parents| {
-                // Per segment: dx_i = y_i (g_i − Σ_{j∈seg} g_j y_j).
-                let mut dots = vec![0.0f32; n_seg];
-                let gs = g.as_slice();
-                let ys = y.as_slice();
-                for (i, &s) in seg.iter().enumerate() {
-                    dots[s] += gs[i] * ys[i];
-                }
-                let mut dx = Matrix::zeros(g.rows(), 1);
-                for (i, &s) in seg.iter().enumerate() {
-                    dx.as_mut_slice()[i] = ys[i] * (gs[i] - dots[s]);
-                }
-                parents[0].accum_grad_owned(dx);
-            }),
-        )
-    }
-
-    /// Per-edge weighted scatter-add: `out[dst[e]] += alpha[e] * feats[e]`.
-    /// The aggregation step of GAT attention.
-    ///
-    /// `alpha` is `m×1`, `feats` is `m×d`, the output is `n×d`.
-    pub fn weighted_scatter_rows(
-        alpha: &Tensor,
-        feats: &Tensor,
-        dst: &[usize],
-        n: usize,
-    ) -> Tensor {
-        let value = weighted_scatter_value(&alpha.value_ref(), &feats.value_ref(), dst, n, None);
-        let dst: Vec<usize> = dst.to_vec();
-        Tensor::from_op(
-            value,
-            vec![alpha.clone(), feats.clone()],
-            Box::new(move |g, parents| {
-                let (dalpha, dfeats) = weighted_scatter_grads(
-                    g,
-                    &parents[0].value_ref(),
-                    &parents[1].value_ref(),
-                    &dst,
-                );
-                parents[0].accum_grad_owned(dalpha);
-                parents[1].accum_grad_owned(dfeats);
-            }),
-        )
-    }
-
-    /// Fused [`Tensor::weighted_scatter_rows`] plus a broadcast `1×d` bias
-    /// row: the complete GAT aggregation `Σ_u α_uv z_u + b` in one kernel.
-    pub fn weighted_scatter_rows_bias(
-        alpha: &Tensor,
-        feats: &Tensor,
-        dst: &[usize],
-        n: usize,
-        bias: &Tensor,
-    ) -> Tensor {
-        let value = weighted_scatter_value(
-            &alpha.value_ref(),
-            &feats.value_ref(),
-            dst,
-            n,
-            Some(&bias.value_ref()),
-        );
-        let dst: Vec<usize> = dst.to_vec();
-        Tensor::from_op(
-            value,
-            vec![alpha.clone(), feats.clone(), bias.clone()],
-            Box::new(move |g, parents| {
-                let (dalpha, dfeats) = weighted_scatter_grads(
-                    g,
-                    &parents[0].value_ref(),
-                    &parents[1].value_ref(),
-                    &dst,
-                );
-                parents[0].accum_grad_owned(dalpha);
-                parents[1].accum_grad_owned(dfeats);
-                parents[2].accum_grad_owned(g.sum_rows());
             }),
         )
     }
@@ -690,182 +537,6 @@ impl Tensor {
     }
 }
 
-impl Tensor {
-    /// Element-wise exponential.
-    pub fn exp(&self) -> Tensor {
-        let value = Arc::new(self.value_ref().map(f32::exp));
-        let y = Arc::clone(&value);
-        Tensor::from_op_shared(
-            value,
-            vec![self.clone()],
-            Box::new(move |g, parents| parents[0].accum_grad_owned(g.hadamard(&y))),
-        )
-    }
-
-    /// Element-wise natural logarithm of `x + eps` (clamped for safety).
-    pub fn ln(&self, eps: f32) -> Tensor {
-        let value = self
-            .value_ref()
-            .map(|x| (x + eps).max(f32::MIN_POSITIVE).ln());
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(move |g, parents| {
-                let dx = {
-                    let x = parents[0].value_ref();
-                    g.zip_map(&x, |gv, xv| gv / (xv + eps).max(f32::MIN_POSITIVE))
-                };
-                parents[0].accum_grad_owned(dx);
-            }),
-        )
-    }
-
-    /// Numerically stable softplus `ln(1 + eˣ)`.
-    pub fn softplus(&self) -> Tensor {
-        let value = self
-            .value_ref()
-            .map(|x| x.max(0.0) + (-x.abs()).exp().ln_1p());
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(|g, parents| {
-                let dx = {
-                    let x = parents[0].value_ref();
-                    g.zip_map(&x, |gv, xv| gv * stable_sigmoid(xv))
-                };
-                parents[0].accum_grad_owned(dx);
-            }),
-        )
-    }
-
-    /// Element-wise absolute value (subgradient 0 at the kink).
-    pub fn abs(&self) -> Tensor {
-        let value = self.value_ref().map(f32::abs);
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(|g, parents| {
-                let dx = {
-                    let x = parents[0].value_ref();
-                    g.zip_map(&x, |gv, xv| gv * xv.signum() * f32::from(xv != 0.0))
-                };
-                parents[0].accum_grad_owned(dx);
-            }),
-        )
-    }
-
-    /// Clamps values into `[lo, hi]`; gradient is zero outside the band.
-    pub fn clamp(&self, lo: f32, hi: f32) -> Tensor {
-        assert!(lo <= hi, "empty clamp range");
-        let value = self.value_ref().map(|x| x.clamp(lo, hi));
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(move |g, parents| {
-                let dx = {
-                    let x = parents[0].value_ref();
-                    g.zip_map(&x, |gv, xv| if (lo..=hi).contains(&xv) { gv } else { 0.0 })
-                };
-                parents[0].accum_grad_owned(dx);
-            }),
-        )
-    }
-
-    /// Per-row sums, producing an `n×1` column.
-    pub fn row_sums(&self) -> Tensor {
-        let value = {
-            let x = self.value_ref();
-            let mut out = Matrix::zeros(x.rows(), 1);
-            for r in 0..x.rows() {
-                out.set(r, 0, x.row(r).iter().sum());
-            }
-            out
-        };
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(|g, parents| {
-                let (rows, cols) = parents[0].shape();
-                let mut dx = Matrix::zeros(rows, cols);
-                for r in 0..rows {
-                    let gv = g.get(r, 0);
-                    for d in dx.row_mut(r) {
-                        *d = gv;
-                    }
-                }
-                parents[0].accum_grad_owned(dx);
-            }),
-        )
-    }
-
-    /// Column slice `[c0, c1)` as a new tensor.
-    pub fn slice_cols(&self, c0: usize, c1: usize) -> Tensor {
-        let value = {
-            let x = self.value_ref();
-            assert!(c0 < c1 && c1 <= x.cols(), "invalid column slice {c0}..{c1}");
-            let mut out = Matrix::zeros(x.rows(), c1 - c0);
-            for r in 0..x.rows() {
-                out.row_mut(r).copy_from_slice(&x.row(r)[c0..c1]);
-            }
-            out
-        };
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(move |g, parents| {
-                let (rows, cols) = parents[0].shape();
-                let mut dx = Matrix::zeros(rows, cols);
-                for r in 0..rows {
-                    dx.row_mut(r)[c0..c1].copy_from_slice(g.row(r));
-                }
-                parents[0].accum_grad_owned(dx);
-            }),
-        )
-    }
-
-    /// Per-row squared L2 norm, `n×1` (used for explicit distance models).
-    pub fn row_sq_norms(&self) -> Tensor {
-        self.mul(self).row_sums()
-    }
-}
-
-/// Forward value of the weighted scatter-add, optionally seeded with a
-/// broadcast bias row instead of zeros.
-fn weighted_scatter_value(
-    a: &Matrix,
-    f: &Matrix,
-    dst: &[usize],
-    n: usize,
-    bias: Option<&Matrix>,
-) -> Matrix {
-    assert_eq!(a.cols(), 1, "alpha must be m×1");
-    assert_eq!(a.rows(), f.rows(), "alpha/feats row mismatch");
-    assert_eq!(a.rows(), dst.len(), "alpha/dst length mismatch");
-    let mut out = match bias {
-        Some(b) => {
-            assert_eq!(b.rows(), 1, "bias must be a single row");
-            assert_eq!(b.cols(), f.cols(), "bias width mismatch");
-            let mut m = Matrix::zeros(n, f.cols());
-            crate::parallel::seed_rows(m.as_mut_slice(), b.row(0));
-            m
-        }
-        None => Matrix::zeros(n, f.cols()),
-    };
-    for (e, &d) in dst.iter().enumerate() {
-        assert!(d < n, "destination out of range");
-        let av = a.as_slice()[e];
-        if av == 0.0 {
-            continue;
-        }
-        let frow = f.row(e);
-        let orow = out.row_mut(d);
-        for (o, &fv) in orow.iter_mut().zip(frow) {
-            *o += av * fv;
-        }
-    }
-    out
-}
-
 /// Adjoints of `y = x @ w` into the operands that carry a tape:
 /// `dx = g·wᵀ`, `dw = xᵀ·g`.
 fn product_grads(g: &Matrix, x: &Tensor, w: &Tensor) {
@@ -875,46 +546,6 @@ fn product_grads(g: &Matrix, x: &Tensor, w: &Tensor) {
     if w.needs_grad() {
         w.accum_grad_owned(x.value_ref().matmul_ta(g));
     }
-}
-
-/// Arcs whose `dα` dots [`weighted_scatter_grads`] runs at once: four
-/// independent chains instead of one waiting on each add.
-const ARC_CHAINS: usize = 4;
-
-/// `(dα, dfeats)` adjoints of the weighted scatter-add: per arc `e`,
-/// `dα[e] = ⟨g[dst[e]], feats[e]⟩` (from `+0`, in column order) and
-/// `dfeats[e] = α[e]·g[dst[e]]`. Bitwise
-/// [`crate::reference::weighted_scatter_grads`].
-fn weighted_scatter_grads(g: &Matrix, a: &Matrix, f: &Matrix, dst: &[usize]) -> (Matrix, Matrix) {
-    let m = dst.len();
-    let d = f.cols();
-    let mut dalpha = Matrix::zeros(m, 1);
-    let mut dfeats = Matrix::zeros(m, d);
-    let dots = dalpha.as_mut_slice();
-    let mut e = 0;
-    while e + ARC_CHAINS <= m {
-        let grows: [&[f32]; ARC_CHAINS] = std::array::from_fn(|i| &g.row(dst[e + i])[..d]);
-        let frows: [&[f32]; ARC_CHAINS] = std::array::from_fn(|i| &f.row(e + i)[..d]);
-        let mut acc = [0.0f32; ARC_CHAINS];
-        for j in 0..d {
-            for ((s, grow), frow) in acc.iter_mut().zip(&grows).zip(&frows) {
-                *s += grow[j] * frow[j];
-            }
-        }
-        dots[e..e + ARC_CHAINS].copy_from_slice(&acc);
-        e += ARC_CHAINS;
-    }
-    for (e, dot) in dots.iter_mut().enumerate().skip(e) {
-        for (&gv, &fv) in g.row(dst[e]).iter().zip(f.row(e)) {
-            *dot += gv * fv;
-        }
-    }
-    for ((e, &dd), &av) in dst.iter().enumerate().zip(a.as_slice()) {
-        for (o, &gv) in dfeats.row_mut(e).iter_mut().zip(g.row(dd)) {
-            *o = av * gv;
-        }
-    }
-    (dalpha, dfeats)
 }
 
 /// Sigmoid that never overflows.
@@ -1012,20 +643,6 @@ mod tests {
     }
 
     #[test]
-    fn segment_softmax_normalises_per_segment() {
-        let x = Tensor::parameter(Matrix::from_vec(5, 1, vec![1.0, 2.0, 3.0, 4.0, 5.0]));
-        let seg = vec![0, 0, 1, 1, 1];
-        let y = x.segment_softmax(&seg, 2).value();
-        let s0 = y.get(0, 0) + y.get(1, 0);
-        let s1 = y.get(2, 0) + y.get(3, 0) + y.get(4, 0);
-        assert!((s0 - 1.0).abs() < 1e-5);
-        assert!((s1 - 1.0).abs() < 1e-5);
-        // Larger logits get larger mass within a segment.
-        assert!(y.get(1, 0) > y.get(0, 0));
-        assert!(y.get(4, 0) > y.get(2, 0));
-    }
-
-    #[test]
     fn gather_rows_grad_scatter_adds_repeats() {
         let x = param(3, 2, 11);
         let y = x.gather_rows(&[1, 1, 2]);
@@ -1035,15 +652,6 @@ mod tests {
             &Matrix::from_vec(3, 2, vec![0.0, 0.0, 2.0, 2.0, 1.0, 1.0]),
             1e-6
         ));
-    }
-
-    #[test]
-    fn weighted_scatter_matches_manual() {
-        let alpha = Tensor::parameter(Matrix::from_vec(3, 1, vec![0.5, 1.0, 2.0]));
-        let feats = Tensor::parameter(Matrix::from_vec(3, 2, vec![1., 0., 0., 1., 1., 1.]));
-        let out = Tensor::weighted_scatter_rows(&alpha, &feats, &[0, 0, 1], 2);
-        let v = out.value();
-        assert!(v.approx_eq(&Matrix::from_vec(2, 2, vec![0.5, 1.0, 2.0, 2.0]), 1e-6));
     }
 
     #[test]
@@ -1108,30 +716,6 @@ mod tests {
         unfused.sum_all().backward();
         assert!(gx.approx_eq(&x.grad().unwrap(), 1e-5));
         assert!(gb.approx_eq(&b.grad().unwrap(), 1e-5));
-    }
-
-    #[test]
-    fn weighted_scatter_bias_matches_unfused() {
-        let alpha = param(4, 1, 71);
-        let feats = param(4, 3, 72);
-        let bias = param(1, 3, 73);
-        let dst = [0usize, 1, 1, 2];
-        let fused = Tensor::weighted_scatter_rows_bias(&alpha, &feats, &dst, 3, &bias);
-        let unfused = Tensor::weighted_scatter_rows(&alpha, &feats, &dst, 3).add_bias(&bias);
-        assert!(fused.value().approx_eq(&unfused.value(), 1e-5));
-        fused.sum_all().backward();
-        let (ga, gf, gb) = (
-            alpha.grad().unwrap(),
-            feats.grad().unwrap(),
-            bias.grad().unwrap(),
-        );
-        alpha.zero_grad();
-        feats.zero_grad();
-        bias.zero_grad();
-        unfused.sum_all().backward();
-        assert!(ga.approx_eq(&alpha.grad().unwrap(), 1e-5));
-        assert!(gf.approx_eq(&feats.grad().unwrap(), 1e-5));
-        assert!(gb.approx_eq(&bias.grad().unwrap(), 1e-5));
     }
 
     #[test]
@@ -1323,17 +907,24 @@ mod tests {
 
     #[test]
     fn scatter_diamond_moves_then_adds() {
-        // Five arcs: one group of four `dα` chains plus a remainder.
-        let dst = [0usize, 2, 2, 1, 0];
-        let (a0, a1, bias) = (constant(5, 1, 91), constant(5, 1, 92), constant(1, 3, 93));
-        assert_diamond_sums_contributions(param(5, 3, 90).value(), |x, i| match i {
-            0 => Tensor::weighted_scatter_rows(&a0, x, &dst, 3),
-            _ => Tensor::weighted_scatter_rows_bias(&a1, x, &dst, 3, &bias),
+        // Segment attention scatters into `dz`: five arcs (one group of
+        // four `dα` chains plus a remainder) and a node only its
+        // self-loop reaches.
+        let arcs = Arc::new(crate::ArcCsr::grouped(
+            4,
+            vec![1, 0, 2, 1, 3, 3],
+            &[0, 0, 1, 2, 2, 3],
+        ));
+        let (a_src, a_dst, bias) = (constant(3, 1, 91), constant(3, 1, 92), constant(1, 3, 93));
+        assert_diamond_sums_contributions(param(4, 3, 90).value(), |x, i| {
+            let slope = [0.2, 0.5][i];
+            Tensor::segment_attention(x, &a_src, &a_dst, &bias, slope, &arcs)
         });
-        // The same tensor as the arc weights.
-        let (f0, f1) = (constant(5, 3, 94), constant(5, 3, 95));
-        assert_diamond_sums_contributions(param(5, 1, 96).value(), |x, i| {
-            Tensor::weighted_scatter_rows(x, if i == 0 { &f0 } else { &f1 }, &dst, 3)
+        // The same tensor as an attention half.
+        let z = constant(4, 3, 94);
+        assert_diamond_sums_contributions(param(3, 1, 95).value(), |x, i| match i {
+            0 => Tensor::segment_attention(&z, x, &a_dst, &bias, 0.2, &arcs),
+            _ => Tensor::segment_attention(&z, &a_src, x, &bias, 0.2, &arcs),
         });
     }
 

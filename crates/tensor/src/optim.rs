@@ -126,12 +126,6 @@ impl Adam {
         self.weight_decay = wd;
         self
     }
-
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
 }
 
 impl Optimizer for Adam {

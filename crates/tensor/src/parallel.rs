@@ -25,7 +25,7 @@
 /// and the two just-over-the-gate `small_*` kernels run at 0.44–0.55× of
 /// serial through `auto` — the budget is too low where a wake crosses
 /// cores. Re-tuning moves every kernel, so it is its own measured change
-/// (ROADMAP, *Parked*).
+/// (ROADMAP, *Carried over*).
 pub(crate) const PAR_MIN_WORK: usize = 1 << 16;
 
 /// Minimum multiply-accumulates per worker chunk once a kernel *is*
@@ -58,22 +58,52 @@ pub(crate) fn for_each_row_chunk<E, F>(
     E: Send,
     F: Fn(usize, usize, &mut [E]) + Sync,
 {
+    for_each_row_chunk_with(
+        out,
+        n_rows,
+        row_w,
+        &mut [] as &mut [u8],
+        |_| 0,
+        threads,
+        |r0, r1, chunk, _| f(r0, r1, chunk),
+    );
+}
+
+/// [`for_each_row_chunk`] with a second output split along the same row
+/// boundaries: rows `r0..r1` own `side[side_at(r0)..side_at(r1)]`, which
+/// `f` gets as its last argument (`side_at` must be non-decreasing,
+/// `side_at(0) == 0`, and `side_at(n_rows) == side.len()`).
+pub(crate) fn for_each_row_chunk_with<E, S, F>(
+    out: &mut [E],
+    n_rows: usize,
+    row_w: usize,
+    side: &mut [S],
+    side_at: impl Fn(usize) -> usize,
+    threads: usize,
+    f: F,
+) where
+    E: Send,
+    S: Send,
+    F: Fn(usize, usize, &mut [E], &mut [S]) + Sync,
+{
     debug_assert_eq!(out.len(), n_rows * row_w);
+    debug_assert_eq!(side.len(), side_at(n_rows) - side_at(0));
     let n_chunks = threads.min(n_rows.div_ceil(MIN_ROWS_PER_CHUNK)).max(1);
     if n_chunks <= 1 {
-        f(0, n_rows, out);
+        f(0, n_rows, out, side);
         return;
     }
     let rows_per_chunk = n_rows.div_ceil(n_chunks);
     rayon::scope(|s| {
-        let mut rest = out;
+        let (mut rest, mut side_rest) = (out, side);
         let mut r0 = 0;
         while r0 < n_rows {
             let r1 = (r0 + rows_per_chunk).min(n_rows);
             let (chunk, tail) = rest.split_at_mut((r1 - r0) * row_w);
-            rest = tail;
+            let (side_chunk, side_tail) = side_rest.split_at_mut(side_at(r1) - side_at(r0));
+            (rest, side_rest) = (tail, side_tail);
             let f = &f;
-            s.spawn(move |_| f(r0, r1, chunk));
+            s.spawn(move |_| f(r0, r1, chunk, side_chunk));
             r0 = r1;
         }
     });

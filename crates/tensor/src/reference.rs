@@ -117,35 +117,6 @@ pub fn spmm(s: &CsrMatrix, x: &Matrix) -> Matrix {
     out
 }
 
-/// Naive `(dα, dfeats)` adjoints of the weighted scatter-add
-/// `out[dst[e]] += α[e]·feats[e]`, one arc at a time — the loop
-/// `Tensor::weighted_scatter_rows`' backward runs four arcs abreast:
-/// `dα[e]` sums `g[dst[e], j]·feats[e, j]` from `+0` in column order,
-/// `dfeats[e] = α[e]·g[dst[e]]`.
-pub fn weighted_scatter_grads(
-    g: &Matrix,
-    alpha: &Matrix,
-    feats: &Matrix,
-    dst: &[usize],
-) -> (Matrix, Matrix) {
-    let m = dst.len();
-    let mut dalpha = Matrix::zeros(m, 1);
-    let mut dfeats = Matrix::zeros(m, feats.cols());
-    for (e, &d) in dst.iter().enumerate() {
-        let grow = g.row(d);
-        let mut dot = 0.0;
-        for (&gv, &fv) in grow.iter().zip(feats.row(e)) {
-            dot += gv * fv;
-        }
-        dalpha.as_mut_slice()[e] = dot;
-        let av = alpha.as_slice()[e];
-        for (o, &gv) in dfeats.row_mut(e).iter_mut().zip(grow) {
-            *o = av * gv;
-        }
-    }
-    (dalpha, dfeats)
-}
-
 /// Naive ELU adjoint, branching on the input's sign — the loop
 /// `Tensor::elu`'s backward replaced with a select: `g` where `x > 0`,
 /// `g·(y + α)` elsewhere, `y` being the forward output.
@@ -162,16 +133,33 @@ pub fn elu_grad(g: &Matrix, x: &Matrix, y: &Matrix, alpha: f32) -> Matrix {
 /// Multi-pass GAT attention over an arc list — the formulation
 /// [`SegmentAttention::forward`] fuses, kept as its oracle: the two
 /// `n×1` score products (the naive [`matmul`] loop), one pass for the
-/// edge logits, the three passes of a max-subtracted segment softmax
-/// (as `Tensor::segment_softmax`), then a scatter-add of the weighted
-/// source rows onto bias-seeded output rows that skips zero weights (as
-/// `Tensor::weighted_scatter_rows_bias`).
+/// edge logits, the three passes of a max-subtracted segment softmax,
+/// then a scatter-add of the weighted source rows onto bias-seeded output
+/// rows that skips zero weights.
 pub fn segment_attention<E: Elem>(att: &SegmentAttention<'_, E>, z: &MatrixT<E>) -> MatrixT<E> {
-    let n = att.dst_ptr.len().saturating_sub(1);
-    let src = att.src;
-    let dst: Vec<usize> = (0..n)
-        .flat_map(|v| std::iter::repeat_n(v, att.dst_ptr[v + 1] - att.dst_ptr[v]))
-        .collect();
+    let (dst, _, alpha) = attention_weights(att, z);
+    let mut out = MatrixT::zeros(att.arcs.n(), z.cols());
+    crate::parallel::seed_rows(out.as_mut_slice(), att.bias);
+    for ((&s, &d), &a) in att.arcs.src.iter().zip(&dst).zip(&alpha) {
+        if a == E::ZERO {
+            continue;
+        }
+        for (o, &zv) in out.row_mut(d).iter_mut().zip(z.row(s)) {
+            *o += a * zv;
+        }
+    }
+    out
+}
+
+/// Per arc: its destination, its logit before the LeakyReLU, and its
+/// normalised weight — [`segment_attention`]'s passes up to the scatter.
+fn attention_weights<E: Elem>(
+    att: &SegmentAttention<'_, E>,
+    z: &MatrixT<E>,
+) -> (Vec<usize>, Vec<E>, Vec<E>) {
+    let n = att.arcs.n();
+    let src = &att.arcs.src;
+    let dst: Vec<usize> = att.arcs.destinations().collect();
 
     let score = |a: &[E]| -> Vec<E> {
         (0..n)
@@ -188,20 +176,16 @@ pub fn segment_attention<E: Elem>(att: &SegmentAttention<'_, E>, z: &MatrixT<E>)
             .collect()
     };
     let (s_src, s_dst) = (score(att.a_src), score(att.a_dst));
-
-    let mut alpha: Vec<E> = src
+    let logits: Vec<E> = src
         .iter()
         .zip(&dst)
-        .map(|(&s, &d)| {
-            let v = s_src[s] + s_dst[d];
-            if v > E::ZERO {
-                v
-            } else {
-                att.slope * v
-            }
-        })
+        .map(|(&s, &d)| s_src[s] + s_dst[d])
         .collect();
 
+    let mut alpha: Vec<E> = logits
+        .iter()
+        .map(|&v| if v > E::ZERO { v } else { att.slope * v })
+        .collect();
     let mut maxes = vec![E::neg_infinity(); n];
     for (&e, &d) in alpha.iter().zip(&dst) {
         maxes[d] = maxes[d].max(e);
@@ -214,18 +198,83 @@ pub fn segment_attention<E: Elem>(att: &SegmentAttention<'_, E>, z: &MatrixT<E>)
     for (e, &d) in alpha.iter_mut().zip(&dst) {
         *e = *e / sums[d].max(E::min_positive());
     }
+    (dst, logits, alpha)
+}
 
-    let mut out = MatrixT::zeros(n, z.cols());
-    crate::parallel::seed_rows(out.as_mut_slice(), att.bias);
-    for ((&s, &d), &a) in src.iter().zip(&dst).zip(&alpha) {
-        if a == E::ZERO {
-            continue;
-        }
-        for (o, &zv) in out.row_mut(d).iter_mut().zip(z.row(s)) {
-            *o += a * zv;
+/// `[dz, da_src, da_dst, dbias]` of [`segment_attention`] against the
+/// output gradient `g`: each of its passes differentiated on its own and
+/// run in the order a tape of them runs backward — the oracle of
+/// `Tensor::segment_attention`'s adjoint.
+///
+/// The scatter-add first: `dbias` sums `g`'s rows, `dα[e] = ⟨g[dst e],
+/// z[src e]⟩` from `+0` in column order, and `α[e]·g[dst e]` is added
+/// onto `dz[src e]` (zeros to start) for every arc in list order. Then
+/// the segment softmax (a per-destination dot from `+0` in arc order) and
+/// the LeakyReLU (a select on `logit > 0`); each logit adjoint is added
+/// onto both score halves' adjoints, `ds_dst` and `ds_src` (zeros, arcs
+/// in list order). Last the destination half's product, `dz += ds_dst ·
+/// a_dstᵀ` and `da_dst = zᵀ·ds_dst`, then the source half's the same way
+/// — the naive [`matmul_tb`] / [`matmul_ta`] loops.
+pub fn segment_attention_grads(
+    att: &SegmentAttention<'_, f32>,
+    z: &Matrix,
+    g: &Matrix,
+) -> [Matrix; 4] {
+    let (dst, logits, alpha) = attention_weights(att, z);
+    let src = &att.arcs.src;
+    let (n, d) = z.shape();
+    let m = src.len();
+
+    let mut dbias = Matrix::zeros(1, d);
+    for r in 0..n {
+        for (o, &gv) in dbias.row_mut(0).iter_mut().zip(g.row(r)) {
+            *o += gv;
         }
     }
-    out
+    let mut d_alpha = vec![0.0f32; m];
+    let mut dz = Matrix::zeros(n, d);
+    for e in 0..m {
+        for (&gv, &zv) in g.row(dst[e]).iter().zip(z.row(src[e])) {
+            d_alpha[e] += gv * zv;
+        }
+        for (o, &gv) in dz.row_mut(src[e]).iter_mut().zip(g.row(dst[e])) {
+            *o += alpha[e] * gv;
+        }
+    }
+
+    let mut dots = vec![0.0f32; n];
+    for e in 0..m {
+        dots[dst[e]] += d_alpha[e] * alpha[e];
+    }
+    let d_logit: Vec<f32> = (0..m)
+        .map(|e| {
+            let d_soft = alpha[e] * (d_alpha[e] - dots[dst[e]]);
+            if logits[e] > 0.0 {
+                d_soft
+            } else {
+                att.slope * d_soft
+            }
+        })
+        .collect();
+
+    let mut half = |ends: &[usize], a: &[f32]| {
+        let mut ds = Matrix::zeros(n, 1);
+        for (&v, &de) in ends.iter().zip(&d_logit) {
+            ds.as_mut_slice()[v] += de;
+        }
+        let a = Matrix::from_vec(d, 1, a.to_vec());
+        for (o, &p) in dz
+            .as_mut_slice()
+            .iter_mut()
+            .zip(matmul_tb(&ds, &a).as_slice())
+        {
+            *o += p;
+        }
+        matmul_ta(z, &ds)
+    };
+    let da_dst = half(&dst, att.a_dst);
+    let da_src = half(src, att.a_src);
+    [dz, da_src, da_dst, dbias]
 }
 
 /// One (query, node) at a time — the formulation

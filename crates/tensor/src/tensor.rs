@@ -192,8 +192,7 @@ impl Tensor {
         parents: Vec<Tensor>,
         backward: BackwardFn,
     ) -> Self {
-        let record = grad_enabled() && parents.iter().any(|p| p.needs_grad());
-        if record {
+        if Self::records(&parents) {
             Self {
                 storage: Storage::Fixed(value),
                 tape: Some(Arc::new(TapeNode {
@@ -206,6 +205,12 @@ impl Tensor {
         } else {
             Self::constant_shared(value)
         }
+    }
+
+    /// Whether an op over `parents` records a tape node: the tape is on
+    /// and some parent carries gradients.
+    pub(crate) fn records(parents: &[Tensor]) -> bool {
+        grad_enabled() && parents.iter().any(Tensor::needs_grad)
     }
 
     /// Node identity: unique among live tape-carrying nodes (leaves and

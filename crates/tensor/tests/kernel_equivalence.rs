@@ -8,11 +8,13 @@
 //! cases (empty, 1×1) through sizes that exercise multiple k-tiles and
 //! several parallel row chunks. The fused segment-attention kernel is held
 //! to the same contract against its multi-pass reference, in `f32` and
-//! `f64`.
+//! `f64`, and its taped form's adjoint against the multi-pass backward.
+
+use std::sync::Arc;
 
 use cgnp_tensor::{
-    reference, CentroidScores, CsrMatrix, Elem, KernelCtx, Matrix, MatrixT, SegmentAttention,
-    Tensor,
+    reference, ArcCsr, CentroidScores, CsrMatrix, Elem, KernelCtx, Matrix, MatrixT,
+    SegmentAttention, Tensor,
 };
 use proptest::prelude::*;
 
@@ -313,25 +315,6 @@ proptest! {
         }
     }
 
-    /// `Tensor::weighted_scatter_rows`' backward — four arcs' `dα` dots at
-    /// a time — against the one-arc loop it replaced, over arc counts on
-    /// both sides of a four-arc group and widths up to 69.
-    #[test]
-    fn weighted_scatter_grads_match_reference_bitwise(
-        (g, alpha, feats, dst) in (1usize..12, 0usize..19, 0usize..70).prop_flat_map(|(n, m, d)| (
-            arb_matrix_specials(n..n + 1, d..d + 1),
-            arb_matrix(m..m + 1, 1..2),
-            arb_matrix(m..m + 1, d..d + 1),
-            proptest::collection::vec(0..n, m),
-        ))
-    ) {
-        let (alpha_t, feats_t) = (Tensor::parameter(alpha.clone()), Tensor::parameter(feats.clone()));
-        Tensor::weighted_scatter_rows(&alpha_t, &feats_t, &dst, g.rows()).backward_with(&g);
-        let (want_alpha, want_feats) = reference::weighted_scatter_grads(&g, &alpha, &feats, &dst);
-        prop_assert!(bits(&alpha_t.grad().unwrap()) == bits(&want_alpha), "dα");
-        prop_assert!(bits(&feats_t.grad().unwrap()) == bits(&want_feats), "dfeats");
-    }
-
     /// ELU's backward, a select, against the branching loop it replaced:
     /// inputs of both signs, exact `±0` (the boundary the branch tests)
     /// and infinities, gradients with `-0.0` and infinities.
@@ -628,15 +611,68 @@ impl AttentionCase {
         self.dst_ptr.len() - 1
     }
 
+    fn arcs(&self) -> ArcCsr {
+        ArcCsr {
+            dst_ptr: self.dst_ptr.clone(),
+            src: self.src.clone(),
+        }
+    }
+
+    /// The taped op ≡ the multi-pass reference, value and all four
+    /// adjoints, against an output gradient with exact `±0` entries.
+    fn check_grads(&self) {
+        let (n, width) = (self.n(), self.width);
+        let g = Matrix::from_vec(
+            n,
+            width,
+            (0..n * width)
+                .map(|i| match i % 6 {
+                    1 => -0.0,
+                    4 => 0.0,
+                    _ => (i * 37 % 23) as f32 * 0.25 - 2.75,
+                })
+                .collect(),
+        );
+        let arcs = Arc::new(self.arcs());
+        let att = SegmentAttention {
+            arcs: &arcs,
+            a_src: &self.a_src,
+            a_dst: &self.a_dst,
+            bias: &self.bias,
+            slope: 0.2,
+        };
+        let z = Matrix::from_vec(n, width, self.z.clone());
+        let want_value = reference::segment_attention(&att, &z);
+        let want = reference::segment_attention_grads(&att, &z, &g);
+
+        let [z, a_src, a_dst, bias] = [
+            z,
+            Matrix::from_vec(width, 1, self.a_src.clone()),
+            Matrix::from_vec(width, 1, self.a_dst.clone()),
+            Matrix::from_vec(1, width, self.bias.clone()),
+        ]
+        .map(Tensor::parameter);
+        let out = Tensor::segment_attention(&z, &a_src, &a_dst, &bias, 0.2, &arcs);
+        assert_eq!(bits(&out.value()), bits(&want_value), "value");
+        out.backward_with(&g);
+        for ((p, want), name) in [z, a_src, a_dst, bias]
+            .iter()
+            .zip(&want)
+            .zip(["dz", "da_src", "da_dst", "dbias"])
+        {
+            assert_eq!(bits(&p.grad().unwrap()), bits(want), "{name}");
+        }
+    }
+
     /// Fused ≡ reference for every worker count, for the whole matrix and
     /// for a row subset (reversed, with a repeat).
     fn check<E: Elem>(&self) {
         let cast = |v: &[f32]| -> Vec<E> { v.iter().map(|&x| E::from_f32(x)).collect() };
         let z = MatrixT::from_vec(self.n(), self.width, cast(&self.z));
         let (a_src, a_dst, bias) = (cast(&self.a_src), cast(&self.a_dst), cast(&self.bias));
+        let arcs = self.arcs();
         let att = SegmentAttention {
-            dst_ptr: &self.dst_ptr,
-            src: &self.src,
+            arcs: &arcs,
             a_src: &a_src,
             a_dst: &a_dst,
             bias: &bias,
@@ -726,6 +762,11 @@ proptest! {
         case.check::<f32>();
         case.check::<f64>();
     }
+
+    #[test]
+    fn segment_attention_grads_match_reference_bitwise(case in arb_attention_case()) {
+        case.check_grads();
+    }
 }
 
 #[test]
@@ -754,11 +795,11 @@ fn segment_attention_degenerate_sizes() {
     for case in [&empty, &isolated, &self_loop] {
         case.check::<f32>();
         case.check::<f64>();
+        case.check_grads();
     }
     let out = |case: &AttentionCase| {
         SegmentAttention {
-            dst_ptr: &case.dst_ptr,
-            src: &case.src,
+            arcs: &case.arcs(),
             a_src: &case.a_src,
             a_dst: &case.a_dst,
             bias: &case.bias,
@@ -786,9 +827,10 @@ fn segment_attention_skips_weights_that_underflow_to_zero() {
     };
     case.check::<f32>();
     case.check::<f64>();
+    case.check_grads();
+    let arcs = case.arcs();
     let att = SegmentAttention {
-        dst_ptr: &case.dst_ptr,
-        src: &case.src,
+        arcs: &arcs,
         a_src: &[1.0f64, 0.0],
         a_dst: &[0.0, 0.0],
         bias: &[0.25, -0.5],
@@ -796,6 +838,39 @@ fn segment_attention_skips_weights_that_underflow_to_zero() {
     };
     let z = MatrixT::from_vec(2, 2, vec![0.0f64, 3.0, -20000.0, 7.0]);
     assert_eq!(att.forward(&z, None, None).row(0), &[0.25, 2.5]);
+}
+
+#[test]
+fn segment_attention_grads_at_the_edges() {
+    // Scores: s_src = z[0], s_dst = z[1]. Node 0 hears only itself; node
+    // 1 hears from itself (logit 2), from node 2 (logit −20000: its weight
+    // underflows to exactly 0) and from node 3, whose row is all zeros
+    // (logit exactly 0, LeakyReLU's kink); node 2 hears from itself (a
+    // weight of exactly 0 again) and from node 1; node 3 only from itself
+    // (logit 0 again). Zeros in z and ±0 in g throughout.
+    let case = AttentionCase {
+        dst_ptr: vec![0, 1, 4, 6, 7],
+        src: vec![0, 1, 2, 3, 2, 1, 3],
+        width: 2,
+        z: vec![0.5, -1.0, 2.0, 0.0, -20000.0, 3.0, 0.0, 0.0],
+        a_src: vec![1.0, 0.0],
+        a_dst: vec![0.0, 1.0],
+        bias: vec![0.25, -0.5],
+    };
+    let arcs = case.arcs();
+    let att = SegmentAttention {
+        arcs: &arcs,
+        a_src: &case.a_src,
+        a_dst: &case.a_dst,
+        bias: &case.bias,
+        slope: 0.2f32,
+    };
+    let (_, kept) = att.forward_keep(&Matrix::from_vec(4, 2, case.z.clone()), None);
+    assert_eq!(kept.alpha[0], 1.0, "a lone self-loop takes all the weight");
+    assert_eq!((kept.alpha[2], kept.alpha[4]), (0.0, 0.0), "underflow");
+    let logit = |e: usize, v: usize| kept.scores[2 * arcs.src[e]] + kept.scores[2 * v + 1];
+    assert_eq!((logit(3, 1), logit(6, 3)), (0.0, 0.0), "at the kink");
+    case.check_grads();
 }
 
 #[test]
@@ -838,6 +913,7 @@ fn large_segment_attention_parallel_chunks_are_bitwise_stable() {
     };
     case.check::<f32>();
     case.check::<f64>();
+    case.check_grads();
 }
 
 /// One tick's scoring inputs in `f32`, cast per element type under test.
