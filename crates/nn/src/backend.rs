@@ -235,11 +235,14 @@ impl<E: Elem> Backend for Plain<'_, E> {
     }
 
     fn activate(&self, mut x: MatrixT<E>, a: Activation) -> MatrixT<E> {
+        let ctx = self.ctx;
         match a {
-            Activation::Relu => x.map_assign(|v| v.max(E::ZERO)),
+            Activation::Relu => x.map_assign_in(|v| v.max(E::ZERO), ctx),
             // ELU with α = 1, what `Activation::apply` runs on the tape.
-            Activation::Elu => x.map_assign(|v| if v > E::ZERO { v } else { v.exp() - E::ONE }),
-            Activation::Tanh => x.map_assign(|v| v.tanh()),
+            Activation::Elu => {
+                x.map_assign_in(|v| if v > E::ZERO { v } else { v.exp() - E::ONE }, ctx)
+            }
+            Activation::Tanh => x.map_assign_in(|v| v.tanh(), ctx),
             Activation::None => {}
         }
         x

@@ -261,6 +261,20 @@ impl<E: Elem> MatrixT<E> {
         }
     }
 
+    /// [`MatrixT::map_assign`] over row chunks on `ctx`'s workers, the
+    /// element count standing in for the work a product's worker count is
+    /// sized from. Every element is mapped on its own, so every split gives
+    /// [`MatrixT::map_assign`]'s bits.
+    pub fn map_assign_in(&mut self, f: impl Fn(E) -> E + Sync, ctx: KernelCtx) {
+        let (rows, cols) = self.shape();
+        let threads = ctx.workers(self.data.len());
+        for_each_row_chunk(&mut self.data, rows, cols, threads, |_, _, chunk| {
+            for a in chunk {
+                *a = f(*a);
+            }
+        });
+    }
+
     /// In-place Hadamard product.
     pub fn hadamard_assign(&mut self, other: &Self) {
         assert_eq!(
@@ -287,9 +301,11 @@ impl<E: Elem> MatrixT<E> {
 
     /// Matrix product `self @ other`.
     ///
-    /// Cache-blocked (k-tiled, 4-row micro-kernel) and rayon-parallel over
-    /// output-row ranges above a work threshold; a single-column `other`
-    /// (GAT's `z·a`) keeps several rows' dot chains in registers instead.
+    /// Register-tiled (4 output rows × 16 columns held in registers across
+    /// the whole `k` loop, over packed 16-column panels of `other`) and
+    /// rayon-parallel over output-row ranges above a work threshold; a
+    /// single-column `other` (GAT's `z·a`) keeps several rows' dot chains
+    /// in registers instead.
     /// Bitwise identical to
     /// [`crate::reference::matmul`]: per output element the accumulation
     /// order over `k` is unchanged and explicit zeros of `self` are
@@ -309,10 +325,10 @@ impl<E: Elem> MatrixT<E> {
     }
 
     /// `self @ other (+ bias)` on the worker count and kernel tier `ctx`
-    /// names: `Exact` is the bitwise-pinned kernel, `Fast` the
-    /// register-tiled fast-math one (the exact kernel when the `fast-math`
-    /// feature is not compiled). A bias row seeds every output row before
-    /// either tier accumulates on top of it.
+    /// names: `Exact` is the bitwise-pinned kernel, `Fast` the same
+    /// register tile adding every term, zero factors included (the exact
+    /// kernel when the `fast-math` feature is not compiled). A bias row
+    /// seeds every output row before either tier accumulates on top of it.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch, or when `bias` is not `1×n`.
@@ -343,8 +359,9 @@ impl<E: Elem> MatrixT<E> {
                     seed_rows(chunk, &bias.data);
                 }
                 match ctx.mode {
-                    MathMode::Exact => matmul_block(self, other, r0, r1, chunk),
-                    MathMode::Fast => fast::matmul_fast_block(self, other, r0, r1, chunk),
+                    #[cfg(feature = "fast-math")]
+                    MathMode::Fast => multiply_add_block::<E, false>(self, other, r0, r1, chunk),
+                    _ => multiply_add_block::<E, true>(self, other, r0, r1, chunk),
                 }
             },
         );
@@ -391,8 +408,9 @@ impl<E: Elem> MatrixT<E> {
             ctx.workers(work),
             |r0, r1, chunk| match (&other_t, ctx.mode) {
                 (Some(other_t), _) => multiply_add_block::<E, false>(self, other_t, r0, r1, chunk),
-                (None, MathMode::Exact) => matmul_tb_block(self, other, r0, r1, chunk),
+                #[cfg(feature = "fast-math")]
                 (None, MathMode::Fast) => fast::matmul_tb_fast_block(self, other, r0, r1, chunk),
+                (None, _) => matmul_tb_block(self, other, r0, r1, chunk),
             },
         );
         out
@@ -431,8 +449,9 @@ impl<E: Elem> MatrixT<E> {
             other.cols,
             ctx.workers(work),
             |c0, c1, chunk| match ctx.mode {
-                MathMode::Exact => matmul_ta_block(self, other, c0, c1, chunk),
+                #[cfg(feature = "fast-math")]
                 MathMode::Fast => fast::matmul_ta_fast_block(self, other, c0, c1, chunk),
+                _ => matmul_ta_block(self, other, c0, c1, chunk),
             },
         );
         out
@@ -549,13 +568,25 @@ impl<E: Elem> MatrixT<E> {
     }
 }
 
-/// k-tile width of the blocked matmul kernels: a tile of `other` spans
-/// `KC × n` elements and is reused across a 4-row group of `self`.
-const KC: usize = 256;
+/// Register-tile height of the dense multiply-add kernel: output rows
+/// whose accumulators are held across a whole `k` loop.
+const MR: usize = 4;
 
-/// Output rows updated per pass over a row of `other` in [`matmul_block`];
-/// quadruples the arithmetic intensity per B-row load.
-const ROW_BLOCK: usize = 4;
+/// Register-tile width: the output columns of one packed panel of the
+/// right operand, one 16-lane vector of `f32`.
+const NR: usize = 16;
+
+/// Share of explicit zeros, in 32nds, in a tile's rows of `a` above which
+/// a skipping product wider than one panel updates the tile's output rows
+/// whole instead ([`TileForm::Rows`]). A tile with zeros tests its skip
+/// at every `k` of every panel, and a zero among nonzeros breaks its
+/// unconditional update; the row update tests each `(row, k)` once for
+/// all columns. On one thread, `3200×64 · 64×64` with random zeros: the
+/// skipping tiles take 280 µs at 1–3 % zeros against ≈ 700 for whole
+/// rows, and lose from ≈ 6 % (815 against 705). A first layer's attribute
+/// rows (≈ 4 % nonzero) and a training input after dropout go whole-row;
+/// a layer input after ELU has no zeros and takes 160 µs.
+const ZERO_SHARE_PER_32: usize = 1;
 
 /// Rows of `b` from which [`MatrixT::matmul_tb`] runs the multiply-add
 /// form over `bᵀ` instead of dot products. Short output rows do not fill
@@ -569,21 +600,18 @@ const TB_KMAJOR_MIN_ROWS: usize = 16;
 /// would wait on.
 const CHAINS: usize = 8;
 
-/// Computes output rows `[r0, r1)` of `a @ b` into `chunk` (which may be
-/// pre-initialised, e.g. with a bias row — the kernel only accumulates).
+/// The multiply-add kernel behind [`MatrixT::matmul`] and the wide form of
+/// [`MatrixT::matmul_tb`]: `chunk += a[r0..r1] @ b`, where `chunk` may be
+/// pre-seeded (a bias row) and every output element accumulates its `k`
+/// terms in increasing order. `SKIP_ZEROS` skips the terms whose `a`
+/// factor is an explicit zero, as the reference `matmul` loop does; the
+/// reference `matmul_tb` loop adds every term. Either way the results are
+/// bitwise those of the matching [`crate::reference`] loop.
 ///
-/// For every output element the accumulation order over `k` is strictly
-/// increasing and explicit zeros of `a` are skipped, so results are
-/// bitwise identical to [`crate::reference::matmul`].
-fn matmul_block<E: Elem>(a: &MatrixT<E>, b: &MatrixT<E>, r0: usize, r1: usize, chunk: &mut [E]) {
-    multiply_add_block::<E, true>(a, b, r0, r1, chunk);
-}
-
-/// The multiply-add kernel behind [`matmul_block`] and the wide form of
-/// [`MatrixT::matmul_tb`]: `chunk += a[r0..r1] @ b`, every output element
-/// accumulating its `k` terms in increasing order. `SKIP_ZEROS` skips the
-/// terms whose `a` factor is an explicit zero, as the reference `matmul`
-/// loop does; the reference `matmul_tb` loop adds every term.
+/// Each 16-wide column panel of `b` is packed contiguously (`k × 16`) and
+/// swept by register tiles ([`sweep_panel`]); the `n % 16` columns past
+/// the last whole panel are one more, zero-padded, panel. How a 4-row
+/// tile runs follows from the zeros in its rows of `a` ([`TileForm`]).
 fn multiply_add_block<E: Elem, const SKIP_ZEROS: bool>(
     a: &MatrixT<E>,
     b: &MatrixT<E>,
@@ -596,27 +624,173 @@ fn multiply_add_block<E: Elem, const SKIP_ZEROS: bool>(
     if n == 1 {
         return single_column_block::<E, SKIP_ZEROS>(a, &b.data, r0, r1, chunk);
     }
-    let a_data = &a.data;
-    let b_data = &b.data;
-    for kb in (0..k_dim).step_by(KC) {
-        let k_end = (kb + KC).min(k_dim);
-        let mut i = r0;
-        while i < r1 {
-            let i_end = (i + ROW_BLOCK).min(r1);
-            for k in kb..k_end {
-                let brow = &b_data[k * n..(k + 1) * n];
-                for r in i..i_end {
-                    let a_rk = a_data[r * k_dim + k];
-                    if SKIP_ZEROS && a_rk == E::ZERO {
-                        continue;
-                    }
-                    let orow = &mut chunk[(r - r0) * n..(r - r0 + 1) * n];
-                    for (o, &bv) in orow.iter_mut().zip(brow) {
-                        *o += a_rk * bv;
-                    }
+    if r0 == r1 {
+        return;
+    }
+    let forms: Vec<TileForm> = (r0..r1 - (r1 - r0) % MR)
+        .step_by(MR)
+        .map(|i| match SKIP_ZEROS {
+            true => TileForm::of(&a.data[i * k_dim..(i + MR) * k_dim], n),
+            false => TileForm::Unconditional,
+        })
+        .collect();
+    let mut packed = vec![E::ZERO; k_dim * NR];
+    let pack = |packed: &mut [E], j: usize, w: usize| {
+        for (k, p) in packed.chunks_exact_mut(NR).enumerate() {
+            p[..w].copy_from_slice(&b.data[k * n + j..][..w]);
+            p[w..].fill(E::ZERO);
+        }
+    };
+    let full_end = n - n % NR;
+    for j in (0..full_end).step_by(NR) {
+        pack(&mut packed, j, NR);
+        sweep_panel::<E, SKIP_ZEROS>(a, r0, r1, &forms, &packed, &mut chunk[j..], n);
+    }
+    if full_end < n {
+        // The last `w` columns: a zero-padded panel over a padded copy of
+        // those output columns, whose extra lanes are dropped.
+        let w = n - full_end;
+        pack(&mut packed, full_end, w);
+        let mut out = vec![E::ZERO; (r1 - r0) * NR];
+        for (o, c) in out.chunks_exact_mut(NR).zip(chunk.chunks_exact(n)) {
+            o[..w].copy_from_slice(&c[full_end..]);
+        }
+        sweep_panel::<E, SKIP_ZEROS>(a, r0, r1, &forms, &packed, &mut out, NR);
+        for (o, c) in out.chunks_exact(NR).zip(chunk.chunks_exact_mut(n)) {
+            c[full_end..].copy_from_slice(&o[..w]);
+        }
+    }
+    for (t, _) in forms
+        .iter()
+        .enumerate()
+        .filter(|(_, &f)| f == TileForm::Rows)
+    {
+        row_update_block(a, b, r0 + t * MR, &mut chunk[t * MR * n..(t + 1) * MR * n]);
+    }
+}
+
+/// How [`multiply_add_block`] runs a 4-row tile of a skipping product,
+/// from the explicit zeros in its rows of `a`.
+#[derive(Clone, Copy, PartialEq)]
+enum TileForm {
+    /// No zero to skip: every `k` takes the unconditional update.
+    Unconditional,
+    /// The zero skip dispatched per `k` ([`tile_rows`]).
+    Skipping,
+    /// More than [`ZERO_SHARE_PER_32`] in 32 entries zero, in a product
+    /// wider than one panel: whole output rows ([`row_update_block`]).
+    Rows,
+}
+
+impl TileForm {
+    /// The form of a tile whose rows of `a` are `rows`, in an `n`-column
+    /// product.
+    fn of<E: Elem>(rows: &[E], n: usize) -> Self {
+        match rows.iter().filter(|&&v| v == E::ZERO).count() {
+            0 => TileForm::Unconditional,
+            z if n > NR && z * 32 > rows.len() * ZERO_SHARE_PER_32 => TileForm::Rows,
+            _ => TileForm::Skipping,
+        }
+    }
+}
+
+/// One packed panel of [`multiply_add_block`]: the first `NR` lanes of
+/// `out`'s rows (stride `stride`, one per row of `a[r0..r1]`) `+=` those
+/// rows of `a` times the `k × NR` panel, tile by tile as `forms` says,
+/// then row by row for the rows past the last tile.
+#[inline(always)]
+fn sweep_panel<E: Elem, const SKIP_ZEROS: bool>(
+    a: &MatrixT<E>,
+    r0: usize,
+    r1: usize,
+    forms: &[TileForm],
+    packed: &[E],
+    out: &mut [E],
+    stride: usize,
+) {
+    for (t, form) in forms.iter().enumerate() {
+        let (i, out) = (r0 + t * MR, &mut out[t * MR * stride..]);
+        match form {
+            TileForm::Unconditional => tile_rows::<E, false>(a, i, packed, out, stride),
+            TileForm::Skipping => tile_rows::<E, true>(a, i, packed, out, stride),
+            TileForm::Rows => {}
+        }
+    }
+    for ii in r0 + forms.len() * MR..r1 {
+        let o = (ii - r0) * stride;
+        let mut c: [E; NR] = out[o..][..NR].try_into().unwrap();
+        for (&x, p) in a.row(ii).iter().zip(packed.chunks_exact(NR)) {
+            if !SKIP_ZEROS || x != E::ZERO {
+                axpy(&mut c, x, p.try_into().unwrap());
+            }
+        }
+        out[o..][..NR].copy_from_slice(&c);
+    }
+}
+
+/// One `MR × NR` register tile: rows `i..i + MR` of `a` times the packed
+/// panel, `+=` into the first `NR` lanes of `out`'s first `MR` rows
+/// (stride `stride`). The accumulators are loaded once, updated at every
+/// `k` in increasing order, and stored once.
+///
+/// Under `SKIP_ZEROS` the skip is dispatched per `k` for the whole tile:
+/// four nonzero factors take the unconditional update, four zeros are
+/// skipped, and a mix updates row by row. Adding a zero term instead is
+/// not the skip: `±0·b` turns a `-0` accumulator into `+0`, and `0·∞` is
+/// NaN.
+#[inline(always)]
+fn tile_rows<E: Elem, const SKIP_ZEROS: bool>(
+    a: &MatrixT<E>,
+    i: usize,
+    packed: &[E],
+    out: &mut [E],
+    stride: usize,
+) {
+    let k_dim = a.cols;
+    let a: [&[E]; MR] = std::array::from_fn(|r| &a.data[(i + r) * k_dim..][..k_dim]);
+    let mut c: [[E; NR]; MR] = std::array::from_fn(|r| out[r * stride..][..NR].try_into().unwrap());
+    for (k, p) in packed.chunks_exact(NR).enumerate() {
+        let p = p.try_into().unwrap();
+        let v: [E; MR] = std::array::from_fn(|r| a[r][k]);
+        let live = v.map(|x| !SKIP_ZEROS || x != E::ZERO);
+        if live == [true; MR] {
+            for r in 0..MR {
+                axpy(&mut c[r], v[r], p);
+            }
+        } else if live != [false; MR] {
+            for r in 0..MR {
+                if live[r] {
+                    axpy(&mut c[r], v[r], p);
                 }
             }
-            i = i_end;
+        }
+    }
+    for (r, c) in c.iter().enumerate() {
+        out[r * stride..][..NR].copy_from_slice(c);
+    }
+}
+
+/// `c += x · p`, lane by lane: one `k` step of one register-tile row.
+#[inline(always)]
+fn axpy<E: Elem>(c: &mut [E; NR], x: E, p: &[E; NR]) {
+    for (o, &bv) in c.iter_mut().zip(p) {
+        *o += x * bv;
+    }
+}
+
+/// [`multiply_add_block`] for a tile with many zeros: `out`'s rows, from
+/// row `r0` of `a @ b` on, each `+=` one row of `b` per nonzero term of
+/// its row of `a`, in increasing `k`.
+fn row_update_block<E: Elem>(a: &MatrixT<E>, b: &MatrixT<E>, r0: usize, out: &mut [E]) {
+    let n = b.cols;
+    for (r, orow) in (r0..).zip(out.chunks_exact_mut(n)) {
+        for (&a_rk, brow) in a.row(r).iter().zip(b.data.chunks_exact(n)) {
+            if a_rk == E::ZERO {
+                continue;
+            }
+            for (o, &bv) in orow.iter_mut().zip(brow) {
+                *o += a_rk * bv;
+            }
         }
     }
 }
@@ -738,115 +912,15 @@ fn matmul_ta_block<E: Elem>(a: &MatrixT<E>, b: &MatrixT<E>, c0: usize, c1: usize
     }
 }
 
-/// The fast-math kernel tier: register-tiled / multi-accumulator variants
-/// that trade the bitwise accumulation-order contract for vectorisable
-/// inner loops. Selected at runtime via [`MathMode::Fast`]; results are
-/// pinned to the reference within relative-error bounds by
-/// `tests/fast_math.rs`.
+/// The fast-math kernel tier's own loops: multi-accumulator variants of
+/// the transposed products that trade the bitwise accumulation-order
+/// contract for vectorisable inner loops (its `matmul` is the exact
+/// register tile without the zero skip). Selected at runtime via
+/// [`MathMode::Fast`]; results are pinned to the reference within
+/// relative-error bounds by `tests/fast_math.rs`.
 #[cfg(feature = "fast-math")]
 mod fast {
     use super::{Elem, MatrixT};
-
-    /// Register-tile height: output rows held in accumulators at once.
-    const MR: usize = 4;
-    /// Register-tile width: output columns held in accumulators at once.
-    /// `MR × NR = 32` independent partial sums live across the entire
-    /// k-loop, so the C-row traffic of the exact kernel (one load+store
-    /// per element per k) collapses to one load+store per element total.
-    const NR: usize = 16;
-
-    /// Fast `a @ b` over output rows `[r0, r1)`. `chunk` may be
-    /// pre-seeded (bias); the tile initialises from it and accumulates.
-    ///
-    /// The full-tile path is written with constant trip counts (`MR`
-    /// separate accumulator arrays, `NR`-bound inner loops) so LLVM fully
-    /// unrolls it and promotes the whole 4×8 tile to vector registers —
-    /// an accumulator array indexed by a runtime-bounded loop gets
-    /// spilled to the stack instead, which costs the entire speedup.
-    /// Interleaving the row-major `b` at stride `n` straight into the
-    /// tile loop costs L1 conflict misses (for GNN-sized `n` the stride
-    /// maps every B row onto a handful of cache sets), so each `NR`-wide
-    /// column panel of `b` is first packed contiguously (`k_dim × NR`,
-    /// a few KB — L1-resident) and then reused across every row tile of
-    /// the chunk, which amortises the packing pass `(r1-r0)/MR` times.
-    pub(super) fn matmul_fast_block<E: Elem>(
-        a: &MatrixT<E>,
-        b: &MatrixT<E>,
-        r0: usize,
-        r1: usize,
-        chunk: &mut [E],
-    ) {
-        let k_dim = a.cols;
-        let n = b.cols;
-        let a_data = &a.data;
-        let b_data = &b.data;
-        let mut packed = vec![E::ZERO; k_dim * NR];
-        let mut j = 0;
-        while j + NR <= n {
-            for k in 0..k_dim {
-                packed[k * NR..(k + 1) * NR].copy_from_slice(&b_data[k * n + j..k * n + j + NR]);
-            }
-            let mut i = r0;
-            while i + MR <= r1 {
-                let a0 = &a_data[i * k_dim..(i + 1) * k_dim];
-                let a1 = &a_data[(i + 1) * k_dim..(i + 2) * k_dim];
-                let a2 = &a_data[(i + 2) * k_dim..(i + 3) * k_dim];
-                let a3 = &a_data[(i + 3) * k_dim..(i + 4) * k_dim];
-                // 4×8 register tile, seeded from the (possibly
-                // bias-initialised) output, held across the full k loop.
-                let mut c0 = [E::ZERO; NR];
-                let mut c1 = [E::ZERO; NR];
-                let mut c2 = [E::ZERO; NR];
-                let mut c3 = [E::ZERO; NR];
-                c0.copy_from_slice(&chunk[(i - r0) * n + j..(i - r0) * n + j + NR]);
-                c1.copy_from_slice(&chunk[(i - r0 + 1) * n + j..(i - r0 + 1) * n + j + NR]);
-                c2.copy_from_slice(&chunk[(i - r0 + 2) * n + j..(i - r0 + 2) * n + j + NR]);
-                c3.copy_from_slice(&chunk[(i - r0 + 3) * n + j..(i - r0 + 3) * n + j + NR]);
-                for k in 0..k_dim {
-                    let brow = &packed[k * NR..(k + 1) * NR];
-                    let (v0, v1, v2, v3) = (a0[k], a1[k], a2[k], a3[k]);
-                    for l in 0..NR {
-                        c0[l] += v0 * brow[l];
-                        c1[l] += v1 * brow[l];
-                        c2[l] += v2 * brow[l];
-                        c3[l] += v3 * brow[l];
-                    }
-                }
-                chunk[(i - r0) * n + j..(i - r0) * n + j + NR].copy_from_slice(&c0);
-                chunk[(i - r0 + 1) * n + j..(i - r0 + 1) * n + j + NR].copy_from_slice(&c1);
-                chunk[(i - r0 + 2) * n + j..(i - r0 + 2) * n + j + NR].copy_from_slice(&c2);
-                chunk[(i - r0 + 3) * n + j..(i - r0 + 3) * n + j + NR].copy_from_slice(&c3);
-                i += MR;
-            }
-            // Row remainder (< MR rows): single-row register tile on the
-            // same packed panel.
-            for ii in i..r1 {
-                let arow = &a_data[ii * k_dim..(ii + 1) * k_dim];
-                let mut c0 = [E::ZERO; NR];
-                c0.copy_from_slice(&chunk[(ii - r0) * n + j..(ii - r0) * n + j + NR]);
-                for (k, &av) in arow.iter().enumerate() {
-                    let brow = &packed[k * NR..(k + 1) * NR];
-                    for l in 0..NR {
-                        c0[l] += av * brow[l];
-                    }
-                }
-                chunk[(ii - r0) * n + j..(ii - r0) * n + j + NR].copy_from_slice(&c0);
-            }
-            j += NR;
-        }
-        // Column remainder (< NR columns): one register accumulator per
-        // element, held across the whole k loop.
-        for jj in j..n {
-            for r in r0..r1 {
-                let arow = &a_data[r * k_dim..(r + 1) * k_dim];
-                let mut acc = chunk[(r - r0) * n + jj];
-                for (k, &av) in arow.iter().enumerate() {
-                    acc += av * b_data[k * n + jj];
-                }
-                chunk[(r - r0) * n + jj] = acc;
-            }
-        }
-    }
 
     /// Fast `a @ b.T` over output rows `[r0, r1)`: a 4-wide j-tile of dot
     /// products, each split across 4 independent k-lanes (16 partial sums
@@ -946,16 +1020,6 @@ mod fast {
             }
         }
     }
-}
-
-/// Without the `fast-math` feature the fast tier *is* the exact kernels,
-/// so [`MathMode::Fast`] stays bitwise [`MathMode::Exact`].
-#[cfg(not(feature = "fast-math"))]
-mod fast {
-    pub(super) use super::{
-        matmul_block as matmul_fast_block, matmul_ta_block as matmul_ta_fast_block,
-        matmul_tb_block as matmul_tb_fast_block,
-    };
 }
 
 impl<E: Elem> fmt::Debug for MatrixT<E> {

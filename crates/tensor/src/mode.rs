@@ -2,10 +2,12 @@
 //!
 //! The optimised kernels in [`crate::matrix`] / [`crate::sparse`] are
 //! pinned bitwise to [`crate::reference`]: same per-element accumulation
-//! order, same explicit-zero skip. That contract forbids the two
-//! transformations a vectoriser needs most — multiple independent partial
-//! sums per output and register-tiled accumulation — so a second tier
-//! exists behind the `fast-math` cargo feature.
+//! order, same explicit-zero skip. A register tile keeps that order (each
+//! output element's accumulator adds its terms in increasing `k`), so the
+//! exact `matmul` is one. What the contract forbids is splitting one
+//! output's sum over several independent partial sums — the reassociation
+//! a dot product needs to vectorise — so a second tier exists behind the
+//! `fast-math` cargo feature.
 //!
 //! Selection is **runtime**, not compile-time: every product has one
 //! `*_in` entry point taking a [`KernelCtx`] that names the tier, so a
@@ -23,8 +25,9 @@ pub enum MathMode {
     /// did not opt in to fast math.
     #[default]
     Exact,
-    /// Multi-accumulator / register-tiled kernels. Results differ from
-    /// exact only by floating-point reassociation (property-tested
+    /// Multi-accumulator kernels, and a `matmul` that adds a zero factor's
+    /// term instead of skipping it. Results differ from exact only by
+    /// floating-point reassociation and those `±0` terms (property-tested
     /// relative-error bounds, see `tests/fast_math.rs`). Falls back to
     /// [`MathMode::Exact`] when the `fast-math` feature is not compiled.
     Fast,

@@ -212,6 +212,27 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The pooled element-wise map is the serial one at every worker
+    /// count, on ELU (what the plain backend activates with) over zeros of
+    /// both signs and an infinity.
+    #[test]
+    fn map_assign_in_matches_map_assign_at_any_thread_count(
+        m in arb_matrix_specials(0..300, 0..48)
+    ) {
+        let elu = |v: f32| if v > 0.0 { v } else { v.exp() - 1.0 };
+        let mut serial = m.clone();
+        serial.map_assign(elu);
+        for threads in THREADS {
+            let mut pooled = m.clone();
+            pooled.map_assign_in(elu, KernelCtx { threads, ..KernelCtx::default() });
+            prop_assert!(bits(&pooled) == bits(&serial), "threads={threads:?}");
+        }
+    }
+}
+
 /// The worker counts the narrow-shape tests hold a kernel to: the serial
 /// path and a forced split.
 const NARROW_CTXS: [KernelCtx; 2] = [KernelCtx::threads(1), KernelCtx::threads(4)];
@@ -379,6 +400,82 @@ fn single_column_skips_stay_skipped_against_infinities() {
         assert_eq!(bits(&ta), bits(&reference::matmul_ta(&a, &g)), "{ctx:?}");
         for c in 0..k {
             assert_eq!(ta.get(c, 0).is_finite(), c == 2, "column {c} {ctx:?}");
+        }
+    }
+}
+
+#[test]
+fn register_tile_edges_stay_bitwise() {
+    // 11 rows: two 4-row tiles and 3 single rows on one worker; on three,
+    // two chunks of 6 and 5 rows put the tile boundaries elsewhere. 35
+    // columns: two 16-wide panels and a 3-column remainder panel. `a` is
+    // nonzero but for one zero inside tile 0 (row 1, k = 5), an all-zero
+    // k step (column 7), an all-zero row (9) and column 11's zeros on rows
+    // 2 and 6, where `b` holds +∞ in a full panel (column 3) and in the
+    // remainder (column 33).
+    let (m, k, n) = (11, 300, 35);
+    let mut a = Matrix::from_vec(
+        m,
+        k,
+        (0..m * k).map(|i| ((i % 13) as f32) * 0.25 - 1.4).collect(),
+    );
+    a.set(1, 5, 0.0);
+    for r in 0..m {
+        a.set(r, 7, 0.0);
+    }
+    for c in 0..k {
+        a.set(9, c, 0.0);
+    }
+    a.set(2, 11, 0.0);
+    a.set(6, 11, 0.0);
+    let mut b = Matrix::from_vec(
+        k,
+        n,
+        (0..k * n)
+            .map(|i| ((i % 17) as f32) * 0.125 - 1.0)
+            .collect(),
+    );
+    b.set(11, 3, f32::INFINITY);
+    b.set(11, 33, f32::INFINITY);
+    let bias = Matrix::from_vec(
+        1,
+        n,
+        (0..n)
+            .map(|j| {
+                if j % 2 == 0 {
+                    -0.0
+                } else {
+                    j as f32 * 0.5 - 3.0
+                }
+            })
+            .collect(),
+    );
+    let b_t = b.transpose();
+    let skipped = |r: usize| [2, 6, 9].contains(&r);
+
+    for ctx in [KernelCtx::threads(1), KernelCtx::threads(3)] {
+        let plain = a.matmul_in(&b, None, ctx);
+        let seeded = a.matmul_in(&b, Some(&bias), ctx);
+        assert_eq!(bits(&plain), bits(&reference::matmul(&a, &b)), "{ctx:?}");
+        assert_eq!(
+            bits(&seeded),
+            bits(&reference_matmul_seeded(&a, &b, &bias)),
+            "{ctx:?}"
+        );
+        // The all-zero row is its seed: `+0` alone, the bias (its `-0.0`
+        // included) under it.
+        assert!(plain.row(9).iter().all(|v| v.to_bits() == 0), "{ctx:?}");
+        assert_eq!(bits(&seeded)[9 * n..10 * n], bits(&bias)[..], "{ctx:?}");
+        // A skipped `0·∞` leaves the row finite; the wide `matmul_tb`,
+        // which adds every term, turns it into NaN.
+        let tb = a.matmul_tb_in(&b_t, ctx);
+        assert_eq!(bits(&tb), bits(&reference::matmul_tb(&a, &b_t)), "{ctx:?}");
+        for r in 0..m {
+            for c in [3, 33] {
+                let (p, t) = (plain.get(r, c), tb.get(r, c));
+                assert_eq!(p.is_finite(), skipped(r), "row {r} col {c} {ctx:?}");
+                assert_eq!(t.is_nan(), skipped(r), "row {r} col {c} {ctx:?}");
+            }
         }
     }
 }
