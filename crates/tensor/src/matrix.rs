@@ -576,18 +576,6 @@ const MR: usize = 4;
 /// right operand, one 16-lane vector of `f32`.
 const NR: usize = 16;
 
-/// Share of explicit zeros, in 32nds, in a tile's rows of `a` above which
-/// a skipping product wider than one panel updates the tile's output rows
-/// whole instead ([`TileForm::Rows`]). A tile with zeros tests its skip
-/// at every `k` of every panel, and a zero among nonzeros breaks its
-/// unconditional update; the row update tests each `(row, k)` once for
-/// all columns. On one thread, `3200×64 · 64×64` with random zeros: the
-/// skipping tiles take 280 µs at 1–3 % zeros against ≈ 700 for whole
-/// rows, and lose from ≈ 6 % (815 against 705). A first layer's attribute
-/// rows (≈ 4 % nonzero) and a training input after dropout go whole-row;
-/// a layer input after ELU has no zeros and takes 160 µs.
-const ZERO_SHARE_PER_32: usize = 1;
-
 /// Rows of `b` from which [`MatrixT::matmul_tb`] runs the multiply-add
 /// form over `bᵀ` instead of dot products. Short output rows do not fill
 /// the multiply-add form's vector loop: against a `150×64` left operand
@@ -670,25 +658,33 @@ fn multiply_add_block<E: Elem, const SKIP_ZEROS: bool>(
 }
 
 /// How [`multiply_add_block`] runs a 4-row tile of a skipping product,
-/// from the explicit zeros in its rows of `a`.
+/// from the explicit zeros in its rows of `a`. A layer input after ELU has
+/// none; a first layer's attribute rows (≈ 4 % nonzero) and a training
+/// input after dropout or ReLU are zero-heavy. Tiles with only a few zeros
+/// are ≈ 0.01 % of the tiles `serve_mixed` and `meta_learn` run.
 #[derive(Clone, Copy, PartialEq)]
 enum TileForm {
     /// No zero to skip: every `k` takes the unconditional update.
     Unconditional,
-    /// The zero skip dispatched per `k` ([`tile_rows`]).
+    /// The zero skip dispatched per `k` ([`tile_rows`]), in a product no
+    /// wider than one panel.
     Skipping,
-    /// More than [`ZERO_SHARE_PER_32`] in 32 entries zero, in a product
-    /// wider than one panel: whole output rows ([`row_update_block`]).
+    /// Zeros in a product wider than one panel: whole output rows
+    /// ([`row_update_block`]), which test each `(row, k)` once for all
+    /// columns instead of once per panel.
     Rows,
 }
 
 impl TileForm {
     /// The form of a tile whose rows of `a` are `rows`, in an `n`-column
-    /// product.
+    /// product. (Counting the zeros, not stopping at the first with `any`,
+    /// keeps the tile loops' codegen: on one AVX-512 core the `any` form
+    /// measured 1.35× slower on a dense 3200×64 · 64×64, 2.2× on 2–15
+    /// columns.)
     fn of<E: Elem>(rows: &[E], n: usize) -> Self {
         match rows.iter().filter(|&&v| v == E::ZERO).count() {
             0 => TileForm::Unconditional,
-            z if n > NR && z * 32 > rows.len() * ZERO_SHARE_PER_32 => TileForm::Rows,
+            _ if n > NR => TileForm::Rows,
             _ => TileForm::Skipping,
         }
     }

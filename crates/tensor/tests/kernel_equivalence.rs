@@ -5,8 +5,8 @@
 //! loops and partition output rows across threads, but never change the
 //! per-element floating-point accumulation order, so every output bit
 //! must match `cgnp_tensor::reference`. Shapes range over degenerate
-//! cases (empty, 1×1) through sizes that exercise multiple k-tiles and
-//! several parallel row chunks. The fused segment-attention kernel is held
+//! cases (empty, 1×1) through sizes that exercise several register-tile
+//! panels, remainder rows and columns, and several parallel row chunks. The fused segment-attention kernel is held
 //! to the same contract against its multi-pass reference, in `f32` and
 //! `f64`, and its taped form's adjoint against the multi-pass backward.
 
@@ -407,13 +407,15 @@ fn single_column_skips_stay_skipped_against_infinities() {
 #[test]
 fn register_tile_edges_stay_bitwise() {
     // 11 rows: two 4-row tiles and 3 single rows on one worker; on three,
-    // two chunks of 6 and 5 rows put the tile boundaries elsewhere. 35
-    // columns: two 16-wide panels and a 3-column remainder panel. `a` is
+    // two chunks of 6 and 5 rows put the tile boundaries elsewhere. `a` is
     // nonzero but for one zero inside tile 0 (row 1, k = 5), an all-zero
     // k step (column 7), an all-zero row (9) and column 11's zeros on rows
     // 2 and 6, where `b` holds +∞ in a full panel (column 3) and in the
-    // remainder (column 33).
-    let (m, k, n) = (11, 300, 35);
+    // last, zero-padded one. 35 columns (two 16-wide panels and a 3-column
+    // remainder) send every tile, each holding zeros, to whole-row
+    // updates; 13 columns (one padded panel) send them to the per-k skip
+    // dispatch, whose three branches the zeros above all take.
+    let (m, k) = (11, 300);
     let mut a = Matrix::from_vec(
         m,
         k,
@@ -428,53 +430,66 @@ fn register_tile_edges_stay_bitwise() {
     }
     a.set(2, 11, 0.0);
     a.set(6, 11, 0.0);
-    let mut b = Matrix::from_vec(
-        k,
-        n,
-        (0..k * n)
-            .map(|i| ((i % 17) as f32) * 0.125 - 1.0)
-            .collect(),
-    );
-    b.set(11, 3, f32::INFINITY);
-    b.set(11, 33, f32::INFINITY);
-    let bias = Matrix::from_vec(
-        1,
-        n,
-        (0..n)
-            .map(|j| {
-                if j % 2 == 0 {
-                    -0.0
-                } else {
-                    j as f32 * 0.5 - 3.0
-                }
-            })
-            .collect(),
-    );
-    let b_t = b.transpose();
     let skipped = |r: usize| [2, 6, 9].contains(&r);
 
-    for ctx in [KernelCtx::threads(1), KernelCtx::threads(3)] {
-        let plain = a.matmul_in(&b, None, ctx);
-        let seeded = a.matmul_in(&b, Some(&bias), ctx);
-        assert_eq!(bits(&plain), bits(&reference::matmul(&a, &b)), "{ctx:?}");
-        assert_eq!(
-            bits(&seeded),
-            bits(&reference_matmul_seeded(&a, &b, &bias)),
-            "{ctx:?}"
+    for n in [35, 13] {
+        let mut b = Matrix::from_vec(
+            k,
+            n,
+            (0..k * n)
+                .map(|i| ((i % 17) as f32) * 0.125 - 1.0)
+                .collect(),
         );
-        // The all-zero row is its seed: `+0` alone, the bias (its `-0.0`
-        // included) under it.
-        assert!(plain.row(9).iter().all(|v| v.to_bits() == 0), "{ctx:?}");
-        assert_eq!(bits(&seeded)[9 * n..10 * n], bits(&bias)[..], "{ctx:?}");
-        // A skipped `0·∞` leaves the row finite; the wide `matmul_tb`,
-        // which adds every term, turns it into NaN.
-        let tb = a.matmul_tb_in(&b_t, ctx);
-        assert_eq!(bits(&tb), bits(&reference::matmul_tb(&a, &b_t)), "{ctx:?}");
-        for r in 0..m {
-            for c in [3, 33] {
-                let (p, t) = (plain.get(r, c), tb.get(r, c));
-                assert_eq!(p.is_finite(), skipped(r), "row {r} col {c} {ctx:?}");
-                assert_eq!(t.is_nan(), skipped(r), "row {r} col {c} {ctx:?}");
+        let infinite = [3, n - 2];
+        for c in infinite {
+            b.set(11, c, f32::INFINITY);
+        }
+        let bias = Matrix::from_vec(
+            1,
+            n,
+            (0..n)
+                .map(|j| {
+                    if j % 2 == 0 {
+                        -0.0
+                    } else {
+                        j as f32 * 0.5 - 3.0
+                    }
+                })
+                .collect(),
+        );
+        let b_t = b.transpose();
+
+        for ctx in [KernelCtx::threads(1), KernelCtx::threads(3)] {
+            let plain = a.matmul_in(&b, None, ctx);
+            let seeded = a.matmul_in(&b, Some(&bias), ctx);
+            assert_eq!(
+                bits(&plain),
+                bits(&reference::matmul(&a, &b)),
+                "{n} {ctx:?}"
+            );
+            assert_eq!(
+                bits(&seeded),
+                bits(&reference_matmul_seeded(&a, &b, &bias)),
+                "{n} {ctx:?}"
+            );
+            // The all-zero row is its seed: `+0` alone, the bias (its `-0.0`
+            // included) under it.
+            assert!(plain.row(9).iter().all(|v| v.to_bits() == 0), "{n} {ctx:?}");
+            assert_eq!(bits(&seeded)[9 * n..10 * n], bits(&bias)[..], "{n} {ctx:?}");
+            // A skipped `0·∞` leaves the row finite; `matmul_tb`, which adds
+            // every term, turns it into NaN.
+            let tb = a.matmul_tb_in(&b_t, ctx);
+            assert_eq!(
+                bits(&tb),
+                bits(&reference::matmul_tb(&a, &b_t)),
+                "{n} {ctx:?}"
+            );
+            for r in 0..m {
+                for c in infinite {
+                    let (p, t) = (plain.get(r, c), tb.get(r, c));
+                    assert_eq!(p.is_finite(), skipped(r), "row {r} col {c} {n} {ctx:?}");
+                    assert_eq!(t.is_nan(), skipped(r), "row {r} col {c} {n} {ctx:?}");
+                }
             }
         }
     }
@@ -482,8 +497,11 @@ fn register_tile_edges_stay_bitwise() {
 
 #[test]
 fn large_matmul_crosses_tile_and_chunk_boundaries() {
-    // One deterministic case big enough to span several 256-wide k-tiles
-    // and all parallel chunks: 300×600 @ 600×97.
+    // One deterministic case big enough to span all parallel chunks:
+    // 300×600 @ 600×97, six 16-wide panels plus a 1-column remainder
+    // panel. Every 4-row tile of `a` holds zeros (1 in 11), so in this
+    // wide product each takes whole-row updates; rows past a chunk's last
+    // tile take the panel sweep's per-row loop.
     let a = Matrix::from_vec(
         300,
         600,
