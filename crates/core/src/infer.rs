@@ -37,10 +37,10 @@
 //!   sigmoid — and each (node, query) pair is a chain of its own that no
 //!   neighbouring pair feeds, so a query's probability vector has the
 //!   same bits alone, at any position of any batch, and on any number of
-//!   workers. The prediction cache (a vector scored in one tick answers
-//!   another) and sharded serving (a coordinator scores each query alone,
-//!   shard by shard, where the unsharded session batches the tick) both
-//!   lean on that, and
+//!   workers. A query repeated in ticks of other shapes (it must answer
+//!   the same bits each time) and sharded serving (a coordinator scores
+//!   each query alone, shard by shard, where the unsharded session
+//!   batches the tick) both lean on that, and
 //!   `a_querys_scores_do_not_depend_on_its_batch` pins it.
 
 use cgnp_data::{with_indicator, QueryExample};
@@ -558,8 +558,8 @@ mod tests {
 
     #[test]
     fn a_querys_scores_do_not_depend_on_its_batch() {
-        // The prediction LRU hands one tick's vector to later ticks of
-        // any shape, and a sharded coordinator scores a query alone where
+        // A query repeated in later ticks of any shape must answer the
+        // same bits, and a sharded coordinator scores a query alone where
         // the unsharded session batches its tick: a vector must be the
         // same bits alone, first, last, duplicated and in a batch wider
         // than one panel, on either tier and any worker count. (`Fast` is

@@ -146,10 +146,10 @@ impl PreparedTask {
 
         // Rows whose adjacency list changed (operator rows), whose local
         // clustering coefficient may have changed, or whose attribute
-        // one-hot block must be rewritten. Affected sets are computed on
-        // the *final* graph: adjacency only grows under the mutation API,
-        // so these are supersets of the truly-changed rows, and every row
-        // is recomputed from the final graph anyway.
+        // one-hot block must be written (new nodes). Affected sets are
+        // computed on the *final* graph: adjacency only grows under the
+        // mutation API, so these are supersets of the truly-changed rows,
+        // and every row is recomputed from the final graph anyway.
         let mut adj_changed: BTreeSet<usize> = BTreeSet::new();
         let mut lcc_rows: BTreeSet<usize> = BTreeSet::new();
         let mut attr_rows: BTreeSet<usize> = BTreeSet::new();
@@ -176,9 +176,6 @@ impl PreparedTask {
                 GraphMutation::NodeAdded { v } => {
                     adj_changed.insert(v);
                     lcc_rows.insert(v);
-                    attr_rows.insert(v);
-                }
-                GraphMutation::AttrsUpdated { v } => {
                     attr_rows.insert(v);
                 }
             }
@@ -746,8 +743,7 @@ mod tests {
     }
 
     /// Applies a mixed mutation batch to a prepared task's graph without
-    /// refreshing: two new edges, a new attributed node wired in, and an
-    /// attribute rewrite.
+    /// refreshing: two new edges and a new attributed node wired in.
     fn mutate(p: &mut PreparedTask) {
         let n = p.task.graph.n();
         assert!(p.task.graph.insert_edge(0, n / 2).expect("insert"));
@@ -759,9 +755,6 @@ mod tests {
         };
         let w = p.task.graph.add_node(attrs).expect("add node");
         assert!(p.task.graph.insert_edge(w, 2).expect("insert"));
-        if p.task.graph.n_attrs() > 1 {
-            p.task.graph.update_attrs(3, vec![1]).expect("attrs");
-        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! in the payload: legacy checkpoints (no `arch`) still load, with the
 //! caller supplying the architecture explicitly as before.
 
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
@@ -89,6 +89,38 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(PRIME);
     }
     h
+}
+
+/// Replaces `path` with `bytes` durably and atomically: the bytes go to a
+/// temporary sibling (`rename` is only atomic within one filesystem),
+/// are fsync'd, and the file is renamed into place, then the directory
+/// is fsync'd (best effort) so the rename itself survives a crash.
+/// Readers observe either the previous complete file or the new one,
+/// never a torn one. Shared by checkpoint saves here and the serve-layer
+/// snapshots.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp.{}", std::process::id()));
+    let tmp = std::path::PathBuf::from(tmp);
+    let result = (|| {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+        std::fs::rename(&tmp, path)
+    })();
+    if result.is_err() {
+        // Best-effort cleanup; the original error is what matters.
+        let _ = std::fs::remove_file(&tmp);
+        return result;
+    }
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    if let Ok(d) = std::fs::File::open(dir) {
+        let _ = d.sync_all();
+    }
+    Ok(())
 }
 
 /// Digest of a checkpoint's weight payload: each matrix's shape and the
@@ -338,12 +370,10 @@ pub fn restore(module: &dyn Module, ckpt: &Checkpoint) -> Result<(), String> {
 
 /// Saves a module's weights as JSON.
 ///
-/// The write is atomic: the JSON goes to a temporary sibling file first
-/// and is renamed into place only once fully flushed, so a crash (or
+/// The write is durable and atomic ([`write_atomic`]): a crash (or
 /// disk-full abort) mid-save can never leave a truncated checkpoint at
 /// `path` — readers observe either the previous complete file or the new
-/// one. The temp file lives in the same directory because `rename` is
-/// only atomic within one filesystem.
+/// one.
 pub fn save_to_file(module: &dyn Module, path: impl AsRef<Path>) -> io::Result<()> {
     write_checkpoint(&snapshot(module), path)
 }
@@ -360,17 +390,8 @@ pub fn save_with_arch(
 }
 
 fn write_checkpoint(ckpt: &Checkpoint, path: impl AsRef<Path>) -> io::Result<()> {
-    let path = path.as_ref();
     let json = serde_json::to_string(ckpt).map_err(io::Error::other)?;
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp.{}", std::process::id()));
-    let tmp = std::path::PathBuf::from(tmp);
-    let result = std::fs::write(&tmp, json).and_then(|()| std::fs::rename(&tmp, path));
-    if result.is_err() {
-        // Best-effort cleanup; the original error is what matters.
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
+    write_atomic(path.as_ref(), json.as_bytes())
 }
 
 /// Loads JSON weights into a module.

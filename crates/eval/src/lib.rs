@@ -30,7 +30,8 @@ pub mod report;
 
 pub use checkpoint::{
     fnv1a64, load_checkpoint_file, load_from_file, restore, restore_model, save_to_file,
-    save_with_arch, snapshot, snapshot_with_arch, weights_checksum, ArchSpec, Checkpoint,
+    save_with_arch, snapshot, snapshot_with_arch, weights_checksum, write_atomic, ArchSpec,
+    Checkpoint,
 };
 pub use experiments::{
     build_cite2cora_tasks, build_facebook_tasks, build_single_graph_tasks, run_cell,

@@ -99,7 +99,7 @@ pub struct GatewaySummary {
 }
 
 /// The end-of-run stats report: gateway counters next to the engine's
-/// own latency/occupancy/cache summary (when the engine keeps one —
+/// own latency/occupancy/context summary (when the engine keeps one —
 /// [`cgnp_serve::ServeSession`] does).
 #[derive(Clone, Debug, Serialize)]
 pub struct GatewayReport {

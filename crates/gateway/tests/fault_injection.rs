@@ -60,7 +60,6 @@ fn session(seed: u64) -> ServeSession {
         task,
         ServeConfig {
             batch: 4,
-            cache: 0, // no cache: every answer exercises real scoring
             threads: 1,
             seed,
             ..Default::default()

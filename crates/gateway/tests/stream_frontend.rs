@@ -37,7 +37,6 @@ fn session(seed: u64, batch: usize) -> Arc<ServeSession> {
     let cfg = CgnpConfig::paper_default(model_input_dim(&task.graph), 8);
     let serve = ServeConfig {
         batch,
-        cache: 8,
         threads: 1,
         seed,
         ..Default::default()
@@ -127,13 +126,12 @@ fn over_tcp(
     (lines_of(out), handle.join())
 }
 
-/// A response line minus the two fields that depend on timing and on
-/// what the prediction cache happened to hold.
+/// A response line minus the field that depends on timing.
 fn stable(line: &str) -> Vec<(String, Value)> {
     let Ok(Value::Obj(mut pairs)) = serde::json::parse(line) else {
         panic!("response is not a JSON object: {line}")
     };
-    pairs.retain(|(key, _)| key != "latency_us" && key != "cached");
+    pairs.retain(|(key, _)| key != "latency_us");
     pairs
 }
 

@@ -17,8 +17,6 @@ pub enum GraphMutation {
     EdgeInserted { u: usize, v: usize },
     /// Node `v` was appended (isolated; attributes set at creation).
     NodeAdded { v: usize },
-    /// Node `v`'s attribute set was replaced.
-    AttrsUpdated { v: usize },
 }
 
 /// Mutations retained for incremental consumers. Older history is
@@ -352,28 +350,6 @@ impl AttributedGraph {
         Ok(v)
     }
 
-    /// Replaces node `v`'s attribute set live (same vocabulary bound as
-    /// [`AttributedGraph::add_node`]).
-    pub fn update_attrs(&mut self, v: usize, mut attrs: Vec<u32>) -> Result<(), String> {
-        if v >= self.n() {
-            return Err(format!(
-                "node {v} out of range (graph has {} nodes)",
-                self.n()
-            ));
-        }
-        attrs.sort_unstable();
-        attrs.dedup();
-        if let Some(&bad) = attrs.iter().find(|&&a| a as usize >= self.n_attrs) {
-            return Err(format!(
-                "attribute {bad} out of range (vocabulary has {} attributes)",
-                self.n_attrs
-            ));
-        }
-        self.attrs[v] = attrs;
-        self.record(GraphMutation::AttrsUpdated { v });
-        Ok(())
-    }
-
     /// Induced subgraph on `nodes`; community ids are preserved (member
     /// lists are restricted and remapped to the new node ids).
     pub fn induced_subgraph(&self, nodes: &[usize]) -> (AttributedGraph, Vec<usize>) {
@@ -482,19 +458,17 @@ mod tests {
         assert_eq!(ag.mutations_since(0), Some(&[][..]));
         assert!(ag.insert_edge(0, 3).unwrap());
         let v = ag.add_node(vec![1]).unwrap();
-        ag.update_attrs(v, vec![0, 2]).unwrap();
-        assert_eq!(ag.epoch(), 3);
+        assert_eq!(ag.epoch(), 2);
         assert_eq!(
             ag.mutations_since(0).unwrap(),
             &[
                 GraphMutation::EdgeInserted { u: 0, v: 3 },
                 GraphMutation::NodeAdded { v },
-                GraphMutation::AttrsUpdated { v },
             ]
         );
-        assert_eq!(ag.mutations_since(2).unwrap().len(), 1);
-        assert_eq!(ag.mutations_since(3), Some(&[][..]));
-        assert_eq!(ag.mutations_since(4), None, "the future is unknown");
+        assert_eq!(ag.mutations_since(1).unwrap().len(), 1);
+        assert_eq!(ag.mutations_since(2), Some(&[][..]));
+        assert_eq!(ag.mutations_since(3), None, "the future is unknown");
     }
 
     #[test]
@@ -516,19 +490,16 @@ mod tests {
         ag.insert_edge(v, 1).unwrap();
         assert_eq!(ag.graph().neighbors(v), &[1]);
         assert!(ag.add_node(vec![7]).is_err(), "attr out of vocabulary");
-        assert!(ag.update_attrs(v, vec![9]).is_err());
-        ag.update_attrs(v, vec![1]).unwrap();
-        assert!(ag.has_attr(v, 1));
     }
 
     #[test]
     fn mutation_log_truncates_but_stays_consistent() {
-        // Drive the log beyond its retention bound with alternating
-        // attribute updates; history must stay addressable from the
-        // retained window and report `None` before it.
+        // Drive the log beyond its retention bound with node births;
+        // history must stay addressable from the retained window and
+        // report `None` before it.
         let mut ag = sample();
-        for i in 0..(super::MAX_MUTATION_LOG + 10) {
-            ag.update_attrs(i % 2, vec![0]).unwrap();
+        for _ in 0..(super::MAX_MUTATION_LOG + 10) {
+            ag.add_node(vec![0]).unwrap();
         }
         let epoch = ag.epoch();
         assert_eq!(epoch, (super::MAX_MUTATION_LOG + 10) as u64);
@@ -543,7 +514,7 @@ mod tests {
     fn eviction_counter_stays_zero_within_retention() {
         let mut ag = sample();
         for _ in 0..100 {
-            ag.update_attrs(0, vec![0]).unwrap();
+            ag.add_node(vec![0]).unwrap();
         }
         assert_eq!(ag.log_evictions(), 0);
     }

@@ -19,8 +19,6 @@
 //!   which split across the persistent worker pool
 //!   (`cgnp_core::infer::score_batch_with_threads` — forward-only, no
 //!   autodiff tape anywhere on the serving path),
-//! * an LRU cache ([`cache::LruCache`]) memoizes full prediction vectors
-//!   keyed on `(query nodes, shots)`,
 //! * per-request latency, batch-occupancy, and context build/hit
 //!   counters accumulate into a [`ServeSummary`].
 //!
@@ -44,7 +42,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod durable;
 pub mod engine;
 pub mod protocol;
@@ -52,7 +49,6 @@ pub mod session;
 pub mod snapshot;
 pub mod wal;
 
-pub use cache::{CacheStats, LruCache};
 pub use durable::{scan, DurableEngine, DurableError, RecoveredState};
 pub use engine::QueryEngine;
 pub use protocol::{
@@ -61,7 +57,7 @@ pub use protocol::{
 };
 pub use session::{
     finish_burst, query_tick, rank_members, serve_task, update_burst, Applied, ServeConfig,
-    ServeSession, ServeStats, ServeSummary, TickView, Watermark,
+    ServeSession, ServeStats, ServeSummary, TickView,
 };
 pub use snapshot::{SnapshotPayload, SnapshotState};
 pub use wal::{WalError, WalRecord, WalWriter};

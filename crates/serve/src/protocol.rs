@@ -213,7 +213,7 @@ pub struct QueryResponse {
     pub probs: Vec<f32>,
     /// Support examples the prediction was conditioned on.
     pub shots: usize,
-    /// True when the prediction came from the session's LRU cache.
+    /// Always false; kept for wire compatibility.
     pub cached: bool,
     /// Wall-clock latency attributed to this request (whole micro-batch).
     pub latency_us: u64,

@@ -6,21 +6,19 @@
 //! adjacencies, arc index, base features), and a pool of labelled
 //! support examples. Every incoming query then costs an inner-product
 //! scoring pass against a per-shot-count context that is computed on
-//! first use and cached **across micro-batch ticks**, with an LRU cache
-//! short-circuiting repeated `(nodes, shots)` requests entirely.
+//! first use and cached **across micro-batch ticks**.
 //!
 //! The graph is **live**: [`ServeSession::apply_update`] inserts edges
 //! and nodes or rotates the support pool while queries keep flowing.
 //! Updates take the write half of a session-wide `RwLock`, patch the
 //! operator and feature rows the burst's mutations touched (rebuilding
 //! from scratch only when the graph's mutation log no longer says which
-//! — either way bitwise-identical to a scratch build), and advance a
-//! version watermark that retires exactly the cache entries
-//! the update invalidates: graph mutations and support expiry retire
-//! everything, while appending a support example retires nothing
-//! (cached contexts condition on prefixes of the pool, which an append
-//! leaves untouched). Every response reports the graph epoch it was
-//! answered under.
+//! — either way bitwise-identical to a scratch build), and retire
+//! exactly the cached contexts the update invalidates: graph mutations
+//! and support expiry retire every one, while appending a support
+//! example retires none (cached contexts condition on prefixes of the
+//! pool, which an append leaves untouched). Every response reports the
+//! graph epoch it was answered under.
 //!
 //! There is one forward pass: every context build runs the model's own
 //! encoder, ⊕ and decoder on the plain backend
@@ -48,7 +46,6 @@ use cgnp_tensor::{dispatch, fast_math_compiled, Block, Dtype, MathMode};
 use rand::SeedableRng;
 use serde::Serialize;
 
-use crate::cache::{CacheStats, LruCache};
 use crate::protocol::{
     validate_request, validate_update, ErrorCode, QueryRequest, QueryResponse, UpdateOp,
     UpdateRequest,
@@ -59,8 +56,6 @@ use crate::protocol::{
 pub struct ServeConfig {
     /// Micro-batch bound: how many in-flight queries one tick coalesces.
     pub batch: usize,
-    /// LRU capacity for `(nodes, shots)` predictions; 0 disables.
-    pub cache: usize,
     /// Worker fan-out for scoring a micro-batch.
     pub threads: usize,
     /// Seed for model restoration / support-pool sampling.
@@ -85,7 +80,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             batch: 8,
-            cache: 256,
             threads: rayon::current_num_threads(),
             seed: 42,
             refresh: RefreshStrategy::PerRow,
@@ -131,8 +125,8 @@ pub struct ServeStats {
     /// call: mutations that shared one operator refresh instead of paying
     /// for their own.
     coalesced_updates: u64,
-    /// Context forwards actually computed (cache misses + disabled-cache
-    /// computes). Each is the expensive half of a tick.
+    /// Context forwards actually computed (per-shot cache misses). Each
+    /// is the expensive half of a tick.
     context_builds: u64,
     /// Context forwards answered from the per-shot cache.
     context_hits: u64,
@@ -156,13 +150,7 @@ impl ServeStats {
     /// most recent window), for a session at `epoch` serving under `cfg`.
     /// Durability and shard fields are left at their ephemeral, unsharded
     /// values for the wrappers that own them to fill in.
-    pub fn summary(
-        &self,
-        cache: CacheStats,
-        epoch: u64,
-        log_evictions: u64,
-        cfg: &ServeConfig,
-    ) -> ServeSummary {
+    pub fn summary(&self, epoch: u64, log_evictions: u64, cfg: &ServeConfig) -> ServeSummary {
         let mut lat = self.latencies_us.clone();
         lat.sort_unstable();
         let pct = |p: f64| -> u64 {
@@ -183,9 +171,6 @@ impl ServeStats {
             },
             latency_p50_us: pct(0.5),
             latency_p95_us: pct(0.95),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_evictions: cache.evictions,
             context_builds: self.context_builds,
             context_hits: self.context_hits,
             updates: self.updates,
@@ -214,9 +199,6 @@ pub struct ServeSummary {
     pub mean_batch_occupancy: f64,
     pub latency_p50_us: u64,
     pub latency_p95_us: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub cache_evictions: u64,
     /// Context forwards computed vs answered from the per-shot cache.
     pub context_builds: u64,
     pub context_hits: u64,
@@ -292,26 +274,6 @@ impl Engine {
     }
 }
 
-/// Monotone session version plus the cache-staleness watermark: every
-/// cache entry is tagged with the version it was computed under, and
-/// entries tagged `< valid_from` are stale.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Watermark {
-    pub version: u64,
-    pub valid_from: u64,
-}
-
-impl Watermark {
-    /// Records one applied change. An invalidating one retires every
-    /// cache entry computed before it; a pure support append does not.
-    pub fn advance(&mut self, invalidate: bool) {
-        self.version += 1;
-        if invalidate {
-            self.valid_from = self.version;
-        }
-    }
-}
-
 /// Everything an update mutates, behind one write lock: queries take
 /// the read half for a whole micro-batch tick, so a tick sees one
 /// consistent (graph, operators, support pool) triple.
@@ -320,7 +282,9 @@ struct LiveState {
     /// The serving-dtype executor; lives here so the same write lock
     /// that refreshes the prepared operators re-casts its copy of them.
     engine: Engine,
-    mark: Watermark,
+    /// Bumped by every change that retires the cached contexts; a cached
+    /// context is fresh while the generation it was built under is this.
+    generation: u64,
 }
 
 /// An online query-answering session over one graph and one restored
@@ -329,11 +293,10 @@ struct LiveState {
 pub struct ServeSession {
     cfg: ServeConfig,
     live: RwLock<LiveState>,
-    cache: Mutex<LruCache>,
     /// Decoded context per effective shot count, shared across
-    /// micro-batch ticks and tagged with the session version it was
-    /// built under (at most one pinned matrix per shot count, so bounded
-    /// by the support-pool size). Ragged-shot traffic — many distinct
+    /// micro-batch ticks and tagged with the generation it was built
+    /// under (at most one pinned matrix per shot count, so bounded by
+    /// the support-pool size). Ragged-shot traffic — many distinct
     /// shot counts interleaving — would otherwise recompute identical
     /// contexts every tick.
     contexts: Mutex<HashMap<usize, (Arc<Block>, u64)>>,
@@ -375,9 +338,8 @@ impl ServeSession {
             live: RwLock::new(LiveState {
                 prepared,
                 engine,
-                mark: Watermark::default(),
+                generation: 0,
             }),
-            cache: Mutex::new(LruCache::new(cfg.cache)),
             contexts: Mutex::new(HashMap::new()),
             stats: Mutex::new(ServeStats::default()),
             cfg,
@@ -458,7 +420,7 @@ impl ServeSession {
         {
             let mut contexts = self.contexts.lock().expect("context cache lock");
             match contexts.get(&shots) {
-                Some((ctx, version)) if *version >= live.mark.valid_from => {
+                Some((ctx, generation)) if *generation == live.generation => {
                     let ctx = Arc::clone(ctx);
                     drop(contexts);
                     self.stats.lock().expect("stats lock").context_hits += 1;
@@ -481,7 +443,7 @@ impl ServeSession {
         self.contexts
             .lock()
             .expect("context cache lock")
-            .insert(shots, (Arc::clone(&ctx), live.mark.version));
+            .insert(shots, (Arc::clone(&ctx), live.generation));
         ctx
     }
 
@@ -498,11 +460,12 @@ impl ServeSession {
     ///
     /// Updates serialize with query ticks on the session's `RwLock`:
     /// while the write half is held the graph mutates, the prepared
-    /// operators refresh (per [`ServeConfig::refresh`]), and the version
-    /// watermark advances, so the next tick answers under the new epoch
-    /// with no stale cache entry surviving. Appending a support example
-    /// without expiry invalidates nothing: cached contexts condition on
-    /// pool prefixes, which grow-only changes leave intact.
+    /// operators refresh (per [`ServeConfig::refresh`]), and the cached
+    /// contexts the update invalidates retire, so the next tick answers
+    /// under the new epoch with no stale context surviving. Appending a
+    /// support example without expiry invalidates nothing: cached
+    /// contexts condition on pool prefixes, which grow-only changes leave
+    /// intact.
     pub fn apply_update(&self, req: &UpdateRequest) -> QueryResponse {
         self.apply_updates(std::slice::from_ref(req))
             .pop()
@@ -524,8 +487,10 @@ impl ServeSession {
         let live = &mut *guard;
         let epoch_before = live.prepared.task.graph.epoch();
         let task = &mut live.prepared.task;
-        let (acks, applied) =
-            update_burst(&mut task.graph, &mut task.support, &mut live.mark, reqs);
+        let (acks, applied) = update_burst(&mut task.graph, &mut task.support, reqs);
+        if applied.iter().any(Applied::retires_contexts) {
+            live.generation += 1;
+        }
         if !applied.is_empty() {
             live.prepared.refresh(self.cfg.refresh);
             // Support-only bursts leave the graph epoch — and therefore
@@ -540,7 +505,7 @@ impl ServeSession {
 
     /// Overwrites the core-number feature column with externally supplied
     /// per-node values (see [`PreparedTask::override_core_column`]) and
-    /// invalidates every cached context and prediction. A sharded
+    /// invalidates every cached context. A sharded
     /// coordinator calls this after each topology change: core numbers
     /// are a global property, so the shard-local column is wrong at the
     /// halo fringe and the coordinator injects the globally computed one.
@@ -551,7 +516,7 @@ impl ServeSession {
         // re-cast them here or keep scoring off the stale column.
         let live = &mut *live;
         live.engine.resnapshot(&live.prepared);
-        live.mark.advance(true);
+        live.generation += 1;
         Ok(())
     }
 
@@ -565,9 +530,9 @@ impl ServeSession {
     /// Answers a micro-batch: one [`query_tick`] whose shot groups each
     /// fetch their context through the cross-tick cache (it depends only
     /// on the shot count) and score all their queries in one pass over
-    /// it, the context rows split across the persistent pool. The read half of the session lock is held for the
-    /// whole tick, so every request in it is answered under one
-    /// consistent epoch.
+    /// it, the context rows split across the persistent pool. The read
+    /// half of the session lock is held for the whole tick, so every
+    /// request in it is answered under one consistent epoch.
     pub fn answer_batch(&self, reqs: &[QueryRequest]) -> Vec<QueryResponse> {
         let t0 = Instant::now();
         let live = self.read_live();
@@ -577,9 +542,7 @@ impl ServeSession {
             TickView {
                 graph: &task.graph,
                 max_shots: task.support.len(),
-                mark: live.mark,
             },
-            &self.cache,
             &self.stats,
             reqs,
             |shots, batch| {
@@ -591,8 +554,8 @@ impl ServeSession {
 
     /// Full membership probability vector for a query set (the library
     /// path behind [`ServeSession::answer`], without ranking or response
-    /// assembly; goes through the same cache).
-    pub fn predict(&self, nodes: &[usize], shots: Option<usize>) -> Result<Arc<Vec<f32>>, String> {
+    /// assembly; shares the same context cache).
+    pub fn predict(&self, nodes: &[usize], shots: Option<usize>) -> Result<Vec<f32>, String> {
         let live = self.read_live();
         let req = QueryRequest {
             shots,
@@ -603,28 +566,9 @@ impl ServeSession {
             live.prepared.task.n(),
             live.prepared.task.support.len(),
         )?;
-        let key = (nodes.to_vec(), shots);
-        if let Some(hit) = self
-            .cache
-            .lock()
-            .expect("cache lock")
-            .get(&key, live.mark.valid_from)
-        {
-            return Ok(hit);
-        }
         let ctx = self.context_for_shots_in(&live, shots);
-        let probs = self.score_batch(&ctx, std::slice::from_ref(&key.0), 1);
-        let probs = Arc::new(probs.into_iter().next().expect("one result"));
-        self.cache
-            .lock()
-            .expect("cache lock")
-            .insert(key, Arc::clone(&probs), live.mark.version);
-        Ok(probs)
-    }
-
-    /// Cache counters (hits/misses/evictions so far).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.lock().expect("cache lock").stats()
+        let probs = self.score_batch(&ctx, &[req.nodes], 1);
+        Ok(probs.into_iter().next().expect("one result"))
     }
 
     /// Context forwards `(computed, answered from the per-shot cache)`
@@ -635,7 +579,7 @@ impl ServeSession {
     }
 
     /// Serving summary: request/batch counts, mean occupancy, latency
-    /// percentiles, cache counters, update count, current epoch.
+    /// percentiles, context counters, update count, current epoch.
     pub fn summary(&self) -> ServeSummary {
         let (epoch, log_evictions) = {
             let live = self.read_live();
@@ -644,9 +588,8 @@ impl ServeSession {
                 live.prepared.task.graph.log_evictions(),
             )
         };
-        let cache = self.cache_stats();
         let stats = self.stats.lock().expect("stats lock");
-        stats.summary(cache, epoch, log_evictions, &self.cfg)
+        stats.summary(epoch, log_evictions, &self.cfg)
     }
 }
 
@@ -655,82 +598,58 @@ pub struct TickView<'a> {
     pub graph: &'a AttributedGraph,
     /// Size of the labelled support pool.
     pub max_shots: usize,
-    pub mark: Watermark,
 }
 
 /// One micro-batch tick, the same for a single session and a
-/// scatter/gather coordinator: validate each request, resolve it from the
-/// prediction LRU or collect it as a miss, deduplicate misses by
-/// `(nodes, shots)`, group them by shot count, score each group through
-/// `score_group(shots, query sets)` (one full probability vector per
-/// query set, in order), fill the cache, rank, assemble responses, and
-/// record the tick in `stats`. The caller holds the read lock `view`
-/// borrows from across the call, so every request is answered under one
+/// scatter/gather coordinator: validate each request, deduplicate the
+/// valid ones by `(nodes, shots)`, group them by shot count, score each
+/// group through `score_group(shots, query sets)` (one full probability
+/// vector per query set, in order), rank, assemble responses, and record
+/// the tick in `stats`. The caller holds the read lock `view` borrows
+/// from across the call, so every request is answered under one
 /// consistent epoch. The wall time since `t0`, read once the last
 /// response is ranked and assembled, is attributed to every request in
 /// the batch: the honest latency of a coalescing server.
 pub fn query_tick(
     t0: Instant,
-    TickView {
-        graph,
-        max_shots,
-        mark,
-    }: TickView<'_>,
-    cache: &Mutex<LruCache>,
+    TickView { graph, max_shots }: TickView<'_>,
     stats: &Mutex<ServeStats>,
     reqs: &[QueryRequest],
     mut score_group: impl FnMut(usize, &[Vec<usize>]) -> Vec<Vec<f32>>,
 ) -> Vec<QueryResponse> {
-    /// Where a valid request's probability vector comes from.
-    enum Source {
-        Cached(Arc<Vec<f32>>),
-        /// Index into the tick's unique misses.
-        Miss(usize),
-    }
-    let mut resolved: Vec<Result<(usize, Source), String>> = Vec::with_capacity(reqs.len());
-    // Misses deduplicated by key: identical (nodes, shots) requests in
-    // one tick are computed once and share the Arc (duplicate hot
-    // queries are exactly the traffic a coalescing server sees).
-    let mut misses: Vec<crate::cache::CacheKey> = Vec::new();
-    {
-        let mut cache = cache.lock().expect("cache lock");
-        for req in reqs {
-            resolved.push(validate_request(req, graph.n(), max_shots).map(|shots| {
-                let key = (req.nodes.clone(), shots);
-                let source = match cache.get(&key, mark.valid_from) {
-                    Some(probs) => Source::Cached(probs),
-                    None => {
-                        let m = misses
-                            .iter()
-                            .position(|k| *k == key)
-                            .unwrap_or(misses.len());
-                        if m == misses.len() {
-                            misses.push(key);
-                        }
-                        Source::Miss(m)
-                    }
-                };
-                (shots, source)
-            }));
-        }
-    }
+    // Each valid request maps to its index in the tick's unique
+    // `(nodes, shots)` keys: identical requests in one tick are scored
+    // once and share the vector (duplicate hot queries are exactly the
+    // traffic a coalescing server sees).
+    let mut keys: Vec<(Vec<usize>, usize)> = Vec::new();
+    let resolved: Vec<Result<(usize, usize), String>> = reqs
+        .iter()
+        .map(|req| {
+            validate_request(req, graph.n(), max_shots).map(|shots| {
+                let k = keys
+                    .iter()
+                    .position(|(nodes, s)| *s == shots && *nodes == req.nodes)
+                    .unwrap_or_else(|| {
+                        keys.push((req.nodes.clone(), shots));
+                        keys.len() - 1
+                    });
+                (shots, k)
+            })
+        })
+        .collect();
     // Group unique keys by shot count so each group shares one context.
     let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (m, key) in misses.iter().enumerate() {
-        match groups.iter_mut().find(|(s, _)| *s == key.1) {
-            Some((_, ms)) => ms.push(m),
-            None => groups.push((key.1, vec![m])),
+    for (k, (_, shots)) in keys.iter().enumerate() {
+        match groups.iter_mut().find(|(s, _)| s == shots) {
+            Some((_, ks)) => ks.push(k),
+            None => groups.push((*shots, vec![k])),
         }
     }
-    let mut scored: Vec<Option<Arc<Vec<f32>>>> = vec![None; misses.len()];
-    for (shots, ms) in groups {
-        let batch: Vec<Vec<usize>> = ms.iter().map(|&m| misses[m].0.clone()).collect();
-        let probs = score_group(shots, &batch);
-        let mut cache = cache.lock().expect("cache lock");
-        for (&m, prob) in ms.iter().zip(probs) {
-            let prob = Arc::new(prob);
-            cache.insert(misses[m].clone(), Arc::clone(&prob), mark.version);
-            scored[m] = Some(prob);
+    let mut scored: Vec<Vec<f32>> = vec![Vec::new(); keys.len()];
+    for (shots, ks) in groups {
+        let batch: Vec<Vec<usize>> = ks.iter().map(|&k| keys[k].0.clone()).collect();
+        for (&k, prob) in ks.iter().zip(score_group(shots, &batch)) {
+            scored[k] = prob;
         }
     }
     let epoch = graph.epoch();
@@ -739,12 +658,8 @@ pub fn query_tick(
         .zip(resolved)
         .map(|(req, r)| match r {
             Err(e) => QueryResponse::error(req.id, ErrorCode::BadRequest, e),
-            Ok((shots, source)) => {
-                let (probs, cached) = match &source {
-                    Source::Cached(probs) => (probs, true),
-                    Source::Miss(m) => (scored[*m].as_ref().expect("every miss is scored"), false),
-                };
-                let (members, member_probs) = rank_members(graph, probs, req);
+            Ok((shots, k)) => {
+                let (members, member_probs) = rank_members(graph, &scored[k], req);
                 QueryResponse {
                     id: req.id,
                     ok: true,
@@ -753,7 +668,7 @@ pub fn query_tick(
                     members,
                     probs: member_probs,
                     shots,
-                    cached,
+                    cached: false,
                     latency_us: 0,
                     epoch,
                 }
@@ -787,10 +702,19 @@ pub enum Applied {
     },
 }
 
+impl Applied {
+    /// Whether the mutation retires cached contexts. A pure support
+    /// append leaves every pool prefix — and therefore every cached
+    /// context — untouched; everything else invalidates.
+    fn retires_contexts(&self) -> bool {
+        !matches!(self, Applied::Support { expire: 0, .. })
+    }
+}
+
 /// The state half of an update burst, the same for a single session and
 /// a coordinator: validates each frame against the state *as the frames
 /// before it left it*, mutates the graph or rotates the support pool,
-/// advances the watermark, and acks every frame in order with the graph
+/// and acks every frame in order with the graph
 /// epoch after its own mutation (a frame that fails is acked with its
 /// error and the rest of the burst still applies). The applied mutations
 /// are handed back so the caller — still holding its write lock —
@@ -799,7 +723,6 @@ pub enum Applied {
 pub fn update_burst(
     graph: &mut AttributedGraph,
     support: &mut Vec<QueryExample>,
-    mark: &mut Watermark,
     reqs: &[UpdateRequest],
 ) -> (Vec<QueryResponse>, Vec<Applied>) {
     let mut acks = Vec::with_capacity(reqs.len());
@@ -845,13 +768,7 @@ pub fn update_burst(
                 continue;
             }
             Ok(None) => {}
-            Ok(Some(mutation)) => {
-                // A pure support append leaves every pool prefix — and
-                // therefore every cached context and prediction —
-                // untouched; everything else invalidates.
-                mark.advance(!matches!(mutation, Applied::Support { expire: 0, .. }));
-                applied.push(mutation);
-            }
+            Ok(Some(mutation)) => applied.push(mutation),
         }
         // Derived state is refreshed once after the burst; the *graph*
         // epoch is exactly what a per-frame refresh would have landed it

@@ -7,18 +7,18 @@
 //! restart loads the newest valid snapshot and replays only the WAL
 //! records after its `last_seq`.
 //!
-//! Writes reuse the checkpoint crate's atomic idiom (temp file in the
-//! same directory, fsync, rename), so a crash mid-snapshot or mid-rename
-//! leaves either the previous complete file or the new one — recovery
-//! skips unreadable candidates and `.tmp.` leftovers. The newest two
+//! Writes go through the checkpoint crate's [`cgnp_eval::write_atomic`]
+//! (temp file in the same directory, fsync, rename, directory fsync), so
+//! a crash mid-snapshot or mid-rename leaves either the previous complete
+//! file or the new one — recovery skips unreadable candidates and
+//! `.tmp.` leftovers. The newest two
 //! snapshots are retained: the one being written plus its predecessor,
 //! which stays the fallback until the new file proves checksum-valid.
 
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use cgnp_data::{QueryExample, Task};
-use cgnp_eval::fnv1a64;
+use cgnp_eval::{fnv1a64, write_atomic};
 use cgnp_graph::{AttributedGraph, Graph};
 use serde::json::Value;
 
@@ -343,27 +343,11 @@ pub fn snapshot_file_name(last_seq: u64) -> String {
     format!("snapshot-{last_seq:020}.json")
 }
 
-/// Writes a snapshot atomically into `dir`: temp file, flush, fsync,
-/// rename, then a best-effort directory fsync so the rename itself is
-/// durable. Returns the final path.
+/// Writes a snapshot durably and atomically into `dir`
+/// ([`write_atomic`]). Returns the final path.
 pub fn write_snapshot(dir: &Path, payload: &SnapshotPayload) -> std::io::Result<PathBuf> {
     let path = dir.join(snapshot_file_name(payload.last_seq));
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp.{}", std::process::id()));
-    let tmp = PathBuf::from(tmp);
-    let result = (|| {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(payload.to_json().as_bytes())?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, &path)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result?;
-    if let Ok(d) = std::fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
+    write_atomic(&path, payload.to_json().as_bytes())?;
     Ok(path)
 }
 

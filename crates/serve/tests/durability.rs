@@ -44,7 +44,6 @@ const STRATEGIES: [RefreshStrategy; 2] = [RefreshStrategy::EpochSwap, RefreshStr
 fn serve_cfg(threads: usize, refresh: RefreshStrategy) -> ServeConfig {
     ServeConfig {
         batch: 4,
-        cache: 32,
         threads,
         seed: 9,
         refresh,
@@ -112,8 +111,7 @@ fn example(rng: &mut StdRng, n: usize) -> QueryExample {
     }
 }
 
-/// Probe queries spanning node ids and shot counts; fresh keys, so
-/// cache state cannot mask a divergence.
+/// Probe queries spanning node ids and shot counts.
 fn probes(n: usize, max_shots: usize) -> Vec<QueryRequest> {
     (0..8u64)
         .map(|i| {

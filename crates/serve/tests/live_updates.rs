@@ -3,12 +3,12 @@
 //! be indistinguishable from a session built fresh on the final state.
 //!
 //! "Indistinguishable" is bitwise — the refreshed operators, features,
-//! and cached predictions must equal a scratch build exactly, for both
+//! and cached contexts must equal a scratch build exactly, for both
 //! refresh strategies and across decoder/⊕ variants. Queries are fired
-//! *during* the mutation stream on purpose: they populate the prediction
-//! and context caches, so any imprecision in the version watermark
-//! (a stale entry surviving an invalidation, or an over-eager flush
-//! hiding one) shows up when the same keys are re-asked at the end.
+//! *during* the mutation stream on purpose: they populate the context
+//! cache, so any imprecision in its invalidation (a stale context
+//! surviving an update, or an over-eager flush hiding one) shows up when
+//! the same keys are re-asked at the end.
 
 use cgnp_core::{Cgnp, CgnpConfig, CommutativeOp, DecoderKind, RefreshStrategy};
 use cgnp_data::{generate_sbm, model_input_dim, QueryExample, SbmConfig, Task};
@@ -31,7 +31,6 @@ fn model_for(task: &Task, decoder: DecoderKind, op: CommutativeOp, seed: u64) ->
 fn serve_cfg(refresh: RefreshStrategy) -> ServeConfig {
     ServeConfig {
         batch: 4,
-        cache: 32,
         threads: 1,
         seed: 9,
         refresh,
@@ -134,8 +133,8 @@ fn run_oracle_check(
             "live epoch must track the replayed mutation count"
         );
 
-        // Interleaved queries: exercise (and poison-test) the caches
-        // mid-stream. Re-asking a node queried before a mutation is the
+        // Interleaved queries: exercise (and poison-test) the context
+        // cache mid-stream. Re-asking a node queried before a mutation is the
         // interesting case, so draw from a small id range.
         for _ in 0..2 {
             let nodes = vec![rng.gen_range(0..live.n().min(12))];
@@ -156,8 +155,8 @@ fn run_oracle_check(
     assert_eq!(live.n(), oracle.n());
 
     // Fresh keys the live session has never answered, plus every key it
-    // answered mid-stream (those may be served from cache — the cache
-    // must be exactly as fresh as the scratch build).
+    // answered mid-stream (those may be scored against a cached context —
+    // which must be exactly as fresh as the scratch build).
     for probe in 0..6 {
         queried.push((vec![probe * 3 % live.n()], 1 + probe % live.max_shots()));
     }

@@ -36,7 +36,6 @@ fn trained_model_and_task(seed: u64) -> (Cgnp, Task) {
 fn cfg_with(precision: Dtype, math: MathMode) -> ServeConfig {
     ServeConfig {
         batch: 4,
-        cache: 16,
         threads: 1,
         seed: 9,
         precision,

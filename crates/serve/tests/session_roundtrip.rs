@@ -1,7 +1,7 @@
 //! End-to-end serving guarantees: a checkpoint restored into a
 //! [`ServeSession`] answers queries bitwise-identically to the in-process
-//! model it was saved from, the LRU cache behaves, and serving builds no
-//! autograd state.
+//! model it was saved from, a repeated query answers the same bits, and
+//! serving builds no autograd state.
 
 use cgnp_core::{meta_train, prepare_tasks, Cgnp, CgnpConfig, PreparedTask};
 use cgnp_data::{
@@ -37,7 +37,6 @@ fn trained_model_and_task(seed: u64) -> (Cgnp, Task) {
 fn serve_cfg() -> ServeConfig {
     ServeConfig {
         batch: 4,
-        cache: 16,
         threads: 1,
         seed: 9,
         ..Default::default()
@@ -129,45 +128,30 @@ fn from_checkpoint_rejects_mismatched_template() {
 }
 
 #[test]
-fn lru_cache_hits_and_evicts_through_the_session() {
+fn a_query_repeated_across_ticks_answers_the_same_bits() {
     let (model, task) = trained_model_and_task(23);
-    let q: Vec<usize> = task.targets.iter().map(|ex| ex.query).collect();
-    let session = ServeSession::new(
-        model,
-        task,
-        ServeConfig {
-            cache: 2,
-            ..serve_cfg()
-        },
-    )
-    .unwrap();
+    let q = task.targets[0].query;
+    let session = ServeSession::new(model, task, serve_cfg()).unwrap();
+    let bits = |r: &cgnp_serve::QueryResponse| -> Vec<u32> {
+        r.probs.iter().map(|p| p.to_bits()).collect()
+    };
 
-    // Miss, then hit on the identical (nodes, shots) key.
-    let first = session.answer(&QueryRequest::new(1, vec![q[0]]));
+    // The same query in three ticks, a different shot count in between:
+    // every repeat is scored afresh and must equal the first answer.
+    let first = session.answer(&QueryRequest::new(1, vec![q]));
     assert!(first.ok && !first.cached);
-    let second = session.answer(&QueryRequest::new(2, vec![q[0]]));
-    assert!(second.cached, "repeat request must come from the cache");
-    assert_eq!(first.members, second.members);
-    assert_eq!(first.probs, second.probs);
-    let stats = session.cache_stats();
-    assert_eq!(stats.hits, 1);
-    assert_eq!(stats.misses, 1);
-
-    // A different shot count is a different key.
-    let narrowed = session.answer(&QueryRequest::new(3, vec![q[0]]).with_shots(1));
-    assert!(!narrowed.cached);
-    assert_eq!(narrowed.shots, 1);
-
-    // Capacity 2: a third distinct key evicts the LRU entry (q[0] at
-    // full shots, untouched since the shots=1 insert).
-    session.answer(&QueryRequest::new(4, vec![q[1]]));
-    assert!(session.cache_stats().evictions >= 1);
-    let after_evict = session.answer(&QueryRequest::new(5, vec![q[0]]));
-    assert!(
-        !after_evict.cached,
-        "evicted entry must be recomputed, not served stale"
-    );
-    assert_eq!(after_evict.members, first.members, "recompute is identical");
+    for (id, shots) in [(2, Some(1)), (3, None), (4, Some(2)), (5, None)] {
+        let r = session.answer(&QueryRequest {
+            shots,
+            ..QueryRequest::new(id, vec![q])
+        });
+        assert!(r.ok && !r.cached, "id {id}: cached is always false");
+        assert_eq!(r.shots, shots.unwrap_or(first.shots));
+        if shots.is_none() {
+            assert_eq!(r.members, first.members, "id {id}");
+            assert_eq!(bits(&r), bits(&first), "id {id}");
+        }
+    }
 }
 
 #[test]
@@ -175,8 +159,8 @@ fn duplicate_requests_in_one_tick_share_one_computation() {
     let (model, task) = trained_model_and_task(26);
     let q = task.targets[0].query;
     let session = ServeSession::new(model, task, serve_cfg()).unwrap();
-    // Four identical cold-cache requests in one tick: deduplicated to one
-    // scoring pass whose result every response shares.
+    // Four identical requests in one tick: deduplicated to one scoring
+    // pass whose result every response shares.
     let reqs: Vec<QueryRequest> = (0..4).map(|i| QueryRequest::new(i, vec![q])).collect();
     let responses = session.answer_batch(&reqs);
     assert!(responses.iter().all(|r| r.ok && !r.cached));
@@ -184,14 +168,6 @@ fn duplicate_requests_in_one_tick_share_one_computation() {
         assert_eq!(r.members, responses[0].members);
         assert_eq!(r.probs, responses[0].probs);
     }
-    // Exactly one cache entry was inserted for the tick: the follow-up
-    // request hits it.
-    let follow_up = session.answer(&QueryRequest::new(9, vec![q]));
-    assert!(follow_up.cached);
-    let stats = session.cache_stats();
-    assert_eq!(stats.misses, 4, "each duplicate recorded one lookup miss");
-    assert_eq!(stats.hits, 1);
-    assert_eq!(stats.evictions, 0);
 }
 
 #[test]
@@ -217,7 +193,7 @@ fn serving_forward_records_zero_tape_nodes() {
     .unwrap();
     for shots in [1, session.max_shots()] {
         let ctx = session.context_for_shots(shots);
-        assert_eq!(ctx.rows(), session.n());
+        assert_eq!(cgnp_tensor::dispatch!(&*ctx, |m| m.rows()), session.n());
     }
     let batch: Vec<QueryRequest> = (0..6).map(|i| QueryRequest::new(i, vec![q])).collect();
     let responses = session.answer_batch(&batch);
@@ -242,7 +218,6 @@ fn parallel_and_serial_micro_batches_agree() {
             task,
             ServeConfig {
                 threads,
-                cache: 0,
                 ..serve_cfg()
             },
         )
@@ -275,15 +250,7 @@ fn context_cache_reuses_across_ticks_without_changing_results() {
     // be bitwise identical; the long-lived session must build it once.
     let build = || {
         let (model, task) = trained_model_and_task(26);
-        ServeSession::new(
-            model,
-            task,
-            ServeConfig {
-                cache: 0, // prediction cache off: every tick rescores
-                ..serve_cfg()
-            },
-        )
-        .unwrap()
+        ServeSession::new(model, task, serve_cfg()).unwrap()
     };
     let warm = build();
     let q = {
@@ -321,15 +288,7 @@ fn context_cache_reuses_across_ticks_without_changing_results() {
 fn ragged_shot_traffic_builds_one_context_per_shot_count() {
     let (model, task) = trained_model_and_task(27);
     let q = task.targets[0].query;
-    let session = ServeSession::new(
-        model,
-        task,
-        ServeConfig {
-            cache: 0,
-            ..serve_cfg()
-        },
-    )
-    .unwrap();
+    let session = ServeSession::new(model, task, serve_cfg()).unwrap();
     // Interleaved shot counts across several ticks: the pathological
     // ragged traffic the cross-tick cache exists for.
     for round in 0..3u64 {
@@ -368,21 +327,15 @@ fn support_expiry_invalidates_context_and_prediction_caches() {
         })
     };
 
-    // Warm both caches on the full pool.
+    // Warm the context cache on the full pool.
     let before = session.answer(&QueryRequest::new(1, vec![q]));
-    assert!(before.ok && !before.cached);
-    let hit = session.answer(&QueryRequest::new(2, vec![q]));
-    assert!(hit.cached, "second identical query must hit the LRU");
+    assert!(before.ok);
 
     // Narrow the conditioning data: one support example instead of three.
     assert!(rotate(10, None, 2).ok);
     assert_eq!(session.max_shots(), 1);
     let after = session.answer(&QueryRequest::new(3, vec![q]));
     assert!(after.ok);
-    assert!(
-        !after.cached,
-        "stale predictions must not survive a support expiry"
-    );
     assert_ne!(
         before.probs, after.probs,
         "new conditioning must actually reach the encoder"
@@ -407,8 +360,14 @@ fn support_expiry_invalidates_context_and_prediction_caches() {
     let err = refused.error.expect("an out-of-range example is refused");
     assert!(err.contains("out of range"), "{err}");
     assert_eq!(session.max_shots(), 1);
+    let builds = session.summary().context_builds;
     let still = session.answer(&QueryRequest::new(4, vec![q]));
-    assert!(still.ok && still.cached, "refused frames retire nothing");
+    assert!(still.ok);
+    assert_eq!(
+        session.summary().context_builds,
+        builds,
+        "refused frames retire nothing"
+    );
     assert_eq!(still.probs, after.probs);
 }
 
@@ -446,7 +405,7 @@ fn a_burst_longer_than_the_mutation_log_falls_back_to_a_rebuild() {
 
     let session = build(task.clone());
     let probe = |id: u64| QueryRequest::new(id, vec![0, n / 2]).with_top_k(n);
-    assert!(session.answer(&probe(1)).ok, "warm the caches first");
+    assert!(session.answer(&probe(1)).ok, "warm the context cache first");
     assert!(session.apply_updates(&burst).iter().all(|ack| ack.ok));
     assert!(
         session.snapshot_state().graph.mutations_since(0).is_none(),
@@ -460,7 +419,7 @@ fn a_burst_longer_than_the_mutation_log_falls_back_to_a_rebuild() {
     }
     let fresh = build(final_task);
     let (got, want) = (session.answer(&probe(2)), fresh.answer(&probe(2)));
-    assert!(got.ok && !got.cached);
+    assert!(got.ok);
     assert_eq!(got.epoch, missing.len() as u64);
     assert_eq!(got.members, want.members);
     let bits = |r: &cgnp_serve::QueryResponse| -> Vec<u32> {

@@ -54,11 +54,9 @@ use std::time::Instant;
 use cgnp_core::{infer, Cgnp, CgnpConfig, CommutativeOp, DecoderKind};
 use cgnp_data::{model_input_dim, QueryExample, Task};
 use cgnp_graph::{algo, AttributedGraph, Graph};
-use cgnp_serve::cache::LruCache;
 use cgnp_serve::{
     finish_burst, query_tick, update_burst, Applied, QueryEngine, QueryRequest, QueryResponse,
     ServeConfig, ServeSession, ServeStats, ServeSummary, TickView, UpdateOp, UpdateRequest,
-    Watermark,
 };
 use cgnp_tensor::{Block, CentroidScores, Dtype, Elem, MatrixT};
 
@@ -75,11 +73,10 @@ pub struct ShardedConfig {
     /// struct out.
     pub replicas: usize,
     /// Per-session tuning; `seed` also seeds the partitioner. The
-    /// coordinator owns the LRU (`cache`) and the scoring fan-out
-    /// (`threads` becomes shard-parallelism: at most that many shards
-    /// score at once, and at 1 they score one after another on the
-    /// calling thread), so per-shard sessions run with their own
-    /// prediction cache off and single-threaded scoring.
+    /// coordinator owns the scoring fan-out (`threads` becomes
+    /// shard-parallelism: at most that many shards score at once, and at
+    /// 1 they score one after another on the calling thread), so
+    /// per-shard sessions score single-threaded.
     pub serve: ServeConfig,
 }
 
@@ -179,9 +176,6 @@ struct Global {
     shards: Vec<Shard>,
     /// The globally computed core column as last injected into shards.
     core_col: Vec<f32>,
-    /// Version / staleness watermark for the coordinator's prediction
-    /// cache (same protocol as a session's).
-    mark: Watermark,
 }
 
 /// A scatter/gather serving coordinator over N partitions,
@@ -192,7 +186,6 @@ pub struct ShardedSession {
     cfg: ShardedConfig,
     halo: usize,
     global: RwLock<Global>,
-    cache: Mutex<LruCache>,
     stats: Mutex<ServeStats>,
 }
 
@@ -255,7 +248,6 @@ impl ShardedSession {
                 )
             })
             .collect::<Result<Vec<Shard>, String>>()?;
-        let cache = LruCache::new(cfg.serve.cache);
         Ok(Self {
             model,
             halo,
@@ -266,9 +258,7 @@ impl ShardedSession {
                 owned: parts.owned,
                 shards,
                 core_col,
-                mark: Watermark::default(),
             }),
-            cache: Mutex::new(cache),
             stats: Mutex::new(ServeStats::default()),
             cfg,
         })
@@ -369,9 +359,8 @@ impl ShardedSession {
         let view = TickView {
             graph: &global.graph,
             max_shots: global.support.len(),
-            mark: global.mark,
         };
-        query_tick(t0, view, &self.cache, &self.stats, reqs, |shots, batch| {
+        query_tick(t0, view, &self.stats, reqs, |shots, batch| {
             let ctxs: Vec<Arc<Block>> = global
                 .shards
                 .iter()
@@ -406,12 +395,7 @@ impl ShardedSession {
         let mut guard = self.global.write().expect("sharded state lock");
         let global = &mut *guard;
         let old_n = global.graph.n();
-        let (acks, applied) = update_burst(
-            &mut global.graph,
-            &mut global.support,
-            &mut global.mark,
-            reqs,
-        );
+        let (acks, applied) = update_burst(&mut global.graph, &mut global.support, reqs);
         if !applied.is_empty() {
             self.reconcile(global, &applied, old_n);
         }
@@ -550,11 +534,6 @@ impl ShardedSession {
         }
     }
 
-    /// Cache counters of the coordinator's prediction cache.
-    pub fn cache_stats(&self) -> cgnp_serve::CacheStats {
-        self.cache.lock().expect("cache lock").stats()
-    }
-
     /// Serving summary. `shard_epochs` reports the per-shard update
     /// epochs in fixed shard order; `context_builds`/`context_hits`
     /// aggregate over every shard.
@@ -570,13 +549,12 @@ impl ShardedSession {
         let epoch = global.graph.epoch();
         let log_evictions = global.graph.log_evictions();
         drop(global);
-        let cache = self.cache_stats();
         let stats = self.stats.lock().expect("stats lock");
         ServeSummary {
             context_builds,
             context_hits,
             shard_epochs: Some(shard_epochs),
-            ..stats.summary(cache, epoch, log_evictions, &self.cfg.serve)
+            ..stats.summary(epoch, log_evictions, &self.cfg.serve)
         }
     }
 }
@@ -711,8 +689,7 @@ fn forward(session: &ServeSession, frames: &[UpdateRequest]) {
 
 /// Builds one shard: induced subgraph on `local`, the local ids of
 /// `owned` (which `local` contains), translated support, one session
-/// (own prediction cache off — the coordinator holds the LRU;
-/// single-threaded scoring — parallelism fans across shards), global
+/// (single-threaded scoring — parallelism fans across shards), global
 /// core column injected.
 fn build_shard(
     model: &Arc<Cgnp>,
@@ -734,7 +711,6 @@ fn build_shard(
         targets: Vec::new(),
     };
     let session_cfg = ServeConfig {
-        cache: 0,
         threads: 1,
         ..*serve
     };
@@ -850,7 +826,6 @@ mod tests {
             shards: 3,
             replicas: 1,
             serve: ServeConfig {
-                cache: 0,
                 seed: 9,
                 ..ServeConfig::default()
             },

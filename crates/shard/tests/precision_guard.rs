@@ -60,7 +60,6 @@ fn cfg_with(precision: Dtype, math: MathMode) -> ShardedConfig {
         replicas: 1,
         serve: ServeConfig {
             batch: 4,
-            cache: 0,
             threads: 2,
             seed: 9,
             precision,

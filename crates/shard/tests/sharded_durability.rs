@@ -63,7 +63,6 @@ fn serving_task() -> Task {
 fn serve_cfg(refresh: RefreshStrategy) -> ServeConfig {
     ServeConfig {
         batch: 4,
-        cache: 32,
         threads: 2,
         seed: 9,
         refresh,

@@ -65,7 +65,6 @@ fn serving_task() -> Task {
 fn serve_cfg() -> ServeConfig {
     ServeConfig {
         batch: 4,
-        cache: 32,
         threads: 2,
         seed: 9,
         ..ServeConfig::default()
@@ -113,7 +112,7 @@ fn query_batches() -> Vec<Vec<QueryRequest>> {
                 shots: Some(2),
                 ..QueryRequest::new(5, vec![5, 27]).with_top_k(12)
             },
-            QueryRequest::new(6, vec![5]).with_top_k(10), // repeat of id 1: cache-hit parity
+            QueryRequest::new(6, vec![5]).with_top_k(10), // repeat of id 1 in a later tick
             QueryRequest::new(7, vec![9999]).with_top_k(3), // out of range: error parity
             QueryRequest {
                 shots: Some(999),
@@ -432,8 +431,8 @@ fn a_shot_group_wider_than_one_centroid_panel() {
             let oracle = ServeSession::with_shared_model(Arc::clone(&model), serving_task(), serve)
                 .expect("oracle session");
             let sharded = sharded_with(serve);
-            // No prediction cache: every query it answers is scored alone.
-            let alone = sharded_with(ServeConfig { cache: 0, ..serve });
+            // Answers every query of a tick in a tick of its own.
+            let alone = sharded_with(serve);
             let when = |phase: &str| format!("{phase}, {shards} shards, {threads} threads");
             let check = |tick: &[QueryRequest], phase: &str| {
                 let wide = sharded.answer_batch(tick);
@@ -554,7 +553,8 @@ fn one_tick_of_mixed_shots_duplicates_and_spanning_queries_across_a_node_birth()
         &sharded.answer_batch(&before),
         "tick before the birth",
     );
-    // The same tick again: every key now comes from the prediction LRU.
+    // The same tick again: every context now comes from the shards'
+    // per-shot caches.
     assert_same(
         &oracle.answer_batch(&before),
         &sharded.answer_batch(&before),

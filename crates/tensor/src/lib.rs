@@ -49,7 +49,7 @@ pub mod sparse;
 pub mod tensor;
 
 pub use attention::{ArcCsr, SegmentAttention};
-pub use block::{Block, SparseBlock};
+pub use block::Block;
 pub use elem::{Dtype, Elem};
 pub use grad_sink::GradSink;
 pub use matrix::{Matrix, MatrixT};

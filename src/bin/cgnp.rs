@@ -20,7 +20,7 @@
 //!
 //! cgnp serve --checkpoint model.json [--dataset citeseer] [--scale S]
 //!            [--decoder ip|mlp|gnn] [--shots N] [--seed N]
-//!            [--threads N] [--batch B] [--cache C]
+//!            [--threads N] [--batch B]
 //!            [--precision f32|f64] [--exact]
 //!            [--shards N]
 //!            [--listen ADDR] [--max-conns N] [--max-queue N]
@@ -65,7 +65,7 @@
 //!     so the restored architecture lines up. At exit one line is
 //!     printed to stderr, `gateway report: {"gateway":{..},"session":{..}}`:
 //!     the front-end's counters next to the serving summary (latency
-//!     percentiles, batch occupancy, cache counters).
+//!     percentiles, batch occupancy, context counters).
 //!
 //! A flag the subcommand does not read is a usage error (exit 2), not
 //! something to ignore.
@@ -132,7 +132,6 @@ const SUBCOMMANDS: &[Subcommand] = &[
             "checkpoint",
             "threads",
             "batch",
-            "cache",
             "precision",
             "exact",
             "shards",
@@ -453,7 +452,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     };
     let cfg = ServeConfig {
         batch: parse_usize(flags, "batch", ServeConfig::default().batch)?.max(1),
-        cache: parse_usize(flags, "cache", ServeConfig::default().cache)?,
         threads: parse_usize(flags, "threads", rayon::current_num_threads())?.max(1),
         seed: args.seed,
         precision,
@@ -524,12 +522,11 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         _ => engine,
     };
     eprintln!(
-        "serving {} ({} nodes, {} support examples) from {checkpoint}: batch {}, cache {}, {} threads, {} {} math",
+        "serving {} ({} nodes, {} support examples) from {checkpoint}: batch {}, {} threads, {} {} math",
         args.dataset.name(),
         engine.n(),
         engine.max_shots(),
         cfg.batch,
-        cfg.cache,
         cfg.threads,
         cfg.precision,
         cfg.effective_math()
@@ -610,11 +607,13 @@ mod tests {
 
     #[test]
     fn flags_a_subcommand_does_not_read_are_refused_by_name() {
-        // Two flags no subcommand has, a typo, two flags of another
-        // subcommand; of several, the first in name order is reported.
+        // Three flags no subcommand has (all once serve's), a typo, two
+        // flags of another subcommand; of several, the first in name
+        // order is reported.
         for (name, line, flag) in [
             ("serve", "--seed 1 --refresh swap", "--refresh"),
             ("serve", "--seed 1 --replicas 2", "--replicas"),
+            ("serve", "--seed 1 --cache 8", "--cache"),
             ("serve", "--refesh per-row --exact", "--refesh"),
             ("train", "--batch 8 --seed 1", "--batch"),
             ("evaluate", "--checkpoint m.json", "--checkpoint"),
@@ -640,7 +639,7 @@ mod tests {
             "--batch 2",
             "--batch 4 --request-timeout-ms 30000 --drain 20000 --durable d --snapshot-every 5",
             // The rest of what the usage text documents.
-            "--exact --precision f64 --cache 0 --max-conns 4 --max-queue 64 --decoder ip",
+            "--exact --precision f64 --max-conns 4 --max-queue 64 --decoder ip",
         ] {
             check("serve", &format!("{spawn} {extra}")).unwrap();
         }
