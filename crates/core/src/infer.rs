@@ -1,8 +1,10 @@
 //! The serving executor: the forward-only half of CGNP (Alg. 2) on the
-//! plain backend. Meta-test never takes a gradient, so serving never needs
-//! the autodiff tape: **every** serving session — any dtype, either kernel
+//! plain backend. Meta-test never takes a gradient, so it never needs the
+//! autodiff tape: **every** serving session — any dtype, either kernel
 //! tier, sharded or not — builds its contexts and scores its queries here,
-//! in `f32` or `f64` storage, with [`MathMode`] choosing the kernels.
+//! in `f32` or `f64` storage, with [`MathMode`] choosing the kernels; so
+//! do [`Cgnp::predict_task`] and the validation sweep, in `f32` on the
+//! exact tier.
 //!
 //! There is one forward pass. [`InferModel<E>`] *is* [`Cgnp`] — the same
 //! encoder, ⊕ and decoder code — holding the trained weights cast to `E`
@@ -14,7 +16,7 @@
 //! ([`Cgnp::predict_multi`]) bitwise — pinned for every encoder kind,
 //! decoder and ⊕ by `f32_exact_executor_is_bitwise_identical`.
 //!
-//! Two things exist only here, each chosen by what the code observes:
+//! Three things exist only here, each chosen by what the code observes:
 //!
 //! - **The encoder's first layer, when it is GAT, runs once per support
 //!   pool** rather than once per shot. The shots of a pool share the graph
@@ -26,6 +28,15 @@
 //!   region is already a third of a graph, three hops all of it. The
 //!   choice follows what is observed (first-layer kind, shot count);
 //!   GCN/SAGE encoders and single shots take the per-shot path.
+//! - **A task's views can spread across the pool**
+//!   ([`InferModel::context_with_threads`]). On a meta-test ball of ≈ 150
+//!   nodes a product is too small for the kernels to split well, so the
+//!   shots' views run one per worker instead, each job on its own copy of
+//!   the shared first layer, and ⊕ joins them in support order on the
+//!   caller. Serving does not: its contexts cover the whole graph, where
+//!   the kernels already split thousands of rows across the pool, and
+//!   per-worker copies of two whole-graph matrices only add memory, so
+//!   [`InferModel::context`] runs its views serially.
 //! - **A tick's queries are scored in one pass over the context.** The
 //!   queries of a micro-batch that condition on the same shots share the
 //!   context `H` and differ only in their centroid, so
@@ -48,6 +59,7 @@ use cgnp_nn::{AnyGnnLayer, GatLayer, GnnEncoder, Plain, PlainGraph, Trained};
 use cgnp_tensor::{CentroidScores, Elem, MathMode, MatrixT};
 
 use crate::model::{marked_nodes, Cgnp, PreparedTask};
+use crate::par::par_map;
 
 /// A trained [`Cgnp`] with its weights cast to element type `E`, ready for
 /// forward-only serving: the same model code on the plain backend.
@@ -84,23 +96,60 @@ impl<E: Elem> InferModel<E> {
     /// count).
     ///
     /// With a GAT first layer and more than one shot the views come from
-    /// [`SharedFirstLayer`]; the result is the same bit for bit.
+    /// [`SharedFirstLayer`]; the result is the same bit for bit. The views
+    /// run one after another on the caller: serving's contexts span the
+    /// whole graph, where the kernels already fill the pool.
     pub fn context(
         &self,
         state: &InferState<E>,
         support: &[QueryExample],
         mode: MathMode,
     ) -> MatrixT<E> {
+        self.context_with_threads(state, support, mode, 1)
+    }
+
+    /// [`InferModel::context`] with the shots' views computed on at most
+    /// `threads` pool workers, for contexts too small for the kernels to
+    /// split: a task's ball of ≈ 150 nodes. Inside a view job the pool
+    /// reports a width of 1, so each view's kernels run serially. With a
+    /// shared first layer each job works on its own copy of the layer's
+    /// two `n × d` matrices, which [`SharedFirstLayer::view`] patches in
+    /// place. ⊕ takes the views in support order on the caller, so the
+    /// result has the same bits for every `threads`.
+    pub fn context_with_threads(
+        &self,
+        state: &InferState<E>,
+        support: &[QueryExample],
+        mode: MathMode,
+        threads: usize,
+    ) -> MatrixT<E> {
         assert!(!support.is_empty(), "CGNP requires a non-empty support set");
         let b = state.backend(mode);
+        let threads = threads.clamp(1, support.len());
+        // Serially, ⊕ takes each view as it is made and the shared layer
+        // is patched in place: one view alive at a time, nothing copied.
         match self.encoder.layers().first() {
             Some(AnyGnnLayer::Gat(gat)) if support.len() > 1 => {
                 let mut shared = SharedFirstLayer::new(&self.encoder, gat, state, b);
-                let views = support.iter().map(|ex| shared.view(marked_nodes(ex)));
+                if threads == 1 {
+                    let views = support.iter().map(|ex| shared.view(marked_nodes(ex)));
+                    return self.join(&b, views, &[]);
+                }
+                let chunks: Vec<_> = support.chunks(support.len().div_ceil(threads)).collect();
+                let views = par_map(&chunks, threads, |chunk| {
+                    let mut own = shared.clone();
+                    (chunk.iter())
+                        .map(|ex| own.view(marked_nodes(ex)))
+                        .collect::<Vec<_>>()
+                });
+                self.join(&b, views.into_iter().flatten(), &[])
+            }
+            _ if threads == 1 => {
+                let views = support.iter().map(|ex| self.shot_view(state, ex, mode));
                 self.join(&b, views, &[])
             }
             _ => {
-                let views = support.iter().map(|ex| self.shot_view(state, ex, mode));
+                let views = par_map(support, threads, |ex| self.shot_view(state, ex, mode));
                 self.join(&b, views, &[])
             }
         }
@@ -124,6 +173,7 @@ impl<E: Elem> InferModel<E> {
 /// rows through the same row kernel, and run the remaining layers as
 /// before. Patched rows are swapped in and back out, so nothing
 /// `n`-sized is copied per shot.
+#[derive(Clone)]
 struct SharedFirstLayer<'a, E: Elem> {
     encoder: &'a GnnEncoder<MatrixT<E>>,
     gat: &'a GatLayer<MatrixT<E>>,

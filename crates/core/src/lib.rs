@@ -58,6 +58,6 @@ pub use infer::{InferModel, InferState};
 pub use model::{Cgnp, PreparedTask, RefreshStrategy};
 pub use train::{
     meta_train, meta_train_validated, meta_train_validated_with_threads, meta_train_with_rng,
-    meta_train_with_threads, prepare_tasks, prepare_tasks_with_threads, task_loss, validation_loss,
+    meta_train_with_threads, prepare_tasks, prepare_tasks_with_threads, task_loss,
     validation_loss_with_threads, TrainStats, ValidatedTrainStats,
 };

@@ -3,23 +3,23 @@
 //! [`Cgnp`] is written once over the op set of [`cgnp_nn::Backend`]; its
 //! type parameter is the parameter type. `Cgnp` (taped tensors, the
 //! default) is what meta-training differentiates through, and what
-//! [`Cgnp::predict`] / [`Cgnp::predict_multi`] / [`Cgnp::predict_task`]
-//! run under `no_grad` as the evaluation harness's meta-test and as the
-//! oracle every serving response is pinned bitwise against. Serving runs
-//! the same code over plain matrices, with the weights cast once
-//! ([`crate::infer::InferModel`]).
+//! [`Cgnp::predict`] / [`Cgnp::predict_multi`] run under `no_grad` as the
+//! oracle every executor result is pinned bitwise against. The same code
+//! over plain matrices, with the weights cast once
+//! ([`crate::infer::InferModel`]), runs serving, the evaluation
+//! harness's meta-test ([`Cgnp::predict_task`]) and the validation sweep.
 //!
 //! The taped context comes in two halves. [`Cgnp::encode_views`] runs the
 //! K encoder passes — independent by construction: same graph, same
 //! weights, one indicator column apart — on up to `threads` pool workers;
 //! [`Cgnp::decode`] joins them (`⊕`, then the decoder transform:
 //! [`Cgnp::join`], the half both backends share) on the caller.
-//! [`Cgnp::context`] is the two composed at the pool's width, so
-//! meta-test and the validation sweep fan out whenever they are not
-//! already inside a fan-out, and the training step
-//! (`crate::train`) puts a tape cut between the halves to send the
-//! backward pass out the same way. [`Cgnp::encode_view`] stays the serial
-//! building block and the oracle the fan-out is tested against.
+//! [`Cgnp::context`] is the two composed at the pool's width, so the
+//! oracle fans out whenever it is not already inside a fan-out, and the
+//! training step (`crate::train`) puts a tape cut between the halves to
+//! send the backward pass out the same way. [`Cgnp::encode_view`] stays
+//! the serial building block and the oracle the fan-out is tested
+//! against.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -27,13 +27,14 @@ use std::sync::Arc;
 use cgnp_data::{base_features_with_cores, with_indicator, QueryExample, Task, NO_QUERY};
 use cgnp_graph::{algo, GraphMutation};
 use cgnp_nn::{Backend, ForwardCtx, GnnEncoder, GraphContext, Module, ParamSource};
-use cgnp_tensor::{Matrix, Tensor};
+use cgnp_tensor::{MathMode, Matrix, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::commutative::Commutative;
 use crate::config::CgnpConfig;
 use crate::decoder::Decoder;
+use crate::infer::{self, InferModel, InferState};
 use crate::par::par_map;
 
 /// How a stale [`PreparedTask`] catches up with its mutated graph.
@@ -360,8 +361,8 @@ impl Cgnp {
     }
 
     /// The eval-mode context over the task's own support, under
-    /// `no_grad`, read by `read`: the shared prologue of the meta-test
-    /// entry points.
+    /// `no_grad`, read by `read`: the shared prologue of the taped
+    /// meta-test entry points.
     fn with_eval_context<R>(
         &self,
         prepared: &PreparedTask,
@@ -375,13 +376,17 @@ impl Cgnp {
     }
 
     /// Meta-test (Algorithm 2): adapt to the task's support set with zero
-    /// gradient steps and return membership probabilities for `q*`.
+    /// gradient steps and return membership probabilities for `q*`. Runs
+    /// on the tape under `no_grad`: the oracle [`Cgnp::predict_task`] and
+    /// serving are pinned against.
     pub fn predict(&self, prepared: &PreparedTask, q_star: usize, rng: &mut StdRng) -> Vec<f32> {
         self.with_eval_context(prepared, rng, |ctx| probs(&self.logits(ctx, q_star)))
     }
 
     /// Multi-query extension (see [`Decoder::score_multi`]): membership
     /// probabilities for the community containing **all** of `queries`.
+    /// Taped like [`Cgnp::predict`], and the oracle of a multi-node
+    /// serving query.
     pub fn predict_multi(
         &self,
         prepared: &PreparedTask,
@@ -396,12 +401,29 @@ impl Cgnp {
     /// Predictions for every target query of a task, sharing one context
     /// computation (the decisive efficiency property in Fig. 3: adaptation
     /// is forward-only and the context is reused across queries).
-    pub fn predict_task(&self, prepared: &PreparedTask, rng: &mut StdRng) -> Vec<Vec<f32>> {
-        self.with_eval_context(prepared, rng, |ctx| {
-            (prepared.task.targets.iter())
-                .map(|ex| probs(&self.logits(ctx, ex.query)))
-                .collect()
-        })
+    ///
+    /// Runs on the serving executor: the weights and the task's operators
+    /// cast once per call, the context built by
+    /// [`InferModel::context_with_threads`] with its views across the pool
+    /// (serially inside a pool job), every target scored in one
+    /// [`infer::score_batch_with_threads`] pass. Each vector has the bits
+    /// [`Cgnp::predict`] returns for that target. Eval-mode forwards draw
+    /// nothing, so `_rng` is left untouched.
+    pub fn predict_task(&self, prepared: &PreparedTask, _rng: &mut StdRng) -> Vec<Vec<f32>> {
+        self.predict_task_with_threads(prepared, rayon::current_num_threads())
+    }
+
+    /// [`Cgnp::predict_task`] on at most `threads` workers; the bits do not
+    /// depend on `threads`.
+    fn predict_task_with_threads(&self, prepared: &PreparedTask, threads: usize) -> Vec<Vec<f32>> {
+        let model = InferModel::<f32>::from_model(self);
+        let state = InferState::from_prepared(prepared);
+        let support = &prepared.task.support;
+        let context = model.context_with_threads(&state, support, MathMode::Exact, threads);
+        let batch: Vec<Vec<usize>> = (prepared.task.targets.iter())
+            .map(|ex| vec![ex.query])
+            .collect();
+        infer::score_batch_with_threads(&context, &batch, threads, MathMode::Exact)
     }
 }
 
@@ -433,9 +455,9 @@ impl Module for Cgnp {
 mod tests {
     use super::*;
     use crate::config::{CommutativeOp, DecoderKind};
-    use crate::infer::{self, InferModel, InferState};
+    use crate::train::{task_loss, validation_loss_with_threads};
     use cgnp_data::{sample_task, SbmConfig, TaskConfig};
-    use cgnp_tensor::MathMode;
+    use cgnp_nn::GnnKind;
     use rand::Rng;
 
     fn prepared_task(seed: u64) -> PreparedTask {
@@ -613,8 +635,9 @@ mod tests {
 
     #[test]
     fn eval_context_builds_no_tape() {
-        // What `predict`, `predict_multi` and `predict_task` all do: an
-        // eval-mode context under `no_grad` is a constant.
+        // What the taped `predict` and `predict_multi` do (`predict_task`
+        // and the validation sweep build theirs on the executor, with no
+        // tape at all): an eval-mode context under `no_grad` is a constant.
         let p = prepared_task(13);
         let model = model_for(&p, DecoderKind::Gnn, CommutativeOp::SelfAttention);
         let ctx = cgnp_tensor::no_grad(|| {
@@ -730,6 +753,81 @@ mod tests {
                 }
             });
         });
+    }
+
+    #[test]
+    fn executor_meta_test_is_the_taped_oracle_at_every_width() {
+        // `predict_task` and the validation sweep build their contexts on
+        // the serving executor, a pool's views on one shared first layer
+        // (GAT, more than one shot) or one by one (GCN, SAGE, one shot):
+        // at every width and shot count they must give the bits of the
+        // taped forward — `predict` per target, and a taped sweep.
+        let full = prepared_task(19);
+        let shots = full.task.support.len();
+        let mut valid: Vec<PreparedTask> = (20..20 + shots as u64).map(prepared_task).collect();
+        for (k, v) in valid.iter_mut().enumerate() {
+            v.task.support.truncate(k + 1);
+        }
+        let mut untargeted = PreparedTask::new(full.task.clone());
+        untargeted.task.targets.clear();
+        let in_dim = cgnp_data::model_input_dim(&full.task.graph);
+        for kind in [GnnKind::Gcn, GnnKind::Gat, GnnKind::Sage] {
+            for decoder in [
+                DecoderKind::InnerProduct,
+                DecoderKind::Mlp,
+                DecoderKind::Gnn,
+            ] {
+                for op in [
+                    CommutativeOp::Sum,
+                    CommutativeOp::Mean,
+                    CommutativeOp::SelfAttention,
+                ] {
+                    let cfg = CgnpConfig::paper_default(in_dim, 8)
+                        .with_encoder_kind(kind)
+                        .with_decoder(decoder)
+                        .with_commutative(op);
+                    let model = Cgnp::new(cfg, 1);
+                    let what = format!("{kind}/{decoder:?}/{op:?}");
+                    for k in 1..=shots {
+                        let mut p = PreparedTask::new(full.task.clone());
+                        p.task.support.truncate(k);
+                        let oracle: Vec<Vec<f32>> = (p.task.targets.iter())
+                            .map(|ex| model.predict(&p, ex.query, &mut StdRng::seed_from_u64(0)))
+                            .collect();
+                        let mut rng = StdRng::seed_from_u64(5);
+                        assert_eq!(model.predict_task(&p, &mut rng), oracle, "{what}/{k} shots");
+                        for threads in [1, 2, 3, 8] {
+                            assert_eq!(
+                                model.predict_task_with_threads(&p, threads),
+                                oracle,
+                                "{what}/{k} shots/{threads} threads"
+                            );
+                        }
+                    }
+                    let mut rng = StdRng::seed_from_u64(5);
+                    assert!(model.predict_task(&untargeted, &mut rng).is_empty());
+
+                    let losses: Vec<f32> = cgnp_tensor::no_grad(|| {
+                        (valid.iter())
+                            .map(|v| {
+                                let mut rng = StdRng::seed_from_u64(0);
+                                let mut fctx = ForwardCtx::eval(&mut rng);
+                                let context = model.context(v, &v.task.support, &mut fctx);
+                                task_loss(&model, &context, &v.task).item()
+                            })
+                            .collect()
+                    });
+                    let taped = losses.iter().sum::<f32>() / valid.len() as f32;
+                    for threads in [1, 2, 3, 8] {
+                        assert_eq!(
+                            validation_loss_with_threads(&model, &valid, threads).to_bits(),
+                            taped.to_bits(),
+                            "{what}: validation at {threads} threads"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -56,13 +56,14 @@
 
 use std::time::Instant;
 
-use cgnp_tensor::{clip_grad_norm, Adam, GradSink, Matrix, Optimizer, Reduction, Tensor};
+use cgnp_tensor::{clip_grad_norm, Adam, GradSink, MathMode, Matrix, Optimizer, Reduction, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use cgnp_data::Task;
 use cgnp_nn::{ForwardCtx, Module};
 
+use crate::infer::{InferModel, InferState};
 use crate::model::{Cgnp, PreparedTask};
 use crate::par::par_map;
 
@@ -305,29 +306,26 @@ fn train_epochs(
     stats
 }
 
-/// Mean query-set loss over the validation tasks (no tape, eval mode).
-/// The RNG parameter is kept for API stability: eval-mode forwards never
-/// consume it (pinned by `inference_is_deterministic`), which is what
-/// lets [`validation_loss_with_threads`] fan the sweep across workers
-/// without changing the result.
-pub fn validation_loss(model: &Cgnp, valid: &[PreparedTask], _rng: &mut StdRng) -> f32 {
-    validation_loss_with_threads(model, valid, rayon::current_num_threads())
-}
-
-/// Validation sweep fanned across the pool: per-task losses are computed
-/// concurrently and summed in fixed task order, so the mean is bitwise
-/// identical to the serial sweep for every `threads` value.
+/// Mean query-set loss over the validation tasks (eval mode, no tape),
+/// the per-task losses computed on at most `threads` workers and summed in
+/// task order, so the mean has the same bits for every `threads` value.
+/// Each context comes from the serving executor (one [`InferModel`] per
+/// sweep; a task's views across the pool when the sweep runs on the
+/// caller), bitwise the taped [`Cgnp::context`], and the unchanged
+/// [`task_loss`] reads it as a constant.
 pub fn validation_loss_with_threads(model: &Cgnp, valid: &[PreparedTask], threads: usize) -> f32 {
     if valid.is_empty() {
         return f32::NAN;
     }
+    let executor = InferModel::<f32>::from_model(model);
     // `par_map` hands this thread's `no_grad` on to its jobs.
     let losses = cgnp_tensor::no_grad(|| {
         par_map(valid, threads, |prepared| {
-            let mut rng = StdRng::seed_from_u64(0);
-            let mut fctx = ForwardCtx::eval(&mut rng);
-            let context = model.context(prepared, &prepared.task.support, &mut fctx);
-            task_loss(model, &context, &prepared.task).item()
+            let state = InferState::from_prepared(prepared);
+            let width = threads.min(rayon::current_num_threads());
+            let support = &prepared.task.support;
+            let context = executor.context_with_threads(&state, support, MathMode::Exact, width);
+            task_loss(model, &Tensor::constant(context), &prepared.task).item()
         })
     });
     losses.iter().sum::<f32>() / valid.len() as f32
@@ -545,8 +543,7 @@ mod tests {
         assert_eq!(stats.valid_losses.len(), 12);
         assert!(stats.best_epoch < 12);
         // The restored weights reproduce the recorded best validation loss.
-        let mut rng = StdRng::seed_from_u64(99);
-        let restored = super::validation_loss(&model, valid, &mut rng);
+        let restored = validation_loss_with_threads(&model, valid, rayon::current_num_threads());
         let best = stats.valid_losses[stats.best_epoch];
         assert!(
             (restored - best).abs() < 0.15 * best.abs().max(1e-3) + 0.05,

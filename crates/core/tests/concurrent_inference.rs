@@ -1,11 +1,13 @@
-//! Stress test for the lock-free tensor core under concurrent
-//! inference: many threads drive the taped forward (`predict_multi`,
-//! `predict_task`) against ONE shared `Cgnp` (and one shared
-//! `PreparedTask`) at the same time, while every result must stay
-//! bitwise identical to the single-threaded path. This is the traffic
-//! shape of `CsLearner`'s pool-parallel meta-test, and it guards the
-//! value/tape split: forward values are immutable and read without
-//! locks, so no interleaving may perturb them.
+//! Stress test for concurrent inference: many threads drive the taped
+//! forward (`predict_multi`) and the executor's meta-test
+//! (`predict_task`, which casts the weights and operators per call and
+//! spreads a task's views across the pool) against ONE shared `Cgnp`
+//! (and one shared `PreparedTask`) at the same time, while every result
+//! must stay bitwise identical to the single-threaded path. This is the
+//! traffic shape of `CsLearner`'s pool-parallel meta-test, and it guards
+//! the value/tape split — forward values are immutable and read without
+//! locks — and the executor's per-job copies of the shared first layer:
+//! no interleaving may perturb either.
 
 use cgnp_core::{Cgnp, CgnpConfig, CommutativeOp, DecoderKind, PreparedTask};
 use cgnp_data::{generate_sbm, model_input_dim, sample_task, SbmConfig, TaskConfig};
@@ -41,8 +43,9 @@ fn query_batch(p: &PreparedTask) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// One pass of taped inference over the batch: every query set through
-/// `predict_multi`, then the task's own targets through `predict_task`.
+/// One pass of inference over the batch: every query set through the
+/// taped `predict_multi`, then the task's own targets through the
+/// executor's `predict_task`.
 /// Each caller seeds its own RNG — eval-mode forwards never consume it.
 fn infer_all(model: &Cgnp, p: &PreparedTask, batch: &[Vec<usize>], seed: u64) -> Vec<Vec<f32>> {
     let mut rng = StdRng::seed_from_u64(seed);

@@ -69,9 +69,9 @@ impl CsLearner for CgnpMethod {
     /// no task mutates the model, so test tasks fan out across the
     /// persistent pool's workers. `Tensor` and the prepared graph
     /// operators are `Arc`-shared, so every worker borrows the *same*
-    /// trained model and the same `PreparedTask`s — no weight-snapshot
-    /// replica, no per-worker operator rebuild, and the parallel path
-    /// pays none of the preparation overhead the serial path skips.
+    /// trained model and the same `PreparedTask`s; each task's
+    /// `predict_task` casts the weights and its operators once, as it does
+    /// on the serial path, and runs its views serially inside the job.
     fn run_tasks(&mut self, tasks: &[PreparedTask], seeds: &[u64]) -> Vec<Vec<Vec<f32>>> {
         self.run_tasks_with_threads(tasks, seeds, rayon::current_num_threads())
     }
