@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of what the end-to-end benchmark
 //! (`cgnp-e2e`) has no metric for: each product kernel against its naive
-//! reference (blocked, parallel and fast-math variants through the `*_in`
-//! entry points), and what dispatching a parallel section costs — the
+//! reference (blocked and parallel variants through the `*_in` entry
+//! points), and what dispatching a parallel section costs — the
 //! numbers `cgnp_tensor`'s `parallel.rs` cites for its work gate. Writes
 //! `BENCH_kernels.json` at the workspace root.
 
@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 
 use cgnp_data::{generate_sbm, SbmConfig};
 use cgnp_graph::Graph;
-use cgnp_tensor::{CsrMatrix, KernelCtx, MathMode, Matrix};
+use cgnp_tensor::{CsrMatrix, KernelCtx, Matrix};
 
 fn bench_graph(n: usize, seed: u64) -> Graph {
     let mut cfg = SbmConfig::small_test();
@@ -29,10 +29,6 @@ fn kernel_backend_comparison(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(17);
     let pool = KernelCtx::threads(rayon::current_num_threads());
     let one = KernelCtx::threads(1);
-    let fast = |ctx: KernelCtx| KernelCtx {
-        mode: MathMode::Fast,
-        ..ctx
-    };
 
     // Dense matmul, 512^3.
     let a = Matrix::from_vec(
@@ -60,19 +56,6 @@ fn kernel_backend_comparison(c: &mut Criterion) {
         g.bench_function("parallel", |bch| {
             bch.iter(|| black_box(a.matmul_in(black_box(&b), None, pool)))
         });
-        // Fast-math tier, recorded only when the feature is compiled so
-        // the rows never silently report the exact fallback as "fast".
-        // The workspace dtype is f32, so `fast_1t` isolates the serial
-        // register-tiling win and `fast_f32` is the full serving-tier
-        // configuration (fast kernels + f32 + the whole pool).
-        if cgnp_tensor::fast_math_compiled() {
-            g.bench_function("fast_1t", |bch| {
-                bch.iter(|| black_box(a.matmul_in(black_box(&b), None, fast(one))))
-            });
-            g.bench_function("fast_f32", |bch| {
-                bch.iter(|| black_box(a.matmul_in(black_box(&b), None, fast(pool))))
-            });
-        }
         g.finish();
     }
 
@@ -97,14 +80,6 @@ fn kernel_backend_comparison(c: &mut Criterion) {
         g.bench_function("parallel", |bch| {
             bch.iter(|| black_box(op.spmm_in(black_box(&x), None, pool)))
         });
-        if cgnp_tensor::fast_math_compiled() {
-            g.bench_function("fast_1t", |bch| {
-                bch.iter(|| black_box(op.spmm_in(black_box(&x), None, fast(one))))
-            });
-            g.bench_function("fast_f32", |bch| {
-                bch.iter(|| black_box(op.spmm_in(black_box(&x), None, fast(pool))))
-            });
-        }
         g.finish();
     }
 
@@ -255,9 +230,9 @@ fn variant_threads(group: &str, variant: &str) -> usize {
         return 4;
     }
     match variant {
-        "naive" | "blocked_1t" | "rows_1t" | "fast_1t" => 1,
+        "naive" | "blocked_1t" | "rows_1t" => 1,
         "forced_4t" => 4,
-        // parallel / fast_f32 / auto all run on the pool
+        // parallel / auto both run on the pool
         // (auto's `threads_for` is capped by the pool size).
         _ => pool,
     }
@@ -296,14 +271,10 @@ fn emit_kernel_baseline(c: &mut Criterion) {
             r.mean_ns
         ));
     }
-    // `fast_math` tells the regression gate whether this run could have
-    // produced fast-tier rows at all: a default build legitimately lacks
-    // them, a fast-math build losing them is a vanished comparison.
     let json = format!(
         "{{\n  \"schema\": \"cgnp-kernel-baseline-v2\",\n  \
-         \"pool_threads\": {},\n  \"fast_math\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+         \"pool_threads\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         rayon::current_num_threads(),
-        cgnp_tensor::fast_math_compiled(),
         entries.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
@@ -311,9 +282,8 @@ fn emit_kernel_baseline(c: &mut Criterion) {
         Ok(()) => println!("kernel baseline written to {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
-    // Acceptance shapes: the fast-math tier must give the dense hot
-    // path real serial headroom, and the single-thread spmm row-chunk fix
-    // must keep `rows_1t` at or above naive.
+    // Acceptance shape: the single-thread spmm row-chunk fix must keep
+    // `rows_1t` at or above naive.
     let speedup = |group: &str, variant: &str| {
         let med = |v: &str| {
             results
@@ -326,12 +296,6 @@ fn emit_kernel_baseline(c: &mut Criterion) {
     if let Some(s) = speedup("spmm_10000n_64d", "rows_1t") {
         let mark = if s >= 1.0 { "HOLDS " } else { "DIFFERS" };
         println!("  [{mark}] single-thread spmm ≥ naive — rows_1t at {s:.2}×");
-    }
-    if cgnp_tensor::fast_math_compiled() {
-        if let Some(s) = speedup("matmul_512x512x512", "fast_1t") {
-            let mark = if s >= 2.0 { "HOLDS " } else { "DIFFERS" };
-            println!("  [{mark}] fast-math matmul ≥ 2× naive — fast_1t at {s:.2}×");
-        }
     }
 }
 

@@ -1,10 +1,9 @@
 //! The serving executor: the forward-only half of CGNP (Alg. 2) on the
 //! plain backend. Meta-test never takes a gradient, so it never needs the
-//! autodiff tape: **every** serving session — any dtype, either kernel
-//! tier, sharded or not — builds its contexts and scores its queries here,
-//! in `f32` or `f64` storage, with [`MathMode`] choosing the kernels; so
-//! do [`Cgnp::predict_task`] and the validation sweep, in `f32` on the
-//! exact tier.
+//! autodiff tape: **every** serving session — either dtype, sharded or
+//! not — builds its contexts and scores its queries here, in `f32` or
+//! `f64` storage; so do [`Cgnp::predict_task`] and the validation sweep,
+//! in `f32`.
 //!
 //! There is one forward pass. [`InferModel<E>`] *is* [`Cgnp`] — the same
 //! encoder, ⊕ and decoder code — holding the trained weights cast to `E`
@@ -12,7 +11,7 @@
 //! [`PreparedTask`]'s operators and base features cast once
 //! ([`InferState::from_prepared`]), read through [`cgnp_nn::Plain`].
 //! Each op of the set runs the tape's kernel in the tape's order, so the
-//! `f32`/`Exact` instantiation reproduces the taped oracle
+//! `f32` instantiation reproduces the taped oracle
 //! ([`Cgnp::predict_multi`]) bitwise — pinned for every encoder kind,
 //! decoder and ⊕ by `f32_exact_executor_is_bitwise_identical`.
 //!
@@ -56,7 +55,7 @@
 
 use cgnp_data::{with_indicator, QueryExample};
 use cgnp_nn::{AnyGnnLayer, GatLayer, GnnEncoder, Plain, PlainGraph, Trained};
-use cgnp_tensor::{CentroidScores, Elem, MathMode, MatrixT};
+use cgnp_tensor::{CentroidScores, Elem, KernelCtx, MathMode, MatrixT};
 
 use crate::model::{marked_nodes, Cgnp, PreparedTask};
 use crate::par::par_map;
@@ -79,33 +78,30 @@ impl<E: Elem> InferModel<E> {
 
     /// Encoder view for one support pair, the taped `Cgnp::encode_view`
     /// on the plain backend.
-    fn shot_view(
-        &self,
-        state: &InferState<E>,
-        example: &QueryExample,
-        mode: MathMode,
-    ) -> MatrixT<E> {
+    fn shot_view(&self, state: &InferState<E>, example: &QueryExample) -> MatrixT<E> {
         let x = with_indicator(&state.base, &marked_nodes(example));
-        self.encoder.forward_from(&state.backend(mode), x, 0, &[])
+        self.encoder.forward_from(&state.backend(), x, 0, &[])
     }
 
     /// The decoded task context, eval-mode [`Cgnp::context`] on the plain
-    /// backend: views → ⊕ → decoder transform, all in `E` under the
-    /// selected kernel tier. `support` is explicit so callers can condition
-    /// on any subset of a task's labelled examples (a per-request shot
-    /// count).
+    /// backend: views → ⊕ → decoder transform, all in `E`. `support` is
+    /// explicit so callers can condition on any subset of a task's
+    /// labelled examples (a per-request shot count).
     ///
     /// With a GAT first layer and more than one shot the views come from
     /// [`SharedFirstLayer`]; the result is the same bit for bit. The views
     /// run one after another on the caller: serving's contexts span the
     /// whole graph, where the kernels already fill the pool.
+    ///
+    /// `_mode` is accepted and ignored: there is one kernel tier; ROADMAP
+    /// direction 2 deletes it.
     pub fn context(
         &self,
         state: &InferState<E>,
         support: &[QueryExample],
-        mode: MathMode,
+        _mode: MathMode,
     ) -> MatrixT<E> {
-        self.context_with_threads(state, support, mode, 1)
+        self.context_with_threads(state, support, 1)
     }
 
     /// [`InferModel::context`] with the shots' views computed on at most
@@ -120,11 +116,10 @@ impl<E: Elem> InferModel<E> {
         &self,
         state: &InferState<E>,
         support: &[QueryExample],
-        mode: MathMode,
         threads: usize,
     ) -> MatrixT<E> {
         assert!(!support.is_empty(), "CGNP requires a non-empty support set");
-        let b = state.backend(mode);
+        let b = state.backend();
         let threads = threads.clamp(1, support.len());
         // Serially, ⊕ takes each view as it is made and the shared layer
         // is patched in place: one view alive at a time, nothing copied.
@@ -145,11 +140,11 @@ impl<E: Elem> InferModel<E> {
                 self.join(&b, views.into_iter().flatten(), &[])
             }
             _ if threads == 1 => {
-                let views = support.iter().map(|ex| self.shot_view(state, ex, mode));
+                let views = support.iter().map(|ex| self.shot_view(state, ex));
                 self.join(&b, views, &[])
             }
             _ => {
-                let views = par_map(support, threads, |ex| self.shot_view(state, ex, mode));
+                let views = par_map(support, threads, |ex| self.shot_view(state, ex));
                 self.join(&b, views, &[])
             }
         }
@@ -161,15 +156,14 @@ impl<E: Elem> InferModel<E> {
 ///
 /// Shot `q`'s input is `X_q = [1_{M_q} | base]` with `M_q` its marked
 /// nodes, so the inputs of a pool differ only in column 0 of the rows
-/// `M_q`. Both matmul tiers accumulate every output element in strictly
-/// increasing `k`, and a zero left operand contributes nothing (skipped
-/// on the exact tier, `+0` on the fast one), so row `r ∉ M_q` of `X_q·W`
+/// `M_q`. The matmul accumulates every output element in strictly
+/// increasing `k` and skips a zero left operand, so row `r ∉ M_q` of `X_q·W`
 /// is bitwise row `r` of `[0 | base]·W`. An attention output row reads
 /// only the projection rows of its arc sources, and the arcs are
 /// symmetric with self-loops, so view `q`'s layer-1 output differs from
 /// the indicator-free one only on `M_q` and its neighbours. Hence:
 /// project, attend and activate the indicator-free input once; per shot
-/// re-project the `|M_q|` rows (same tier), recompute the reached output
+/// re-project the `|M_q|` rows, recompute the reached output
 /// rows through the same row kernel, and run the remaining layers as
 /// before. Patched rows are swapped in and back out, so nothing
 /// `n`-sized is copied per shot.
@@ -263,11 +257,11 @@ impl<E: Elem> InferState<E> {
         self.base.rows()
     }
 
-    /// The plain backend over this graph on `mode`'s kernel tier.
-    fn backend(&self, mode: MathMode) -> Plain<'_, E> {
+    /// The plain backend over this graph, at work-sized fan-out.
+    fn backend(&self) -> Plain<'_, E> {
         Plain {
             graph: &self.graph,
-            ctx: mode.into(),
+            ctx: KernelCtx::default(),
         }
     }
 
@@ -298,11 +292,7 @@ pub fn centroid_of_rows<E: Elem>(rows: &[&[E]]) -> Vec<E> {
 /// One tick's scoring: the centroid of each query set's context rows,
 /// stacked, then one [`CentroidScores`] pass over the context for all of
 /// them.
-fn score_sets<E: Elem>(
-    context: &MatrixT<E>,
-    sets: &[&[usize]],
-    threads: Option<usize>,
-) -> Vec<Vec<f32>> {
+fn score_sets<E: Elem>(context: &MatrixT<E>, sets: &[&[usize]], ctx: KernelCtx) -> Vec<Vec<f32>> {
     let mut centroids = Vec::with_capacity(sets.len() * context.cols());
     for queries in sets {
         assert!(!queries.is_empty(), "need at least one query node");
@@ -312,18 +302,18 @@ fn score_sets<E: Elem>(
         context,
         centroids: &MatrixT::from_vec(sets.len(), context.cols(), centroids),
     }
-    .forward(None, threads)
+    .forward(None, ctx)
 }
 
 /// Membership probabilities for one query set against a context (the
 /// cheap half of Alg. 2): centroid of the query rows, inner products,
 /// sigmoid — a batch of one through the same code as a tick.
 /// Probabilities come back as `f32`, the wire format of every serving
-/// response, after the logits and sigmoid are computed in `E`. Both
-/// kernel tiers accumulate a logit in index order, so `mode` selects
-/// nothing here.
+/// response, after the logits and sigmoid are computed in `E`. `_mode`
+/// is accepted and ignored: there is one kernel tier; ROADMAP direction 2
+/// deletes it.
 pub fn score_probs<E: Elem>(context: &MatrixT<E>, queries: &[usize], _mode: MathMode) -> Vec<f32> {
-    score_sets(context, &[queries], None)
+    score_sets(context, &[queries], KernelCtx::default())
         .pop()
         .expect("one vector per query set")
 }
@@ -331,7 +321,8 @@ pub fn score_probs<E: Elem>(context: &MatrixT<E>, queries: &[usize], _mode: Math
 /// Scores a micro-batch of query sets against one shared context in one
 /// pass over it, the context rows split across at most `threads` pool
 /// workers — what a serving session calls per tick, the context itself
-/// being cached across ticks.
+/// being cached across ticks. `_mode` is accepted and ignored: there is
+/// one kernel tier; ROADMAP direction 2 deletes it.
 pub fn score_batch_with_threads<E: Elem>(
     context: &MatrixT<E>,
     batch: &[Vec<usize>],
@@ -339,7 +330,7 @@ pub fn score_batch_with_threads<E: Elem>(
     _mode: MathMode,
 ) -> Vec<Vec<f32>> {
     let sets: Vec<&[usize]> = batch.iter().map(Vec::as_slice).collect();
-    score_sets(context, &sets, Some(threads))
+    score_sets(context, &sets, KernelCtx::threads(threads))
 }
 
 #[cfg(test)]
@@ -383,9 +374,9 @@ mod tests {
     #[test]
     fn f32_exact_executor_is_bitwise_identical() {
         // The plain backend runs the model's own forward, each op on the
-        // tape's kernel in the tape's order, so the f32/Exact instantiation
-        // must reproduce the autodiff path bit-for-bit — the property the
-        // serving layer's `--exact` contract leans on.
+        // tape's kernel in the tape's order, so the f32 instantiation must
+        // reproduce the autodiff path bit-for-bit — the property serving's
+        // answers lean on.
         let p = prepared_task(21);
         let state = InferState::<f32>::from_prepared(&p);
         let queries = vec![p.task.targets[0].query, p.task.targets[1].query];
@@ -422,15 +413,14 @@ mod tests {
 
     /// The per-shot path — what `context` runs for GCN/SAGE first layers
     /// and single shots — spelled out, so the shared first layer can be
-    /// held against it in either dtype and kernel tier.
+    /// held against it in either dtype.
     fn per_shot_context<E: Elem>(
         im: &InferModel<E>,
         state: &InferState<E>,
         support: &[QueryExample],
-        mode: MathMode,
     ) -> MatrixT<E> {
-        let views = support.iter().map(|ex| im.shot_view(state, ex, mode));
-        im.join(&state.backend(mode), views, &[])
+        let views = support.iter().map(|ex| im.shot_view(state, ex));
+        im.join(&state.backend(), views, &[])
     }
 
     fn bits<E: Elem>(m: &MatrixT<E>) -> Vec<u64> {
@@ -496,21 +486,18 @@ mod tests {
                             oracle,
                             "{what}"
                         );
-                        // Fast is the fast tier only under `--features
-                        // fast-math`; either way the shared layer must
-                        // not move a bit of the per-shot result.
-                        for mode in [MathMode::Exact, MathMode::Fast] {
-                            assert_eq!(
-                                bits(&m32.context(&s32, pool, mode)),
-                                bits(&per_shot_context(&m32, &s32, pool, mode)),
-                                "{what}/f32/{mode}"
-                            );
-                            assert_eq!(
-                                bits(&m64.context(&s64, pool, mode)),
-                                bits(&per_shot_context(&m64, &s64, pool, mode)),
-                                "{what}/f64/{mode}"
-                            );
-                        }
+                        // The shared layer must not move a bit of the
+                        // per-shot result.
+                        assert_eq!(
+                            bits(&ctx),
+                            bits(&per_shot_context(&m32, &s32, pool)),
+                            "{what}/f32"
+                        );
+                        assert_eq!(
+                            bits(&m64.context(&s64, pool, MathMode::Exact)),
+                            bits(&per_shot_context(&m64, &s64, pool)),
+                            "{what}/f64"
+                        );
                         let wide = m64.context(&s64, pool, MathMode::Exact);
                         for (a, b) in
                             oracle
@@ -543,10 +530,26 @@ mod tests {
     }
 
     #[test]
-    fn fast_mode_preserves_rankings() {
-        // Fast kernels reassociate sums; probabilities may move in the
-        // last ulps but the induced ranking over nodes must hold for
-        // every decoder/commutative combination.
+    fn math_mode_is_accepted_and_ignored() {
+        // There is one kernel tier: a context built and scored at
+        // `MathMode::Fast` is the same bits as at `Exact`, in either dtype.
+        fn check<E: Elem>(model: &Cgnp, p: &PreparedTask) {
+            let im = InferModel::<E>::from_model(model);
+            let state = InferState::<E>::from_prepared(p);
+            let exact = im.context(&state, &p.task.support, MathMode::Exact);
+            let fast = im.context(&state, &p.task.support, MathMode::Fast);
+            assert_eq!(bits(&fast), bits(&exact), "{} context", E::DTYPE);
+            let q = vec![p.task.targets[0].query];
+            let batch = vec![q.clone(), vec![p.task.targets[1].query]];
+            assert_eq!(
+                score_probs(&fast, &q, MathMode::Fast),
+                score_probs(&exact, &q, MathMode::Exact)
+            );
+            assert_eq!(
+                score_batch_with_threads(&fast, &batch, 2, MathMode::Fast),
+                score_batch_with_threads(&exact, &batch, 2, MathMode::Exact)
+            );
+        }
         let p = prepared_task(23);
         for decoder in [
             DecoderKind::InnerProduct,
@@ -554,17 +557,8 @@ mod tests {
             DecoderKind::Gnn,
         ] {
             let model = model_for(&p, decoder, CommutativeOp::Mean);
-            let im = InferModel::<f32>::from_model(&model);
-            let state = InferState::<f32>::from_prepared(&p);
-            let q = vec![p.task.targets[0].query];
-
-            let exact_ctx = im.context(&state, &p.task.support, MathMode::Exact);
-            let exact = score_probs(&exact_ctx, &q, MathMode::Exact);
-            let fast_ctx = im.context(&state, &p.task.support, MathMode::Fast);
-            let fast = score_probs(&fast_ctx, &q, MathMode::Fast);
-            for (a, b) in exact.iter().zip(&fast) {
-                assert!((a - b).abs() < 1e-3, "{decoder:?}: fast drifted {a} vs {b}");
-            }
+            check::<f32>(&model, &p);
+            check::<f64>(&model, &p);
         }
     }
 
@@ -586,10 +580,16 @@ mod tests {
             context: &ctx,
             centroids: &MatrixT::from_vec(1, centroid.len(), centroid),
         };
-        assert_eq!(scores.forward(None, Some(1)), std::slice::from_ref(&direct));
+        assert_eq!(
+            scores.forward(None, KernelCtx::threads(1)),
+            std::slice::from_ref(&direct)
+        );
         let owned: Vec<usize> = (0..ctx.rows()).rev().step_by(3).collect();
         let expect: Vec<f32> = owned.iter().map(|&v| direct[v]).collect();
-        assert_eq!(scores.forward(Some(&owned), Some(2)), [expect]);
+        assert_eq!(
+            scores.forward(Some(&owned), KernelCtx::threads(2)),
+            [expect]
+        );
     }
 
     /// A query's probability vector as raw bits, scored in `batch` at
@@ -599,9 +599,8 @@ mod tests {
         batch: &[Vec<usize>],
         at: usize,
         threads: usize,
-        mode: MathMode,
     ) -> Vec<u32> {
-        let probs = score_batch_with_threads(ctx, batch, threads, mode);
+        let probs = score_batch_with_threads(ctx, batch, threads, MathMode::Exact);
         assert_eq!(probs.len(), batch.len());
         probs[at].iter().map(|p| p.to_bits()).collect()
     }
@@ -612,8 +611,7 @@ mod tests {
         // same bits, and a sharded coordinator scores a query alone where
         // the unsharded session batches its tick: a vector must be the
         // same bits alone, first, last, duplicated and in a batch wider
-        // than one panel, on either tier and any worker count. (`Fast` is
-        // the fast tier only under `--features fast-math`.)
+        // than one panel, at any worker count.
         fn check<E: Elem>(
             model: &Cgnp,
             p: &PreparedTask,
@@ -623,41 +621,35 @@ mod tests {
             let im = InferModel::<E>::from_model(model);
             let state = InferState::<E>::from_prepared(p);
             let filler: Vec<Vec<usize>> = (0..8).map(|i| vec![(i * 7) % p.task.n()]).collect();
-            for mode in [MathMode::Exact, MathMode::Fast] {
-                let ctx = im.context(&state, &p.task.support, mode);
-                for (s, set) in sets.iter().enumerate() {
-                    let what = format!("{}/{mode}/set {s}", E::DTYPE);
-                    let alone = scored_bits(&ctx, std::slice::from_ref(set), 0, 1, mode);
-                    let single: Vec<u32> = score_probs(&ctx, set, mode)
-                        .iter()
-                        .map(|p| p.to_bits())
-                        .collect();
-                    assert_eq!(single, alone, "{what}: score_probs");
-                    if let (Some(oracle), MathMode::Exact) = (oracle, mode) {
-                        let want: Vec<u32> = oracle[s].iter().map(|p| p.to_bits()).collect();
-                        assert_eq!(alone, want, "{what}: taped oracle");
-                    }
+            let ctx = im.context(&state, &p.task.support, MathMode::Exact);
+            for (s, set) in sets.iter().enumerate() {
+                let what = format!("{}/set {s}", E::DTYPE);
+                let alone = scored_bits(&ctx, std::slice::from_ref(set), 0, 1);
+                let single: Vec<u32> = score_probs(&ctx, set, MathMode::Exact)
+                    .iter()
+                    .map(|p| p.to_bits())
+                    .collect();
+                assert_eq!(single, alone, "{what}: score_probs");
+                if let Some(oracle) = oracle {
+                    let want: Vec<u32> = oracle[s].iter().map(|p| p.to_bits()).collect();
+                    assert_eq!(alone, want, "{what}: taped oracle");
+                }
 
-                    let mut first = vec![set.clone()];
-                    first.extend_from_slice(&filler[..2]);
-                    let mut last = filler[..3].to_vec();
-                    last.push(set.clone());
-                    let duplicated = vec![set.clone(), filler[0].clone(), set.clone()];
-                    let mut nine = filler.clone();
-                    nine.insert(5, set.clone());
-                    for threads in [1, 2, 3] {
-                        let what = format!("{what}/{threads} threads");
-                        assert_eq!(scored_bits(&ctx, &first, 0, threads, mode), alone, "{what}");
-                        assert_eq!(scored_bits(&ctx, &last, 3, threads, mode), alone, "{what}");
-                        for at in [0, 2] {
-                            assert_eq!(
-                                scored_bits(&ctx, &duplicated, at, threads, mode),
-                                alone,
-                                "{what}"
-                            );
-                        }
-                        assert_eq!(scored_bits(&ctx, &nine, 5, threads, mode), alone, "{what}");
+                let mut first = vec![set.clone()];
+                first.extend_from_slice(&filler[..2]);
+                let mut last = filler[..3].to_vec();
+                last.push(set.clone());
+                let duplicated = vec![set.clone(), filler[0].clone(), set.clone()];
+                let mut nine = filler.clone();
+                nine.insert(5, set.clone());
+                for threads in [1, 2, 3] {
+                    let what = format!("{what}/{threads} threads");
+                    assert_eq!(scored_bits(&ctx, &first, 0, threads), alone, "{what}");
+                    assert_eq!(scored_bits(&ctx, &last, 3, threads), alone, "{what}");
+                    for at in [0, 2] {
+                        assert_eq!(scored_bits(&ctx, &duplicated, at, threads), alone, "{what}");
                     }
+                    assert_eq!(scored_bits(&ctx, &nine, 5, threads), alone, "{what}");
                 }
             }
         }

@@ -419,7 +419,7 @@ impl Cgnp {
         let model = InferModel::<f32>::from_model(self);
         let state = InferState::from_prepared(prepared);
         let support = &prepared.task.support;
-        let context = model.context_with_threads(&state, support, MathMode::Exact, threads);
+        let context = model.context_with_threads(&state, support, threads);
         let batch: Vec<Vec<usize>> = (prepared.task.targets.iter())
             .map(|ex| vec![ex.query])
             .collect();

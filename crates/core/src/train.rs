@@ -56,7 +56,7 @@
 
 use std::time::Instant;
 
-use cgnp_tensor::{clip_grad_norm, Adam, GradSink, MathMode, Matrix, Optimizer, Reduction, Tensor};
+use cgnp_tensor::{clip_grad_norm, Adam, GradSink, Matrix, Optimizer, Reduction, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -324,7 +324,7 @@ pub fn validation_loss_with_threads(model: &Cgnp, valid: &[PreparedTask], thread
             let state = InferState::from_prepared(prepared);
             let width = threads.min(rayon::current_num_threads());
             let support = &prepared.task.support;
-            let context = executor.context_with_threads(&state, support, MathMode::Exact, width);
+            let context = executor.context_with_threads(&state, support, width);
             task_loss(model, &Tensor::constant(context), &prepared.task).item()
         })
     });

@@ -9,13 +9,12 @@
 //!   and runs on the default, exact kernel context. Meta-training and the
 //!   meta-test oracle run here.
 //! - [`Plain`] is the **plain** backend. Values are [`MatrixT<E>`] in `f32`
-//!   or `f64`; ops run on a [`KernelCtx`] (the serving session's
-//!   [`cgnp_tensor::MathMode`]) and record nothing. Every serving context
-//!   is built here.
+//!   or `f64`; ops run on a [`KernelCtx`] (its worker count) and record
+//!   nothing. Every serving context is built here.
 //!
 //! Each op runs the same kernel with the same accumulation order on both,
-//! so at `f32` on the exact tier the two agree bit for bit, one op at a
-//! time (`tests::op_pairs_agree`). GAT attention is one
+//! so at `f32` the two agree bit for bit, one op at a time
+//! (`tests::op_pairs_agree`). GAT attention is one
 //! [`SegmentAttention`] pass on both: [`Tensor::segment_attention`] on the
 //! tape, which keeps the pass's per-arc weights for its adjoint, and the
 //! pass itself on plain matrices. Dropout masks are drawn only on the tape
@@ -254,7 +253,7 @@ impl<E: Elem> Backend for Plain<'_, E> {
     }
 
     fn attend(&self, z: &MatrixT<E>, gat: &GatLayer<MatrixT<E>>) -> MatrixT<E> {
-        self.segment(gat).forward(z, None, None)
+        self.segment(gat).forward(z, None, self.ctx)
     }
 
     fn mean_rows(&self, x: &MatrixT<E>) -> MatrixT<E> {
@@ -296,7 +295,7 @@ mod tests {
     use super::*;
     use crate::Linear;
     use cgnp_graph::Graph;
-    use cgnp_tensor::{no_grad, MathMode};
+    use cgnp_tensor::no_grad;
     use proptest::prelude::*;
 
     /// One draw of every op's inputs over an `n`-node graph: `x` (n×d),
@@ -423,15 +422,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Op by op: the tape under `no_grad` and plain `f32` matrices on
-        /// the exact tier give the same bits; plain `f64` stays within
-        /// 1e-4 of them.
+        /// Op by op: the tape under `no_grad` and plain `f32` matrices give
+        /// the same bits; plain `f64` stays within 1e-4 of them.
         #[test]
         fn op_pairs_agree(case in arb_case()) {
             let gctx = GraphContext::new(&case.graph);
             let taped = no_grad(|| table(&gctx, &case, |m| Tensor::constant(m.clone())));
             let (g32, g64) = (PlainGraph::new(&gctx), PlainGraph::new(&gctx));
-            let ctx = MathMode::Exact.into();
+            let ctx = KernelCtx::default();
             let narrow = table(&Plain { graph: &g32, ctx }, &case, Matrix::clone);
             let wide = table(&Plain { graph: &g64, ctx }, &case, |m| m.cast::<f64>());
             for (((op, t), (_, f32s)), (_, f64s)) in taped.iter().zip(&narrow).zip(&wide) {

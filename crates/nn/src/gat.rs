@@ -55,7 +55,7 @@ impl<E: Elem> GatLayer<MatrixT<E>> {
     /// [`GatLayer::attend`] for the output rows `rows` only, each bitwise
     /// the row a full pass produces.
     pub fn attend_rows(&self, b: &Plain<'_, E>, z: &MatrixT<E>, rows: &[usize]) -> MatrixT<E> {
-        b.segment(self).forward(z, Some(rows), None)
+        b.segment(self).forward(z, Some(rows), b.ctx)
     }
 }
 
@@ -72,10 +72,12 @@ impl Module for GatLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::PlainGraph;
     use crate::GraphContext;
+    use crate::Trained;
     use cgnp_graph::Graph;
     use cgnp_tensor::gradcheck::check_gradients;
-    use cgnp_tensor::{Matrix, SegmentAttention};
+    use cgnp_tensor::{no_grad, KernelCtx, Matrix, SegmentAttention};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -107,7 +109,7 @@ mod tests {
             bias: bias.as_slice(),
             slope: layer.negative_slope,
         }
-        .forward_keep(&z, None);
+        .forward_keep(&z, KernelCtx::default());
         let dst_ptr = &gctx.arcs().dst_ptr;
         for v in 0..gctx.n() {
             let alpha = &kept.alpha[dst_ptr[v]..dst_ptr[v + 1]];
@@ -151,6 +153,37 @@ mod tests {
         let yb = layer.forward(&gctx, &xb).value();
         for c in 0..2 {
             assert!((ya.get(2, c) - yb.get(2, c)).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn plain_attention_is_the_taped_op_at_any_worker_count() {
+        // A ring with chords over enough nodes that a forced split cuts
+        // both the score halves and the output rows into several chunks.
+        let n = 37;
+        let edges: Vec<(usize, usize)> = (0..n)
+            .flat_map(|v| [(v, (v + 1) % n), (v, (v * 7 + 3) % n)])
+            .filter(|&(u, v)| u != v)
+            .collect();
+        let gctx = GraphContext::new(&Graph::from_edges(n, &edges));
+        let mut rng = StdRng::seed_from_u64(6);
+        let x = Matrix::from_vec(n, 5, (0..n * 5).map(|_| rng.gen_range(-1.0..1.0)).collect());
+        let layer = GatLayer::new(5, 4, &mut StdRng::seed_from_u64(7));
+        let taped = no_grad(|| layer.forward(&gctx, &Tensor::constant(x.clone())).value());
+
+        let plain_layer = GatLayer::<Matrix>::new(5, 4, &mut Trained::of(&layer));
+        let graph = PlainGraph::new(&gctx);
+        let rows: Vec<usize> = (0..n).rev().step_by(3).collect();
+        let bits = |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+        for ctx in [KernelCtx::threads(1), KernelCtx::threads(4)] {
+            let b = Plain { graph: &graph, ctx };
+            let z = plain_layer.project(&b, &x);
+            assert_eq!(bits(&plain_layer.attend(&b, &z)), bits(&taped), "{ctx:?}");
+            assert_eq!(
+                bits(&plain_layer.attend_rows(&b, &z, &rows)),
+                bits(&taped.select_rows(&rows)),
+                "{ctx:?} rows"
+            );
         }
     }
 

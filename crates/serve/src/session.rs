@@ -23,10 +23,8 @@
 //! There is one forward pass: every context build runs the model's own
 //! encoder, ⊕ and decoder on the plain backend
 //! ([`cgnp_core::InferModel`], the trained weights cast once), in the
-//! element type [`ServeConfig::precision`] picks and on the kernel tier
-//! [`ServeConfig::math`] picks (`--exact` selects kernels, not an
-//! engine). The autodiff tape is training's and the evaluation oracle's;
-//! no serving path touches it.
+//! element type [`ServeConfig::precision`] picks. The autodiff tape is
+//! training's and the evaluation oracle's; no serving path touches it.
 //!
 //! And one tick: the micro-batch sequence ([`query_tick`]) and the
 //! update burst ([`update_burst`] + [`finish_burst`]) are plain functions
@@ -42,7 +40,7 @@ use std::time::Instant;
 use cgnp_core::{infer, Cgnp, CgnpConfig, InferModel, InferState, PreparedTask, RefreshStrategy};
 use cgnp_data::{model_input_dim, task_on_whole_graph, QueryExample, Task, TaskConfig};
 use cgnp_graph::AttributedGraph;
-use cgnp_tensor::{dispatch, fast_math_compiled, Block, Dtype, MathMode};
+use cgnp_tensor::{dispatch, Block, Dtype, MathMode};
 use rand::SeedableRng;
 use serde::Serialize;
 
@@ -69,10 +67,8 @@ pub struct ServeConfig {
     /// training dtype; [`Dtype::F64`] snapshots the weights, operators,
     /// and contexts into double precision at session build.
     pub precision: Dtype,
-    /// Kernel tier scoring runs on. [`MathMode::Exact`] (the default)
-    /// keeps every prediction bitwise-identical to the training-side
-    /// forward; [`MathMode::Fast`] routes through the reassociating
-    /// fast-math kernels when the build carries them.
+    /// Accepted and ignored: there is one kernel tier. Kept for callers
+    /// that still set it; ROADMAP direction 2 deletes it.
     pub math: MathMode,
 }
 
@@ -90,16 +86,11 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The kernel tier scoring actually runs on: the requested mode,
-    /// demoted to [`MathMode::Exact`] when this build carries no
-    /// fast-math tier (so summaries never claim a speedup the binary
-    /// cannot deliver).
+    /// Accepted and ignored: there is one kernel tier, so this is always
+    /// [`MathMode::Exact`]. Kept for callers that still read it; ROADMAP
+    /// direction 2 deletes it.
     pub fn effective_math(&self) -> MathMode {
-        if fast_math_compiled() {
-            self.math
-        } else {
-            MathMode::Exact
-        }
+        MathMode::Exact
     }
 }
 
@@ -183,7 +174,7 @@ impl ServeStats {
             epoch,
             shard_epochs: None,
             precision: cfg.precision.as_str().to_string(),
-            math: cfg.effective_math().as_str().to_string(),
+            math: MathMode::Exact.as_str().to_string(),
         }
     }
 }
@@ -227,16 +218,15 @@ pub struct ServeSummary {
     pub shard_epochs: Option<Vec<u64>>,
     /// Element type scoring ran in (`"f32"` / `"f64"`).
     pub precision: String,
-    /// Kernel tier scoring actually ran on (`"exact"` / `"fast"`) — the
-    /// effective mode, never a tier the build does not carry.
+    /// Always `"exact"`: there is one kernel tier. Kept because removing
+    /// a summary key breaks readers that look it up.
     pub math: String,
 }
 
 /// The forward-only executor every context build runs through: the
 /// model's weights and the prepared task's operators and base features,
 /// both cast to the session's element type. The arms are the
-/// runtime dtype choice ([`ServeConfig::precision`]) and nothing else —
-/// the kernel tier is an argument of every call, not a different engine.
+/// runtime dtype choice ([`ServeConfig::precision`]) and nothing else.
 enum Engine {
     F32(InferModel<f32>, InferState<f32>),
     F64(InferModel<f64>, InferState<f64>),
@@ -266,10 +256,10 @@ impl Engine {
     }
 
     /// The decoded task context for `support` (Alg. 2 l.2–4).
-    fn context(&self, support: &[QueryExample], math: MathMode) -> Block {
+    fn context(&self, support: &[QueryExample]) -> Block {
         match self {
-            Engine::F32(model, state) => Block::F32(model.context(state, support, math)),
-            Engine::F64(model, state) => Block::F64(model.context(state, support, math)),
+            Engine::F32(model, state) => Block::F32(model.context(state, support, MathMode::Exact)),
+            Engine::F64(model, state) => Block::F64(model.context(state, support, MathMode::Exact)),
         }
     }
 }
@@ -438,7 +428,7 @@ impl ServeSession {
         // serialise unrelated shot counts. Two threads racing on the same
         // fresh shot count compute identical constants; last insert wins.
         let support = &live.prepared.task.support[..shots];
-        let ctx = Arc::new(live.engine.context(support, self.cfg.effective_math()));
+        let ctx = Arc::new(live.engine.context(support));
         self.stats.lock().expect("stats lock").context_builds += 1;
         self.contexts
             .lock()
@@ -449,9 +439,11 @@ impl ServeSession {
 
     /// Scores a micro-batch of query sets against one shared context.
     fn score_batch(&self, ctx: &Block, batch: &[Vec<usize>], threads: usize) -> Vec<Vec<f32>> {
-        let math = self.cfg.effective_math();
         dispatch!(ctx, |m| infer::score_batch_with_threads(
-            m, batch, threads, math
+            m,
+            batch,
+            threads,
+            MathMode::Exact
         ))
     }
 

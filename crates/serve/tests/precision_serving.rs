@@ -1,18 +1,23 @@
 //! Cross-precision serving guarantees: from one checkpoint, every
 //! (precision, math) engine variant must agree on the communities it
-//! returns — identical top-k member sets — while the default exact-`f32`
+//! returns — identical top-k member sets — while the default `f32`
 //! engine stays bitwise-identical to the training-side forward, and the
 //! typed engines track every live-update path (graph mutations, support
-//! rotation, core-column injection) without serving stale state.
+//! rotation, core-column injection) without serving stale state. The
+//! math mode is accepted and ignored: there is one kernel tier, so a
+//! session at `MathMode::Fast` answers every frame with the bytes an
+//! `Exact` one does.
 
 use std::collections::HashSet;
 
 use cgnp_core::{meta_train, prepare_tasks, Cgnp, CgnpConfig};
-use cgnp_data::{generate_sbm, model_input_dim, sample_task, SbmConfig, Task, TaskConfig};
+use cgnp_data::{
+    generate_sbm, model_input_dim, sample_task, QueryExample, SbmConfig, Task, TaskConfig,
+};
 use cgnp_serve::{QueryRequest, ServeConfig, ServeSession, UpdateOp, UpdateRequest};
 use cgnp_tensor::{Dtype, MathMode};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// A smoke-scale trained model plus the task it can serve.
 fn trained_model_and_task(seed: u64) -> (Cgnp, Task) {
@@ -90,11 +95,119 @@ fn every_precision_variant_returns_the_same_top_k() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One step of a seeded request script: a micro-batch of queries or a
+/// burst of updates.
+enum Step {
+    Queries(Vec<QueryRequest>),
+    Updates(Vec<UpdateRequest>),
+}
+
+/// A seeded script of query ticks and update bursts (edges, nodes and
+/// support rotations) over a graph of `n` nodes and a pool of `shots`.
+fn request_script(seed: u64, mut n: usize, shots: usize, steps: usize) -> Vec<Step> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut id = 0;
+    let mut next_id = || {
+        id += 1;
+        id
+    };
+    (0..steps)
+        .map(|_| {
+            if rng.gen_bool(0.75) {
+                let queries = (0..rng.gen_range(1..=4))
+                    .map(|_| {
+                        let nodes = (0..rng.gen_range(1..=3))
+                            .map(|_| rng.gen_range(0..n))
+                            .collect();
+                        let mut req = QueryRequest::new(next_id(), nodes);
+                        if rng.gen_bool(0.5) {
+                            req = req.with_top_k(rng.gen_range(1..=6));
+                        }
+                        if rng.gen_bool(0.5) {
+                            req = req.with_shots(rng.gen_range(1..=shots));
+                        }
+                        req
+                    })
+                    .collect();
+                return Step::Queries(queries);
+            }
+            let updates = (0..rng.gen_range(1..=2))
+                .map(|_| {
+                    let op = match rng.gen_range(0..4) {
+                        0 => {
+                            n += 1;
+                            UpdateOp::AddNode { attrs: vec![] }
+                        }
+                        1 => {
+                            // Rotation: the oldest example out, a new one in.
+                            let q = rng.gen_range(0..n);
+                            let add = QueryExample {
+                                query: q,
+                                pos: vec![(q + 1) % n],
+                                neg: vec![(q + n / 2) % n],
+                                truth: Vec::new(),
+                            };
+                            UpdateOp::UpdateSupport {
+                                add: Some(add),
+                                expire: 1,
+                            }
+                        }
+                        _ => {
+                            let u = rng.gen_range(0..n);
+                            let v = (u + 1 + rng.gen_range(0..n - 1)) % n;
+                            UpdateOp::AddEdge { u, v }
+                        }
+                    };
+                    UpdateRequest { id: next_id(), op }
+                })
+                .collect();
+            Step::Updates(updates)
+        })
+        .collect()
+}
+
+#[test]
+fn math_mode_is_accepted_and_ignored() {
+    // cgnp-e2e's in-process oracle is built at `MathMode::Fast`, the
+    // server it checks at the default: the two must answer a script
+    // byte for byte once the wall-clock field is stripped.
+    let (model, task) = trained_model_and_task(37);
+    let dir = std::env::temp_dir().join("cgnp-serve-precision-math");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("smoke.json");
+    cgnp_eval::save_to_file(&model, &path).unwrap();
+    let script = request_script(37, task.graph.n(), task.support.len(), 120);
+
+    let transcript = |session: &ServeSession| -> Vec<String> {
+        let responses = script.iter().flat_map(|step| match step {
+            Step::Queries(reqs) => session.answer_batch(reqs),
+            Step::Updates(reqs) => session.apply_updates(reqs),
+        });
+        responses
+            .map(|mut r| {
+                r.latency_us = 0;
+                r.to_json()
+            })
+            .collect()
+    };
+    let sessions = variant_sessions(&path, &task);
+    for pair in sessions.chunks(2) {
+        let [(exact_name, exact), (fast_name, fast)] = pair else {
+            panic!("variants come in (exact, fast) pairs");
+        };
+        let want = transcript(exact);
+        let answered = want.iter().filter(|l| !l.contains("\"members\":[]"));
+        assert!(answered.count() > 100, "{exact_name}: too few answers");
+        assert_eq!(transcript(fast), want, "{fast_name} vs {exact_name}");
+        assert_eq!(fast.summary().math, "exact");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn exact_f32_serving_is_bitwise_identical_to_the_model() {
-    // The --exact contract: whatever tier the binary was built with, the
-    // (f32, exact) engine reproduces the training-side forward bit for
-    // bit.
+    // The (f32, exact) engine reproduces the training-side forward bit
+    // for bit.
     let (model, task) = trained_model_and_task(32);
     // `trained_model_and_task` is deterministic per seed: a second build
     // carries identical weights.
@@ -194,11 +307,6 @@ fn summary_reports_precision_and_effective_math() {
     let session = ServeSession::new(model, task, cfg_with(Dtype::F64, MathMode::Fast)).unwrap();
     let summary = session.summary();
     assert_eq!(summary.precision, "f64");
-    // The summary never claims a tier the build does not carry.
-    let expected = if cgnp_tensor::fast_math_compiled() {
-        "fast"
-    } else {
-        "exact"
-    };
-    assert_eq!(summary.math, expected);
+    // There is one kernel tier; the key stays for readers that look it up.
+    assert_eq!(summary.math, "exact");
 }

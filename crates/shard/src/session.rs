@@ -7,7 +7,7 @@
 //! global graph; what lives here is only what sharding adds —
 //! partitioning, halo reconciliation, the scatter/gather that scores a
 //! shot group (one `scatter_gather<E>` over the forward-only executor's
-//! contexts, whatever the dtype or kernel tier: every query set's
+//! contexts, whatever the dtype: every query set's
 //! centroid gathered first, then one fan-out in which each shard scores
 //! the whole group in one pass), the owned-row merge, and shard epochs.
 //!
@@ -58,7 +58,7 @@ use cgnp_serve::{
     finish_burst, query_tick, update_burst, Applied, QueryEngine, QueryRequest, QueryResponse,
     ServeConfig, ServeSession, ServeStats, ServeSummary, TickView, UpdateOp, UpdateRequest,
 };
-use cgnp_tensor::{Block, CentroidScores, Dtype, Elem, MatrixT};
+use cgnp_tensor::{Block, CentroidScores, Dtype, Elem, KernelCtx, MatrixT};
 
 use crate::partition::{halo_ball, partition_graph};
 
@@ -638,8 +638,8 @@ fn scatter_gather<E: Elem>(
     let centroids = &MatrixT::from_vec(batch.len(), d, centroids);
     let score = |slots: &mut [Vec<Vec<f32>>], contexts: &[&MatrixT<E>], shards: &[Shard]| {
         for ((slot, &context), shard) in slots.iter_mut().zip(contexts).zip(shards) {
-            *slot =
-                CentroidScores { context, centroids }.forward(Some(&shard.owned_local), Some(1));
+            *slot = CentroidScores { context, centroids }
+                .forward(Some(&shard.owned_local), KernelCtx::threads(1));
         }
     };
     let per_job = mats.len().div_ceil(threads.max(1));

@@ -11,7 +11,7 @@ use cgnp_data::{model_input_dim, QueryExample, Task};
 use cgnp_graph::{AttributedGraph, Graph};
 use cgnp_serve::{QueryRequest, ServeConfig, ServeSession};
 use cgnp_shard::{ShardedConfig, ShardedSession};
-use cgnp_tensor::{Dtype, MathMode};
+use cgnp_tensor::Dtype;
 
 const N: usize = 160;
 const ARC: usize = 20;
@@ -54,7 +54,7 @@ fn model() -> Arc<Cgnp> {
     Arc::new(Cgnp::new(cfg, 7))
 }
 
-fn cfg_with(precision: Dtype, math: MathMode) -> ShardedConfig {
+fn cfg_with(precision: Dtype) -> ShardedConfig {
     ShardedConfig {
         shards: 3,
         replicas: 1,
@@ -63,7 +63,6 @@ fn cfg_with(precision: Dtype, math: MathMode) -> ShardedConfig {
             threads: 2,
             seed: 9,
             precision,
-            math,
             ..ServeConfig::default()
         },
     }
@@ -76,7 +75,7 @@ fn typed_sharded_session_matches_unsharded_session() {
     // session: same kernels, same accumulation order per row.
     let m = model();
     let task = serving_task();
-    let scfg = cfg_with(Dtype::F64, MathMode::Exact);
+    let scfg = cfg_with(Dtype::F64);
     let sharded = ShardedSession::with_shared_model(Arc::clone(&m), task.clone(), scfg).unwrap();
     let single = ServeSession::with_shared_model(m, task, scfg.serve).unwrap();
 

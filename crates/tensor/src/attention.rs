@@ -28,7 +28,8 @@ use std::sync::Arc;
 
 use crate::elem::Elem;
 use crate::matrix::{Matrix, MatrixT};
-use crate::parallel::{for_each_row_chunk, for_each_row_chunk_with, threads_for};
+use crate::mode::KernelCtx;
+use crate::parallel::{for_each_row_chunk, for_each_row_chunk_with};
 use crate::tensor::Tensor;
 
 /// A graph's arcs grouped by destination: a CSR over destinations.
@@ -107,26 +108,21 @@ impl<E: Elem> SegmentAttention<'_, E> {
     /// `Some(nodes)` computes only those, in the order given
     /// (`nodes.len() × width`) — each bitwise the row a full pass would
     /// produce, for callers that changed a few rows of `z` and know
-    /// which outputs that reaches. `threads: None` applies the crate's
-    /// work-size policy (work = arcs visited × width); the worker count
-    /// never changes a bit of the result.
+    /// which outputs that reaches. `ctx` sizes the row split (work = arcs
+    /// visited × width); the worker count never changes a bit of the
+    /// result.
     ///
     /// # Panics
     /// Panics when the widths disagree, `z` has other than `n` rows, or
     /// an offset or source index is out of range.
-    pub fn forward(
-        &self,
-        z: &MatrixT<E>,
-        rows: Option<&[usize]>,
-        threads: Option<usize>,
-    ) -> MatrixT<E> {
-        self.pass(z, rows, threads, false).0
+    pub fn forward(&self, z: &MatrixT<E>, rows: Option<&[usize]>, ctx: KernelCtx) -> MatrixT<E> {
+        self.pass(z, rows, ctx, false).0
     }
 
     /// [`Self::forward`] over every row, also returning the score halves
     /// and the per-arc weights it computed on the way.
-    pub fn forward_keep(&self, z: &MatrixT<E>, threads: Option<usize>) -> (MatrixT<E>, Kept<E>) {
-        let (out, kept) = self.pass(z, None, threads, true);
+    pub fn forward_keep(&self, z: &MatrixT<E>, ctx: KernelCtx) -> (MatrixT<E>, Kept<E>) {
+        let (out, kept) = self.pass(z, None, ctx, true);
         (out, kept.expect("a kept pass keeps"))
     }
 
@@ -134,7 +130,7 @@ impl<E: Elem> SegmentAttention<'_, E> {
         &self,
         z: &MatrixT<E>,
         rows: Option<&[usize]>,
-        threads: Option<usize>,
+        ctx: KernelCtx,
         keep: bool,
     ) -> (MatrixT<E>, Option<Kept<E>>) {
         let arcs = self.arcs;
@@ -161,7 +157,7 @@ impl<E: Elem> SegmentAttention<'_, E> {
                 .map(|&v| arcs.dst_ptr[v + 1] - arcs.dst_ptr[v])
                 .sum(),
         };
-        let threads = threads.unwrap_or_else(|| threads_for(visited.saturating_mul(width)));
+        let threads = ctx.workers(visited.saturating_mul(width));
 
         // A full pass reads every node's two score halves about once per
         // incident arc, so they are computed up front (`[src, dst]` per
@@ -227,9 +223,7 @@ impl<E: Elem> SegmentAttention<'_, E> {
     /// what the exact `n×1` [`MatrixT::matmul`] accumulates for one output
     /// element. A partial sum is never `-0`, so adding `+0` in place of a
     /// skipped product is the identity, and the two chains advance
-    /// together without a branch. (The fast tier's single-column product
-    /// runs the same order without the skip — the same bits for finite
-    /// weights, for the same reason.)
+    /// together without a branch.
     #[inline]
     fn scores(&self, z_row: &[E]) -> (E, E) {
         let (mut s_src, mut s_dst) = (E::ZERO, E::ZERO);
@@ -309,9 +303,9 @@ impl Tensor {
         };
         let z_value = z.value_ref();
         if !Tensor::records(&parents) {
-            return Tensor::constant(att.forward(&z_value, None, None));
+            return Tensor::constant(att.forward(&z_value, None, KernelCtx::default()));
         }
-        let (value, kept) = att.forward_keep(&z_value, None);
+        let (value, kept) = att.forward_keep(&z_value, KernelCtx::default());
         let arcs = Arc::clone(arcs);
         Tensor::from_op(
             value,

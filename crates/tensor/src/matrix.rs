@@ -9,14 +9,13 @@
 //! [`Matrix`] alias pins the autodiff engine (and everything trained or
 //! checkpointed) to `f32`, while inference sessions pick their dtype at
 //! load via [`crate::Block`]. Every product has one implementation, its
-//! `*_in` method, whose [`KernelCtx`] picks the worker count and the exact
-//! or fast-math tier at runtime; the plain names call it with the default
-//! context.
+//! `*_in` method, whose [`KernelCtx`] picks the worker count; the plain
+//! names call it with the default context.
 
 use std::fmt;
 
 use crate::elem::Elem;
-use crate::mode::{KernelCtx, MathMode};
+use crate::mode::KernelCtx;
 use crate::parallel::{for_each_row_chunk, seed_rows};
 
 /// A dense row-major matrix of `E` values.
@@ -324,11 +323,8 @@ impl<E: Elem> MatrixT<E> {
         self.matmul_in(w, Some(bias), KernelCtx::default())
     }
 
-    /// `self @ other (+ bias)` on the worker count and kernel tier `ctx`
-    /// names: `Exact` is the bitwise-pinned kernel, `Fast` the same
-    /// register tile adding every term, zero factors included (the exact
-    /// kernel when the `fast-math` feature is not compiled). A bias row
-    /// seeds every output row before either tier accumulates on top of it.
+    /// `self @ other (+ bias)` on the worker count `ctx` names. A bias row
+    /// seeds every output row before the product accumulates on top of it.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch, or when `bias` is not `1×n`.
@@ -358,11 +354,7 @@ impl<E: Elem> MatrixT<E> {
                 if let Some(bias) = bias {
                     seed_rows(chunk, &bias.data);
                 }
-                match ctx.mode {
-                    #[cfg(feature = "fast-math")]
-                    MathMode::Fast => multiply_add_block::<E, false>(self, other, r0, r1, chunk),
-                    _ => multiply_add_block::<E, true>(self, other, r0, r1, chunk),
-                }
+                multiply_add_block::<E, true>(self, other, r0, r1, chunk);
             },
         );
         out
@@ -381,8 +373,7 @@ impl<E: Elem> MatrixT<E> {
         self.matmul_tb_in(other, KernelCtx::default())
     }
 
-    /// [`Matrix::matmul_tb`] on the worker count and kernel tier `ctx`
-    /// names.
+    /// [`Matrix::matmul_tb`] on the worker count `ctx` names.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
@@ -399,18 +390,15 @@ impl<E: Elem> MatrixT<E> {
             .saturating_mul(self.cols)
             .saturating_mul(other.rows);
         let mut out = Self::zeros(self.rows, other.rows);
-        let other_t = (ctx.mode == MathMode::Exact && other.rows >= TB_KMAJOR_MIN_ROWS)
-            .then(|| other.transpose());
+        let other_t = (other.rows >= TB_KMAJOR_MIN_ROWS).then(|| other.transpose());
         for_each_row_chunk(
             &mut out.data,
             self.rows,
             other.rows,
             ctx.workers(work),
-            |r0, r1, chunk| match (&other_t, ctx.mode) {
-                (Some(other_t), _) => multiply_add_block::<E, false>(self, other_t, r0, r1, chunk),
-                #[cfg(feature = "fast-math")]
-                (None, MathMode::Fast) => fast::matmul_tb_fast_block(self, other, r0, r1, chunk),
-                (None, _) => matmul_tb_block(self, other, r0, r1, chunk),
+            |r0, r1, chunk| match &other_t {
+                Some(other_t) => multiply_add_block::<E, false>(self, other_t, r0, r1, chunk),
+                None => matmul_tb_block(self, other, r0, r1, chunk),
             },
         );
         out
@@ -425,8 +413,7 @@ impl<E: Elem> MatrixT<E> {
         self.matmul_ta_in(other, KernelCtx::default())
     }
 
-    /// [`Matrix::matmul_ta`] on the worker count and kernel tier `ctx`
-    /// names.
+    /// [`Matrix::matmul_ta`] on the worker count `ctx` names.
     ///
     /// # Panics
     /// Panics on outer-dimension mismatch.
@@ -448,11 +435,7 @@ impl<E: Elem> MatrixT<E> {
             self.cols,
             other.cols,
             ctx.workers(work),
-            |c0, c1, chunk| match ctx.mode {
-                #[cfg(feature = "fast-math")]
-                MathMode::Fast => fast::matmul_ta_fast_block(self, other, c0, c1, chunk),
-                _ => matmul_ta_block(self, other, c0, c1, chunk),
-            },
+            |c0, c1, chunk| matmul_ta_block(self, other, c0, c1, chunk),
         );
         out
     }
@@ -908,116 +891,6 @@ fn matmul_ta_block<E: Elem>(a: &MatrixT<E>, b: &MatrixT<E>, c0: usize, c1: usize
     }
 }
 
-/// The fast-math kernel tier's own loops: multi-accumulator variants of
-/// the transposed products that trade the bitwise accumulation-order
-/// contract for vectorisable inner loops (its `matmul` is the exact
-/// register tile without the zero skip). Selected at runtime via
-/// [`MathMode::Fast`]; results are pinned to the reference within
-/// relative-error bounds by `tests/fast_math.rs`.
-#[cfg(feature = "fast-math")]
-mod fast {
-    use super::{Elem, MatrixT};
-
-    /// Fast `a @ b.T` over output rows `[r0, r1)`: a 4-wide j-tile of dot
-    /// products, each split across 4 independent k-lanes (16 partial sums
-    /// in flight), reduced lane-wise at the end.
-    pub(super) fn matmul_tb_fast_block<E: Elem>(
-        a: &MatrixT<E>,
-        b: &MatrixT<E>,
-        r0: usize,
-        r1: usize,
-        chunk: &mut [E],
-    ) {
-        let n = b.rows;
-        let k_dim = a.cols;
-        for r in r0..r1 {
-            let arow = a.row(r);
-            let orow = &mut chunk[(r - r0) * n..(r - r0 + 1) * n];
-            let mut j = 0;
-            while j + 4 <= n {
-                let rows = [b.row(j), b.row(j + 1), b.row(j + 2), b.row(j + 3)];
-                let mut lanes = [[E::ZERO; 4]; 4];
-                let mut k = 0;
-                while k + 4 <= k_dim {
-                    for (d, brow) in rows.iter().enumerate() {
-                        for (l, lane) in lanes[d].iter_mut().enumerate() {
-                            *lane += arow[k + l] * brow[k + l];
-                        }
-                    }
-                    k += 4;
-                }
-                for (d, o) in orow[j..j + 4].iter_mut().enumerate() {
-                    let mut acc = (lanes[d][0] + lanes[d][1]) + (lanes[d][2] + lanes[d][3]);
-                    for kk in k..k_dim {
-                        acc += arow[kk] * rows[d][kk];
-                    }
-                    *o = acc;
-                }
-                j += 4;
-            }
-            for (jj, o) in orow.iter_mut().enumerate().take(n).skip(j) {
-                let brow = b.row(jj);
-                let mut acc = E::ZERO;
-                for (&av, &bv) in arow.iter().zip(brow) {
-                    acc += av * bv;
-                }
-                *o = acc;
-            }
-        }
-    }
-
-    /// Fast `a.T @ b` over output rows `[c0, c1)`: four `i`-rows fused
-    /// per pass, so every output row is loaded/stored once per 4 inputs
-    /// and the inner loop carries 4 independent products per element.
-    pub(super) fn matmul_ta_fast_block<E: Elem>(
-        a: &MatrixT<E>,
-        b: &MatrixT<E>,
-        c0: usize,
-        c1: usize,
-        chunk: &mut [E],
-    ) {
-        let k_dim = a.cols;
-        let n = b.cols;
-        let rows = a.rows;
-        let mut i = 0;
-        while i + 4 <= rows {
-            let a0 = &a.data[i * k_dim..(i + 1) * k_dim];
-            let a1 = &a.data[(i + 1) * k_dim..(i + 2) * k_dim];
-            let a2 = &a.data[(i + 2) * k_dim..(i + 3) * k_dim];
-            let a3 = &a.data[(i + 3) * k_dim..(i + 4) * k_dim];
-            let b0 = &b.data[i * n..(i + 1) * n];
-            let b1 = &b.data[(i + 1) * n..(i + 2) * n];
-            let b2 = &b.data[(i + 2) * n..(i + 3) * n];
-            let b3 = &b.data[(i + 3) * n..(i + 4) * n];
-            for c in c0..c1 {
-                let (v0, v1, v2, v3) = (a0[c], a1[c], a2[c], a3[c]);
-                if v0 == E::ZERO && v1 == E::ZERO && v2 == E::ZERO && v3 == E::ZERO {
-                    continue;
-                }
-                let orow = &mut chunk[(c - c0) * n..(c - c0 + 1) * n];
-                for (jj, o) in orow.iter_mut().enumerate() {
-                    *o += (v0 * b0[jj] + v1 * b1[jj]) + (v2 * b2[jj] + v3 * b3[jj]);
-                }
-            }
-            i += 4;
-        }
-        for ii in i..rows {
-            let arow = &a.data[ii * k_dim..(ii + 1) * k_dim];
-            let brow = &b.data[ii * n..(ii + 1) * n];
-            for c in c0..c1 {
-                let v = arow[c];
-                if v == E::ZERO {
-                    continue;
-                }
-                let orow = &mut chunk[(c - c0) * n..(c - c0 + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += v * bv;
-                }
-            }
-        }
-    }
-}
-
 impl<E: Elem> fmt::Debug for MatrixT<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Matrix {}x{} [", self.rows, self.cols)?;
@@ -1178,27 +1051,5 @@ mod tests {
         // f32 → f64 is exact, and rounding back recovers the original.
         assert_eq!(back.as_slice(), a.as_slice());
         assert_eq!(up.get(0, 1), -2.5f64);
-    }
-
-    #[test]
-    fn mode_entry_points_cover_all_products() {
-        // Exact mode must be bit-identical to the default entry points in
-        // any build; fast mode must agree within rounding.
-        let a = Matrix::from_vec(3, 5, (0..15).map(|i| i as f32 * 0.31 - 2.0).collect());
-        let b = Matrix::from_vec(5, 4, (0..20).map(|i| i as f32 * 0.17 - 1.5).collect());
-        let bias = Matrix::from_vec(1, 4, vec![0.5, -0.25, 1.0, 0.0]);
-        let bt = Matrix::from_vec(4, 5, (0..20).map(|i| i as f32 * 0.13 - 1.2).collect());
-        let ta_b = Matrix::from_vec(3, 4, (0..12).map(|i| i as f32 * 0.21 - 1.1).collect());
-        for mode in [MathMode::Exact, MathMode::Fast] {
-            let ctx = mode.into();
-            assert!(a.matmul_in(&b, None, ctx).approx_eq(&a.matmul(&b), 1e-4));
-            assert!(a
-                .matmul_in(&b, Some(&bias), ctx)
-                .approx_eq(&a.matmul_bias(&b, &bias), 1e-4));
-            assert!(a.matmul_tb_in(&bt, ctx).approx_eq(&a.matmul_tb(&bt), 1e-4));
-            assert!(a
-                .matmul_ta_in(&ta_b, ctx)
-                .approx_eq(&a.matmul_ta(&ta_b), 1e-4));
-        }
     }
 }

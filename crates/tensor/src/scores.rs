@@ -6,9 +6,8 @@
 //! ```
 //!
 //! Each logit is **one in-order chain from `+0` over `k = 0..d`** — what
-//! `matmul_tb` computes for an output element on the exact tier, and what
-//! the fast tier computes for the single column a one-query product gives
-//! it — followed by the branch-stable sigmoid in `E` and a cast to `f32`,
+//! `matmul_tb` computes for an output element — followed by the
+//! branch-stable sigmoid in `E` and a cast to `f32`,
 //! the wire type. [`crate::reference::centroid_scores`] spells that out
 //! one (query, node) at a time; this kernel computes the same chains,
 //! many at once: a block of context rows is loaded once and every query
@@ -23,7 +22,8 @@
 
 use crate::elem::Elem;
 use crate::matrix::MatrixT;
-use crate::parallel::{for_each_row_chunk_of_columns, threads_for};
+use crate::mode::KernelCtx;
+use crate::parallel::for_each_row_chunk_of_columns;
 
 /// A decoded task context and the query centroids to score it against,
 /// borrowed for a call.
@@ -54,12 +54,12 @@ impl<E: Elem> CentroidScores<'_, E> {
     /// query); `Some(nodes)` scores only those, in the order given — each
     /// bitwise the entry a full pass would produce, for callers that
     /// consume a subset (a shard's merge reads only the rows it owns).
-    /// `threads: None` applies the crate's work-size policy (work = rows ×
-    /// `d` × queries); the worker count never changes a bit of the result.
+    /// `ctx` sizes the row split (work = rows × `d` × queries); the worker
+    /// count never changes a bit of the result.
     ///
     /// # Panics
     /// Panics when the widths disagree or a row index is out of range.
-    pub fn forward(&self, rows: Option<&[usize]>, threads: Option<usize>) -> Vec<Vec<f32>> {
+    pub fn forward(&self, rows: Option<&[usize]>, ctx: KernelCtx) -> Vec<Vec<f32>> {
         let (n, d) = self.context.shape();
         let n_queries = self.centroids.rows();
         assert_eq!(
@@ -71,7 +71,7 @@ impl<E: Elem> CentroidScores<'_, E> {
         let n_out = rows.map_or(n, <[usize]>::len);
         let mut out = vec![vec![0.0f32; n_out]; n_queries];
         let work = n_out.saturating_mul(d).saturating_mul(n_queries);
-        let threads = threads.unwrap_or_else(|| threads_for(work));
+        let threads = ctx.workers(work);
 
         // Panels of 8 queries, then the binary digits of what is left, so
         // no lane is padding; each is transposed to k-major once.

@@ -9,12 +9,11 @@
 //! Like the dense side, storage is generic over the element type
 //! ([`CsrMatrixT<E>`]) with the [`CsrMatrix`] alias pinning the training
 //! stack to `f32`, and the product has one implementation,
-//! [`CsrMatrixT::spmm_in`], whose [`KernelCtx`] picks the worker count and
-//! the exact or fast-math tier at runtime.
+//! [`CsrMatrixT::spmm_in`], whose [`KernelCtx`] picks the worker count.
 
 use crate::elem::Elem;
 use crate::matrix::MatrixT;
-use crate::mode::{KernelCtx, MathMode};
+use crate::mode::KernelCtx;
 
 /// An immutable CSR sparse matrix over elements of type `E`.
 #[derive(Clone, Debug, PartialEq)]
@@ -164,9 +163,9 @@ impl<E: Elem> CsrMatrixT<E> {
         self.spmm_in(x, Some(bias), KernelCtx::default())
     }
 
-    /// `self @ x (+ bias)` on the worker count and kernel tier `ctx` names
-    /// (see [`MatrixT::matmul_in`]). A bias row seeds every output row
-    /// before either tier accumulates on top of it.
+    /// `self @ x (+ bias)` on the worker count `ctx` names (see
+    /// [`MatrixT::matmul_in`]). A bias row seeds every output row before
+    /// the product accumulates on top of it.
     ///
     /// # Panics
     /// Panics on dimension mismatch, or when `bias` is not `1×cols`.
@@ -195,10 +194,7 @@ impl<E: Elem> CsrMatrixT<E> {
                 if let Some(bias) = bias {
                     crate::parallel::seed_rows(chunk, bias.as_slice());
                 }
-                match ctx.mode {
-                    MathMode::Exact => self.spmm_rows(x, r0, r1, chunk),
-                    MathMode::Fast => self.spmm_rows_fast(x, r0, r1, chunk),
-                }
+                self.spmm_rows(x, r0, r1, chunk);
             },
         );
         out
@@ -222,51 +218,6 @@ impl<E: Elem> CsrMatrixT<E> {
                 }
             }
         }
-    }
-
-    /// Fast-tier spmm rows: four nonzeros fused per pass over the output
-    /// row, so each output element carries four independent products per
-    /// iteration and the row is loaded/stored once per 4 nonzeros.
-    #[cfg(feature = "fast-math")]
-    fn spmm_rows_fast(&self, x: &MatrixT<E>, r0: usize, r1: usize, chunk: &mut [E]) {
-        let cols = x.cols();
-        for r in r0..r1 {
-            let orow = &mut chunk[(r - r0) * cols..(r - r0 + 1) * cols];
-            let span = self.indptr[r]..self.indptr[r + 1];
-            let idx = &self.indices[span.clone()];
-            let val = &self.values[span];
-            let mut i = 0;
-            while i + 4 <= idx.len() {
-                let (v0, v1, v2, v3) = (val[i], val[i + 1], val[i + 2], val[i + 3]);
-                // Re-slice every operand to the output width so the
-                // optimiser proves all five ranges once and vectorises
-                // the fused loop; indexed access on the raw rows keeps a
-                // bounds check per element and stays scalar.
-                let x0 = &x.row(idx[i])[..cols];
-                let x1 = &x.row(idx[i + 1])[..cols];
-                let x2 = &x.row(idx[i + 2])[..cols];
-                let x3 = &x.row(idx[i + 3])[..cols];
-                let orow = &mut orow[..cols];
-                for j in 0..cols {
-                    orow[j] += (v0 * x0[j] + v1 * x1[j]) + (v2 * x2[j] + v3 * x3[j]);
-                }
-                i += 4;
-            }
-            for ii in i..idx.len() {
-                let v = val[ii];
-                let xrow = x.row(idx[ii]);
-                for (o, &xv) in orow.iter_mut().zip(xrow) {
-                    *o += v * xv;
-                }
-            }
-        }
-    }
-
-    /// Without the `fast-math` feature the fast tier *is* the exact rows,
-    /// so [`MathMode::Fast`] stays bitwise [`MathMode::Exact`].
-    #[cfg(not(feature = "fast-math"))]
-    fn spmm_rows_fast(&self, x: &MatrixT<E>, r0: usize, r1: usize, chunk: &mut [E]) {
-        self.spmm_rows(x, r0, r1, chunk);
     }
 
     /// Transposed copy (CSC of `self` re-expressed as CSR).
@@ -587,26 +538,5 @@ mod tests {
         );
         let back: CsrMatrix = up.cast();
         assert_eq!(back, s);
-    }
-
-    #[test]
-    fn spmm_mode_agrees_across_tiers() {
-        // A row with >4 nonzeros so the fast kernel's unrolled body runs.
-        let mut triplets = Vec::new();
-        for c in 0..7 {
-            triplets.push((0usize, c, 0.5 + c as f32));
-            triplets.push((1usize, 6 - c, 1.5 - 0.25 * c as f32));
-        }
-        let s = CsrMatrix::from_triplets(2, 7, &triplets);
-        let x = Matrix::from_vec(7, 3, (0..21).map(|i| i as f32 * 0.21 - 2.0).collect());
-        let bias = Matrix::from_vec(1, 3, vec![0.75, -0.5, 0.125]);
-        let exact = s.spmm(&x);
-        let exact_bias = s.spmm_bias(&x, &bias);
-        for mode in [MathMode::Exact, MathMode::Fast] {
-            assert!(s.spmm_in(&x, None, mode.into()).approx_eq(&exact, 1e-4));
-            assert!(s
-                .spmm_in(&x, Some(&bias), mode.into())
-                .approx_eq(&exact_bias, 1e-4));
-        }
     }
 }

@@ -151,7 +151,22 @@ proptest! {
 
 /// Worker counts every `*_in` entry point is held to: work-sized, serial,
 /// a split that leaves a short last chunk, and more workers than rows.
-const THREADS: [Option<usize>; 4] = [None, Some(1), Some(3), Some(64)];
+const THREADS: [KernelCtx; 4] = [
+    KernelCtx { threads: None },
+    KernelCtx::threads(1),
+    KernelCtx::threads(3),
+    KernelCtx::threads(64),
+];
+
+/// Worker counts the fused attention and scoring passes are held to:
+/// work-sized, serial, and splits of 2, 4 and 7.
+const PASS_THREADS: [KernelCtx; 5] = [
+    KernelCtx { threads: None },
+    KernelCtx::threads(1),
+    KernelCtx::threads(2),
+    KernelCtx::threads(4),
+    KernelCtx::threads(7),
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -195,8 +210,7 @@ proptest! {
             reference::spmm(&s, &b),
             reference::spmm(&ones_and_s, &biased_b),
         ];
-        for threads in THREADS {
-            let ctx = KernelCtx { threads, ..KernelCtx::default() };
+        for ctx in THREADS {
             let got = [
                 ("matmul", a.matmul_in(&b, None, ctx)),
                 ("matmul + bias", a.matmul_in(&b, Some(&bias), ctx)),
@@ -206,7 +220,7 @@ proptest! {
                 ("spmm + bias", s.spmm_in(&b, Some(&bias), ctx)),
             ];
             for ((name, got), want) in got.iter().zip(&expect) {
-                prop_assert!(bits(got) == bits(want), "{name} threads={threads:?}");
+                prop_assert!(bits(got) == bits(want), "{name} {ctx:?}");
             }
         }
     }
@@ -225,10 +239,10 @@ proptest! {
         let elu = |v: f32| if v > 0.0 { v } else { v.exp() - 1.0 };
         let mut serial = m.clone();
         serial.map_assign(elu);
-        for threads in THREADS {
+        for ctx in THREADS {
             let mut pooled = m.clone();
-            pooled.map_assign_in(elu, KernelCtx { threads, ..KernelCtx::default() });
-            prop_assert!(bits(&pooled) == bits(&serial), "threads={threads:?}");
+            pooled.map_assign_in(elu, ctx);
+            prop_assert!(bits(&pooled) == bits(&serial), "{ctx:?}");
         }
     }
 }
@@ -801,20 +815,20 @@ impl AttentionCase {
         subset.extend(subset.first().copied());
         let expect_subset = expect.select_rows(&subset);
 
-        for threads in [None, Some(1), Some(2), Some(4), Some(7)] {
-            let full = att.forward(&z, None, threads);
+        for ctx in PASS_THREADS {
+            let full = att.forward(&z, None, ctx);
             assert_eq!(
                 bits(full.as_slice()),
                 bits(expect.as_slice()),
-                "{} threads={threads:?}",
+                "{} {ctx:?}",
                 E::DTYPE
             );
-            let part = att.forward(&z, Some(&subset), threads);
+            let part = att.forward(&z, Some(&subset), ctx);
             assert_eq!(part.shape(), expect_subset.shape());
             assert_eq!(
                 bits(part.as_slice()),
                 bits(expect_subset.as_slice()),
-                "{} subset threads={threads:?}",
+                "{} subset {ctx:?}",
                 E::DTYPE
             );
         }
@@ -920,7 +934,11 @@ fn segment_attention_degenerate_sizes() {
             bias: &case.bias,
             slope: 0.2f32,
         }
-        .forward(&Matrix::from_vec(case.n(), 3, case.z.clone()), None, None)
+        .forward(
+            &Matrix::from_vec(case.n(), 3, case.z.clone()),
+            None,
+            KernelCtx::default(),
+        )
     };
     assert_eq!(out(&isolated).as_slice(), &[1.0, 1.0, 1.0]);
     assert_eq!(out(&self_loop).as_slice(), &[3.0, 0.0, 1.0]);
@@ -952,7 +970,10 @@ fn segment_attention_skips_weights_that_underflow_to_zero() {
         slope: 0.2,
     };
     let z = MatrixT::from_vec(2, 2, vec![0.0f64, 3.0, -20000.0, 7.0]);
-    assert_eq!(att.forward(&z, None, None).row(0), &[0.25, 2.5]);
+    assert_eq!(
+        att.forward(&z, None, KernelCtx::default()).row(0),
+        &[0.25, 2.5]
+    );
 }
 
 #[test]
@@ -980,7 +1001,10 @@ fn segment_attention_grads_at_the_edges() {
         bias: &case.bias,
         slope: 0.2f32,
     };
-    let (_, kept) = att.forward_keep(&Matrix::from_vec(4, 2, case.z.clone()), None);
+    let (_, kept) = att.forward_keep(
+        &Matrix::from_vec(4, 2, case.z.clone()),
+        KernelCtx::default(),
+    );
     assert_eq!(kept.alpha[0], 1.0, "a lone self-loop takes all the weight");
     assert_eq!((kept.alpha[2], kept.alpha[4]), (0.0, 0.0), "underflow");
     let logit = |e: usize, v: usize| kept.scores[2 * arcs.src[e]] + kept.scores[2 * v + 1];
@@ -1072,20 +1096,16 @@ impl ScoresCase {
             .map(|p| subset.iter().map(|&v| p[v]).collect())
             .collect();
 
-        for threads in [None, Some(1), Some(2), Some(4), Some(7)] {
+        for ctx in PASS_THREADS {
             let what = format!(
-                "{} n={} d={} B={n_queries} threads={threads:?}",
+                "{} n={} d={} B={n_queries} {ctx:?}",
                 E::DTYPE,
                 self.n,
                 self.d
             );
+            assert_eq!(bits(&scores.forward(None, ctx)), bits(&expect), "{what}");
             assert_eq!(
-                bits(&scores.forward(None, threads)),
-                bits(&expect),
-                "{what}"
-            );
-            assert_eq!(
-                bits(&scores.forward(Some(&subset), threads)),
+                bits(&scores.forward(Some(&subset), ctx)),
                 bits(&expect_subset),
                 "{what} subset"
             );
@@ -1176,7 +1196,7 @@ fn centroid_scores_saturate_to_exactly_zero_and_one() {
 #[test]
 fn large_centroid_scores_parallel_chunks_are_bitwise_stable() {
     // A serving-sized context (3 200 × 64) against batches of 1, 2, 8 and
-    // 9: past the parallel gate at every size, so `threads: None` splits
+    // 9: past the parallel gate at every size, so `KernelCtx::default()` splits
     // the rows, and 3 200 is no multiple of the chunk a 7-way split cuts.
     let (n, d) = (3200usize, 64usize);
     let context: Vec<f32> = (0..n * d)

@@ -4,9 +4,8 @@ the checked-in snapshot and fail on large dispatch/overhead regressions.
 
 The committed file is a single-machine recording, so absolute nanoseconds
 are not comparable across runners. What *is* comparable is its internal
-`speedup_vs_naive` ratios (pool dispatch vs per-section OS threads, the
-fast-math tier vs the naive loop), because both sides of a ratio ran on the
-same machine in the same process.
+`speedup_vs_naive` ratios (pool dispatch vs per-section OS threads),
+because both sides of a ratio ran on the same machine in the same process.
 
 Two rules, both tuned to be generous to quick-mode CI noise while
 catching structural regressions:
@@ -17,9 +16,9 @@ catching structural regressions:
 * absolute floor: a row whose snapshot records a win (ratio >= 1) whose
   current ratio falls below --floor (default 0.5, i.e. the "optimised"
   variant measuring 2x slower than its own baseline) fails even when the
-  relative drop is under --factor. This protects the near-unity rows
-  (fast-math spmm ~1.4x), where a 3x relative drop would otherwise only
-  trip after the optimisation had become ~2x slower than doing nothing.
+  relative drop is under --factor. This protects near-unity rows, where
+  a 3x relative drop would otherwise only trip after the optimisation had
+  become ~2x slower than doing nothing.
 
 Usage:
     check_bench_regression.py --baseline BENCH_kernels.json \
@@ -33,16 +32,8 @@ import sys
 # Kernel groups whose speedup ratios are dispatch-bound: they measure
 # bookkeeping (pool dispatch), not arithmetic throughput, so their ratios
 # are stable enough to gate. Raw-kernel ratios (matmul/spmm blocking)
-# swing with cache hierarchy and stay report-only — except the fast-math
-# rows, whose fast-vs-naive ratio is the acceptance headroom of the fast
-# tier and is gated whenever the current run compiled the feature in.
+# swing with cache hierarchy and stay report-only.
 GATED_KERNEL_PREFIXES = ("parallel_dispatch",)
-
-# Variant names produced only by `--features fast-math` builds. A default
-# build legitimately regenerates a baseline without them; the gate drops
-# these rows (with a note) when the current file says fast_math is off,
-# instead of treating them as vanished comparisons.
-FAST_VARIANTS = ("fast_1t", "fast_f32")
 
 
 def load_doc(path):
@@ -58,7 +49,7 @@ def ratio_rows_kernels(doc):
         speedup = row.get("speedup_vs_naive")
         if variant == "naive" or not isinstance(speedup, (int, float)):
             continue
-        if kernel.startswith(GATED_KERNEL_PREFIXES) or variant in FAST_VARIANTS:
+        if kernel.startswith(GATED_KERNEL_PREFIXES):
             out[(kernel, variant)] = float(speedup)
     return out
 
@@ -81,19 +72,8 @@ def main():
     )
     args = ap.parse_args()
 
-    baseline_doc = load_doc(args.baseline)
-    current_doc = load_doc(args.current)
-    baseline = ratio_rows_kernels(baseline_doc)
-    current = ratio_rows_kernels(current_doc)
-
-    # Fast-tier rows only exist in `--features fast-math` builds. When the
-    # current regeneration ran without the feature, drop the snapshot's
-    # fast rows rather than flagging them as vanished comparisons.
-    if not current_doc.get("fast_math", False):
-        dropped = [key for key in baseline if key[1] in FAST_VARIANTS]
-        for key in dropped:
-            print(f"  [skip] {key[0]}/{key[1]}: current run built without fast-math")
-            del baseline[key]
+    baseline = ratio_rows_kernels(load_doc(args.baseline))
+    current = ratio_rows_kernels(load_doc(args.current))
 
     if not baseline:
         print(f"gate: no gated ratios in baseline {args.baseline}; nothing to compare")

@@ -21,7 +21,7 @@
 //! cgnp serve --checkpoint model.json [--dataset citeseer] [--scale S]
 //!            [--decoder ip|mlp|gnn] [--shots N] [--seed N]
 //!            [--threads N] [--batch B]
-//!            [--precision f32|f64] [--exact]
+//!            [--precision f32|f64]
 //!            [--shards N]
 //!            [--listen ADDR] [--max-conns N] [--max-queue N]
 //!            [--request-timeout-ms MS] [--drain MS]
@@ -40,12 +40,9 @@
 //!     period in milliseconds. --request-timeout-ms 0 disables
 //!     per-request deadlines. All but --max-conns apply without --listen.
 //!     --precision selects the element type scoring runs in (f32, the
-//!     training dtype and default, or f64). Serving defaults to the
-//!     fast-math kernel tier when the binary carries it (build with
-//!     --features fast-math); --exact pins scoring to the bitwise-
-//!     reproducible kernels instead — with f32, predictions are then
+//!     training dtype and default, or f64); with f32, predictions are
 //!     bit-for-bit identical to the training-side forward. The summary
-//!     reports the precision and the kernel tier actually used.
+//!     reports the precision.
 //!     With --shards N (> 1), the graph is partitioned and queries are
 //!     answered by a scatter/gather coordinator over N per-partition
 //!     sessions — same protocol, bitwise-identical responses (see README
@@ -133,7 +130,6 @@ const SUBCOMMANDS: &[Subcommand] = &[
             "threads",
             "batch",
             "precision",
-            "exact",
             "shards",
             "listen",
             "max-conns",
@@ -187,10 +183,8 @@ fn check_known(sub: &Subcommand, flags: &Flags) -> Result<(), String> {
     }
 }
 
-/// Flags that take no value: presence alone sets them.
-const BOOLEAN_FLAGS: &[&str] = &["exact"];
-
-/// Parses `--key value` pairs (and valueless [`BOOLEAN_FLAGS`]).
+/// Parses `--key value` pairs. Every flag takes a value, so one followed
+/// by another flag (or by nothing) is refused by name.
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
@@ -198,12 +192,9 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         let Some(name) = key.strip_prefix("--") else {
             return Err(format!("expected --flag, got {key:?}"));
         };
-        if BOOLEAN_FLAGS.contains(&name) {
-            flags.insert(name.to_string(), "true".to_string());
-            continue;
-        }
         let value = it
             .next()
+            .filter(|v| !v.starts_with("--"))
             .ok_or_else(|| format!("flag --{name} needs a value"))?;
         flags.insert(name.to_string(), value.clone());
     }
@@ -441,21 +432,11 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         .ok_or("serve needs --checkpoint <model.json>")?;
     let precision =
         cgnp_tensor::Dtype::parse(flags.get("precision").map(String::as_str).unwrap_or("f32"))?;
-    // The CLI opts into the fast tier by default — the binary only
-    // carries it when built with `--features fast-math`, and `--exact`
-    // pins scoring back to the bitwise-reproducible kernels without a
-    // rebuild. (The *library* default stays exact.)
-    let math = if flags.contains_key("exact") {
-        cgnp_tensor::MathMode::Exact
-    } else {
-        cgnp_tensor::MathMode::Fast
-    };
     let cfg = ServeConfig {
         batch: parse_usize(flags, "batch", ServeConfig::default().batch)?.max(1),
         threads: parse_usize(flags, "threads", rayon::current_num_threads())?.max(1),
         seed: args.seed,
         precision,
-        math,
         ..ServeConfig::default()
     };
     let shards = parse_usize(flags, "shards", 1)?.max(1);
@@ -522,14 +503,13 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         _ => engine,
     };
     eprintln!(
-        "serving {} ({} nodes, {} support examples) from {checkpoint}: batch {}, {} threads, {} {} math",
+        "serving {} ({} nodes, {} support examples) from {checkpoint}: batch {}, {} threads, {}",
         args.dataset.name(),
         engine.n(),
         engine.max_shots(),
         cfg.batch,
         cfg.threads,
-        cfg.precision,
-        cfg.effective_math()
+        cfg.precision
     );
     let defaults = GatewayConfig::default();
     let timeout_ms = parse_usize(flags, "request-timeout-ms", 10_000)?;
@@ -607,14 +587,16 @@ mod tests {
 
     #[test]
     fn flags_a_subcommand_does_not_read_are_refused_by_name() {
-        // Three flags no subcommand has (all once serve's), a typo, two
+        // Four flags no subcommand has (all once serve's), a typo, two
         // flags of another subcommand; of several, the first in name
-        // order is reported.
+        // order is reported. (`--exact` took no value; written bare it is
+        // refused by `parse_flags`, see `a_flag_without_a_value_is_refused`.)
         for (name, line, flag) in [
             ("serve", "--seed 1 --refresh swap", "--refresh"),
             ("serve", "--seed 1 --replicas 2", "--replicas"),
             ("serve", "--seed 1 --cache 8", "--cache"),
-            ("serve", "--refesh per-row --exact", "--refesh"),
+            ("serve", "--seed 1 --exact on", "--exact"),
+            ("serve", "--refesh per-row", "--refesh"),
             ("train", "--batch 8 --seed 1", "--batch"),
             ("evaluate", "--checkpoint m.json", "--checkpoint"),
             ("datasets", "--zeta 1 --alpha 2", "--alpha"),
@@ -639,7 +621,7 @@ mod tests {
             "--batch 2",
             "--batch 4 --request-timeout-ms 30000 --drain 20000 --durable d --snapshot-every 5",
             // The rest of what the usage text documents.
-            "--exact --precision f64 --max-conns 4 --max-queue 64 --decoder ip",
+            "--precision f64 --max-conns 4 --max-queue 64 --decoder ip",
         ] {
             check("serve", &format!("{spawn} {extra}")).unwrap();
         }
@@ -648,14 +630,17 @@ mod tests {
     }
 
     #[test]
-    fn boolean_flags_take_no_value() {
-        let args: Vec<String> = ["--exact", "--precision", "f64"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let flags = parse_flags(&args).unwrap();
-        assert_eq!(flags["exact"], "true");
-        assert_eq!(flags["precision"], "f64");
+    fn a_flag_without_a_value_is_refused() {
+        // A script written for the valueless `--exact` fails at once,
+        // naming it, wherever it put the flag.
+        for line in ["--exact --precision f64", "--precision f64 --exact"] {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            assert_eq!(
+                parse_flags(&args).unwrap_err(),
+                "flag --exact needs a value",
+                "{line}"
+            );
+        }
     }
 
     #[test]
