@@ -71,16 +71,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `CGNP_SCALE` (smoke|quick|full|paper); defaults to `Quick`.
-    pub fn from_env() -> Self {
-        match std::env::var("CGNP_SCALE").as_deref() {
-            Ok("smoke") => Scale::Smoke,
-            Ok("full") => Scale::Full,
-            Ok("paper") => Scale::Paper,
-            _ => Scale::Quick,
-        }
-    }
-
     fn node_factor(&self) -> f64 {
         match self {
             Scale::Smoke => 0.25,

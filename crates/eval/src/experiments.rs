@@ -1,4 +1,4 @@
-//! High-level experiment drivers shared by the benches and examples: one
+//! High-level experiment drivers shared by `cgnp` and the examples: one
 //! function per experiment family, each returning paper-style outcomes.
 
 use cgnp_baselines::BaselineHyper;
@@ -82,11 +82,6 @@ impl ScaleSettings {
                 sample_ratios: None,
             },
         }
-    }
-
-    /// Reads `CGNP_SCALE` from the environment (default quick).
-    pub fn from_env() -> Self {
-        Self::for_scale(Scale::from_env())
     }
 
     pub fn hyper(&self) -> BaselineHyper {

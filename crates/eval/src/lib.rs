@@ -3,8 +3,8 @@
 //! Evaluation layer of the CGNP reproduction: classification metrics
 //! (§VII-A), adapters exposing all 13 approaches through one interface,
 //! the timing-aware experiment harness behind Tables II/III and
-//! Figures 3–5, scale-aware experiment drivers, and paper-style table /
-//! JSON reporting.
+//! Figures 3–5, scale-aware experiment drivers, paper-style tables, and
+//! the paper's seven experiments behind `cgnp reproduce`.
 //!
 //! ## Example
 //!
@@ -27,6 +27,7 @@ pub mod harness;
 pub mod methods;
 pub mod metrics;
 pub mod report;
+pub mod reproduce;
 
 pub use checkpoint::{
     fnv1a64, load_checkpoint_file, load_from_file, restore, restore_model, save_to_file,
@@ -43,7 +44,8 @@ pub use methods::{
     MethodSelection,
 };
 pub use metrics::Metrics;
-pub use report::{fmt_metric, fmt_secs, quality_table, timing_table, ExperimentReport, TextTable};
+pub use report::{fmt_metric, fmt_secs, quality_table, timing_table, TextTable};
+pub use reproduce::{run_experiment, EXPERIMENTS};
 
 // Re-export the pieces downstream bench/example code needs, so they can
 // depend on this crate alone.

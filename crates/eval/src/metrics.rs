@@ -2,10 +2,10 @@
 //! precision, recall, and F1 between a predicted membership and the
 //! ground-truth community.
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Confusion counts and derived rates for one prediction.
-#[derive(Clone, Copy, Debug, Default, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Metrics {
     pub tp: usize,
     pub fp: usize,

@@ -1,8 +1,6 @@
-//! Paper-style table rendering and JSON export of experiment outcomes.
+//! Paper-style table rendering of experiment outcomes.
 
 use std::fmt::Write as _;
-
-use serde::Serialize;
 
 use crate::harness::MethodOutcome;
 
@@ -108,51 +106,23 @@ pub fn quality_table(outcomes: &[MethodOutcome]) -> TextTable {
     table
 }
 
-/// Builds the timing table of Fig. 3 (test and training seconds).
+/// Builds the timing table of Figs. 3 and 4 (test and training seconds);
+/// a method without a meta-training stage reads `-`, as the figures omit
+/// it.
 pub fn timing_table(outcomes: &[MethodOutcome]) -> TextTable {
     let mut table = TextTable::new(vec!["Method", "Test (s)", "Train (s)"]);
     for o in outcomes {
         table.push_row(vec![
             o.method.clone(),
             fmt_secs(o.test_seconds),
-            fmt_secs(o.train_seconds),
+            if o.train_seconds < 1e-4 {
+                "-".to_string()
+            } else {
+                fmt_secs(o.train_seconds)
+            },
         ]);
     }
     table
-}
-
-/// A named experiment result bundle, serialisable to JSON for
-/// EXPERIMENTS.md bookkeeping.
-#[derive(Clone, Debug, Serialize)]
-pub struct ExperimentReport {
-    pub experiment: String,
-    pub configuration: String,
-    pub outcomes: Vec<MethodOutcome>,
-}
-
-impl ExperimentReport {
-    pub fn new(
-        experiment: impl Into<String>,
-        configuration: impl Into<String>,
-        outcomes: Vec<MethodOutcome>,
-    ) -> Self {
-        Self {
-            experiment: experiment.into(),
-            configuration: configuration.into(),
-            outcomes,
-        }
-    }
-
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serialises")
-    }
-
-    /// The outcome with the best F1.
-    pub fn best_by_f1(&self) -> Option<&MethodOutcome> {
-        self.outcomes
-            .iter()
-            .max_by(|a, b| a.metrics.f1.total_cmp(&b.metrics.f1))
-    }
 }
 
 #[cfg(test)]
@@ -213,22 +183,13 @@ mod tests {
     }
 
     #[test]
-    fn report_json_roundtrip_fields() {
-        let rep = ExperimentReport::new(
-            "table2",
-            "Citeseer SGSC 1-shot",
-            vec![outcome("m", 0.5, 2.0)],
-        );
-        let json = rep.to_json();
-        assert!(json.contains("\"experiment\": \"table2\""));
-        assert!(json.contains("\"f1\": 0.5"));
-        assert_eq!(rep.best_by_f1().unwrap().method, "m");
-    }
-
-    #[test]
     fn timing_table_has_all_methods() {
-        let t = timing_table(&[outcome("a", 0.1, 3.0), outcome("b", 0.2, 4.0)]);
+        let mut untrained = outcome("b", 0.2, 4.0);
+        untrained.train_seconds = 0.0;
+        let t = timing_table(&[outcome("a", 0.1, 3.0), untrained]);
         assert_eq!(t.n_rows(), 2);
-        assert!(t.render().contains("3.000"));
+        let s = t.render();
+        assert!(s.contains("| a      | 3.000    | 1.000     |"), "{s}");
+        assert!(s.contains("| b      | 4.000    | -         |"), "{s}");
     }
 }

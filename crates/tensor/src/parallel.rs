@@ -20,11 +20,11 @@
 /// budget while still admitting GNN-layer-sized kernels the old gate
 /// pinned serial; the help-first latch bounds the downside (slow-waking
 /// workers just mean the owner drains the chunks itself at ≈ serial
-/// cost + ≈1 µs). `BENCH_kernels.json` is now recorded on two vCPUs:
-/// `parallel_dispatch_4jobs` reads 2.6 µs there (137 µs for the spawns),
-/// and the two just-over-the-gate `small_*` kernels run at 0.44–0.55× of
-/// serial through `auto` — the budget is too low where a wake crosses
-/// cores. Re-tuning moves every kernel, so it is its own measured change
+/// cost + ≈1 µs). On two vCPUs the budget is too low where a wake
+/// crosses cores: the meta-test shapes just over the gate run slower
+/// split than serial. `cgnp-e2e` records them as `tensor.matmul_small_us`
+/// and `tensor.spmm_small_us`, which is where a re-tune reads its
+/// effect. Re-tuning moves every kernel, so it is its own measured change
 /// (ROADMAP, *Carried over*).
 pub(crate) const PAR_MIN_WORK: usize = 1 << 16;
 

@@ -1,9 +1,6 @@
 //! `cgnp` — command-line interface to the CGNP community-search library.
 //!
 //! ```text
-//! cgnp datasets
-//!     List the dataset surrogates (paper Table I vs generated).
-//!
 //! cgnp train --dataset citeseer [--kind sgsc|sgdc] [--shots N] [--scale S]
 //!            [--seed N] [--decoder ip|mlp|gnn] [--out model.json]
 //!            [--threads N]
@@ -64,13 +61,22 @@
 //!     the front-end's counters next to the serving summary (latency
 //!     percentiles, batch occupancy, context counters).
 //!
+//! cgnp reproduce --exp table1|table2|table3|table4|fig3|fig4|fig5|all
+//!                [--scale S] [--out rows.json]
+//!     Regenerate the paper's tables and figures (§VII) at the selected
+//!     scale (default quick), each closed by a shape check against the
+//!     paper's claims; --out writes one JSON row per (experiment, cell,
+//!     method). Seed 42 throughout.
+//!
 //! A flag the subcommand does not read is a usage error (exit 2), not
-//! something to ignore.
+//! something to ignore; so is a --exp or --scale value reproduce does
+//! not know.
 //! ```
 
 #![forbid(unsafe_code)]
 
 use std::collections::HashMap;
+use std::io::Write as _;
 use std::time::Duration;
 
 use cgnp_core::{
@@ -78,8 +84,8 @@ use cgnp_core::{
 };
 use cgnp_data::{load_dataset, model_input_dim, DatasetId, Scale};
 use cgnp_eval::{
-    build_single_graph_tasks, restore_model, save_with_arch, ArchSpec, Metrics, ScaleSettings,
-    TaskKind, TextTable,
+    build_single_graph_tasks, restore_model, run_experiment, save_with_arch, ArchSpec, Metrics,
+    ScaleSettings, TaskKind, EXPERIMENTS,
 };
 use cgnp_gateway::{Gateway, GatewayConfig, GatewayReport};
 use cgnp_nn::Module;
@@ -98,11 +104,6 @@ struct Subcommand {
 }
 
 const SUBCOMMANDS: &[Subcommand] = &[
-    Subcommand {
-        name: "datasets",
-        flags: &["scale"],
-        run: cmd_datasets,
-    },
     Subcommand {
         name: "train",
         flags: &[
@@ -141,36 +142,51 @@ const SUBCOMMANDS: &[Subcommand] = &[
         ],
         run: cmd_serve,
     },
+    Subcommand {
+        name: "reproduce",
+        flags: &["exp", "scale", "out"],
+        run: cmd_reproduce,
+    },
 ];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let names = || SUBCOMMANDS.iter().map(|c| c.name).collect::<Vec<_>>();
     let Some((command, rest)) = args.split_first() else {
-        eprintln!("usage: cgnp <datasets|train|evaluate|serve> [flags]; see --help");
-        std::process::exit(2);
-    };
-    let usage_error = |e: String| -> ! {
-        eprintln!("error: {e}");
+        eprintln!("usage: cgnp <{}> [flags]; see --help", names().join("|"));
         std::process::exit(2);
     };
     let flags = parse_flags(rest).unwrap_or_else(|e| usage_error(e));
-    let result = match SUBCOMMANDS.iter().find(|c| c.name == command) {
-        Some(sub) => {
+    let result = match subcommand(command) {
+        Ok(sub) => {
             // Before anything is loaded: a misspelt flag must not cost a
             // training run at the default it was meant to change.
             check_known(sub, &flags).unwrap_or_else(|e| usage_error(e));
             (sub.run)(&flags)
         }
-        None if matches!(command.as_str(), "--help" | "help") => {
-            println!("subcommands: datasets | train | evaluate | serve");
+        Err(_) if matches!(command.as_str(), "--help" | "help") => {
+            println!("subcommands: {}", names().join(" | "));
             Ok(())
         }
-        None => Err(format!("unknown subcommand {command:?}")),
+        Err(e) => Err(e),
     };
     if let Err(e) = result {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
+}
+
+/// Reports a usage error and exits 2.
+fn usage_error(e: String) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(2);
+}
+
+fn subcommand(name: &str) -> Result<&'static Subcommand, String> {
+    SUBCOMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown subcommand {name:?}"))
 }
 
 /// Refuses any flag `sub` does not read, by name.
@@ -284,36 +300,6 @@ fn common_args(flags: &Flags) -> Result<CommonArgs, String> {
         settings: ScaleSettings::for_scale(scale),
         decoder,
     })
-}
-
-fn cmd_datasets(flags: &Flags) -> Result<(), String> {
-    let scale = parse_scale(flags.get("scale").map(String::as_str).unwrap_or("quick"))?;
-    let mut table = TextTable::new(vec![
-        "Dataset",
-        "paper |V|",
-        "paper |E|",
-        "surrogate |V|",
-        "surrogate |E|",
-        "|C|",
-        "attrs",
-    ]);
-    for id in DatasetId::ALL {
-        let ds = load_dataset(id, scale, 42);
-        let (n, m, c) = ds.graphs.iter().fold((0, 0, 0), |(n, m, c), g| {
-            (n + g.n(), m + g.m(), c + g.n_communities())
-        });
-        table.push_row(vec![
-            id.name().to_string(),
-            ds.paper.nodes.to_string(),
-            ds.paper.edges.to_string(),
-            n.to_string(),
-            m.to_string(),
-            c.to_string(),
-            ds.paper.attrs.map_or("-".into(), |a| a.to_string()),
-        ]);
-    }
-    println!("{}", table.render());
-    Ok(())
 }
 
 fn cmd_train(flags: &Flags) -> Result<(), String> {
@@ -535,6 +521,58 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// What `cgnp reproduce` runs: the experiments, their scale, and where
+/// the rows go.
+struct ReproduceArgs {
+    experiments: Vec<&'static str>,
+    settings: ScaleSettings,
+    out: Option<String>,
+}
+
+fn reproduce_args(flags: &Flags) -> Result<ReproduceArgs, String> {
+    let exp = flags.get("exp").map(String::as_str);
+    let experiments = match (exp, EXPERIMENTS.iter().find(|e| Some(**e) == exp)) {
+        (Some("all"), _) => EXPERIMENTS.to_vec(),
+        (_, Some(name)) => vec![*name],
+        _ => {
+            return Err(format!(
+                "reproduce needs --exp {}|all, got {}",
+                EXPERIMENTS.join("|"),
+                exp.map_or("none".to_string(), |e| format!("{e:?}"))
+            ))
+        }
+    };
+    let scale = parse_scale(flags.get("scale").map(String::as_str).unwrap_or("quick"))?;
+    Ok(ReproduceArgs {
+        experiments,
+        settings: ScaleSettings::for_scale(scale),
+        out: flags.get("out").cloned(),
+    })
+}
+
+fn cmd_reproduce(flags: &Flags) -> Result<(), String> {
+    // A mistyped experiment or scale is refused before anything runs.
+    let args = reproduce_args(flags).unwrap_or_else(|e| usage_error(e));
+    // The output file is created first, so a bad path costs no run.
+    let out = match args.out {
+        Some(path) => match std::fs::File::create(&path) {
+            Ok(file) => Some((file, path)),
+            Err(e) => return Err(format!("writing {path}: {e}")),
+        },
+        None => None,
+    };
+    let mut rows = Vec::new();
+    for exp in args.experiments {
+        rows.extend(run_experiment(exp, &args.settings).expect("a known experiment"));
+    }
+    if let Some((mut file, path)) = out {
+        let json = serde_json::to_string_pretty(&rows).map_err(|e| e.to_string())?;
+        writeln!(file, "{json}").map_err(|e| format!("writing {path}: {e}"))?;
+        eprintln!("{} rows written to {path}", rows.len());
+    }
+    Ok(())
+}
+
 /// Runs the TCP gateway until stdin says stop, then drains gracefully.
 fn serve_gateway(
     engine: std::sync::Arc<dyn cgnp_serve::QueryEngine>,
@@ -599,7 +637,8 @@ mod tests {
             ("serve", "--refesh per-row", "--refesh"),
             ("train", "--batch 8 --seed 1", "--batch"),
             ("evaluate", "--checkpoint m.json", "--checkpoint"),
-            ("datasets", "--zeta 1 --alpha 2", "--alpha"),
+            ("reproduce", "--zeta 1 --alpha 2", "--alpha"),
+            ("reproduce", "--exp table2 --threads 2", "--threads"),
         ] {
             let err = check(name, line).unwrap_err();
             assert_eq!(err, format!("unknown flag {flag} for {name}"));
@@ -626,7 +665,61 @@ mod tests {
             check("serve", &format!("{spawn} {extra}")).unwrap();
         }
         check("evaluate", "--model m.json --scale smoke --kind sgsc").unwrap();
-        check("datasets", "--scale smoke").unwrap();
+        // CI's reproduction gate.
+        check("reproduce", "--exp all --scale smoke --out r.json").unwrap();
+    }
+
+    fn reproduce(line: &str) -> Result<ReproduceArgs, String> {
+        check("reproduce", line)?;
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        reproduce_args(&parse_flags(&args).unwrap())
+    }
+
+    #[test]
+    fn reproduce_takes_one_experiment_or_all_at_a_known_scale() {
+        let one = reproduce("--exp table2 --scale smoke --out f").unwrap();
+        assert_eq!(one.experiments, ["table2"]);
+        assert_eq!(one.settings.scale, Scale::Smoke);
+        assert_eq!(one.out.as_deref(), Some("f"));
+        let all = reproduce("--exp all").unwrap();
+        assert_eq!(all.experiments, EXPERIMENTS);
+        assert_eq!(all.settings.scale, Scale::Quick);
+        assert_eq!(all.out, None);
+        let names = "table1|table2|table3|table4|fig3|fig4|fig5|all";
+        for (line, err) in [
+            (
+                "--exp tabel2",
+                format!("reproduce needs --exp {names}, got \"tabel2\""),
+            ),
+            (
+                "--scale smoke",
+                format!("reproduce needs --exp {names}, got none"),
+            ),
+            (
+                "--exp fig3 --scale huge",
+                "unknown scale \"huge\"".to_string(),
+            ),
+            (
+                "--exp fig3 --threads 2",
+                "unknown flag --threads for reproduce".to_string(),
+            ),
+        ] {
+            assert_eq!(
+                reproduce(line).err().as_deref(),
+                Some(err.as_str()),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn datasets_is_no_longer_a_subcommand() {
+        // Table I is `reproduce --exp table1`.
+        assert_eq!(
+            subcommand("datasets").err().as_deref(),
+            Some("unknown subcommand \"datasets\"")
+        );
+        assert!(subcommand("reproduce").is_ok());
     }
 
     #[test]
